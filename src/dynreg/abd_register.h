@@ -9,8 +9,8 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 
+#include "dynreg/quorum_tally.h"
 #include "dynreg/register_node.h"
 #include "dynreg/types.h"
 #include "node/context.h"
@@ -46,16 +46,16 @@ class AbdRegisterNode final : public RegisterNode {
  private:
   struct PendingRead {
     ReadCompletion done;
-    std::set<sim::ProcessId> repliers;
+    QuorumTally repliers;
     Timestamp best_ts;
     Value best_value = kBottom;
     bool has_best = false;
-    std::set<sim::ProcessId> wb_ackers;
+    QuorumTally wb_ackers;
     bool in_writeback = false;
   };
   struct PendingWrite {
     WriteCompletion done;
-    std::set<sim::ProcessId> ackers;
+    QuorumTally ackers;
   };
 
   [[nodiscard]] std::size_t majority() const { return config_.n / 2 + 1; }

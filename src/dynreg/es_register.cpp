@@ -12,11 +12,10 @@ EsRegisterNode::EsRegisterNode(sim::ProcessId id, node::Context& ctx, EsConfig c
     : RegisterNode(id),
       ctx_(ctx),
       config_(std::move(config)),
-      // The pending containers draw their nodes from the simulation's epoch
-      // arena (ArenaAllocator<char> converts to each container's allocator).
+      // The pending maps draw their nodes from the simulation's epoch arena
+      // (ArenaAllocator<char> converts to each map's allocator).
       reads_(sim::ArenaAllocator<char>(ctx.arena())),
-      writes_(sim::ArenaAllocator<char>(ctx.arena())),
-      join_repliers_(sim::ArenaAllocator<char>(ctx.arena())) {
+      writes_(sim::ArenaAllocator<char>(ctx.arena())) {
   if (initial) {
     value_ = config_.initial_value;
     ts_ = Timestamp{0, 0};
@@ -56,7 +55,7 @@ void EsRegisterNode::retransmit_join() {
 
 void EsRegisterNode::read(const OpContext&, ReadCompletion done) {
   const std::uint64_t rid = next_rid_++;
-  PendingRead& r = reads_.try_emplace(rid, ctx_.arena()).first->second;
+  PendingRead& r = reads_.try_emplace(rid).first->second;
   r.done = std::move(done);
   // The reader's own copy counts towards the quorum without a message.
   r.repliers.insert(id());
@@ -96,7 +95,7 @@ void EsRegisterNode::start_writeback(std::uint64_t rid) {
   PendingRead& r = reads_.find(rid)->second;  // caller verified presence
   r.in_writeback = true;
   const std::uint64_t wid = (next_wid_++ << 1) | 1;
-  PendingWrite& w = writes_.try_emplace(wid, ctx_.arena()).first->second;
+  PendingWrite& w = writes_.try_emplace(wid).first->second;
   w.ts = r.best_ts;
   w.value = r.best_value;
   w.is_read_writeback = true;
@@ -116,7 +115,7 @@ void EsRegisterNode::write(const OpContext&, Value v, WriteCompletion done) {
   const Timestamp ts{std::max(ts_.sn, max_seen_sn_) + 1, id()};
   apply(ts, v);
   const std::uint64_t wid = next_wid_++ << 1;
-  PendingWrite& w = writes_.try_emplace(wid, ctx_.arena()).first->second;
+  PendingWrite& w = writes_.try_emplace(wid).first->second;
   w.done = std::move(done);
   w.ts = ts;
   w.value = v;

@@ -10,9 +10,9 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <utility>
 
+#include "dynreg/quorum_tally.h"
 #include "dynreg/register_node.h"
 #include "dynreg/types.h"
 #include "node/context.h"
@@ -71,23 +71,21 @@ class EsRegisterNode final : public RegisterNode {
   }
 
  private:
-  // Pending-operation state lives in the simulation's epoch arena: every
-  // node-tree allocation (map nodes, replier-set nodes) is a short-lived,
-  // uniform-size object churned once per in-flight operation, exactly the
-  // traffic the arena batches. The arena outlives the node (it belongs to
-  // the Simulation), so erase/destruction order is unconstrained.
-  using ArenaIdSet = std::set<sim::ProcessId, std::less<sim::ProcessId>,
-                              sim::ArenaAllocator<sim::ProcessId>>;
+  // Pending-operation records live in maps drawn from the simulation's epoch
+  // arena: each map node is a short-lived, uniform-size object churned once
+  // per in-flight operation, exactly the traffic the arena batches. The
+  // arena outlives the node (it belongs to the Simulation), so
+  // erase/destruction order is unconstrained. The quorum tallies inside the
+  // records are id-indexed bitmaps (dynreg/quorum_tally.h): one bit test per
+  // reply, whatever the quorum size.
   template <typename V>
   using ArenaOpMap =
       std::map<std::uint64_t, V, std::less<std::uint64_t>,
                sim::ArenaAllocator<std::pair<const std::uint64_t, V>>>;
 
   struct PendingRead {
-    explicit PendingRead(sim::Arena& arena)
-        : repliers(sim::ArenaAllocator<sim::ProcessId>(arena)) {}
     ReadCompletion done;
-    ArenaIdSet repliers;
+    QuorumTally repliers;
     Timestamp best_ts;
     Value best_value = kBottom;
     bool has_value = false;
@@ -95,12 +93,10 @@ class EsRegisterNode final : public RegisterNode {
     std::uint32_t resends = 0;  // drives the bounded retransmit backoff
   };
   struct PendingWrite {
-    explicit PendingWrite(sim::Arena& arena)
-        : ackers(sim::ArenaAllocator<sim::ProcessId>(arena)) {}
     WriteCompletion done;
     Timestamp ts;
     Value value = kBottom;
-    ArenaIdSet ackers;
+    QuorumTally ackers;
     bool is_read_writeback = false;
     std::uint64_t rid = 0;  // owning read, when is_read_writeback
     std::uint32_t resends = 0;  // drives the bounded retransmit backoff
@@ -143,7 +139,7 @@ class EsRegisterNode final : public RegisterNode {
 
   ArenaOpMap<PendingRead> reads_;
   ArenaOpMap<PendingWrite> writes_;
-  ArenaIdSet join_repliers_;
+  QuorumTally join_repliers_;
   std::uint32_t join_resends_ = 0;
   bool join_pending_ = false;
   Timestamp join_best_ts_;

@@ -167,8 +167,7 @@ MetricsReport run_experiment(const ExperimentConfig& cfg, const replay::RunHooks
   net::Network net(sim, std::move(delays));
   net.set_loss_rate(cfg.loss_rate);
   if (cfg.dissemination == Dissemination::kTree) {
-    // kFlat stays on the built-in direct path (no disseminator object), so
-    // the flat configuration is byte-for-byte the pre-seam code.
+    // kFlat keeps the network's default FlatDisseminator.
     net.set_disseminator(std::make_unique<net::TreeDisseminator>(cfg.tree_fanout));
   }
 

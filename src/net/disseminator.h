@@ -3,12 +3,16 @@
 //
 // The paper's protocols broadcast constantly — every ES write is one process
 // sending n-1 direct copies, so at n=1e5 a single hot writer pays O(n) sends
-// per operation. A Disseminator decides how one logical broadcast turns into
-// scheduled point-to-point copies:
+// per operation. A Disseminator decides how one logical broadcast reaches
+// its recipients: it is a pure planner. For each recipient it asks the
+// Network for the verdict of the physical edge that carries the copy
+// (Network::hop_verdict: partition cut, loss, delay) and writes down the
+// copy's arrival offset, or kLost. It never schedules anything; the Network
+// turns the finished plan into queued deliveries, one event per distinct
+// arrival tick (see net/network.h).
 //
-//  - FlatDisseminator: the historical direct fan-out — the sender transmits
-//    one copy to every recipient. Reproduces the built-in path draw for
-//    draw, so selecting it keeps runs byte-identical.
+//  - FlatDisseminator (the default): direct fan-out — the sender transmits
+//    one copy to every recipient.
 //  - TreeDisseminator: deterministic delegated multicast over an implicit
 //    complete k-ary tree. The sender pushes to its k children; each
 //    recipient forwards to its own children. Latency accumulates along the
@@ -32,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -44,15 +49,19 @@ class Network;
 
 class Disseminator {
  public:
+  /// Plan entry of a copy that never arrives (cut or lost).
+  static constexpr sim::Duration kLost = std::numeric_limits<sim::Duration>::max();
+
   virtual ~Disseminator() = default;
 
-  /// Schedules one copy of `payload` from `from` towards every id in
-  /// `recipients` (sorted ascending, never containing `from`). Runs at send
-  /// time and only schedules future deliveries through
-  /// Network::transmit_hop — it must not deliver synchronously.
-  virtual void disseminate(Network& net, sim::ProcessId from,
-                           const std::vector<sim::ProcessId>& recipients,
-                           const PayloadPtr& payload) = 0;
+  /// Plans one broadcast of `payload` from `from` to every id in
+  /// `recipients` (sorted ascending, never containing `from`): sets
+  /// arrivals[i] (pre-sized to recipients.size()) to recipients[i]'s arrival
+  /// offset from now, or kLost. Edge verdicts come from
+  /// Network::hop_verdict, drawn in the planner's fixed edge order.
+  virtual void plan(Network& net, sim::ProcessId from,
+                    const std::vector<sim::ProcessId>& recipients,
+                    const Payload& payload, std::vector<sim::Duration>& arrivals) = 0;
 
   [[nodiscard]] virtual std::string_view name() const = 0;
 };
@@ -60,9 +69,9 @@ class Disseminator {
 /// Direct fan-out: the sender transmits to every recipient itself.
 class FlatDisseminator final : public Disseminator {
  public:
-  void disseminate(Network& net, sim::ProcessId from,
-                   const std::vector<sim::ProcessId>& recipients,
-                   const PayloadPtr& payload) override;
+  void plan(Network& net, sim::ProcessId from,
+            const std::vector<sim::ProcessId>& recipients, const Payload& payload,
+            std::vector<sim::Duration>& arrivals) override;
   [[nodiscard]] std::string_view name() const override { return "flat"; }
 };
 
@@ -73,15 +82,15 @@ class TreeDisseminator final : public Disseminator {
   explicit TreeDisseminator(std::uint32_t fanout = 4)
       : fanout_(fanout < 1 ? 1 : fanout) {}
 
-  void disseminate(Network& net, sim::ProcessId from,
-                   const std::vector<sim::ProcessId>& recipients,
-                   const PayloadPtr& payload) override;
+  void plan(Network& net, sim::ProcessId from,
+            const std::vector<sim::ProcessId>& recipients, const Payload& payload,
+            std::vector<sim::Duration>& arrivals) override;
   [[nodiscard]] std::string_view name() const override { return "tree"; }
   [[nodiscard]] std::uint32_t fanout() const { return fanout_; }
 
  private:
   std::uint32_t fanout_;
-  std::vector<sim::Duration> arrivals_;  // scratch, reused across broadcasts
+  std::vector<sim::Duration> reach_;  // per-position relay time, reused
 };
 
 }  // namespace dynreg::net

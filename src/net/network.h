@@ -14,6 +14,22 @@
 // fan-out walks the vector in id order — the same deterministic order the
 // previous std::map gave. Per-delivery metrics are keyed on interned
 // PayloadTypeId tags; the string-keyed view is materialized only on demand.
+//
+// Every broadcast takes one path: the installed Disseminator (flat by
+// default) plans each copy's arrival offset, drawing the per-copy verdicts
+// in its fixed edge order, and the network then queues ONE event per
+// distinct arrival tick rather than one per copy. The surviving copies are
+// grouped by offset with a stable counting sort (ties keep recipient /
+// tree-position order) into an arena block — payload, logical sender,
+// recipient ids — owned by that event. Delivery walks the block and runs
+// every per-copy step in order: the departed-receiver check, the fault
+// hook's transform, the per-type counter, and the audit fold (each copy
+// after the first also folds its own (time, dispatch number), as
+// Simulation::step does for a queued event). This is the per-copy design's
+// order exactly: the copies one broadcast lands at tick t were pushed in one
+// synchronous burst, so they were adjacent in that tick's FIFO, and anything
+// a handler schedules lands after the group either way. Point-to-point
+// sends stay one inline event each.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +55,9 @@ class Network {
   using Handler = sim::InlineFunction<void(sim::ProcessId from, const Payload& payload)>;
 
   Network(sim::Simulation& sim, std::unique_ptr<DelayModel> delays)
-      : sim_(sim), delays_(std::move(delays)) {}
+      : sim_(sim),
+        delays_(std::move(delays)),
+        disseminator_(std::make_unique<FlatDisseminator>()) {}
 
   /// Registers a process. Messages are delivered only to attached processes.
   void attach(sim::ProcessId id, Handler handler);
@@ -65,30 +83,24 @@ class Network {
   /// Sends one copy to every currently attached process except `from`.
   void broadcast(sim::ProcessId from, PayloadPtr payload);
 
-  /// Installs a fan-out strategy for broadcast(). nullptr (the default)
-  /// keeps the built-in direct loop — the historical, byte-identical path.
-  void set_disseminator(std::unique_ptr<Disseminator> d) {
-    disseminator_ = std::move(d);
-  }
+  /// Installs the fan-out planner for broadcast() (FlatDisseminator until
+  /// replaced; nullptr restores it).
+  void set_disseminator(std::unique_ptr<Disseminator> d);
   [[nodiscard]] const Disseminator* disseminator() const {
     return disseminator_.get();
   }
 
-  /// One hop of a (possibly relayed) broadcast: the per-copy fate as the
-  /// disseminators see it.
+  /// The fate of one copy on one physical edge.
   struct Hop {
     bool lost = false;
-    sim::Duration arrival_offset = 0;  ///< vs now(); meaningful when !lost
+    sim::Duration delay = 0;  ///< >= 1; meaningful when !lost
   };
 
-  /// Disseminator hook: draws the verdict for the physical edge
-  /// (hop_from -> to) and, if the copy survives, schedules its delivery
-  /// `base_delay + hop delay` ticks from now with `logical_from` as the
-  /// sender the handler observes (relays are transparent transport;
-  /// protocol replies must reach the original broadcaster).
-  Hop transmit_hop(sim::ProcessId logical_from, sim::ProcessId hop_from,
-                   sim::ProcessId to, const PayloadPtr& payload,
-                   sim::Duration base_delay);
+  /// Draws the verdict for the physical edge (hop_from -> to): a partition
+  /// cut (checked first, consuming no Rng draw), else the delay model's
+  /// loss/delay verdict. Counts the copy in Stats; schedules nothing. Every
+  /// copy a run sends, point-to-point or relayed, is decided here.
+  Hop hop_verdict(sim::ProcessId hop_from, sim::ProcessId to, const Payload& payload);
 
   /// Fraction of message copies silently lost (omission faults). Loss is
   /// decided at send time with the simulation RNG.
@@ -121,15 +133,44 @@ class Network {
     bool attached = false;
   };
 
-  void transmit(sim::ProcessId from, sim::ProcessId to, PayloadPtr payload);
-  void schedule_delivery(sim::ProcessId from, sim::ProcessId to,
-                         PayloadPtr payload, sim::Duration delay);
+  // The copies of one broadcast that arrive at the same tick, in dispatch
+  // order: header plus `count` trailing recipient ids, one arena block.
+  struct Batch {
+    PayloadPtr payload;
+    sim::ProcessId from = 0;
+    std::uint32_t count = 0;
+    sim::ProcessId* ids() { return reinterpret_cast<sim::ProcessId*>(this + 1); }
+  };
+  // The queued event's ownership of its block. The arena outlives the event
+  // queue, so a batch still queued at teardown is released safely.
+  struct BatchDeleter {
+    sim::Arena* arena;
+    void operator()(Batch* b) const noexcept {
+      b->~Batch();
+      arena->deallocate(b);
+    }
+  };
+  using BatchPtr = std::unique_ptr<Batch, BatchDeleter>;
+
+  /// Queues the broadcast planned in arrivals_scratch_ as one batch per
+  /// distinct arrival offset.
+  void schedule_batches(sim::ProcessId from, const PayloadPtr& payload);
+  BatchPtr make_batch(sim::ProcessId from, const PayloadPtr& payload,
+                      const std::uint32_t* positions, std::uint32_t count);
+  void deliver_batch(Batch& batch);
+  /// One copy's delivery: departed check, transform, counters, audit, handler.
+  void deliver(sim::ProcessId from, sim::ProcessId to, const PayloadPtr& payload);
 
   sim::Simulation& sim_;
   std::unique_ptr<DelayModel> delays_;
-  std::unique_ptr<Disseminator> disseminator_;  // nullptr = direct fan-out
-  FaultHook* fault_hook_ = nullptr;             // nullptr = fault-free
+  std::unique_ptr<Disseminator> disseminator_;
+  FaultHook* fault_hook_ = nullptr;  // nullptr = fault-free
+  // Broadcast scratch, reused: recipients, their planned arrival offsets,
+  // and the counting sort's per-offset counts and grouped positions.
   std::vector<sim::ProcessId> recipients_scratch_;
+  std::vector<sim::Duration> arrivals_scratch_;
+  std::vector<std::uint32_t> counts_scratch_;
+  std::vector<std::uint32_t> order_scratch_;
   std::vector<Slot> slots_;  // dense, indexed by ProcessId
   // Sorted live membership: broadcast fan-out walks this, so its cost
   // follows the active set, not the cumulative id space of a churning run.

@@ -1,6 +1,8 @@
 #include "sim/arena.h"
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <new>
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -85,9 +87,19 @@ void Arena::open_chunk_for(std::size_t size, std::size_t align) {
     open_->open = true;
     return;
   }
-  // Oversize request: dedicated chunk. It becomes the bump target like any
-  // other; the next normal-size allocation will not fit and seals it.
-  open_ = new_chunk(needed);
+  // Oversize request: a recycled chunk large enough (a retired oversize
+  // chunk, so repeated large requests reuse storage instead of growing the
+  // arena without bound), else a dedicated new one. It becomes the bump
+  // target like any other; the next allocation that does not fit seals it.
+  const auto fits = std::find_if(free_.rbegin(), free_.rend(),
+                                 [needed](const Chunk* c) { return c->capacity >= needed; });
+  if (fits != free_.rend()) {
+    open_ = *fits;
+    free_.erase(std::next(fits).base());
+    open_->used = 0;
+  } else {
+    open_ = new_chunk(needed);
+  }
   open_->open = true;
 }
 

@@ -11,9 +11,9 @@
 // delivery — and every pending operation — an allocation. InlineFunction
 // stores captures up to kInlineCapacity bytes directly inside the object and
 // only falls back to the heap for oversized captures; none of the library's
-// own lambdas need the fallback (a static_assert on the per-message delivery
-// closure in Network::transmit guards the hottest one, and the InlineTask
-// tests pin the boundary).
+// own lambdas need the fallback (static_asserts on the delivery closures in
+// Network::send and Network::schedule_batches guard the hottest ones, and
+// the InlineTask tests pin the boundary).
 //
 // The type is deliberately minimal: construct from a callable, move, invoke,
 // destroy. No copy, no target introspection, no allocator awareness — it

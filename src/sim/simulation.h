@@ -67,6 +67,18 @@ class Simulation {
 #endif
   }
 
+  /// Folds one more dispatched event at the current time into the digest,
+  /// exactly as step() does before it runs a queued event. A task that
+  /// carries several logical events (the network's batched broadcast
+  /// copies) calls this for each one after the first, so batching leaves
+  /// trace_hash unchanged. No-op without DYNREG_AUDIT.
+  void audit_dispatch() {
+#ifdef DYNREG_AUDIT
+    audit_note(now_);
+    audit_note(++audit_seq_);
+#endif
+  }
+
   /// The event-stream digest so far: a function of every dispatched event's
   /// (time, sequence number) plus everything audit_note()d. Equal across
   /// same-(config, seed) runs by the determinism contract; 0 when the build

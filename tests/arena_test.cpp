@@ -128,6 +128,26 @@ TEST(Arena, RecycledChunksAreReusedNotReReserved) {
   EXPECT_EQ(arena.bytes_reserved(), reserved_after_warmup);
 }
 
+TEST(Arena, RetiredOversizeChunksServeLaterOversizeRequests) {
+  // Large broadcast batches are oversize requests every tick. Each one must
+  // reuse a retired oversize chunk that fits, not reserve a fresh one, or
+  // the arena would grow with the run's length.
+  Arena arena(/*chunk_bytes=*/256);
+  std::size_t reserved_after_warmup = 0;
+  for (int round = 0; round < 40; ++round) {
+    void* big = arena.allocate(900 + 10 * (round % 4), 8);
+    void* small = arena.allocate(32, 8);
+    std::memset(big, 0x3C, 900);
+    arena.deallocate(big);
+    arena.deallocate(small);
+    arena.advance_epoch();
+    arena.advance_epoch();
+    if (round == 4) reserved_after_warmup = arena.bytes_reserved();
+  }
+  EXPECT_EQ(arena.bytes_reserved(), reserved_after_warmup);
+  EXPECT_EQ(arena.live_allocations(), 0u);
+}
+
 #ifndef DYNREG_TEST_ASAN
 // Plain-build reclaim semantics: bytes of a dead allocation stay intact
 // until the epoch moves past its chunk's retirement (the "same-tick

@@ -3,18 +3,25 @@
 // processes attached at send time, exactly once each, with the LOGICAL
 // broadcaster as the observed sender. The tree pays latency, never
 // correctness. Also pins the byte-identity anchor: an explicit
-// FlatDisseminator is draw-for-draw identical to the built-in direct path.
+// FlatDisseminator is draw-for-draw identical to the default one, and the
+// grouped delivery path (one queued event per broadcast arrival tick) keeps
+// every per-copy step — departure check, fault hook, order — per copy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "net/delay_model.h"
 #include "net/disseminator.h"
+#include "net/fault_hook.h"
 #include "net/network.h"
 #include "sim/simulation.h"
 
@@ -100,10 +107,10 @@ TEST(Disseminator, TreeAccumulatesLatencyByDepthFlatDoesNot) {
 }
 
 TEST(Disseminator, ExplicitFlatIsDrawIdenticalToBuiltInPath) {
-  // Same seed, loss on: if the explicit FlatDisseminator consumed the RNG
-  // any differently from the built-in loop, the per-copy loss verdicts (and
-  // so the delivery log) would diverge. This is the run --all byte-identity
-  // anchor in miniature.
+  // Same seed, loss on: if an explicitly installed FlatDisseminator consumed
+  // the RNG any differently from the network's default (what nullptr
+  // restores), the per-copy loss verdicts (and so the delivery log) would
+  // diverge. This is the run --all byte-identity anchor in miniature.
   const auto builtin =
       run_broadcast(nullptr, 40, 9, /*seed=*/5, /*loss_rate=*/0.35);
   const auto flat = run_broadcast(std::make_unique<FlatDisseminator>(), 40, 9,
@@ -144,6 +151,249 @@ TEST(Disseminator, TreeLossDropsOnlyThatRecipientsCopy) {
     EXPECT_GT(copies[id], 0) << "process " << id << " never reached";
   }
 }
+
+// --- grouped delivery -------------------------------------------------------
+
+struct Pong final : Payload {
+  std::string_view type_name() const override { return "test.pong"; }
+};
+
+/// One DelayModel::verdict call as the network made it.
+struct Drawn {
+  sim::ProcessId to;
+  DelayModel::Verdict verdict;
+};
+
+/// Passes every verdict through to `inner` and records it in call order.
+class LoggingDelay final : public DelayModel {
+ public:
+  LoggingDelay(std::unique_ptr<DelayModel> inner, std::vector<Drawn>& log)
+      : inner_(std::move(inner)), log_(log) {}
+  sim::Duration delay(sim::Time now, sim::ProcessId from, sim::ProcessId to,
+                      const Payload& payload, sim::Rng& rng) override {
+    return inner_->delay(now, from, to, payload, rng);
+  }
+  Verdict verdict(sim::Time now, sim::ProcessId from, sim::ProcessId to,
+                  const Payload& payload, double loss_rate, sim::Rng& rng) override {
+    const Verdict v = inner_->verdict(now, from, to, payload, loss_rate, rng);
+    log_.push_back({to, v});
+    return v;
+  }
+
+ private:
+  std::unique_ptr<DelayModel> inner_;
+  std::vector<Drawn>& log_;
+};
+
+/// fanout 0 = flat; otherwise a tree of that fanout.
+std::unique_ptr<Disseminator> make_disseminator(std::uint32_t fanout) {
+  if (fanout == 0) return std::make_unique<FlatDisseminator>();
+  return std::make_unique<TreeDisseminator>(fanout);
+}
+
+/// Re-derives each position's arrival offset (or kLost) from the verdicts
+/// one broadcast drew, in position order, following the planner's rules
+/// independently of its code: flat copies arrive after their own delay; a
+/// tree copy arrives after its parent's relay time plus its own delay, and
+/// a lost edge still relays after a nominal tick.
+std::vector<sim::Duration> rebuild_arrivals(const std::vector<Drawn>& drawn,
+                                            std::size_t first, std::size_t n,
+                                            std::uint32_t fanout) {
+  std::vector<sim::Duration> reach(n + 1, 0);
+  std::vector<sim::Duration> arrival(n, Disseminator::kLost);
+  for (std::size_t j = 1; j <= n; ++j) {
+    const std::size_t parent = fanout == 0 ? 0 : (j - 1) / fanout;
+    const DelayModel::Verdict& v = drawn[first + j - 1].verdict;
+    reach[j] = reach[parent] + (v.lost ? 1 : v.delay);
+    if (!v.lost) arrival[j - 1] = reach[j];
+  }
+  return arrival;
+}
+
+class GroupedDelivery : public ::testing::TestWithParam<std::uint32_t> {};
+
+using Seen = std::tuple<sim::Time, sim::ProcessId, sim::ProcessId, std::string_view>;
+
+TEST_P(GroupedDelivery, DeliveryOrderIsTheStableSortOfTheRecordedVerdicts) {
+  // Several broadcasts from different senders, random delays and loss on:
+  // the observed (time, from, to, type) sequence must be exactly the
+  // planned copies ordered stably by (arrival, broadcast, position) — the
+  // order one queued event per copy produced.
+  for (const bool far_flung : {false, true}) {
+    SCOPED_TRACE(far_flung ? "far-flung offsets (comparison sort)" : "counting sort");
+    std::vector<Drawn> drawn;
+    std::unique_ptr<DelayModel> inner;
+    if (far_flung) {
+      // A script pinning a few copies thousands of ticks out makes the
+      // offset span dwarf the copy count.
+      inner = std::make_unique<AsyncAdversarialDelay>(
+          4, [](sim::Time, sim::ProcessId, sim::ProcessId to,
+                const Payload&) -> std::optional<sim::Duration> {
+            if (to % 7 == 3) return 5000 + to;
+            return std::nullopt;
+          });
+    } else {
+      inner = std::make_unique<UniformDelay>(1, 4);
+    }
+    sim::Simulation sim(41);
+    Network net(sim, std::make_unique<LoggingDelay>(std::move(inner), drawn));
+    net.set_disseminator(make_disseminator(GetParam()));
+    net.set_loss_rate(0.3);
+    constexpr sim::ProcessId kN = 60;
+    std::vector<Seen> seen;
+    for (sim::ProcessId id = 0; id < kN; ++id) {
+      net.attach(id, [&seen, &sim, id](sim::ProcessId from, const Payload& p) {
+        seen.emplace_back(sim.now(), from, id, p.type_name());
+      });
+    }
+    const std::vector<sim::ProcessId> senders = {0, 17, 59, 17};
+    for (std::size_t b = 0; b < senders.size(); ++b) {
+      if (b % 2 == 0) {
+        net.broadcast(senders[b], make_payload<Ping>());
+      } else {
+        net.broadcast(senders[b], make_payload<Pong>());
+      }
+    }
+    sim.run();
+
+    // Rebuild: broadcast b drew verdicts [b*(kN-1), (b+1)*(kN-1)).
+    ASSERT_EQ(drawn.size(), senders.size() * (kN - 1));
+    struct Planned {
+      sim::Duration arrival;
+      std::size_t broadcast;
+      std::size_t position;
+      Seen copy;
+    };
+    std::vector<Planned> planned;
+    for (std::size_t b = 0; b < senders.size(); ++b) {
+      const std::size_t first = b * (kN - 1);
+      const auto arrival = rebuild_arrivals(drawn, first, kN - 1, GetParam());
+      for (std::size_t i = 0; i < arrival.size(); ++i) {
+        if (arrival[i] == Disseminator::kLost) continue;
+        const std::string_view type = b % 2 == 0 ? "test.ping" : "test.pong";
+        planned.push_back({arrival[i], b, i,
+                           Seen{arrival[i], senders[b], drawn[first + i].to, type}});
+      }
+    }
+    std::stable_sort(planned.begin(), planned.end(),
+                     [](const Planned& a, const Planned& b) {
+                       return std::tie(a.arrival, a.broadcast, a.position) <
+                              std::tie(b.arrival, b.broadcast, b.position);
+                     });
+    std::vector<Seen> expected;
+    for (const Planned& p : planned) expected.push_back(p.copy);
+    EXPECT_GT(net.stats().dropped_loss, 0u);
+    EXPECT_EQ(seen, expected);
+  }
+}
+
+TEST_P(GroupedDelivery, HandlerDetachingALaterRecipientOfTheSameTickDropsThatCopy) {
+  // The victim's copy is the last of its tick's batch. The first handler to
+  // run at that tick detaches it;
+  // the copy must count as dropped_departed — exactly as a separate, later
+  // event would.
+  std::vector<Drawn> drawn;
+  sim::Simulation sim(7);
+  Network net(sim, std::make_unique<LoggingDelay>(std::make_unique<FixedDelay>(3), drawn));
+  net.set_disseminator(make_disseminator(GetParam()));
+  net.set_loss_rate(0.25);
+  constexpr sim::ProcessId kN = 40;
+  sim::ProcessId victim = 0;
+  sim::Time victim_arrival = 0;
+  std::map<sim::ProcessId, int> received;
+  for (sim::ProcessId id = 0; id < kN; ++id) {
+    net.attach(id, [&, id](sim::ProcessId, const Payload&) {
+      ++received[id];
+      if (id != victim && sim.now() == victim_arrival && net.attached(victim)) {
+        net.detach(victim);
+      }
+    });
+  }
+  net.broadcast(0, make_payload<Ping>());
+  const auto arrival = rebuild_arrivals(drawn, 0, kN - 1, GetParam());
+  // Victim: the last surviving position whose tick an earlier position
+  // shares — so a handler of the same batch runs before its copy.
+  std::size_t lost = 0;
+  std::size_t pick = arrival.size();
+  for (std::size_t i = arrival.size(); i-- > 0 && pick == arrival.size();) {
+    if (arrival[i] == Disseminator::kLost) continue;
+    for (std::size_t k = 0; k < i; ++k) {
+      if (arrival[k] == arrival[i]) pick = i;
+    }
+  }
+  for (const sim::Duration a : arrival) lost += a == Disseminator::kLost;
+  ASSERT_LT(pick, arrival.size());
+  ASSERT_GT(lost, 0u);
+  victim = drawn[pick].to;
+  victim_arrival = arrival[pick];
+  sim.run();
+
+  EXPECT_EQ(received.count(victim), 0u);
+  EXPECT_EQ(net.stats().dropped_departed, 1u);
+  EXPECT_EQ(net.stats().delivered, kN - 2 - lost);
+  EXPECT_EQ(net.stats().dropped_loss, lost);
+}
+
+/// Cuts edges into ids = 0 mod 5 and rewrites copies to ids = 1 mod 5.
+class SplitHook final : public FaultHook {
+ public:
+  bool link_cut(sim::Time, sim::ProcessId, sim::ProcessId to) override {
+    return to % 5 == 0;
+  }
+  PayloadPtr transform(sim::Time, sim::ProcessId from, sim::ProcessId to,
+                       const PayloadPtr&) override {
+    ++calls;
+    last_from = from;
+    return to % 5 == 1 ? make_payload<Pong>() : nullptr;
+  }
+  int calls = 0;
+  sim::ProcessId last_from = 0;
+};
+
+TEST_P(GroupedDelivery, FaultHookActsPerCopyInsideABatch) {
+  sim::Simulation sim(3);
+  Network net(sim, std::make_unique<FixedDelay>(2));
+  net.set_disseminator(make_disseminator(GetParam()));
+  net.set_loss_rate(0.2);
+  SplitHook hook;
+  net.set_fault_hook(&hook);
+  constexpr sim::ProcessId kN = 51;
+  constexpr sim::ProcessId kSender = 2;
+  std::map<sim::ProcessId, std::vector<std::string_view>> got;
+  for (sim::ProcessId id = 0; id < kN; ++id) {
+    net.attach(id, [&got, id](sim::ProcessId from, const Payload& p) {
+      EXPECT_EQ(from, sim::ProcessId{kSender});
+      got[id].push_back(p.type_name());
+    });
+  }
+  net.broadcast(kSender, make_payload<Ping>());
+  sim.run();
+
+  std::uint64_t cut = 0;
+  for (sim::ProcessId id = 0; id < kN; ++id) cut += id != kSender && id % 5 == 0;
+  EXPECT_EQ(net.stats().dropped_partition, cut);
+  EXPECT_EQ(net.stats().sent, kN - 1 - cut);  // cut copies never reach the delay model
+  EXPECT_EQ(net.stats().delivered + net.stats().dropped_loss, kN - 1 - cut);
+  EXPECT_GT(net.stats().dropped_loss, 0u);
+  EXPECT_EQ(static_cast<std::uint64_t>(hook.calls), net.stats().delivered);
+  EXPECT_EQ(hook.last_from, kSender);  // the hook sees the logical sender
+  std::uint64_t rewritten = 0;
+  for (const auto& [id, types] : got) {
+    ASSERT_EQ(types.size(), 1u) << "process " << id;
+    EXPECT_NE(id % 5, 0u) << "cut copy delivered to " << id;
+    EXPECT_EQ(types[0], id % 5 == 1 ? "test.pong" : "test.ping") << "process " << id;
+    rewritten += id % 5 == 1;
+  }
+  EXPECT_GT(rewritten, 0u);
+  EXPECT_EQ(net.stats().transformed, rewritten);
+}
+
+std::string fanout_name(const ::testing::TestParamInfo<std::uint32_t>& param) {
+  return param.param == 0 ? std::string("Flat") : "Tree" + std::to_string(param.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(FlatAndTree, GroupedDelivery, ::testing::Values(0u, 2u, 4u),
+                         fanout_name);
 
 }  // namespace
 }  // namespace dynreg::net

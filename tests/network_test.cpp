@@ -133,5 +133,30 @@ TEST(Network, LossRateDropsMessages) {
   EXPECT_EQ(net.stats().dropped_loss, 10u);
 }
 
+TEST(Network, BroadcastLandingAtOneTickIsOneQueuedEvent) {
+  // Every copy of a broadcast under a fixed delay arrives at the same tick,
+  // so the whole fan-out is one batch: a single step() delivers all 999
+  // copies, in recipient order, and leaves the queue empty.
+  sim::Simulation sim(1);
+  Network net(sim, std::make_unique<FixedDelay>(3));
+  constexpr sim::ProcessId kN = 1000;
+  std::vector<sim::ProcessId> order;
+  for (sim::ProcessId id = 0; id < kN; ++id) {
+    net.attach(id, [&order, &sim, id](sim::ProcessId from, const Payload&) {
+      EXPECT_EQ(from, 0u);
+      EXPECT_EQ(sim.now(), 3u);
+      order.push_back(id);
+    });
+  }
+  net.broadcast(0, make_payload<Ping>());
+  ASSERT_TRUE(sim.step());
+  EXPECT_FALSE(sim.next_event_time().has_value());
+  EXPECT_FALSE(sim.step());
+  ASSERT_EQ(order.size(), kN - 1);
+  for (sim::ProcessId k = 0; k < kN - 1; ++k) EXPECT_EQ(order[k], k + 1);
+  EXPECT_EQ(net.stats().delivered, kN - 1);
+  EXPECT_EQ(sim.arena().live_allocations(), 0u);  // the batch released its block
+}
+
 }  // namespace
 }  // namespace dynreg::net
