@@ -59,7 +59,7 @@ Outcome run_scenario(bool wait_before_inquiry, sim::Duration joiner_offset) {
   });
 
   cluster->sim.run_until(5 + joiner_offset);
-  const sim::ProcessId joiner = cluster->system->spawn();
+  const sim::ProcessId joiner = cluster->world.system.spawn();
 
   cluster->sim.run_until(200);
   out.joined_value = cluster->node(joiner)->local_value();

@@ -43,7 +43,7 @@ ExperimentResult run(const RunOptions& opts) {
         replay::scenario_key("E2/lemma2_active_bound", {i}));
     cluster->sim.run_until(kHorizon);
 
-    const auto& chron = cluster->system->chronicle();
+    const auto& chron = cluster->world.system.chronicle();
     const sim::Duration window = 3 * kDelta;
     measured[i].initial_window = chron.active_through(0, window);
     std::size_t steady_min = kN;

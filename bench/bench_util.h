@@ -1,5 +1,5 @@
 // Shared helpers for the scripted experiments: a minimal cluster deployment
-// (mirroring the protocol wiring of the experiment harness) that the bench
+// (one harness::World, the experiment harness's own wiring) that the bench
 // drives step by step, plus a predicate-pump.
 #pragma once
 
@@ -7,13 +7,12 @@
 #include <optional>
 #include <utility>
 
+#include "churn/churn_model.h"
 #include "churn/system.h"
 #include "dynreg/es_register.h"
 #include "dynreg/sync_register.h"
+#include "harness/world.h"
 #include "net/delay_model.h"
-#include "net/network.h"
-#include "replay/recorder.h"
-#include "replay/replayer.h"
 #include "replay/session.h"
 #include "sim/simulation.h"
 #include "stats/table.h"
@@ -31,7 +30,8 @@ bool pump_until(sim::Simulation& sim, Pred pred, sim::Time deadline) {
   return pred();
 }
 
-/// A scripted protocol deployment (no workload driver; the bench drives).
+/// A scripted protocol deployment: one harness::World with no workload
+/// driver (the bench drives it), bootstrapped on construction.
 ///
 /// Record/replay: pass a nonzero `replay_key` (replay::scenario_key of the
 /// scenario's name and distinguishing parameters) and the cluster enrolls
@@ -46,37 +46,15 @@ class ScriptedCluster {
   ScriptedCluster(std::uint64_t seed, std::size_t n, double churn_rate,
                   churn::LeavePolicy policy, std::unique_ptr<net::DelayModel> delays,
                   churn::System::NodeFactory factory, std::uint64_t replay_key = 0)
-      : replay_key_(replay_key),
-        sim(seed),
-        net(sim, prepare_delays(std::move(delays), seed, churn_rate)) {
-    churn::SystemConfig cfg;
-    cfg.initial_size = n;
-    cfg.leave_policy = policy;
-    std::unique_ptr<churn::ChurnModel> model;
-    if (replayer_) {
-      model = replayer_->make_churn_model();
-    } else if (churn_rate > 0.0) {
-      model = std::make_unique<churn::ConstantChurn>(churn_rate);
-    } else {
-      model = std::make_unique<churn::NoChurn>();
-    }
-    system = std::make_unique<churn::System>(sim, net, cfg, std::move(model),
-                                             std::move(factory));
-    if (recorder_) system->set_churn_observer(recorder_.get());
-    system->bootstrap();
+      : sim(seed),
+        session_(replay_key, seed),
+        streams_(sim, session_.hooks()),
+        world(sim, std::move(delays), system_config(n, policy), churn_model(churn_rate),
+              std::move(factory), streams_, /*shard=*/0) {
+    world.system.bootstrap();
   }
 
-  ~ScriptedCluster() {
-    replay::Session& session = replay::Session::instance();
-    if (rec_trace_) {
-      rec_trace_->recorded_hash = sim.trace_hash();
-      session.commit(std::move(*rec_trace_));
-    } else if (replay_trace_) {
-      const std::uint64_t h = sim.trace_hash();
-      session.note_replay(replay_trace_->recorded_hash == 0 || h == 0 ||
-                          h == replay_trace_->recorded_hash);
-    }
-  }
+  ~ScriptedCluster() { session_.finish(sim.trace_hash()); }
 
   ScriptedCluster(const ScriptedCluster&) = delete;
   ScriptedCluster& operator=(const ScriptedCluster&) = delete;
@@ -111,40 +89,7 @@ class ScriptedCluster {
         replay_key);
   }
 
-  RegisterNode* node(sim::ProcessId id) {
-    return dynamic_cast<RegisterNode*>(system->find(id));
-  }
-
- private:
-  // Replay plumbing. Declared before `sim`/`net` so prepare_delays (called
-  // in net's initializer) can populate it; the replayer must also outlive
-  // the Network that owns the delay model it built.
-  std::uint64_t replay_key_ = 0;
-  std::unique_ptr<replay::Trace> rec_trace_;
-  std::unique_ptr<replay::TraceRecorder> recorder_;
-  std::shared_ptr<const replay::Trace> replay_trace_;
-  std::unique_ptr<replay::TraceReplayer> replayer_;
-
-  std::unique_ptr<net::DelayModel> prepare_delays(std::unique_ptr<net::DelayModel> delays,
-                                                  std::uint64_t seed, double churn_rate) {
-    replay::Session& session = replay::Session::instance();
-    const replay::Session::Mode mode = session.mode();
-    if (replay_key_ == 0 || mode == replay::Session::Mode::kOff) return delays;
-    if (mode == replay::Session::Mode::kRecord) {
-      rec_trace_ = std::make_unique<replay::Trace>();
-      rec_trace_->fingerprint = replay_key_;
-      rec_trace_->seed = seed;
-      rec_trace_->churn_loop = churn_rate > 0.0;
-      recorder_ = std::make_unique<replay::TraceRecorder>(*rec_trace_);
-      return std::make_unique<replay::RecordingDelayModel>(std::move(delays),
-                                                           *rec_trace_);
-    }
-    replay_trace_ = session.find(replay_key_, seed);
-    replayer_ = std::make_unique<replay::TraceReplayer>(replay_trace_);
-    return replayer_->make_delay_model();
-  }
-
- public:
+  RegisterNode* node(sim::ProcessId id) { return world.client.node(id); }
 
   std::optional<Value> read_blocking(sim::ProcessId id, sim::Duration max_wait = 10000) {
     std::optional<Value> result;
@@ -157,9 +102,30 @@ class ScriptedCluster {
     return result;
   }
 
+ private:
+  static churn::SystemConfig system_config(std::size_t n, churn::LeavePolicy policy) {
+    churn::SystemConfig cfg;
+    cfg.initial_size = n;
+    cfg.leave_policy = policy;
+    return cfg;
+  }
+
+  static std::unique_ptr<churn::ChurnModel> churn_model(double churn_rate) {
+    if (churn_rate > 0.0) return std::make_unique<churn::ConstantChurn>(churn_rate);
+    return std::make_unique<churn::NoChurn>();
+  }
+
+ public:
   sim::Simulation sim;
-  net::Network net;
-  std::unique_ptr<churn::System> system;
+
+ private:
+  // Between sim and world: the streams reference the simulation, the world
+  // the streams.
+  replay::SessionRun session_;
+  harness::RunStreams streams_;
+
+ public:
+  harness::World world;
 };
 
 }  // namespace dynreg::bench

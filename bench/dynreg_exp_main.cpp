@@ -25,13 +25,15 @@
 //       Sharded-keyspace knobs (E19, E20; docs/ARCHITECTURE.md): --shards
 //       overrides the shard count, --zipf the zipfian skew exponent of the
 //       keyed workload, --read-frac its read fraction in [0, 1].
-//   dynreg_exp record <name> --out=FILE [--seeds=N] [--jobs=N]
+//   dynreg_exp record <name> --out=FILE [--seeds=N] [--jobs=N] [--shards=N]
 //       Runs one experiment with every schedule decision captured, writes
 //       the trace set to FILE, and prints the run's JSON to stdout.
-//   dynreg_exp replay FILE [--jobs=N]
+//   dynreg_exp replay FILE [--jobs=N] [--shards=N]
 //       Re-runs the experiment recorded in FILE driven from its traces and
 //       prints the JSON to stdout — byte-identical to the record's, at any
 //       --jobs. Exit 1 on any audit-hash mismatch. (see docs/REPLAY.md)
+//       Traces are keyed by config, so a recording made with --shards
+//       replays with the same --shards.
 //   dynreg_exp search <name|FILE> [--budget=N] [--seed=N] [--jobs=N]
 //              [--slack=N] [--out=FILE]
 //       Adversarial schedule search: records the experiment's scenario run
@@ -82,7 +84,8 @@ int usage(std::ostream& os, int code) {
         "                  [--retry-backoff=[exp:]N] [--shards=N] [--zipf=S]\n"
         "                  [--read-frac=F]\n"
         "       dynreg_exp record <name> --out=FILE [--seeds=N] [--jobs=N]\n"
-        "       dynreg_exp replay FILE [--jobs=N]\n"
+        "                  [--shards=N]\n"
+        "       dynreg_exp replay FILE [--jobs=N] [--shards=N]\n"
         "       dynreg_exp search <name|FILE> [--budget=N] [--seed=N] [--jobs=N]\n"
         "                  [--slack=N] [--out=FILE]\n"
         "       dynreg_exp minimize FILE [--out=FILE] [--max-tests=N]\n";
@@ -130,6 +133,18 @@ std::optional<double> parse_fraction(const std::string& s) {
   } catch (...) {
     return std::nullopt;
   }
+}
+
+/// --shards=N, shared by run, record and replay. False (after saying why)
+/// on a bad value.
+bool parse_shards(const std::string& value, RunOptions& opts) {
+  const auto n = parse_count(value);
+  if (!n || *n == 0) {
+    std::cerr << "bad --shards value: " << value << "\n";
+    return false;
+  }
+  opts.workload.shards = *n;
+  return true;
 }
 
 int cmd_run(const std::vector<std::string>& args) {
@@ -234,12 +249,7 @@ int cmd_run(const std::vector<std::string>& args) {
       opts.workload.retry_backoff = static_cast<sim::Duration>(*n);
       opts.workload.retry_exponential = exponential;
     } else if (auto vsh = flag_value(arg, "--shards")) {
-      const auto n = parse_count(*vsh);
-      if (!n || *n == 0) {
-        std::cerr << "bad --shards value: " << *vsh << "\n";
-        return 2;
-      }
-      opts.workload.shards = *n;
+      if (!parse_shards(*vsh, opts)) return 2;
     } else if (auto vz = flag_value(arg, "--zipf")) {
       const auto f = parse_fraction(*vz);
       if (!f) {
@@ -376,6 +386,8 @@ int cmd_record(const std::vector<std::string>& args) {
       const auto n = parse_count(*vj);
       if (!n) return std::cerr << "bad --jobs value: " << *vj << "\n", 2;
       opts.jobs = *n;
+    } else if (auto vsh = flag_value(arg, "--shards")) {
+      if (!parse_shards(*vsh, opts)) return 2;
     } else if (auto vo = flag_value(arg, "--out")) {
       out = *vo;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -423,6 +435,8 @@ int cmd_replay(const std::vector<std::string>& args) {
       const auto n = parse_count(*vj);
       if (!n) return std::cerr << "bad --jobs value: " << *vj << "\n", 2;
       opts.jobs = *n;
+    } else if (auto vsh = flag_value(arg, "--shards")) {
+      if (!parse_shards(*vsh, opts)) return 2;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unknown flag: " << arg << "\n";
       return usage(std::cerr, 2);

@@ -1,11 +1,9 @@
 #include "registry.h"
 
 #include <algorithm>
-#include <iostream>
 #include <stdexcept>
 #include <utility>
 
-#include "emit.h"
 #include "harness/experiment.h"
 
 namespace dynreg::bench {
@@ -68,19 +66,6 @@ void apply_workload(const RunOptions& opts, harness::ExperimentConfig& cfg) {
 ExperimentResult run_resolved(const Experiment& e, RunOptions opts) {
   opts.seeds = effective_seeds(e, opts);
   return e.run(opts);
-}
-
-int run_standalone(const std::string& name) {
-  const Experiment* e = ExperimentRegistry::instance().find(name);
-  if (e == nullptr) {
-    std::cerr << "unknown experiment: " << name << "\n";
-    return 1;
-  }
-  RunOptions opts;
-  opts.jobs = 0;  // parallel by default; output is jobs-independent
-  const ExperimentResult result = run_resolved(*e, opts);
-  print_console(*e, result, std::cout);
-  return 0;
 }
 
 }  // namespace dynreg::bench

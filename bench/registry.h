@@ -1,7 +1,7 @@
 // The experiment registry: one place where every paper-reproduction
 // experiment declares its name, the claim it reproduces, its parameter
-// grid, and a run function. The dynreg_exp CLI and the per-experiment
-// standalone binaries are both thin drivers over this table.
+// grid, and a run function. The dynreg_exp CLI is a thin driver over this
+// table.
 //
 // Run functions receive RunOptions (seed count, worker count) and return
 // structured sections (stats::DataTable) instead of printing — the driver
@@ -143,9 +143,5 @@ void apply_workload(const RunOptions& opts, harness::ExperimentConfig& cfg);
 /// place the default is applied, so run functions just read opts.seeds and
 /// the "seeds" metadata the emitters report always matches what ran.
 ExperimentResult run_resolved(const Experiment& e, RunOptions opts);
-
-/// Runs `name` with default options and console-table output; the whole
-/// body of every bench_* compatibility binary. Returns a process exit code.
-int run_standalone(const std::string& name);
 
 }  // namespace dynreg::bench

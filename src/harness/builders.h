@@ -1,8 +1,6 @@
-// Shared run-assembly builders: the pieces of run_experiment that both the
-// single-register pipeline (harness/experiment.cpp) and the sharded
-// pipeline (shard/sharded_run.cpp) assemble per world — delay model, node
-// factory, designated writers. Kept in one place so the two pipelines can
-// never drift in how a config maps to protocol parameters.
+// Config-to-protocol builders: how an ExperimentConfig maps to one world's
+// delay model, node factory and designated writers (defined with the World
+// builder in harness/world.cpp, which applies them to every world).
 #pragma once
 
 #include <memory>

@@ -83,10 +83,9 @@ struct ExperimentConfig {
 
   /// Sharded keyspace (src/shard/): number of independent register groups
   /// the total population n is partitioned into, each with its own network,
-  /// membership, designated writer, and history, driven by the keyed
-  /// workload engine. 0 = the single-register path, byte-identical to
-  /// pre-shard builds. Fault plans are ignored when sharded (the injector
-  /// targets the one-system world; E19/E20 arm none).
+  /// membership, designated writer, history, and fault injector, driven by
+  /// the keyed workload engine. 0 = the single-register path, byte-identical
+  /// to pre-shard builds.
   std::size_t shard_count = 0;
 
   /// churn::ChronicleOptions::aggregate_only for every System this run

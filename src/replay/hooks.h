@@ -2,8 +2,8 @@
 // pointers may be set:
 //
 //   record   capture the run's schedule into *record (the caller pre-fills
-//            fingerprint/seed/churn_loop; recorded_hash is the caller's to
-//            stamp from the returned report);
+//            fingerprint/seed, the run sets churn_loop; recorded_hash is
+//            the caller's to stamp from the returned report);
 //   replay   drive the run from *replay instead of the rng (see
 //            replay/replayer.h for the divergence semantics).
 //

@@ -5,6 +5,7 @@
 // changes the run it records.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 
@@ -15,42 +16,30 @@
 
 namespace dynreg::replay {
 
-/// Captures churn-driven membership actions and client target picks.
-/// Install via System::set_churn_observer + Client::set_target_observer;
-/// must outlive the run. Network decisions are captured separately by
-/// RecordingDelayModel (the network owns its delay model, so a wrapper —
-/// not an observer — is the natural seam there).
+/// Captures churn-driven membership actions and client target picks of one
+/// membership group. Install via System::set_churn_observer +
+/// Client::set_target_observer; must outlive the run. Churn records carry
+/// the group's `shard` tag (0 when unsharded): every shard's recorder
+/// appends to the one shared Trace in execution order, and replay routes
+/// each churn record back to its shard's ReplayChurnModel by this tag
+/// (replayer.h) — ids and churn-tick times repeat across shards, so an
+/// untagged stream could not be demultiplexed. Picks need no tag: replay
+/// consumes them through one shared positional chooser. Network decisions
+/// are captured separately by RecordingDelayModel (the network owns its
+/// delay model, so a wrapper — not an observer — is the natural seam there).
 class TraceRecorder final : public churn::ChurnObserver, public client::TargetObserver {
  public:
-  explicit TraceRecorder(Trace& out) : out_(out) {}
-
-  void on_churn_join(sim::Time t) override { out_.churn.push_back({t, true, 0}); }
-  void on_churn_leave(sim::Time t, sim::ProcessId victim) override {
-    out_.churn.push_back({t, false, victim});
-  }
-  void on_target(sim::Time now, sim::ProcessId chosen) override {
-    out_.picks.push_back({now, chosen});
-  }
-
- private:
-  Trace& out_;
-};
-
-/// Per-shard churn recorder for sharded runs (src/shard/): each shard's
-/// System gets its own observer tagging records with the shard id, all
-/// appending to the one shared Trace in execution order. Replay routes each
-/// record back to its shard's ReplayChurnModel by this tag (replayer.h) —
-/// ids and churn-tick times repeat across shards, so an untagged stream
-/// could not be demultiplexed.
-class ShardChurnRecorder final : public churn::ChurnObserver {
- public:
-  ShardChurnRecorder(Trace& out, std::uint32_t shard) : out_(out), shard_(shard) {}
+  explicit TraceRecorder(Trace& out, std::uint32_t shard = 0)
+      : out_(out), shard_(shard) {}
 
   void on_churn_join(sim::Time t) override {
     out_.churn.push_back({t, true, 0, shard_});
   }
   void on_churn_leave(sim::Time t, sim::ProcessId victim) override {
     out_.churn.push_back({t, false, victim, shard_});
+  }
+  void on_target(sim::Time now, sim::ProcessId chosen) override {
+    out_.picks.push_back({now, chosen});
   }
 
  private:

@@ -74,24 +74,20 @@ class ReplayDelayModel final : public net::DelayModel {
   std::uint64_t fallback_draws_ = 0;
 };
 
-/// Replays the churn stream as a scripted model: each churn tick executes,
-/// in recorded order, every action stamped at or before `now` that has not
-/// run yet (perturbation may shift a record between ticks; catch-up keeps
-/// every action executed exactly once). Install only when the recorded run
-/// drove a churn tick loop (Trace::churn_loop) so the tick-event cadence —
-/// part of the audited event stream — matches the recording.
+/// Replays one membership group's share of the churn stream as a scripted
+/// model: each churn tick executes, in recorded order, every record tagged
+/// `shard` and stamped at or before `now` that has not run yet (perturbation
+/// may shift a record between ticks; catch-up keeps every action executed
+/// exactly once). Records of other shards are passed over: every shard's
+/// model scans the shared stream with its own cursor, and all shards tick at
+/// the same cadence, so each record is executed by exactly its owner exactly
+/// once. Unsharded traces tag every record 0. Install only when the recorded
+/// run drove a churn tick loop (Trace::churn_loop) so the tick-event
+/// cadence — part of the audited event stream — matches the recording.
 class ReplayChurnModel final : public churn::ChurnModel {
  public:
-  explicit ReplayChurnModel(std::shared_ptr<const Trace> trace)
-      : trace_(std::move(trace)) {}
-
-  /// Shard-filtered variant for sharded runs: this model executes only the
-  /// records tagged `shard`, skipping (and permanently passing over) the
-  /// rest. Every shard's model scans the shared stream with its own cursor;
-  /// all shards tick at the same cadence, so each record is executed by
-  /// exactly its owner exactly once.
-  ReplayChurnModel(std::shared_ptr<const Trace> trace, std::uint32_t shard)
-      : trace_(std::move(trace)), shard_(shard), filtered_(true) {}
+  explicit ReplayChurnModel(std::shared_ptr<const Trace> trace, std::uint32_t shard = 0)
+      : trace_(std::move(trace)), shard_(shard) {}
 
   double rate() const override { return 0.0; }
   [[nodiscard]] bool scripted() const override { return true; }
@@ -99,8 +95,7 @@ class ReplayChurnModel final : public churn::ChurnModel {
   void actions_at(sim::Time now, std::vector<churn::ChurnAction>& out) override {
     while (next_ < trace_->churn.size() && trace_->churn[next_].time <= now) {
       const ChurnRecord& r = trace_->churn[next_++];
-      if (filtered_ && r.shard != shard_) continue;
-      out.push_back({r.join, r.victim});
+      if (r.shard == shard_) out.push_back({r.join, r.victim});
     }
   }
 
@@ -108,7 +103,6 @@ class ReplayChurnModel final : public churn::ChurnModel {
   std::shared_ptr<const Trace> trace_;
   std::size_t next_ = 0;
   std::uint32_t shard_ = 0;
-  bool filtered_ = false;
 };
 
 /// Replays client target picks. A recorded pick that is no longer active
@@ -139,11 +133,11 @@ class ReplayTargetChooser final : public client::TargetChooser {
 };
 
 /// Non-owning forwarding view over a shared ReplayDelayModel — what each
-/// shard's Network owns in a sharded replay. Recording interleaved every
-/// shard's verdicts into the ONE net stream in execution order, so replay
-/// must consume them through one shared positional cursor; the wrappers give
-/// every Network its own DelayModel object (networks own their models) while
-/// the cursor stays shared. The TraceReplayer owns the real model and must
+/// world's Network owns in a replay. Recording interleaved every world's
+/// verdicts into the ONE net stream in execution order, so replay must
+/// consume them through one shared positional cursor; the views give every
+/// Network its own DelayModel object (networks own their models) while the
+/// cursor stays shared. The TraceReplayer owns the real model and must
 /// outlive every Network holding a view.
 class SharedDelayModelView final : public net::DelayModel {
  public:
@@ -164,56 +158,43 @@ class SharedDelayModelView final : public net::DelayModel {
 };
 
 /// Bundles the three replay components for one run. Owns the target chooser
-/// (the Client only holds a non-owning pointer), hands delay/churn model
-/// ownership to the Network/System; must outlive the run it drives.
+/// (the Client only holds a non-owning pointer) and the shared delay
+/// cursor; hands churn model ownership to the System; must outlive the run
+/// it drives.
 class TraceReplayer {
  public:
   explicit TraceReplayer(std::shared_ptr<const Trace> trace)
       : trace_(std::move(trace)), chooser_(trace_) {}
 
+  /// A standalone delay model with its own cursor, owned by the caller —
+  /// for a run whose one Network replays the whole net stream.
   [[nodiscard]] std::unique_ptr<net::DelayModel> make_delay_model() {
-    auto model = std::make_unique<ReplayDelayModel>(trace_);
-    delay_model_ = model.get();
-    return model;
+    return std::make_unique<ReplayDelayModel>(trace_);
   }
 
-  /// Sharded replay: a forwarding view over one replayer-owned shared
-  /// cursor (see SharedDelayModelView). Call once per shard Network; the
-  /// replayer must outlive them all.
+  /// A forwarding view over the replayer's one shared cursor (see
+  /// SharedDelayModelView). Call once per Network; the replayer must
+  /// outlive them all.
   [[nodiscard]] std::unique_ptr<net::DelayModel> make_delay_model_view() {
-    if (!shared_delay_) {
-      shared_delay_ = std::make_unique<ReplayDelayModel>(trace_);
-      delay_model_ = shared_delay_.get();
-    }
+    if (!shared_delay_) shared_delay_ = std::make_unique<ReplayDelayModel>(trace_);
     return std::make_unique<SharedDelayModelView>(shared_delay_.get());
   }
 
-  /// ReplayChurnModel when the recording drove a churn loop, NoChurn
-  /// otherwise (then no tick events existed to reproduce).
-  [[nodiscard]] std::unique_ptr<churn::ChurnModel> make_churn_model() const {
-    if (trace_->churn_loop) return std::make_unique<ReplayChurnModel>(trace_);
-    return std::make_unique<churn::NoChurn>();
-  }
-
-  /// Shard-filtered churn model for shard `shard` of a sharded replay.
+  /// ReplayChurnModel over shard `shard`'s records when the recording drove
+  /// a churn loop, NoChurn otherwise (then no tick events existed to
+  /// reproduce).
   [[nodiscard]] std::unique_ptr<churn::ChurnModel> make_churn_model(
-      std::uint32_t shard) const {
+      std::uint32_t shard = 0) const {
     if (trace_->churn_loop) return std::make_unique<ReplayChurnModel>(trace_, shard);
     return std::make_unique<churn::NoChurn>();
   }
 
   [[nodiscard]] client::TargetChooser* target_chooser() { return &chooser_; }
 
-  /// The delay model built by make_delay_model / make_delay_model_view
-  /// (null before); valid while the owning Network (respectively this
-  /// replayer) lives. For post-run divergence diagnostics.
-  [[nodiscard]] const ReplayDelayModel* delay_model() const { return delay_model_; }
-
  private:
   std::shared_ptr<const Trace> trace_;
   ReplayTargetChooser chooser_;
-  ReplayDelayModel* delay_model_ = nullptr;  // non-owning
-  std::unique_ptr<ReplayDelayModel> shared_delay_;  // sharded replay only
+  std::unique_ptr<ReplayDelayModel> shared_delay_;
 };
 
 }  // namespace dynreg::replay

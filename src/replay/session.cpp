@@ -1,6 +1,7 @@
 #include "replay/session.h"
 
 #include <string>
+#include <utility>
 
 #include "replay/trace_io.h"
 
@@ -86,6 +87,37 @@ std::size_t Session::replays() const {
 std::size_t Session::hash_mismatches() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return hash_mismatches_;
+}
+
+SessionRun::SessionRun(std::uint64_t key, std::uint64_t seed) {
+  if (key == 0) return;
+  Session& session = Session::instance();
+  switch (session.mode()) {
+    case Session::Mode::kOff:
+      break;
+    case Session::Mode::kRecord:
+      recorded_.fingerprint = key;
+      recorded_.seed = seed;
+      hooks_.record = &recorded_;
+      break;
+    case Session::Mode::kReplay:
+      replayed_ = session.find(key, seed);
+      hooks_.replay = replayed_.get();
+      break;
+  }
+}
+
+void SessionRun::finish(std::uint64_t trace_hash) {
+  Session& session = Session::instance();
+  if (hooks_.record != nullptr) {
+    recorded_.recorded_hash = trace_hash;
+    session.commit(std::move(recorded_));
+  } else if (replayed_) {
+    session.note_replay(replayed_->recorded_hash == 0 || trace_hash == 0 ||
+                        trace_hash == replayed_->recorded_hash);
+  }
+  hooks_ = RunHooks{};
+  replayed_.reset();
 }
 
 }  // namespace dynreg::replay

@@ -12,8 +12,10 @@
 // first wins and the rest are byte-identical duplicates, so the collected
 // trace set is independent of scheduling.
 //
-// Nested replay machinery (schedule search, the minimizer) bypasses the
-// session entirely via the run_experiment(cfg, RunHooks) overload.
+// A run enrols through a SessionRun, which turns the session's mode into
+// the run's RunHooks. Nested replay machinery (schedule search, the
+// minimizer) bypasses the session entirely via the run_experiment(cfg,
+// RunHooks) overload.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "replay/hooks.h"
 #include "replay/trace.h"
 
 namespace dynreg::replay {
@@ -76,6 +79,30 @@ class Session {
   std::map<Key, std::shared_ptr<const Trace>> traces_;
   std::size_t replays_ = 0;
   std::size_t hash_mismatches_ = 0;
+};
+
+/// One run's enrolment in the session, keyed (key, seed). Record mode: owns
+/// the trace the run records into. Replay mode: holds the trace filed under
+/// the key (throws TraceError when there is none). Off mode, or key 0: the
+/// hooks are empty and finish() does nothing.
+class SessionRun {
+ public:
+  SessionRun(std::uint64_t key, std::uint64_t seed);
+
+  SessionRun(const SessionRun&) = delete;
+  SessionRun& operator=(const SessionRun&) = delete;
+
+  [[nodiscard]] const RunHooks& hooks() const { return hooks_; }
+
+  /// Ends the run: commits the recorded trace stamped with `trace_hash`, or
+  /// notes the replay and whether its hash matched the recording (no
+  /// comparison when either side ran without the auditor, hash 0).
+  void finish(std::uint64_t trace_hash);
+
+ private:
+  Trace recorded_;
+  std::shared_ptr<const Trace> replayed_;
+  RunHooks hooks_;
 };
 
 }  // namespace dynreg::replay

@@ -53,7 +53,7 @@ inline ShardId shard_of(Key key, std::size_t shard_count) {
 }
 
 /// One shard's serving stack. All pointers are non-owning references into
-/// the run's per-shard worlds (owned by shard::run_sharded); process ids are
+/// the run's per-shard worlds (harness::World); process ids are
 /// per-System (every shard numbers its members from 0).
 struct ShardRef {
   churn::System* system = nullptr;

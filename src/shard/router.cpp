@@ -1,13 +1,8 @@
 #include "shard/router.h"
 
-#include <algorithm>
-#include <vector>
+#include <utility>
 
-#include "churn/system.h"
-#include "consistency/history.h"
-#include "harness/aggregate.h"
-#include "harness/experiment.h"
-#include "net/network.h"
+#include "harness/world.h"
 
 namespace dynreg::shard {
 
@@ -29,134 +24,7 @@ client::OpHandle ShardedClient::write(Key key, client::OpOptions options,
 
 void ShardedClient::harvest(const harness::ExperimentConfig& cfg,
                             harness::MetricsReport& report) const {
-  std::vector<double> all_reads;
-  std::vector<double> all_writes;
-  std::uint64_t join_latency_total = 0;
-  double min_active_3delta = static_cast<double>(cfg.n) + 1.0;
-
-  for (ShardId s = 0; s < map_.size(); ++s) {
-    const ShardRef& ref = map_.shard(s);
-    const client::OpStats& ops = ref.client->stats();
-    report.reads_issued += ops.reads_issued;
-    report.reads_completed += ops.reads_completed;
-    report.reads_of_bottom += ops.reads_of_bottom;
-    report.writes_issued += ops.writes_issued;
-    report.writes_completed += ops.writes_completed;
-    report.reads_dropped += ops.reads_dropped;
-    report.writes_dropped += ops.writes_dropped;
-    report.reads_timed_out += ops.reads_timed_out;
-    report.writes_timed_out += ops.writes_timed_out;
-    report.op_retries += ops.retries;
-
-    report.joins_started += ref.system->joins_started();
-    report.joins_completed += ref.system->joins_completed();
-    report.joins_abandoned += ref.system->joins_abandoned();
-    join_latency_total += ref.system->join_latency_total();
-
-    // Global latencies merge the per-shard samples in shard order (sorted
-    // below), so percentile identity is independent of scheduling.
-    all_reads.insert(all_reads.end(), ops.read_latencies.begin(),
-                     ops.read_latencies.end());
-    all_writes.insert(all_writes.end(), ops.write_latencies.begin(),
-                      ops.write_latencies.end());
-
-    harness::ShardMetrics sm;
-    sm.reads_completed = ops.reads_completed;
-    sm.writes_completed = ops.writes_completed;
-    sm.ops_completed = ops.reads_completed + ops.writes_completed;
-    std::vector<double> shard_lat = ops.read_latencies;
-    shard_lat.insert(shard_lat.end(), ops.write_latencies.begin(),
-                     ops.write_latencies.end());
-    if (!shard_lat.empty()) {
-      std::sort(shard_lat.begin(), shard_lat.end());
-      sm.latency_p50 = harness::percentile(shard_lat, 0.50);
-      sm.latency_p99 = harness::percentile(shard_lat, 0.99);
-    }
-    report.shards.push_back(sm);
-
-    // Ground truth per shard: the majority/Lemma-2 properties must hold in
-    // every membership group, so the report ANDs / mins across shards.
-    const churn::Chronicle& chron = ref.system->chronicle();
-    report.majority_active_always =
-        report.majority_active_always && chron.min_active_at(cfg.duration) * 2 > ref.n;
-    min_active_3delta =
-        std::min(min_active_3delta,
-                 static_cast<double>(
-                     chron.min_active_through_window(3 * cfg.delta, cfg.duration)));
-
-    // Consistency is per shard history (registers are independent); the
-    // combined report sums the checked populations and appends violations.
-    const consistency::RegularityReport reg =
-        consistency::RegularityChecker{}.check(*ref.history);
-    report.regularity.reads_checked += reg.reads_checked;
-    report.regularity.concurrent_write_pairs += reg.concurrent_write_pairs;
-    report.regularity.violations.insert(report.regularity.violations.end(),
-                                        reg.violations.begin(), reg.violations.end());
-    const consistency::InversionReport inv =
-        consistency::AtomicityChecker{}.check(*ref.history);
-    report.atomicity.reads_checked += inv.reads_checked;
-    report.atomicity.inversion_count += inv.inversion_count;
-
-    for (const auto& [type, count] : ref.net->delivered_by_type()) {
-      report.msgs_by_type[type] += count;
-    }
-  }
-
-  report.min_active_3delta = min_active_3delta;
-  report.join_latency_mean =
-      report.joins_completed == 0
-          ? 0.0
-          : static_cast<double>(join_latency_total) /
-                static_cast<double>(report.joins_completed);
-
-  if (!all_reads.empty()) {
-    double total = 0.0;
-    for (const double l : all_reads) total += l;
-    report.read_latency_mean = total / static_cast<double>(all_reads.size());
-    std::sort(all_reads.begin(), all_reads.end());
-    report.read_latency_p50 = harness::percentile(all_reads, 0.50);
-    report.read_latency_p99 = harness::percentile(all_reads, 0.99);
-  }
-  if (!all_writes.empty()) {
-    double total = 0.0;
-    for (const double l : all_writes) total += l;
-    // Divide by writes_completed — the legacy harvest's formula, kept
-    // bit-for-bit (completed == sample count; see harness/experiment.cpp).
-    report.write_latency_mean = total / static_cast<double>(report.writes_completed);
-    std::sort(all_writes.begin(), all_writes.end());
-    report.write_latency_p50 = harness::percentile(all_writes, 0.50);
-    report.write_latency_p99 = harness::percentile(all_writes, 0.99);
-  }
-
-  // Shard-level tail/skew summary over shards that completed anything.
-  double hot = 0.0;
-  double cold = 0.0;
-  bool any = false;
-  std::uint64_t total_ops = 0;
-  std::uint64_t max_ops = 0;
-  for (const harness::ShardMetrics& sm : report.shards) {
-    total_ops += sm.ops_completed;
-    max_ops = std::max(max_ops, sm.ops_completed);
-    if (sm.ops_completed == 0) continue;
-    if (!any) {
-      hot = cold = sm.latency_p99;
-      any = true;
-    } else {
-      hot = std::max(hot, sm.latency_p99);
-      cold = std::min(cold, sm.latency_p99);
-    }
-  }
-  report.shard_hot_p99 = hot;
-  report.shard_cold_p99 = cold;
-  const double mean_ops =
-      report.shards.empty()
-          ? 0.0
-          : static_cast<double>(total_ops) / static_cast<double>(report.shards.size());
-  report.shard_skew = mean_ops == 0.0 ? 0.0 : static_cast<double>(max_ops) / mean_ops;
-  report.ops_per_tick = cfg.duration == 0
-                            ? 0.0
-                            : static_cast<double>(total_ops) /
-                                  static_cast<double>(cfg.duration);
+  report = harness::harvest(cfg, map_);
 }
 
 }  // namespace dynreg::shard

@@ -5,11 +5,6 @@
 // picks stream like every target selection); writes funnel to the shard's
 // designated writer and serialize through its session FIFO, which is
 // exactly why aggregate write throughput scales with shard count.
-//
-// The router also owns the sharded harvest: per-shard ops/latency slices
-// (ShardMetrics), hot/cold-shard tail percentiles, hot-shard skew, and
-// aggregate throughput, merged with the global counters into one
-// MetricsReport.
 #pragma once
 
 #include "client/client.h"
@@ -47,10 +42,9 @@ class ShardedClient {
   [[nodiscard]] ShardMap& map() { return map_; }
   [[nodiscard]] const ShardMap& map() const { return map_; }
 
-  /// Aggregates every shard's counters, latencies, join/chronicle
-  /// accounting, and consistency checks into `report` (global fields plus
-  /// the per-shard ShardMetrics slices). `cfg` supplies duration/delta/n
-  /// for the chronicle queries and throughput. trace_hash is the caller's.
+  /// Fills `report` with harness::harvest over this router's shards (global
+  /// fields plus the per-shard ShardMetrics slices). trace_hash is the
+  /// caller's.
   void harvest(const harness::ExperimentConfig& cfg,
                harness::MetricsReport& report) const;
 

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <string>
 
 #include "harness/experiment.h"
 #include "sim/simulation.h"
@@ -93,6 +95,26 @@ ExperimentConfig abd_churn() {
   return cfg;
 }
 
+// Four shards of the synchronous protocol under constant churn, driven by
+// closed-loop sessions over zipfian keys: every shard's network, membership
+// and client interleave in the one event queue.
+ExperimentConfig sync_sharded() {
+  ExperimentConfig cfg;
+  cfg.protocol = Protocol::kSync;
+  cfg.n = 48;
+  cfg.delta = 4;
+  cfg.duration = 600;
+  cfg.churn_rate = 0.5 * cfg.sync_churn_threshold();
+  cfg.shard_count = 4;
+  cfg.workload.clients = 24;
+  cfg.workload.think_time = 3;
+  cfg.workload.key_count = 128;
+  cfg.workload.zipf_s = 0.99;
+  cfg.workload.read_frac = 0.8;
+  cfg.seed = 29;
+  return cfg;
+}
+
 void expect_pinned(const ExperimentConfig& cfg, std::uint64_t expected) {
   if (!sim::Simulation::audit_enabled()) {
     GTEST_SKIP() << "trace_hash needs a DYNREG_AUDIT build";
@@ -107,6 +129,21 @@ TEST(EventStreamPin, EsTree) { expect_pinned(es_tree(), 0x7c97c6ee02db0983ULL); 
 TEST(EventStreamPin, SyncUnderChurn) { expect_pinned(sync_churn(), 0x245ae4a0b2220e1bULL); }
 TEST(EventStreamPin, EsCrashAndPartition) { expect_pinned(es_faults(), 0x707f13a1b35377e7ULL); }
 TEST(EventStreamPin, AbdUnderChurn) { expect_pinned(abd_churn(), 0x76fb3c6b5955e378ULL); }
+
+// The sharded pin also fixes the integer report fields, which hold in every
+// build mode; only the hash needs the auditor.
+TEST(EventStreamPin, SyncShardedZipfian) {
+  const MetricsReport report = run_experiment(sync_sharded());
+  EXPECT_EQ(report.reads_completed, 1705u);
+  EXPECT_EQ(report.writes_completed, 410u);
+  EXPECT_EQ(report.joins_completed, 693u);
+  const std::map<std::string, std::uint64_t> msgs{
+      {"sync.inquiry", 9597}, {"sync.reply", 7070}, {"sync.write", 4213}};
+  EXPECT_EQ(report.msgs_by_type, msgs);
+  if (sim::Simulation::audit_enabled()) {
+    EXPECT_EQ(report.trace_hash, 0xe69832f62ba6786bULL) << "actual 0x" << std::hex << report.trace_hash;
+  }
+}
 
 }  // namespace
 }  // namespace dynreg::harness

@@ -9,7 +9,9 @@
 //   - the liveness regression: a symmetric partition heals and the ES
 //     protocol (with client retries) recovers, with zero violations;
 //   - Byzantine transforms actually break regularity (the checker sees the
-//     never-written values) — the experiment's headline contrast.
+//     never-written values) — the experiment's headline contrast;
+//   - on a sharded config the plan runs in every shard, deterministically
+//     and through record/replay.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -252,6 +254,45 @@ TEST(FaultPlan, ByzantineTransformsBreakRegularity) {
       harness::run_experiment(byzantine_config(Protocol::kEventuallySync));
   EXPECT_GT(report.msgs_transformed, 0u);
   EXPECT_FALSE(report.regularity.violations.empty());
+}
+
+TEST(FaultPlan, ShardedRunInjectsFaultsInEveryShard) {
+  ExperimentConfig cfg = base_config(Protocol::kEventuallySync);
+  cfg.n = 30;
+  cfg.shard_count = 2;
+  cfg.workload.clients = 12;
+  cfg.workload.think_time = 3;
+  cfg.workload.key_count = 32;
+  cfg.workload.read_frac = 0.8;
+  cfg.fault.crash.rate = 0.01;
+  cfg.fault.crash.recover_fraction = 1.0;
+  cfg.fault.partition.rate = 0.004;
+  cfg.fault.partition.duration = 150;
+  cfg.fault.partition.fraction = 0.3;
+  cfg.fault.byzantine.fraction = 0.25;
+  cfg.fault.byzantine.transform_rate = 0.5;
+  cfg.fault.byzantine.equivocate = false;
+  cfg.fault.byzantine.stale_replay = false;
+  cfg.fault.byzantine.forge = false;  // value corruption only
+
+  const MetricsReport a = harness::run_experiment(cfg, replay::RunHooks{});
+  EXPECT_GT(a.faults_crashes, 0u);
+  EXPECT_GT(a.faults_partitions, 0u);
+  EXPECT_GT(a.msgs_transformed, 0u);
+  ASSERT_EQ(a.shards.size(), 2u);
+  expect_identical(a, harness::run_experiment(cfg, replay::RunHooks{}));
+
+  replay::Trace trace;
+  trace.seed = cfg.seed;
+  replay::RunHooks record;
+  record.record = &trace;
+  const MetricsReport recorded = harness::run_experiment(cfg, record);
+  expect_identical(a, recorded);
+  EXPECT_FALSE(trace.faults.empty());
+
+  replay::RunHooks replay_hooks;
+  replay_hooks.replay = &trace;
+  expect_identical(recorded, harness::run_experiment(cfg, replay_hooks));
 }
 
 TEST(FaultPlan, DefaultPlanIsDisabled) {
