@@ -1,52 +1,10 @@
-// dynreg_exp — the unified experiment CLI.
+// dynreg_exp — the unified experiment CLI over the experiment registry.
 //
-//   dynreg_exp list
-//       Tabulates every registered experiment: name, paper claim, grid.
-//   dynreg_exp run <name>... [--seeds=N] [--jobs=N] [--format=F] [--out=DIR]
-//              [--workload=W] [--clients=N] [--think=N] [--burst=ON/OFF]
-//              [--max-n=N] [--op-deadline=N] [--retry-attempts=N]
-//              [--retry-backoff=[exp:]N] [--shards=N] [--zipf=S]
-//              [--read-frac=F]
-//   dynreg_exp run --all [options]
-//       Runs experiments. --seeds sets replicas per sweep point (0/omitted:
-//       experiment default); --jobs caps parallel replicas (0: one per
-//       hardware thread; default 0); --format is table (default), json, or
-//       csv; --out writes <name>.json / <name>.csv / <name>.txt files into
-//       DIR instead of stdout. Workload overrides reshape the read traffic
-//       of every run_experiment-based experiment: --workload is open
-//       (default), closed, or bursty; --clients and --think configure the
-//       closed-loop engine; --burst=ON/OFF sets the bursty on/off phase
-//       lengths in ticks. --op-deadline arms a per-operation timeout;
-//       --retry-attempts budgets re-issues of a timed-out attempt;
-//       --retry-backoff=N waits a fixed N ticks between attempts and
-//       --retry-backoff=exp:N backs off exponentially (N * 2^k, capped,
-//       plus deterministic jitter) — see docs/FAULTS.md. Scripted
-//       constructions (E1, E2, E5) ignore all workload overrides.
-//       Sharded-keyspace knobs (E19, E20; docs/ARCHITECTURE.md): --shards
-//       overrides the shard count, --zipf the zipfian skew exponent of the
-//       keyed workload, --read-frac its read fraction in [0, 1].
-//   dynreg_exp record <name> --out=FILE [--seeds=N] [--jobs=N] [--shards=N]
-//       Runs one experiment with every schedule decision captured, writes
-//       the trace set to FILE, and prints the run's JSON to stdout.
-//   dynreg_exp replay FILE [--jobs=N] [--shards=N]
-//       Re-runs the experiment recorded in FILE driven from its traces and
-//       prints the JSON to stdout — byte-identical to the record's, at any
-//       --jobs. Exit 1 on any audit-hash mismatch. (see docs/REPLAY.md)
-//       Traces are keyed by config, so a recording made with --shards
-//       replays with the same --shards.
-//   dynreg_exp search <name|FILE> [--budget=N] [--seed=N] [--jobs=N]
-//              [--slack=N] [--out=FILE]
-//       Adversarial schedule search: records the experiment's scenario run
-//       (or loads a scenario FILE), then replays --budget perturbed
-//       variants hunting for regularity violations; --out saves the first
-//       violating schedule as a scenario trace file.
-//   dynreg_exp minimize FILE [--out=FILE] [--max-tests=N]
-//       Delta-debugs a violating scenario trace down to its essential
-//       decisions and prints the counterexample narrative; --out saves the
-//       minimized trace.
-//
+// `dynreg_exp --help` prints the usage, generated from the flag table
+// below; README.md ("dynreg_exp CLI") explains the commands and flags.
 // Aggregated results are byte-identical across --jobs values: parallelism
 // only changes wall-clock time, never output (see docs/ARCHITECTURE.md).
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -55,9 +13,11 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "emit.h"
+#include "harness/experiment.h"
 #include "registry.h"
 #include "replay/minimize.h"
 #include "replay/search.h"
@@ -70,44 +30,112 @@ namespace {
 using namespace dynreg;
 using bench::Experiment;
 using bench::ExperimentRegistry;
+using bench::FlagValue;
 using bench::RunOptions;
+using harness::ExperimentConfig;
 
-enum class Format { kTable, kJson, kCsv };
+enum class Format { kTable, kJson, kCsv };  // in --format's choice order
 
-int usage(std::ostream& os, int code) {
-  os << "usage: dynreg_exp list\n"
-        "       dynreg_exp run (<name>... | --all) [--seeds=N] [--jobs=N]\n"
-        "                  [--format=table|json|csv] [--out=DIR]\n"
-        "                  [--workload=open|closed|bursty] [--clients=N]\n"
-        "                  [--think=N] [--burst=ON/OFF] [--max-n=N]\n"
-        "                  [--op-deadline=N] [--retry-attempts=N]\n"
-        "                  [--retry-backoff=[exp:]N] [--shards=N] [--zipf=S]\n"
-        "                  [--read-frac=F]\n"
-        "       dynreg_exp record <name> --out=FILE [--seeds=N] [--jobs=N]\n"
-        "                  [--shards=N]\n"
-        "       dynreg_exp replay FILE [--jobs=N] [--shards=N]\n"
-        "       dynreg_exp search <name|FILE> [--budget=N] [--seed=N] [--jobs=N]\n"
-        "                  [--slack=N] [--out=FILE]\n"
-        "       dynreg_exp minimize FILE [--out=FILE] [--max-tests=N]\n";
-  return code;
-}
+/// What one command line asks for: its operands and every field a flag sets.
+struct Invocation {
+  std::vector<std::string> operands;
+  RunOptions run;  ///< --seeds, --jobs, --max-n and the config overrides
+  Format format = Format::kTable;
+  std::optional<std::string> out;
+  bool all = false;
+  replay::SearchOptions search;
+  replay::MinimizeOptions minimize;
+};
 
-int cmd_list() {
-  stats::Table table({"name", "id", "reproduces", "seeds", "parameter grid"});
-  for (const Experiment* e : ExperimentRegistry::instance().list()) {
-    table.add_row({e->name, e->id, e->paper_ref, std::to_string(e->default_seeds),
-                   e->grid});
-  }
-  std::cout << table.to_string();
-  return 0;
-}
+/// Subcommands as bits, so a flag row can name every command accepting it.
+enum : unsigned { kList = 1, kRun = 2, kRecord = 4, kReplay = 8, kSearch = 16, kMinimize = 32 };
 
-/// Parses "--flag=value"; returns the value when `arg` starts with the flag.
-std::optional<std::string> flag_value(const std::string& arg, const std::string& flag) {
-  const std::string prefix = flag + "=";
-  if (arg.rfind(prefix, 0) != 0) return std::nullopt;
-  return arg.substr(prefix.size());
-}
+/// A flag's value grammar (see parse_value).
+enum class Grammar {
+  kSwitch,    ///< no value: "--all"
+  kCount,     ///< digits
+  kPositive,  ///< digits, not 0
+  kDecimal,   ///< non-negative decimal, no sign or exponent
+  kFraction,  ///< decimal in [0, 1]
+  kChoice,    ///< one of the '|'-separated words in `meta`
+  kOnOff,     ///< two counts, "ON/OFF"
+  kBackoff,   ///< a count, optionally prefixed "exp:"
+  kPath,      ///< non-empty
+};
+
+/// One CLI flag and the one field it sets: a field of the Invocation
+/// (`set`), or one of every ExperimentConfig the experiment builds
+/// (`configure`, deferred through RunOptions::overrides to apply_workload).
+struct Flag {
+  const char* name;
+  Grammar grammar;
+  const char* meta;   ///< the value in the usage; kChoice: the choices
+  unsigned commands;  ///< the subcommands accepting it
+  const char* help;
+  void (*set)(Invocation&, const FlagValue&);
+  void (*configure)(ExperimentConfig&, const FlagValue&) = nullptr;
+  unsigned required = 0;  ///< the subcommands refusing to run without it
+};
+
+const Flag kFlags[] = {
+    {"--all", Grammar::kSwitch, "", kRun, "run every experiment instead of named ones",
+     [](Invocation& i, const FlagValue&) { i.all = true; }},
+    {"--seeds", Grammar::kCount, "N", kRun | kRecord,
+     "replicas per sweep point (0: the default)",
+     [](Invocation& i, const FlagValue& v) { i.run.seeds = v.n; }},
+    {"--jobs", Grammar::kCount, "N", kRun | kRecord | kReplay | kSearch,
+     "workers (0, the default: one per core)",
+     [](Invocation& i, const FlagValue& v) { i.run.jobs = v.n; }},
+    {"--format", Grammar::kChoice, "table|json|csv", kRun, "result format (default table)",
+     [](Invocation& i, const FlagValue& v) { i.format = static_cast<Format>(v.n); }},
+    {"--out", Grammar::kPath, "PATH", kRun | kRecord | kSearch | kMinimize,
+     "run: directory for the results; else trace file",
+     [](Invocation& i, const FlagValue& v) { i.out = v.text; }, nullptr, kRecord},
+    {"--max-n", Grammar::kPositive, "N", kRun, "cap or extend the n grids of E15, E16, E19, E20",
+     [](Invocation& i, const FlagValue& v) { i.run.max_n = v.n; }},
+    // Workload::Kind lists its engines in the choice order.
+    {"--workload", Grammar::kChoice, "open|closed|bursty", kRun, "read-traffic engine",
+     nullptr,
+     [](ExperimentConfig& c, const FlagValue& v) {
+       c.workload.kind = static_cast<workload::Kind>(v.n);
+     }},
+    {"--clients", Grammar::kPositive, "N", kRun, "closed-loop client sessions", nullptr,
+     [](ExperimentConfig& c, const FlagValue& v) { c.workload.clients = v.n; }},
+    {"--think", Grammar::kCount, "N", kRun, "closed-loop think time, in ticks", nullptr,
+     [](ExperimentConfig& c, const FlagValue& v) { c.workload.think_time = v.n; }},
+    {"--burst", Grammar::kOnOff, "ON/OFF", kRun, "bursty on and off phases, in ticks", nullptr,
+     [](ExperimentConfig& c, const FlagValue& v) {
+       c.workload.burst_on = v.n;
+       c.workload.burst_off = v.m;
+     }},
+    {"--op-deadline", Grammar::kCount, "N", kRun, "per-operation deadline, in ticks", nullptr,
+     [](ExperimentConfig& c, const FlagValue& v) { c.workload.op_deadline = v.n; }},
+    {"--retry-attempts", Grammar::kPositive, "N", kRun, "attempts per operation", nullptr,
+     [](ExperimentConfig& c, const FlagValue& v) {
+       c.workload.retry_max_attempts = static_cast<std::uint32_t>(v.n);
+     }},
+    {"--retry-backoff", Grammar::kBackoff, "[exp:]N", kRun,
+     "ticks between attempts; exp: doubles them", nullptr,
+     [](ExperimentConfig& c, const FlagValue& v) {
+       c.workload.retry_backoff = v.n;
+       c.workload.retry_exponential = v.exp;
+     }},
+    {"--shards", Grammar::kPositive, "N", kRun | kRecord | kReplay,
+     "shard count (replay: the recorded one)", nullptr,
+     [](ExperimentConfig& c, const FlagValue& v) { c.shard_count = v.n; }},
+    {"--zipf", Grammar::kDecimal, "S", kRun, "zipfian skew of the keyed workload", nullptr,
+     [](ExperimentConfig& c, const FlagValue& v) { c.workload.zipf_s = v.x; }},
+    {"--read-frac", Grammar::kFraction, "F", kRun, "read fraction of the keyed workload",
+     nullptr, [](ExperimentConfig& c, const FlagValue& v) { c.workload.read_frac = v.x; }},
+    {"--budget", Grammar::kPositive, "N", kSearch, "perturbed schedules to run",
+     [](Invocation& i, const FlagValue& v) { i.search.budget = v.n; }},
+    {"--seed", Grammar::kCount, "N", kSearch, "root seed of the perturbations",
+     [](Invocation& i, const FlagValue& v) { i.search.seed = v.n; }},
+    {"--slack", Grammar::kCount, "N", kSearch, "delay headroom past the recorded bound",
+     [](Invocation& i, const FlagValue& v) { i.search.delay_slack = v.n; }},
+    {"--max-tests", Grammar::kPositive, "N", kMinimize, "replays the minimizer may run",
+     [](Invocation& i, const FlagValue& v) { i.minimize.max_tests = v.n; }},
+};
 
 std::optional<std::size_t> parse_count(const std::string& s) {
   // Digits only: std::stoul would silently wrap "-1" to SIZE_MAX.
@@ -121,7 +149,7 @@ std::optional<std::size_t> parse_count(const std::string& s) {
   }
 }
 
-std::optional<double> parse_fraction(const std::string& s) {
+std::optional<double> parse_decimal(const std::string& s) {
   // Non-negative decimals only ("0.99", "1"); rejects signs and exponents so
   // a typo cannot smuggle a surprising value in.
   if (s.empty() || s.find_first_not_of("0123456789.") != std::string::npos ||
@@ -135,160 +163,115 @@ std::optional<double> parse_fraction(const std::string& s) {
   }
 }
 
-/// --shards=N, shared by run, record and replay. False (after saying why)
-/// on a bad value.
-bool parse_shards(const std::string& value, RunOptions& opts) {
-  const auto n = parse_count(value);
-  if (!n || *n == 0) {
-    std::cerr << "bad --shards value: " << value << "\n";
-    return false;
+/// Validates `text` against `f`'s grammar into `v`; false on a bad value.
+bool parse_value(const Flag& f, const std::string& text, FlagValue& v) {
+  switch (f.grammar) {
+    case Grammar::kSwitch:
+      return false;
+    case Grammar::kCount:
+    case Grammar::kPositive: {
+      const auto n = parse_count(text);
+      if (!n || (f.grammar == Grammar::kPositive && *n == 0)) return false;
+      v.n = *n;
+      return true;
+    }
+    case Grammar::kDecimal:
+    case Grammar::kFraction: {
+      const auto x = parse_decimal(text);
+      if (!x || (f.grammar == Grammar::kFraction && *x > 1.0)) return false;
+      v.x = *x;
+      return true;
+    }
+    case Grammar::kChoice: {
+      std::istringstream choices(f.meta);
+      std::string choice;
+      for (v.n = 0; std::getline(choices, choice, '|'); ++v.n) {
+        if (choice == text) return true;
+      }
+      return false;
+    }
+    case Grammar::kOnOff: {
+      const auto slash = text.find('/');
+      if (slash == std::string::npos) return false;
+      const auto on = parse_count(text.substr(0, slash));
+      const auto off = parse_count(text.substr(slash + 1));
+      if (!on || !off) return false;
+      v.n = *on;
+      v.m = *off;
+      return true;
+    }
+    case Grammar::kBackoff: {
+      v.exp = text.rfind("exp:", 0) == 0;
+      const auto n = parse_count(v.exp ? text.substr(4) : text);
+      if (!n) return false;
+      v.n = *n;
+      return true;
+    }
+    case Grammar::kPath:
+      v.text = text;
+      return !text.empty();
   }
-  opts.workload.shards = *n;
-  return true;
+  return false;
 }
 
-int cmd_run(const std::vector<std::string>& args) {
-  RunOptions opts;
-  opts.jobs = 0;  // parallel by default; output is jobs-independent
-  Format format = Format::kTable;
-  std::optional<std::string> out_dir;
-  std::vector<std::string> names;
-  bool all = false;
-
-  for (const std::string& arg : args) {
-    if (auto v = flag_value(arg, "--seeds")) {
-      const auto n = parse_count(*v);
-      if (!n) {
-        std::cerr << "bad --seeds value: " << *v << "\n";
-        return 2;
-      }
-      opts.seeds = *n;
-    } else if (auto vj = flag_value(arg, "--jobs")) {
-      const auto n = parse_count(*vj);
-      if (!n) {
-        std::cerr << "bad --jobs value: " << *vj << "\n";
-        return 2;
-      }
-      opts.jobs = *n;
-    } else if (auto vf = flag_value(arg, "--format")) {
-      if (*vf == "table") {
-        format = Format::kTable;
-      } else if (*vf == "json") {
-        format = Format::kJson;
-      } else if (*vf == "csv") {
-        format = Format::kCsv;
-      } else {
-        std::cerr << "bad --format value: " << *vf << " (table|json|csv)\n";
-        return 2;
-      }
-    } else if (auto vw = flag_value(arg, "--workload")) {
-      if (*vw == "open") {
-        opts.workload.kind = workload::Kind::kOpenLoop;
-      } else if (*vw == "closed") {
-        opts.workload.kind = workload::Kind::kClosedLoop;
-      } else if (*vw == "bursty") {
-        opts.workload.kind = workload::Kind::kBursty;
-      } else {
-        std::cerr << "bad --workload value: " << *vw << " (open|closed|bursty)\n";
-        return 2;
-      }
-    } else if (auto vc = flag_value(arg, "--clients")) {
-      const auto n = parse_count(*vc);
-      if (!n || *n == 0) {
-        std::cerr << "bad --clients value: " << *vc << "\n";
-        return 2;
-      }
-      opts.workload.clients = *n;
-    } else if (auto vt = flag_value(arg, "--think")) {
-      const auto n = parse_count(*vt);
-      if (!n) {
-        std::cerr << "bad --think value: " << *vt << "\n";
-        return 2;
-      }
-      opts.workload.think = static_cast<sim::Duration>(*n);
-    } else if (auto vb = flag_value(arg, "--burst")) {
-      const auto slash = vb->find('/');
-      const auto on = parse_count(vb->substr(0, slash));
-      std::optional<std::size_t> off;
-      if (slash != std::string::npos) off = parse_count(vb->substr(slash + 1));
-      if (!on || !off) {
-        std::cerr << "bad --burst value: " << *vb << " (expected ON/OFF ticks)\n";
-        return 2;
-      }
-      opts.workload.burst_on = static_cast<sim::Duration>(*on);
-      opts.workload.burst_off = static_cast<sim::Duration>(*off);
-    } else if (auto vd = flag_value(arg, "--op-deadline")) {
-      const auto n = parse_count(*vd);
-      if (!n) {
-        std::cerr << "bad --op-deadline value: " << *vd << "\n";
-        return 2;
-      }
-      opts.workload.op_deadline = static_cast<sim::Duration>(*n);
-    } else if (auto va = flag_value(arg, "--retry-attempts")) {
-      const auto n = parse_count(*va);
-      if (!n || *n == 0) {
-        std::cerr << "bad --retry-attempts value: " << *va << "\n";
-        return 2;
-      }
-      opts.workload.retry_attempts = static_cast<std::uint32_t>(*n);
-    } else if (auto vr = flag_value(arg, "--retry-backoff")) {
-      // "--retry-backoff=10" = fixed 10-tick gap between attempts;
-      // "--retry-backoff=exp:10" = 10 * 2^k with deterministic jitter.
-      std::string spec = *vr;
-      bool exponential = false;
-      if (spec.rfind("exp:", 0) == 0) {
-        exponential = true;
-        spec = spec.substr(4);
-      }
-      const auto n = parse_count(spec);
-      if (!n) {
-        std::cerr << "bad --retry-backoff value: " << *vr
-                  << " (expected N or exp:N ticks)\n";
-        return 2;
-      }
-      opts.workload.retry_backoff = static_cast<sim::Duration>(*n);
-      opts.workload.retry_exponential = exponential;
-    } else if (auto vsh = flag_value(arg, "--shards")) {
-      if (!parse_shards(*vsh, opts)) return 2;
-    } else if (auto vz = flag_value(arg, "--zipf")) {
-      const auto f = parse_fraction(*vz);
-      if (!f) {
-        std::cerr << "bad --zipf value: " << *vz << "\n";
-        return 2;
-      }
-      opts.workload.zipf = *f;
-    } else if (auto vrf = flag_value(arg, "--read-frac")) {
-      const auto f = parse_fraction(*vrf);
-      if (!f || *f > 1.0) {
-        std::cerr << "bad --read-frac value: " << *vrf << " (expected [0, 1])\n";
-        return 2;
-      }
-      opts.workload.read_frac = *f;
-    } else if (auto vm = flag_value(arg, "--max-n")) {
-      const auto n = parse_count(*vm);
-      if (!n || *n == 0) {
-        std::cerr << "bad --max-n value: " << *vm << "\n";
-        return 2;
-      }
-      opts.max_n = *n;
-    } else if (auto vo = flag_value(arg, "--out")) {
-      out_dir = *vo;
-    } else if (arg == "--all") {
-      all = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "unknown flag: " << arg << "\n";
-      return usage(std::cerr, 2);
-    } else {
-      names.push_back(arg);
-    }
+/// What a bad value's message adds after the value.
+std::string hint(const Flag& f) {
+  switch (f.grammar) {
+    case Grammar::kFraction:
+      return " (expected [0, 1])";
+    case Grammar::kChoice:
+      return std::string(" (") + f.meta + ")";
+    case Grammar::kOnOff:
+      return " (expected ON/OFF ticks)";
+    case Grammar::kBackoff:
+      return " (expected N or exp:N ticks)";
+    case Grammar::kPath:
+      return " (expected a path)";
+    default:
+      return "";
   }
+}
 
+/// "--name=META", or just "--name" for a switch.
+std::string spelling(const Flag& f) {
+  return f.grammar == Grammar::kSwitch ? f.name : std::string(f.name) + "=" + f.meta;
+}
+
+int usage(std::ostream& os, int code);
+
+/// Looks an experiment up by CLI name or paper id ("E4").
+const Experiment* resolve_experiment(const std::string& key) {
+  if (const Experiment* e = ExperimentRegistry::instance().find(key)) return e;
+  for (const Experiment* e : ExperimentRegistry::instance().list()) {
+    if (e->id == key) return e;
+  }
+  return nullptr;
+}
+
+std::size_t total_decisions(const std::vector<replay::Trace>& traces) {
+  std::size_t total = 0;
+  for (const replay::Trace& t : traces) total += t.size();
+  return total;
+}
+
+int cmd_list(const Invocation&) {
+  stats::Table table({"name", "id", "reproduces", "seeds", "parameter grid"});
+  for (const Experiment* e : ExperimentRegistry::instance().list()) {
+    table.add_row({e->name, e->id, e->paper_ref, std::to_string(e->default_seeds),
+                   e->grid});
+  }
+  std::cout << table.to_string();
+  return 0;
+}
+
+int cmd_run(const Invocation& inv) {
+  // Experiments are named or --all, never both.
+  if (inv.all != inv.operands.empty()) return usage(std::cerr, 2);
   std::vector<const Experiment*> todo;
-  if (all) {
+  if (inv.all) {
     todo = ExperimentRegistry::instance().list();
   } else {
-    if (names.empty()) return usage(std::cerr, 2);
-    for (const std::string& name : names) {
+    for (const std::string& name : inv.operands) {
       const Experiment* e = ExperimentRegistry::instance().find(name);
       if (e == nullptr) {
         std::cerr << "unknown experiment: " << name << " (see `dynreg_exp list`)\n";
@@ -298,21 +281,29 @@ int cmd_run(const std::vector<std::string>& args) {
     }
   }
 
-  if (out_dir) std::filesystem::create_directories(*out_dir);
+  const std::optional<std::string>& out_dir = inv.out;
+  if (out_dir) {
+    std::error_code ec;
+    std::filesystem::create_directories(*out_dir, ec);
+    if (ec) {
+      std::cerr << "cannot create " << *out_dir << ": " << ec.message() << "\n";
+      return 1;
+    }
+  }
 
   // Multiple JSON documents on one stdout stream would not parse as a
   // whole; wrap them in a top-level array.
-  const bool wrap_json = format == Format::kJson && !out_dir && todo.size() > 1;
+  const bool wrap_json = inv.format == Format::kJson && !out_dir && todo.size() > 1;
   if (wrap_json) std::cout << "[\n";
   bool first = true;
 
   for (const Experiment* e : todo) {
-    const std::size_t seeds = bench::effective_seeds(*e, opts);
-    const bench::ExperimentResult result = bench::run_resolved(*e, opts);
+    const std::size_t seeds = bench::effective_seeds(*e, inv.run);
+    const bench::ExperimentResult result = bench::run_resolved(*e, inv.run);
 
     std::string payload;
     std::string extension;
-    switch (format) {
+    switch (inv.format) {
       case Format::kTable: {
         if (!out_dir) {
           print_console(*e, result, std::cout);
@@ -357,57 +348,17 @@ int cmd_run(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// Looks an experiment up by CLI name or paper id ("E4").
-const Experiment* resolve_experiment(const std::string& key) {
-  if (const Experiment* e = ExperimentRegistry::instance().find(key)) return e;
-  for (const Experiment* e : ExperimentRegistry::instance().list()) {
-    if (e->id == key) return e;
-  }
-  return nullptr;
-}
-
-std::size_t total_decisions(const std::vector<replay::Trace>& traces) {
-  std::size_t total = 0;
-  for (const replay::Trace& t : traces) total += t.size();
-  return total;
-}
-
-int cmd_record(const std::vector<std::string>& args) {
-  RunOptions opts;
-  opts.jobs = 0;
-  std::optional<std::string> out;
-  std::vector<std::string> names;
-  for (const std::string& arg : args) {
-    if (auto v = flag_value(arg, "--seeds")) {
-      const auto n = parse_count(*v);
-      if (!n) return std::cerr << "bad --seeds value: " << *v << "\n", 2;
-      opts.seeds = *n;
-    } else if (auto vj = flag_value(arg, "--jobs")) {
-      const auto n = parse_count(*vj);
-      if (!n) return std::cerr << "bad --jobs value: " << *vj << "\n", 2;
-      opts.jobs = *n;
-    } else if (auto vsh = flag_value(arg, "--shards")) {
-      if (!parse_shards(*vsh, opts)) return 2;
-    } else if (auto vo = flag_value(arg, "--out")) {
-      out = *vo;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "unknown flag: " << arg << "\n";
-      return usage(std::cerr, 2);
-    } else {
-      names.push_back(arg);
-    }
-  }
-  if (names.size() != 1 || !out) return usage(std::cerr, 2);
-  const Experiment* e = resolve_experiment(names[0]);
+int cmd_record(const Invocation& inv) {
+  const Experiment* e = resolve_experiment(inv.operands[0]);
   if (e == nullptr) {
-    std::cerr << "unknown experiment: " << names[0] << " (see `dynreg_exp list`)\n";
+    std::cerr << "unknown experiment: " << inv.operands[0] << " (see `dynreg_exp list`)\n";
     return 1;
   }
 
   replay::Session& session = replay::Session::instance();
   session.begin_record();
-  const std::size_t seeds = bench::effective_seeds(*e, opts);
-  const bench::ExperimentResult result = bench::run_resolved(*e, opts);
+  const std::size_t seeds = bench::effective_seeds(*e, inv.run);
+  const bench::ExperimentResult result = bench::run_resolved(*e, inv.run);
   replay::TraceFile file;
   file.experiment = e->name;
   file.seeds = {seeds};
@@ -415,40 +366,21 @@ int cmd_record(const std::vector<std::string>& args) {
   session.end();
 
   try {
-    replay::write_file(*out, file);
+    replay::write_file(*inv.out, file);
   } catch (const replay::TraceError& err) {
     std::cerr << "record: " << err.what() << "\n";
     return 1;
   }
   std::cerr << "recorded " << file.traces.size() << " trace(s), "
-            << total_decisions(file.traces) << " decision(s) -> " << *out << "\n";
+            << total_decisions(file.traces) << " decision(s) -> " << *inv.out << "\n";
   std::cout << bench::to_json(*e, seeds, result);
   return 0;
 }
 
-int cmd_replay(const std::vector<std::string>& args) {
-  RunOptions opts;
-  opts.jobs = 0;
-  std::vector<std::string> paths;
-  for (const std::string& arg : args) {
-    if (auto vj = flag_value(arg, "--jobs")) {
-      const auto n = parse_count(*vj);
-      if (!n) return std::cerr << "bad --jobs value: " << *vj << "\n", 2;
-      opts.jobs = *n;
-    } else if (auto vsh = flag_value(arg, "--shards")) {
-      if (!parse_shards(*vsh, opts)) return 2;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "unknown flag: " << arg << "\n";
-      return usage(std::cerr, 2);
-    } else {
-      paths.push_back(arg);
-    }
-  }
-  if (paths.size() != 1) return usage(std::cerr, 2);
-
+int cmd_replay(const Invocation& inv) {
   replay::TraceFile file;
   try {
-    file = replay::read_file(paths[0]);
+    file = replay::read_file(inv.operands[0]);
   } catch (const replay::TraceError& err) {
     std::cerr << "replay: " << err.what() << "\n";
     return 1;
@@ -464,6 +396,7 @@ int cmd_replay(const std::vector<std::string>& args) {
                  "recording (use `dynreg_exp search`/`minimize` on it)\n";
     return 1;
   }
+  RunOptions opts = inv.run;
   opts.seeds = static_cast<std::size_t>(file.seeds[0]);
 
   replay::Session& session = replay::Session::instance();
@@ -486,44 +419,16 @@ int cmd_replay(const std::vector<std::string>& args) {
   return mismatches == 0 ? 0 : 1;
 }
 
-int cmd_search(const std::vector<std::string>& args) {
-  replay::SearchOptions sopt;
-  sopt.jobs = 0;
-  std::optional<std::string> out;
-  std::vector<std::string> targets;
-  for (const std::string& arg : args) {
-    if (auto v = flag_value(arg, "--budget")) {
-      const auto n = parse_count(*v);
-      if (!n || *n == 0) return std::cerr << "bad --budget value: " << *v << "\n", 2;
-      sopt.budget = *n;
-    } else if (auto vs = flag_value(arg, "--seed")) {
-      const auto n = parse_count(*vs);
-      if (!n) return std::cerr << "bad --seed value: " << *vs << "\n", 2;
-      sopt.seed = static_cast<std::uint64_t>(*n);
-    } else if (auto vj = flag_value(arg, "--jobs")) {
-      const auto n = parse_count(*vj);
-      if (!n) return std::cerr << "bad --jobs value: " << *vj << "\n", 2;
-      sopt.jobs = *n;
-    } else if (auto vk = flag_value(arg, "--slack")) {
-      const auto n = parse_count(*vk);
-      if (!n) return std::cerr << "bad --slack value: " << *vk << "\n", 2;
-      sopt.delay_slack = static_cast<sim::Duration>(*n);
-    } else if (auto vo = flag_value(arg, "--out")) {
-      out = *vo;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "unknown flag: " << arg << "\n";
-      return usage(std::cerr, 2);
-    } else {
-      targets.push_back(arg);
-    }
-  }
-  if (targets.size() != 1) return usage(std::cerr, 2);
+int cmd_search(const Invocation& inv) {
+  const std::string& target = inv.operands[0];
+  replay::SearchOptions sopt = inv.search;
+  sopt.jobs = inv.run.jobs;
 
   // The target is an experiment (search its scenario config) or a scenario
   // trace file written by an earlier `search --out`.
-  harness::ExperimentConfig cfg;
+  ExperimentConfig cfg;
   std::optional<replay::Trace> base;
-  if (const Experiment* e = resolve_experiment(targets[0])) {
+  if (const Experiment* e = resolve_experiment(target)) {
     if (!e->scenario) {
       std::cerr << "search: experiment " << e->name
                 << " has no scenario config to perturb\n";
@@ -533,15 +438,15 @@ int cmd_search(const std::vector<std::string>& args) {
   } else {
     replay::TraceFile file;
     try {
-      file = replay::read_file(targets[0]);
+      file = replay::read_file(target);
     } catch (const replay::TraceError& err) {
-      std::cerr << "search: '" << targets[0]
+      std::cerr << "search: '" << target
                 << "' is neither a known experiment nor a readable trace file ("
                 << err.what() << ")\n";
       return 1;
     }
     if (!file.config || file.traces.empty()) {
-      std::cerr << "search: " << targets[0]
+      std::cerr << "search: " << target
                 << " has no embedded scenario config (record one with "
                    "`dynreg_exp search <experiment> --out=FILE`)\n";
       return 1;
@@ -570,61 +475,43 @@ int cmd_search(const std::vector<std::string>& args) {
               << res.counterexample.size() << " recorded decisions, "
               << res.counterexample_report.regularity.violations.size()
               << " stale read(s))\n";
-    if (out) {
+    if (inv.out) {
       replay::TraceFile file;
       file.config = cfg;
       file.traces = {res.counterexample};
       try {
-        replay::write_file(*out, file);
+        replay::write_file(*inv.out, file);
       } catch (const replay::TraceError& err) {
         std::cerr << "search: " << err.what() << "\n";
         return 1;
       }
-      std::cerr << "wrote counterexample -> " << *out << "\n";
+      std::cerr << "wrote counterexample -> " << *inv.out << "\n";
     }
   } else {
     std::cout << "no violating schedule found within the budget\n";
-    if (out) std::cerr << "nothing to write to " << *out << "\n";
+    if (inv.out) std::cerr << "nothing to write to " << *inv.out << "\n";
   }
   return 0;
 }
 
-int cmd_minimize(const std::vector<std::string>& args) {
-  replay::MinimizeOptions mopt;
-  std::optional<std::string> out;
-  std::vector<std::string> paths;
-  for (const std::string& arg : args) {
-    if (auto v = flag_value(arg, "--max-tests")) {
-      const auto n = parse_count(*v);
-      if (!n || *n == 0) return std::cerr << "bad --max-tests value: " << *v << "\n", 2;
-      mopt.max_tests = *n;
-    } else if (auto vo = flag_value(arg, "--out")) {
-      out = *vo;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "unknown flag: " << arg << "\n";
-      return usage(std::cerr, 2);
-    } else {
-      paths.push_back(arg);
-    }
-  }
-  if (paths.size() != 1) return usage(std::cerr, 2);
-
+int cmd_minimize(const Invocation& inv) {
+  const std::string& path = inv.operands[0];
   replay::TraceFile file;
   try {
-    file = replay::read_file(paths[0]);
+    file = replay::read_file(path);
   } catch (const replay::TraceError& err) {
     std::cerr << "minimize: " << err.what() << "\n";
     return 1;
   }
   if (!file.config || file.traces.empty()) {
-    std::cerr << "minimize: " << paths[0]
+    std::cerr << "minimize: " << path
               << " has no embedded scenario config; minimize expects a "
                  "counterexample written by `dynreg_exp search --out`\n";
     return 1;
   }
 
   const replay::MinimizeResult res =
-      replay::minimize(*file.config, file.traces[0], mopt);
+      replay::minimize(*file.config, file.traces[0], inv.minimize);
   std::cout << res.narrative;
   std::cerr << "minimized " << res.atoms << " atom(s) to " << res.essential
             << " essential decision(s) in " << res.tests << " replay(s)\n";
@@ -632,33 +519,134 @@ int cmd_minimize(const std::vector<std::string>& args) {
     std::cerr << "minimize: input trace does not violate regularity on replay\n";
     return 1;
   }
-  if (out) {
+  if (inv.out) {
     replay::TraceFile min_file;
     min_file.config = *file.config;
     min_file.traces = {res.trace};
     try {
-      replay::write_file(*out, min_file);
+      replay::write_file(*inv.out, min_file);
     } catch (const replay::TraceError& err) {
       std::cerr << "minimize: " << err.what() << "\n";
       return 1;
     }
-    std::cerr << "wrote minimized trace -> " << *out << "\n";
+    std::cerr << "wrote minimized trace -> " << *inv.out << "\n";
   }
   return 0;
+}
+
+struct Command {
+  const char* name;
+  unsigned bit;
+  const char* operands;  ///< the positional arguments in the usage
+  int arity;             ///< how many it takes; -1: any (cmd_run checks)
+  int (*run)(const Invocation&);
+};
+
+const Command kCommands[] = {
+    {"list", kList, "", 0, cmd_list},
+    {"run", kRun, "<name>...", -1, cmd_run},
+    {"record", kRecord, "<name>", 1, cmd_record},
+    {"replay", kReplay, "FILE", 1, cmd_replay},
+    {"search", kSearch, "<name|FILE>", 1, cmd_search},
+    {"minimize", kMinimize, "FILE", 1, cmd_minimize},
+};
+
+int usage(std::ostream& os, int code) {
+  // One synopsis per command, wrapped at 80 columns, then one help line per
+  // flag.
+  for (const Command& c : kCommands) {
+    std::string line = std::string(&c == kCommands ? "usage: " : "       ") +
+                       "dynreg_exp " + c.name;
+    const std::string indent(line.size(), ' ');
+    if (*c.operands != '\0') line += std::string(" ") + c.operands;
+    for (const Flag& f : kFlags) {
+      if ((f.commands & c.bit) == 0) continue;
+      const std::string word = (f.required & c.bit) ? spelling(f) : "[" + spelling(f) + "]";
+      if (line.size() + 1 + word.size() > 80) {
+        os << line << "\n";
+        line = indent;
+      }
+      line += " " + word;
+    }
+    os << line << "\n";
+  }
+  std::size_t width = 0;
+  for (const Flag& f : kFlags) width = std::max(width, spelling(f).size());
+  os << "\nflags:\n";
+  for (const Flag& f : kFlags) {
+    std::string s = spelling(f);
+    s.resize(width + 2, ' ');
+    os << "  " << s << f.help << "\n";
+  }
+  return code;
+}
+
+/// The row naming `name` among the flags `command` accepts; a switch only
+/// matches without a value, any other flag only with one.
+const Flag* find_flag(const std::string& name, bool has_value, unsigned command) {
+  for (const Flag& f : kFlags) {
+    if (name == f.name && (f.commands & command) != 0 &&
+        has_value == (f.grammar != Grammar::kSwitch)) {
+      return &f;
+    }
+  }
+  return nullptr;
+}
+
+/// Parses `args` against the flags `c` accepts into `inv`. Returns the exit
+/// code, after saying why, when the command line is bad; nullopt otherwise.
+std::optional<int> parse(const Command& c, const std::vector<std::string>& args,
+                         Invocation& inv) {
+  std::vector<const Flag*> seen;
+  for (const std::string& arg : args) {
+    if (arg.empty() || arg[0] != '-') {
+      inv.operands.push_back(arg);
+      continue;
+    }
+    const std::size_t eq = arg.find('=');
+    const Flag* f = find_flag(arg.substr(0, eq), eq != std::string::npos, c.bit);
+    if (f == nullptr) {
+      std::cerr << "unknown flag: " << arg << "\n";
+      return usage(std::cerr, 2);
+    }
+    FlagValue v;
+    if (eq != std::string::npos) {
+      const std::string text = arg.substr(eq + 1);
+      if (!parse_value(*f, text, v)) {
+        std::cerr << "bad " << f->name << " value: " << text << hint(*f) << "\n";
+        return 2;
+      }
+    }
+    if (f->configure != nullptr) {
+      inv.run.overrides.push_back({f->configure, v});
+    } else {
+      f->set(inv, v);
+    }
+    seen.push_back(f);
+  }
+  for (const Flag& f : kFlags) {
+    if ((f.required & c.bit) != 0 && std::find(seen.begin(), seen.end(), &f) == seen.end()) {
+      return usage(std::cerr, 2);
+    }
+  }
+  if (c.arity >= 0 && inv.operands.size() != static_cast<std::size_t>(c.arity)) {
+    return usage(std::cerr, 2);
+  }
+  return std::nullopt;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
+  const std::vector<std::string> args(argv + 1, argv + argc);
   if (args.empty()) return usage(std::cerr, 2);
-  const std::vector<std::string> rest{args.begin() + 1, args.end()};
-  if (args[0] == "list") return cmd_list();
-  if (args[0] == "run") return cmd_run(rest);
-  if (args[0] == "record") return cmd_record(rest);
-  if (args[0] == "replay") return cmd_replay(rest);
-  if (args[0] == "search") return cmd_search(rest);
-  if (args[0] == "minimize") return cmd_minimize(rest);
+  for (const Command& c : kCommands) {
+    if (args[0] != c.name) continue;
+    Invocation inv;
+    inv.run.jobs = 0;  // parallel by default; output is jobs-independent
+    if (const auto code = parse(c, {args.begin() + 1, args.end()}, inv)) return *code;
+    return c.run(inv);
+  }
   if (args[0] == "--help" || args[0] == "-h" || args[0] == "help") {
     return usage(std::cout, 0);
   }

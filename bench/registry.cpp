@@ -48,19 +48,7 @@ std::size_t effective_seeds(const Experiment& e, const RunOptions& opts) {
 }
 
 void apply_workload(const RunOptions& opts, harness::ExperimentConfig& cfg) {
-  const WorkloadOverrides& w = opts.workload;
-  if (w.kind) cfg.workload.kind = *w.kind;
-  if (w.clients) cfg.workload.clients = *w.clients;
-  if (w.think) cfg.workload.think_time = *w.think;
-  if (w.burst_on) cfg.workload.burst_on = *w.burst_on;
-  if (w.burst_off) cfg.workload.burst_off = *w.burst_off;
-  if (w.op_deadline) cfg.workload.op_deadline = *w.op_deadline;
-  if (w.retry_attempts) cfg.workload.retry_max_attempts = *w.retry_attempts;
-  if (w.retry_backoff) cfg.workload.retry_backoff = *w.retry_backoff;
-  if (w.retry_exponential) cfg.workload.retry_exponential = *w.retry_exponential;
-  if (w.shards) cfg.shard_count = *w.shards;
-  if (w.zipf) cfg.workload.zipf_s = *w.zipf;
-  if (w.read_frac) cfg.workload.read_frac = *w.read_frac;
+  for (const ConfigOverride& o : opts.overrides) o.apply(cfg, o.value);
 }
 
 ExperimentResult run_resolved(const Experiment& e, RunOptions opts) {

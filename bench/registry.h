@@ -11,14 +11,11 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "harness/workload_config.h"
 #include "stats/data_table.h"
 
 namespace dynreg::harness {
@@ -27,30 +24,22 @@ struct ExperimentConfig;
 
 namespace dynreg::bench {
 
-/// CLI workload overrides (--workload/--clients/--think/--burst): applied by
-/// every run_experiment-based experiment to its base config(s) via
-/// apply_workload(). Scripted deterministic constructions (E1, E2, E5) have
-/// no workload driver and ignore them.
-struct WorkloadOverrides {
-  std::optional<workload::Kind> kind;
-  std::optional<std::size_t> clients;
-  std::optional<sim::Duration> think;
-  std::optional<sim::Duration> burst_on;
-  std::optional<sim::Duration> burst_off;
-  /// Per-op client policy (--op-deadline / --retry-backoff): a deadline in
-  /// ticks, the retry budget, and the backoff between attempts (fixed or
-  /// exponential with deterministic jitter — see client::RetryPolicy).
-  std::optional<sim::Duration> op_deadline;
-  std::optional<std::uint32_t> retry_attempts;
-  std::optional<sim::Duration> retry_backoff;
-  std::optional<bool> retry_exponential;
-  /// Sharded-keyspace knobs (--shards / --zipf / --read-frac): shard count
-  /// (engages the src/shard/ pipeline when > 0), zipfian skew exponent, and
-  /// the keyed engine's read fraction. Ignored by unsharded experiments that
-  /// never read cfg.shard_count.
-  std::optional<std::size_t> shards;
-  std::optional<double> zipf;
-  std::optional<double> read_frac;
+/// A CLI flag value after dynreg_exp validated it against the flag's
+/// grammar: counts in `n` (an ON/OFF pair's OFF in `m`), decimals in `x`,
+/// an "exp:" backoff prefix in `exp`, paths in `text`.
+struct FlagValue {
+  std::size_t n = 0;
+  std::size_t m = 0;
+  double x = 0.0;
+  bool exp = false;
+  std::string text;
+};
+
+/// One CLI override of ExperimentConfig fields (--workload, --shards, ...):
+/// the flag's captureless setter plus its validated value.
+struct ConfigOverride {
+  void (*apply)(harness::ExperimentConfig&, const FlagValue&) = nullptr;
+  FlagValue value;
 };
 
 /// CLI-controlled execution knobs handed to every experiment run function.
@@ -68,7 +57,9 @@ struct RunOptions {
   /// --max-n extends them to it (e.g. --max-n=100000 adds a 1e5 point).
   /// 0 means each experiment's default grid. Other experiments ignore it.
   std::size_t max_n = 0;
-  WorkloadOverrides workload;
+  /// CLI overrides in command-line order; apply_workload() applies them.
+  /// Scripted deterministic constructions (E1, E2, E5) never call it.
+  std::vector<ConfigOverride> overrides;
 };
 
 /// One table of results plus the paper-shape commentary attached to it.
@@ -134,7 +125,7 @@ struct Registrar {
 /// The seed count a run will actually use (opts.seeds, defaulted).
 std::size_t effective_seeds(const Experiment& e, const RunOptions& opts);
 
-/// Applies opts.workload onto cfg.workload (fields left unset keep the
+/// Applies opts.overrides to cfg in order (fields no flag names keep the
 /// experiment's own defaults). Every run_experiment-based run function calls
 /// this on each base config it builds.
 void apply_workload(const RunOptions& opts, harness::ExperimentConfig& cfg);

@@ -42,9 +42,4 @@ std::vector<SweepPoint> parallel_sweep(const ExperimentConfig& base,
   return points;
 }
 
-std::vector<SweepPoint> sweep(const ExperimentConfig& base, const std::vector<double>& xs,
-                              const ConfigureFn& configure, std::size_t seeds) {
-  return parallel_sweep(base, xs, configure, seeds, /*jobs=*/1);
-}
-
 }  // namespace dynreg::harness

@@ -88,8 +88,4 @@ std::vector<SweepPoint> parallel_sweep(const ExperimentConfig& base,
                                        const ConfigureFn& configure, std::size_t seeds,
                                        std::size_t jobs);
 
-/// Single-threaded sweep; identical output to parallel_sweep(..., jobs=1).
-std::vector<SweepPoint> sweep(const ExperimentConfig& base, const std::vector<double>& xs,
-                              const ConfigureFn& configure, std::size_t seeds);
-
 }  // namespace dynreg::harness

@@ -6,9 +6,10 @@
 For every subcommand it checks that each accepted flag rejects a bad value
 with its exact `bad --X value: ...` message and exit 2, that flags a
 subcommand does not accept are `unknown flag` errors (usage, exit 2), that a
-missing positional argument prints usage with exit 2, that unresolvable
-targets exit 1, and that one cheap experiment runs with output independent
-of --jobs. Every invocation runs in a fresh temporary directory.
+missing or extra positional argument prints usage with exit 2 (so does
+`run --all <name>`), that unresolvable targets exit 1, that a run directory
+--out cannot create exits 1, and that one cheap experiment runs with output
+independent of --jobs. Every invocation runs in a fresh temporary directory.
 """
 
 import json
@@ -75,6 +76,8 @@ def bad_values(grammar):
     if grammar == "backoff":
         return ["exp:", "lin:5", "exp:-1", "", "exp:exp:3"], \
             " (expected N or exp:N ticks)"
+    if grammar == "path":
+        return [""], " (expected a path)"
     return [], ""
 
 
@@ -148,8 +151,6 @@ def check_bad_values(cli):
 
 def check_unknown_flags(cli):
     for cmd, (flags, positional) in COMMANDS.items():
-        if cmd == "list":
-            continue
         for flag, grammar in GRAMMAR.items():
             if flag in flags:
                 continue
@@ -164,8 +165,10 @@ def check_unknown_flags(cli):
                       stderr_prefix=f"unknown flag: {arg}\nusage:")
 
 
-def check_missing_positionals(cli):
-    for argv in (["run"], ["run", "--jobs=1"], ["record"], ["record", "E4"],
+def check_operand_counts(cli):
+    """A missing or extra positional argument, or a missing --out on record."""
+    for argv in (["list", "fig3_join_wait"], ["run"], ["run", "--jobs=1"],
+                 ["run", "--all", "fig3_join_wait"], ["record"], ["record", "E4"],
                  ["record", "E4", "E5", "--out=x.trace"], ["replay"],
                  ["replay", "a.trace", "b.trace"], ["search"], ["search", "E4", "E5"],
                  ["minimize"], ["minimize", "a.trace", "b.trace"]):
@@ -220,6 +223,11 @@ def check_happy_path(cli):
             csv = j1.stdout
 
     with tempfile.TemporaryDirectory() as tmp:
+        taken = os.path.join(tmp, "taken")
+        open(taken, "w").close()
+        cli.check(["run", "fig3_join_wait", f"--out={taken}"], 1, stdout="",
+                  stderr_prefix=f"cannot create {taken}")
+
         out_dir = os.path.join(tmp, "results")
         cli.check(["run", "fig3_join_wait", "--format=csv", f"--out={out_dir}"], 0,
                   stdout="", cwd=tmp)
@@ -236,7 +244,7 @@ def main():
     check_top_level(cli)
     check_bad_values(cli)
     check_unknown_flags(cli)
-    check_missing_positionals(cli)
+    check_operand_counts(cli)
     check_unresolvable_targets(cli)
     check_happy_path(cli)
     for failure in cli.failures:

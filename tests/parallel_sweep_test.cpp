@@ -150,16 +150,6 @@ TEST(ParallelSweep, OutputIndependentOfWorkerCount) {
   EXPECT_EQ(serialize(serial), serialize(parallel));
 }
 
-TEST(ParallelSweep, MatchesLegacySerialSweep) {
-  const ExperimentConfig base = cheap_config();
-  const std::vector<double> xs{0.0, 0.02};
-  const auto configure = [](ExperimentConfig& cfg, double c) { cfg.churn_rate = c; };
-
-  const auto legacy = sweep(base, xs, configure, /*seeds=*/3);
-  const auto pooled = parallel_sweep(base, xs, configure, /*seeds=*/3, /*jobs=*/4);
-  EXPECT_EQ(serialize(legacy), serialize(pooled));
-}
-
 TEST(ParallelSweep, ReplicaSeedsMatchHistoricalDerivation) {
   EXPECT_EQ(replica_seed(1, 0), 1u + 1009u);
   EXPECT_EQ(replica_seed(1, 2), 1u + 3 * 1009u);
