@@ -8,8 +8,9 @@ with its exact `bad --X value: ...` message and exit 2, that flags a
 subcommand does not accept are `unknown flag` errors (usage, exit 2), that a
 missing or extra positional argument prints usage with exit 2 (so does
 `run --all <name>`), that unresolvable targets exit 1, that a run directory
---out cannot create exits 1, and that one cheap experiment runs with output
-independent of --jobs. Every invocation runs in a fresh temporary directory.
+--out cannot create exits 1, that a recording replays while a replay its
+recording does not cover exits 1, and that one cheap experiment runs with
+output independent of --jobs. Every invocation runs in a fresh temporary directory.
 """
 
 import json
@@ -201,6 +202,16 @@ def check_unresolvable_targets(cli):
     cli.check(["minimize", "missing.trace"], 1, stdout="", stderr_prefix="minimize: ")
 
 
+def check_replay_contract(cli):
+    """A recording replays; a replay the recording does not cover exits 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = os.path.join(tmp, "e4.trace")
+        cli.check(["record", "E4", "--seeds=1", f"--out={trace}"], 0)
+        cli.check(["replay", trace], 0)
+        cli.check(["replay", trace, "--shards=2"], 1,
+                  stderr_prefix="replay: no trace recorded for config fingerprint")
+
+
 def check_happy_path(cli):
     proc = cli.check(["list"], 0, stderr="")
     for word in ["fig3_join_wait", "E1", "E20"]:
@@ -246,6 +257,7 @@ def main():
     check_unknown_flags(cli)
     check_operand_counts(cli)
     check_unresolvable_targets(cli)
+    check_replay_contract(cli)
     check_happy_path(cli)
     for failure in cli.failures:
         print("FAIL:", failure)
