@@ -49,7 +49,7 @@ ExperimentResult run(const RunOptions& opts) {
     cfg.churn_rate = churn_rates[(task / seeds) % churn_rates.size()];
     if (cfg.churn_rate == 0.0) cfg.churn_kind = harness::ChurnKind::kNone;
     cfg.seed = harness::replica_seed(cfg.seed, task % seeds);
-    reports[task] = harness::run_experiment(cfg);
+    reports[task] = harness::run_in_session(cfg, opts.session);
   });
 
   const auto mean = [&](std::size_t protocol, std::size_t rate,

@@ -53,13 +53,12 @@ bool scripted_inversion_occurs(bool atomic_reads, std::uint64_t seed) {
   return r1.has_value() && r2.has_value() && *r1 > *r2;
 }
 
-ResultSection ablate_atomic_reads(const RunOptions& opts, std::size_t seeds,
-                                  std::size_t jobs) {
+ResultSection ablate_atomic_reads(const RunOptions& opts, std::size_t seeds) {
   // Harness runs (latency/safety) and scripted inversion trials, flattened
   // into one task grid: variant-major, replica slots pre-assigned.
   std::vector<MetricsReport> reports(2 * seeds);
   std::vector<int> inversions(2 * kInversionTrials, 0);
-  harness::parallel_for(jobs, reports.size() + inversions.size(), [&](std::size_t task) {
+  harness::parallel_for(opts.jobs, reports.size() + inversions.size(), [&](std::size_t task) {
     if (task < reports.size()) {
       const bool atomic = task >= seeds;
       const std::size_t s = task % seeds;
@@ -76,7 +75,7 @@ ResultSection ablate_atomic_reads(const RunOptions& opts, std::size_t seeds,
       cfg.workload.write_interval = 20;
       apply_workload(opts, cfg);
       cfg.seed = harness::replica_seed(0, s);
-      reports[task] = harness::run_experiment(cfg);
+      reports[task] = harness::run_in_session(cfg, opts.session);
     } else {
       const std::size_t t = task - reports.size();
       const bool atomic = t >= kInversionTrials;
@@ -108,12 +107,11 @@ ResultSection ablate_atomic_reads(const RunOptions& opts, std::size_t seeds,
   return {"atomic_reads", "(a) regular vs atomic ES reads", std::move(table), ""};
 }
 
-ResultSection ablate_fast_join(const RunOptions& opts, std::size_t seeds,
-                               std::size_t jobs) {
+ResultSection ablate_fast_join(const RunOptions& opts, std::size_t seeds) {
   const std::vector<std::optional<sim::Duration>> cases{std::nullopt, 2, 1};
 
   std::vector<MetricsReport> reports(cases.size() * seeds);
-  harness::parallel_for(jobs, reports.size(), [&](std::size_t task) {
+  harness::parallel_for(opts.jobs, reports.size(), [&](std::size_t task) {
     ExperimentConfig cfg;
     cfg.protocol = harness::Protocol::kSync;
     cfg.n = 30;
@@ -125,7 +123,7 @@ ResultSection ablate_fast_join(const RunOptions& opts, std::size_t seeds,
     cfg.workload.write_interval = 40;
     apply_workload(opts, cfg);
     cfg.seed = harness::replica_seed(0, task % seeds);
-    reports[task] = harness::run_experiment(cfg);
+    reports[task] = harness::run_in_session(cfg, opts.session);
   });
 
   stats::DataTable table({"join variant", "delta", "delta'", "mean join latency",
@@ -146,8 +144,7 @@ ResultSection ablate_fast_join(const RunOptions& opts, std::size_t seeds,
   return {"fast_join", "(b) footnote 4 optimized join", std::move(table), ""};
 }
 
-ResultSection ablate_reliability(const RunOptions& opts, std::size_t seeds,
-                                 std::size_t jobs) {
+ResultSection ablate_reliability(const RunOptions& opts, std::size_t seeds) {
   const std::vector<double> losses{0.0, 0.05, 0.1, 0.2, 0.4};
   constexpr std::size_t kVariants = 3;  // sync, sync+refresh, es
 
@@ -177,13 +174,13 @@ ResultSection ablate_reliability(const RunOptions& opts, std::size_t seeds,
   };
 
   std::vector<MetricsReport> reports(losses.size() * kVariants * seeds);
-  harness::parallel_for(jobs, reports.size(), [&](std::size_t task) {
+  harness::parallel_for(opts.jobs, reports.size(), [&](std::size_t task) {
     const std::size_t loss_i = task / (kVariants * seeds);
     const std::size_t variant = (task / seeds) % kVariants;
     ExperimentConfig cfg = make_config(losses[loss_i], variant);
     apply_workload(opts, cfg);
     cfg.seed = harness::replica_seed(0, task % seeds);
-    reports[task] = harness::run_experiment(cfg);
+    reports[task] = harness::run_in_session(cfg, opts.session);
   });
 
   auto mean_over = [&](std::size_t loss_i, std::size_t variant,
@@ -224,9 +221,9 @@ ResultSection ablate_reliability(const RunOptions& opts, std::size_t seeds,
 ExperimentResult run(const RunOptions& opts) {
   const std::size_t seeds = opts.seeds > 0 ? opts.seeds : 1;  // resolved by run_resolved()
   ExperimentResult result;
-  result.sections.push_back(ablate_atomic_reads(opts, seeds, opts.jobs));
-  result.sections.push_back(ablate_fast_join(opts, seeds, opts.jobs));
-  result.sections.push_back(ablate_reliability(opts, seeds, opts.jobs));
+  result.sections.push_back(ablate_atomic_reads(opts, seeds));
+  result.sections.push_back(ablate_fast_join(opts, seeds));
+  result.sections.push_back(ablate_reliability(opts, seeds));
   return result;
 }
 

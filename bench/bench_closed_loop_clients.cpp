@@ -47,7 +47,7 @@ ExperimentResult run(const RunOptions& opts) {
       [](ExperimentConfig& cfg, double k) {
         cfg.workload.clients = static_cast<std::size_t>(k);
       },
-      seeds, opts.jobs);
+      seeds, opts.jobs, opts.session);
 
   stats::DataTable table({"clients", "read p50", "read p99", "mean read latency",
                           "reads completed", "read completion", "ops dropped",

@@ -34,7 +34,7 @@ ExperimentResult run(const RunOptions& opts) {
   const auto points = harness::parallel_sweep(
       base, multiples,
       [bound](ExperimentConfig& cfg, double m) { cfg.churn_rate = m * bound; }, seeds,
-      opts.jobs);
+      opts.jobs, opts.session);
 
   stats::DataTable table({"c/(1/3dn)", "churn c", "read completion", "write completion",
                           "join completion", "violation rate", "violations total",

@@ -65,7 +65,7 @@ ExperimentResult run(const RunOptions& opts) {
           c.fault.partition.fraction = 0.3;
           c.fault.partition.asymmetric = false;  // symmetric cut: both ways
         },
-        seeds, opts.jobs);
+        seeds, opts.jobs, opts.session);
     for (const auto& p : points) {
       const auto agg = p.aggregate();
       table.add_row(

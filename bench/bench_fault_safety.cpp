@@ -135,8 +135,8 @@ ExperimentResult run(const RunOptions& opts) {
   for (const Row& row : rows) {
     ExperimentConfig base = base_config(row.protocol);
     apply_workload(opts, base);
-    const auto points =
-        harness::parallel_sweep(base, row.scenarios, apply_scenario, seeds, opts.jobs);
+    const auto points = harness::parallel_sweep(base, row.scenarios, apply_scenario, seeds,
+                                                opts.jobs, opts.session);
     for (const auto& p : points) {
       const auto agg = p.aggregate();
       const auto mean_of = [&p](auto fn) { return harness::mean_of(p.runs, fn); };

@@ -29,7 +29,8 @@ struct Outcome {
   bool write_completed = false;
 };
 
-Outcome run_scenario(bool wait_before_inquiry, sim::Duration joiner_offset) {
+Outcome run_scenario(replay::Session* session, bool wait_before_inquiry,
+                     sim::Duration joiner_offset) {
   SyncConfig cfg;
   cfg.delta = kDelta;
   cfg.wait_before_inquiry = wait_before_inquiry;
@@ -48,7 +49,7 @@ Outcome run_scenario(bool wait_before_inquiry, sim::Duration joiner_offset) {
         return 1;
       });
   auto cluster = ScriptedCluster::sync(
-      3, 3, 0.0, cfg, std::move(delays), churn::LeavePolicy::kUniform,
+      3, 3, 0.0, cfg, std::move(delays), churn::LeavePolicy::kUniform, session,
       replay::scenario_key("E1/fig3_join_wait",
                            {wait_before_inquiry ? 1u : 0u, joiner_offset}));
 
@@ -81,7 +82,7 @@ ExperimentResult run(const RunOptions& opts) {
 
   std::vector<Outcome> outcomes(cases.size());
   harness::parallel_for(opts.jobs, cases.size(), [&](std::size_t i) {
-    outcomes[i] = run_scenario(cases[i].wait, cases[i].offset);
+    outcomes[i] = run_scenario(opts.session, cases[i].wait, cases[i].offset);
   });
 
   stats::DataTable table({"variant", "join offset after write", "value adopted by join",

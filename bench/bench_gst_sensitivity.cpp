@@ -48,7 +48,7 @@ ExperimentResult run(const RunOptions& opts) {
     const auto points = harness::parallel_sweep(
         base, {0.0, 500.0, 1000.0, 2000.0, 4000.0},
         [](ExperimentConfig& cfg, double gst) { cfg.gst = static_cast<sim::Time>(gst); },
-        seeds, opts.jobs);
+        seeds, opts.jobs, opts.session);
     stats::DataTable table({"GST", "read completion", "write completion",
                             "mean read latency", "p99-ish max latency", "violation rate"});
     for (const auto& p : points) {
@@ -73,7 +73,7 @@ ExperimentResult run(const RunOptions& opts) {
         [](ExperimentConfig& c, double m) {
           c.pre_gst_max = static_cast<sim::Duration>(m);
         },
-        seeds, opts.jobs);
+        seeds, opts.jobs, opts.session);
     stats::DataTable table({"pre-GST max delay", "read completion", "write completion",
                             "mean read latency", "violation rate"});
     for (const auto& p : points) {
@@ -96,7 +96,7 @@ ExperimentResult run(const RunOptions& opts) {
     const auto points = harness::parallel_sweep(
         cfg, {0.0, 50.0, 100.0, 250.0, 500.0, 1000.0},
         [](ExperimentConfig& c, double gst) { c.gst = static_cast<sim::Time>(gst); },
-        seeds, opts.jobs);
+        seeds, opts.jobs, opts.session);
     stats::DataTable table({"GST", "majority survived", "joins done / begun",
                             "read completion", "violation rate"});
     for (const auto& p : points) {

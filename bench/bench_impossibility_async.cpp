@@ -25,7 +25,8 @@ struct RunResult {
   sim::Time victim_read_latency = 0;
 };
 
-RunResult run_scenario(sim::Time horizon, std::optional<sim::Time> gst) {
+RunResult run_scenario(replay::Session* session, sim::Time horizon,
+                       std::optional<sim::Time> gst) {
   auto delays = std::make_unique<net::AsyncAdversarialDelay>(
       40, [gst](sim::Time now, sim::ProcessId, sim::ProcessId to,
                 const net::Payload&) -> std::optional<sim::Duration> {
@@ -35,7 +36,7 @@ RunResult run_scenario(sim::Time horizon, std::optional<sim::Time> gst) {
         return 3;
       });
   auto cluster = ScriptedCluster::es(
-      19, 5, 0.0, std::move(delays), churn::LeavePolicy::kUniform,
+      19, 5, 0.0, std::move(delays), churn::LeavePolicy::kUniform, session,
       replay::scenario_key("E5/impossibility_async",
                            {horizon, gst ? *gst + 1 : 0u}));
 
@@ -70,7 +71,7 @@ ExperimentResult run(const RunOptions& opts) {
 
   std::vector<RunResult> outcomes(cases.size());
   harness::parallel_for(opts.jobs, cases.size(), [&](std::size_t i) {
-    outcomes[i] = run_scenario(cases[i].horizon, cases[i].gst);
+    outcomes[i] = run_scenario(opts.session, cases[i].horizon, cases[i].gst);
   });
 
   stats::DataTable table({"timing model", "horizon", "writer's write", "victim's read",

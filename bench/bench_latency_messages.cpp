@@ -111,7 +111,7 @@ ExperimentResult run(const RunOptions& opts) {
         make_config(protocols[cell / sizes.size()], sizes[cell % sizes.size()]);
     apply_workload(opts, cfg);
     cfg.seed = harness::replica_seed(cfg.seed, s);
-    reports[task] = harness::run_experiment(cfg);
+    reports[task] = harness::run_in_session(cfg, opts.session);
   });
 
   stats::DataTable table({"protocol", "n", "read latency", "write latency",

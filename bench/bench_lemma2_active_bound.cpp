@@ -39,7 +39,7 @@ ExperimentResult run(const RunOptions& opts) {
     cfg.delta = kDelta;
     auto cluster = ScriptedCluster::sync(
         17, kN, c, cfg, std::make_unique<net::SynchronousDelay>(kDelta),
-        churn::LeavePolicy::kOldestActiveFirst,
+        churn::LeavePolicy::kOldestActiveFirst, opts.session,
         replay::scenario_key("E2/lemma2_active_bound", {i}));
     cluster->sim.run_until(kHorizon);
 

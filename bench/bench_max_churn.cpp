@@ -64,7 +64,7 @@ ExperimentResult run(const RunOptions& opts) {
       const auto points = harness::parallel_sweep(
           cfg, grid,
           [threshold](ExperimentConfig& c, double f) { c.churn_rate = f * threshold; },
-          seeds, opts.jobs);
+          seeds, opts.jobs, opts.session);
 
       double max_clean_fraction = 0.0;
       stats::DataTable detail({"c/threshold", "survival fraction", "violation rate",

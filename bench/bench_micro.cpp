@@ -54,23 +54,6 @@ void BM_EventQueuePushPopFarSpread(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPopFarSpread)->Arg(10000);
 
-void BM_SimulationEventChain(benchmark::State& state) {
-  const auto events = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    sim::Simulation sim(1);
-    std::uint64_t remaining = events;
-    std::function<void()> tick = [&] {
-      if (--remaining > 0) sim.schedule_after(1, tick);
-    };
-    sim.schedule_at(0, tick);
-    sim.run();
-    benchmark::DoNotOptimize(sim.now());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_SimulationEventChain)->Arg(10000);
-
 struct NoopPayload final : net::Payload {
   std::string_view type_name() const override { return "noop"; }
   // Cached like the real protocol messages, so the benchmark measures the

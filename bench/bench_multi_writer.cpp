@@ -38,7 +38,7 @@ ExperimentResult run(const RunOptions& opts) {
       [](ExperimentConfig& cfg, double w) {
         cfg.workload.concurrent_writers = static_cast<std::size_t>(w);
       },
-      seeds, opts.jobs);
+      seeds, opts.jobs, opts.session);
 
   stats::DataTable table({"concurrent writers", "writes completed", "overlapping pairs",
                           "read completion", "violation rate", "violations total",

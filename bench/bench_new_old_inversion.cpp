@@ -57,7 +57,7 @@ ExperimentResult run(const RunOptions& opts) {
     apply_workload(opts, cfg);
     cfg.workload.read_interval = cases[task / seeds].gap;
     cfg.seed = harness::replica_seed(cfg.seed, task % seeds);
-    reports[task] = harness::run_experiment(cfg);
+    reports[task] = harness::run_in_session(cfg, opts.session);
   });
 
   stats::DataTable table({"protocol", "read gap (ticks)", "reads checked",

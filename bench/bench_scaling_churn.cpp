@@ -79,7 +79,7 @@ ExperimentResult run(const RunOptions& opts) {
     const auto points = harness::parallel_sweep(
         cfg, fractions,
         [threshold](ExperimentConfig& c, double f) { c.churn_rate = f * threshold; },
-        seeds, opts.jobs);
+        seeds, opts.jobs, opts.session);
 
     stats::DataTable table({"c/threshold", "joins/run", "join completion",
                             "join lat mean", "violation rate"});

@@ -86,7 +86,7 @@ ExperimentResult run(const RunOptions& opts) {
     const auto points = harness::parallel_sweep(
         cfg, grid,
         [](ExperimentConfig& c, double n) { c.n = static_cast<std::size_t>(n); },
-        seeds, opts.jobs);
+        seeds, opts.jobs, opts.session);
 
     stats::DataTable table({"n", "ops", "msgs/op", "msgs/op / n", "read p50",
                             "write p50", "write p99"});

@@ -77,7 +77,7 @@ ExperimentResult run(const RunOptions& opts) {
   const auto points = harness::parallel_sweep(
       base, zipf_exponents,
       [](ExperimentConfig& cfg, double s) { cfg.workload.zipf_s = s; }, seeds,
-      opts.jobs);
+      opts.jobs, opts.session);
 
   const std::vector<std::string> columns{"workload",  "hot p99",  "cold p99",
                                          "hot/cold",  "op skew",  "read p99",
@@ -94,7 +94,7 @@ ExperimentResult run(const RunOptions& opts) {
   storm.workload.zipf_s = 0.99;
   storm.workload.storm_every = 200;
   storm.workload.storm_len = 50;
-  const auto storm_runs = harness::run_replicas(storm, seeds, opts.jobs);
+  const auto storm_runs = harness::run_replicas(storm, seeds, opts.jobs, opts.session);
   add_point_row(table, "zipf 0.99 + storm", storm_runs);
 
   ExperimentResult result;

@@ -81,7 +81,7 @@ ExperimentResult run(const RunOptions& opts) {
       [](ExperimentConfig& cfg, double s) {
         cfg.shard_count = static_cast<std::size_t>(s);
       },
-      seeds, opts.jobs);
+      seeds, opts.jobs, opts.session);
 
   const std::vector<std::string> columns{
       "shards",   "ops/tick", "reads completed", "writes completed",
@@ -115,7 +115,7 @@ ExperimentResult run(const RunOptions& opts) {
     scale.workload.key_count = 4096;
     apply_workload(opts, scale);
 
-    const auto runs = harness::run_replicas(scale, 1, opts.jobs);
+    const auto runs = harness::run_replicas(scale, 1, opts.jobs, opts.session);
     stats::DataTable scale_table(columns);
     add_point_row(scale_table, static_cast<double>(scale.shard_count), runs);
     result.sections.push_back(

@@ -45,7 +45,8 @@ ExperimentResult run(const RunOptions& opts) {
   ExperimentResult result;
 
   {
-    const auto points = harness::parallel_sweep(base, kFractions, set_churn, seeds, opts.jobs);
+    const auto points =
+        harness::parallel_sweep(base, kFractions, set_churn, seeds, opts.jobs, opts.session);
     stats::DataTable table(
         {"c/threshold", "churn c", "violation rate", "violations total",
          "violations max/seed", "reads of bottom", "join completion",
@@ -76,7 +77,8 @@ ExperimentResult run(const RunOptions& opts) {
     ExperimentConfig surv = base;
     surv.workload.writes_enabled = false;
     surv.workload.read_interval = 5;
-    const auto points = harness::parallel_sweep(surv, kFractions, set_churn, seeds, opts.jobs);
+    const auto points =
+        harness::parallel_sweep(surv, kFractions, set_churn, seeds, opts.jobs, opts.session);
     stats::DataTable table({"c/threshold", "reads of bottom", "violation rate",
                             "violations total", "min |A(t,t+3d)|", "value survived"});
     for (const auto& p : points) {

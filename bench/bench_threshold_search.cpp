@@ -20,7 +20,6 @@
 // replication dimension).
 #include "harness/experiment.h"
 #include "registry.h"
-#include "replay/hooks.h"
 #include "replay/search.h"
 
 namespace dynreg::bench {
@@ -52,7 +51,7 @@ stats::DataTable search_table(harness::Protocol protocol, bool toggle_loss,
   for (std::size_t i = 0; i < fractions.size(); ++i) {
     const ExperimentConfig cfg = point_config(protocol, fractions[i]);
     const replay::Trace base = replay::record_base(cfg);
-    const harness::MetricsReport base_report = harness::run_experiment(cfg, {});
+    const harness::MetricsReport base_report = harness::run_experiment(cfg);
     replay::SearchOptions opt;
     opt.seed = 100 + i;
     opt.budget = kBudget;

@@ -33,21 +33,22 @@ bool pump_until(sim::Simulation& sim, Pred pred, sim::Time deadline) {
 /// A scripted protocol deployment: one harness::World with no workload
 /// driver (the bench drives it), bootstrapped on construction.
 ///
-/// Record/replay: pass a nonzero `replay_key` (replay::scenario_key of the
-/// scenario's name and distinguishing parameters) and the cluster enrolls
-/// in the global replay session exactly like a run_experiment run — its
-/// net/churn decisions are captured in record mode and re-fed in replay
-/// mode, keyed by (replay_key, seed). Bench-driven spawn()/leave() calls
-/// and operations re-occur naturally when the bench code runs again, so
-/// only the substrate's decisions are in the trace. With replay_key 0 (the
-/// default) the cluster ignores the session.
+/// Record/replay: pass a session and a nonzero `replay_key`
+/// (replay::scenario_key of the scenario's name and distinguishing
+/// parameters) and the cluster enrolls in that session exactly like a swept
+/// run — its net/churn decisions are captured when recording and re-fed
+/// when replaying, keyed by (replay_key, seed). Bench-driven spawn()/leave()
+/// calls and operations re-occur naturally when the bench code runs again,
+/// so only the substrate's decisions are in the trace. With no session (the
+/// default) or replay_key 0 the cluster is a plain run.
 class ScriptedCluster {
  public:
   ScriptedCluster(std::uint64_t seed, std::size_t n, double churn_rate,
                   churn::LeavePolicy policy, std::unique_ptr<net::DelayModel> delays,
-                  churn::System::NodeFactory factory, std::uint64_t replay_key = 0)
+                  churn::System::NodeFactory factory, replay::Session* session = nullptr,
+                  std::uint64_t replay_key = 0)
       : sim(seed),
-        session_(replay_key, seed),
+        session_(session, replay_key, seed),
         streams_(sim, session_.hooks()),
         world(sim, std::move(delays), system_config(n, policy), churn_model(churn_rate),
               std::move(factory), streams_, /*shard=*/0) {
@@ -64,13 +65,14 @@ class ScriptedCluster {
                                                std::unique_ptr<net::DelayModel> delays,
                                                churn::LeavePolicy policy =
                                                    churn::LeavePolicy::kUniform,
+                                               replay::Session* session = nullptr,
                                                std::uint64_t replay_key = 0) {
     return std::make_unique<ScriptedCluster>(
         seed, n, churn_rate, policy, std::move(delays),
         [cfg](sim::ProcessId id, node::Context& ctx, bool initial) {
           return std::make_unique<SyncRegisterNode>(id, ctx, cfg, initial);
         },
-        replay_key);
+        session, replay_key);
   }
 
   static std::unique_ptr<ScriptedCluster> es(std::uint64_t seed, std::size_t n,
@@ -78,6 +80,7 @@ class ScriptedCluster {
                                              std::unique_ptr<net::DelayModel> delays,
                                              churn::LeavePolicy policy =
                                                  churn::LeavePolicy::kUniform,
+                                             replay::Session* session = nullptr,
                                              std::uint64_t replay_key = 0) {
     EsConfig cfg;
     cfg.n = n;
@@ -86,7 +89,7 @@ class ScriptedCluster {
         [cfg](sim::ProcessId id, node::Context& ctx, bool initial) {
           return std::make_unique<EsRegisterNode>(id, ctx, cfg, initial);
         },
-        replay_key);
+        session, replay_key);
   }
 
   RegisterNode* node(sim::ProcessId id) { return world.client.node(id); }

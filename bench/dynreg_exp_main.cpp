@@ -12,6 +12,7 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -355,15 +356,15 @@ int cmd_record(const Invocation& inv) {
     return 1;
   }
 
-  replay::Session& session = replay::Session::instance();
-  session.begin_record();
-  const std::size_t seeds = bench::effective_seeds(*e, inv.run);
-  const bench::ExperimentResult result = bench::run_resolved(*e, inv.run);
+  replay::Session session;  // recording
+  RunOptions opts = inv.run;
+  opts.session = &session;
+  const std::size_t seeds = bench::effective_seeds(*e, opts);
+  const bench::ExperimentResult result = bench::run_resolved(*e, opts);
   replay::TraceFile file;
   file.experiment = e->name;
   file.seeds = {seeds};
   file.traces = session.collected();
-  session.end();
 
   try {
     replay::write_file(*inv.out, file);
@@ -396,24 +397,19 @@ int cmd_replay(const Invocation& inv) {
                  "recording (use `dynreg_exp search`/`minimize` on it)\n";
     return 1;
   }
+  replay::Session session(std::move(file.traces));
   RunOptions opts = inv.run;
   opts.seeds = static_cast<std::size_t>(file.seeds[0]);
-
-  replay::Session& session = replay::Session::instance();
-  session.begin_replay(std::move(file.traces));
+  opts.session = &session;
   bench::ExperimentResult result;
   try {
     result = bench::run_resolved(*e, opts);
   } catch (const replay::TraceError& err) {
-    session.end();
     std::cerr << "replay: " << err.what() << "\n";
     return 1;
   }
-  const std::size_t replays = session.replays();
   const std::size_t mismatches = session.hash_mismatches();
-  session.end();
-
-  std::cerr << "replayed " << replays << " run(s), " << mismatches
+  std::cerr << "replayed " << session.replays() << " run(s), " << mismatches
             << " audit-hash mismatch(es)\n";
   std::cout << bench::to_json(*e, opts.seeds, result);
   return mismatches == 0 ? 0 : 1;
@@ -645,7 +641,12 @@ int main(int argc, char** argv) {
     Invocation inv;
     inv.run.jobs = 0;  // parallel by default; output is jobs-independent
     if (const auto code = parse(c, {args.begin() + 1, args.end()}, inv)) return *code;
-    return c.run(inv);
+    try {
+      return c.run(inv);
+    } catch (const std::invalid_argument& err) {  // a config the run cannot honour
+      std::cerr << c.name << ": " << err.what() << "\n";
+      return 1;
+    }
   }
   if (args[0] == "--help" || args[0] == "-h" || args[0] == "help") {
     return usage(std::cout, 0);

@@ -22,6 +22,10 @@ namespace dynreg::harness {
 struct ExperimentConfig;
 }  // namespace dynreg::harness
 
+namespace dynreg::replay {
+class Session;
+}  // namespace dynreg::replay
+
 namespace dynreg::bench {
 
 /// A CLI flag value after dynreg_exp validated it against the flag's
@@ -60,6 +64,10 @@ struct RunOptions {
   /// CLI overrides in command-line order; apply_workload() applies them.
   /// Scripted deterministic constructions (E1, E2, E5) never call it.
   std::vector<ConfigOverride> overrides;
+  /// The record/replay session of a `dynreg_exp record|replay` invocation;
+  /// null for a plain run. Run functions hand it to every run they want in
+  /// the recording (sweeps, harness::run_in_session, ScriptedCluster).
+  replay::Session* session = nullptr;
 };
 
 /// One table of results plus the paper-shape commentary attached to it.

@@ -12,7 +12,6 @@ Typical regeneration:
     cmake --preset release && cmake --build --preset release -j
     python3 scripts/record_bench.py \
         --bench build/release/bench_micro \
-        --exp build/release/dynreg_exp \
         --out BENCH_micro.json
 
 The existing file's "baseline" section is preserved so the before/after
@@ -25,7 +24,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 
 
 def run_google_benchmark(bench, min_time, repetitions):
@@ -61,20 +59,10 @@ def run_google_benchmark(bench, min_time, repetitions):
     return results, raw.get("context", {})
 
 
-def time_end_to_end(exp):
-    """Wall-clock of the full sweep the PR-3 engine parallelizes."""
-    argv = [exp, "run", "sync_churn_sweep", "--seeds=8", "--jobs=8", "--format=json"]
-    start = time.monotonic()
-    subprocess.run(argv, check=True, stdout=subprocess.DEVNULL)
-    seconds = time.monotonic() - start
-    return {"command": " ".join(argv[1:]), "wall_seconds": round(seconds, 2)}
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--bench", required=True, help="path to the bench_micro binary")
-    ap.add_argument("--exp", help="path to dynreg_exp; adds an end-to-end sweep timing")
     ap.add_argument("--out", default="BENCH_micro.json")
     ap.add_argument("--min-time", default="0.2",
                     help="google-benchmark --benchmark_min_time value")
@@ -118,9 +106,6 @@ def main():
         "mhz_per_cpu": context.get("mhz_per_cpu"),
         "library_build_type": context.get("library_build_type"),
     }
-    if args.exp:
-        doc["current"]["end_to_end"] = time_end_to_end(args.exp)
-
     if args.rebaseline or "baseline" not in doc:
         doc["baseline"] = json.loads(json.dumps(doc["current"]))
         if args.label:
@@ -134,11 +119,6 @@ def main():
                 cur["items_per_second"] / base[name]["items_per_second"], 2)
         elif name in base:
             speedups[name] = round(base[name]["real_time"] / cur["real_time"], 2)
-    base_e2e = doc["baseline"].get("end_to_end")
-    cur_e2e = doc["current"].get("end_to_end")
-    if base_e2e and cur_e2e:
-        speedups["end_to_end_sweep"] = round(
-            base_e2e["wall_seconds"] / cur_e2e["wall_seconds"], 2)
     doc["speedup_vs_baseline"] = speedups
 
     with open(args.out, "w") as f:

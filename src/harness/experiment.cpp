@@ -3,28 +3,29 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "harness/builders.h"
 #include "harness/workload.h"
 #include "harness/world.h"
-#include "replay/hooks.h"
-#include "replay/session.h"
-#include "replay/trace_io.h"
 #include "shard/keyed_workload.h"
 #include "shard/keyspace.h"
 #include "shard/router.h"
 
 namespace dynreg::harness {
 
-MetricsReport run_experiment(const ExperimentConfig& cfg) {
-  replay::SessionRun session(replay::fingerprint(cfg), cfg.seed);
-  MetricsReport report = run_experiment(cfg, session.hooks());
-  session.finish(report.trace_hash);
-  return report;
+void ExperimentConfig::validate() const {
+  if (shard_count > n) {
+    throw std::invalid_argument("shard count " + std::to_string(shard_count) +
+                                " exceeds the system size n=" + std::to_string(n) +
+                                "; a shard needs at least one process");
+  }
 }
 
 MetricsReport run_experiment(const ExperimentConfig& cfg, const replay::RunHooks& hooks) {
+  cfg.validate();
   sim::Simulation sim(cfg.seed);
   RunStreams streams(sim, hooks);
 

@@ -10,11 +10,8 @@
 #include "fault/plan.h"
 #include "harness/metrics.h"
 #include "harness/workload_config.h"
+#include "replay/hooks.h"
 #include "sim/simulation.h"
-
-namespace dynreg::replay {
-struct RunHooks;
-}  // namespace dynreg::replay
 
 namespace dynreg::harness {
 
@@ -100,6 +97,10 @@ struct ExperimentConfig {
   /// machinery is not even constructed — the fault-free path is untouched.
   fault::Plan fault;
 
+  /// Throws std::invalid_argument naming the first setting this config
+  /// cannot honour: more shards than processes would leave shards empty.
+  void validate() const;
+
   /// Theorem 1's sufficient churn bound for the synchronous protocol.
   [[nodiscard]] double sync_churn_threshold() const { return 1.0 / (3.0 * static_cast<double>(delta)); }
   /// Section 5's churn constraint for the eventually synchronous protocol.
@@ -108,21 +109,16 @@ struct ExperimentConfig {
   }
 };
 
-/// Runs one replica to completion: deploys `config.protocol` over the
-/// churn/network substrate, applies the workload until `config.duration`,
-/// then harvests metrics and runs the consistency checkers over the
-/// recorded history. Self-contained and thread-compatible: concurrent calls
-/// share no state, which is what the parallel sweep engine exploits.
+/// Runs one replica to completion: validates `config`, deploys
+/// `config.protocol` over the churn/network substrate, applies the workload
+/// until `config.duration`, then harvests metrics and runs the consistency
+/// checkers over the recorded history. Self-contained and
+/// thread-compatible: concurrent calls share no state, which is what the
+/// parallel sweep engine exploits.
 ///
-/// When the global replay::Session is in record or replay mode this entry
-/// point transparently captures, respectively re-feeds, the run's schedule
-/// (see src/replay/session.h); otherwise it is a plain run.
-MetricsReport run_experiment(const ExperimentConfig& config);
-
-/// Same run, with explicit record/replay hooks (see replay/hooks.h) and no
-/// session involvement — the schedule searcher's and minimizer's entry
-/// point. Pass a default-constructed RunHooks for a plain run.
+/// `hooks` (see replay/hooks.h) record the run's schedule or drive it from
+/// a recorded one; the default is a plain live run.
 MetricsReport run_experiment(const ExperimentConfig& config,
-                             const replay::RunHooks& hooks);
+                             const replay::RunHooks& hooks = {});
 
 }  // namespace dynreg::harness

@@ -16,6 +16,10 @@
 #include "harness/experiment.h"
 #include "harness/metrics.h"
 
+namespace dynreg::replay {
+class Session;
+}  // namespace dynreg::replay
+
 namespace dynreg::harness {
 
 /// Mean of fn over a set of runs.
@@ -72,20 +76,28 @@ std::uint64_t replica_seed(std::uint64_t base_seed, std::size_t index);
 // dynreg-lint: allow(std-function): one instance per sweep call, invoked at replica setup only
 using ConfigureFn = std::function<void(ExperimentConfig&, double)>;
 
+/// Runs `cfg` enrolled in `session` under (fingerprint(cfg), cfg.seed): a
+/// recording session captures the run's schedule, a replay session drives
+/// the run from the recorded one (see replay/session.h). A null session
+/// makes a plain run_experiment.
+MetricsReport run_in_session(const ExperimentConfig& cfg, replay::Session* session);
+
 /// Runs `seeds` replicas of `base` (differing only in seed) across up to
-/// `jobs` worker threads (0 = one per hardware thread). The result vector is
-/// in seed order regardless of jobs.
+/// `jobs` worker threads (0 = one per hardware thread), each enrolled in
+/// `session` (null: plain runs). The result vector is in seed order
+/// regardless of jobs.
 std::vector<MetricsReport> run_replicas(const ExperimentConfig& base, std::size_t seeds,
-                                        std::size_t jobs);
+                                        std::size_t jobs, replay::Session* session);
 
 /// Runs `base` once per (x, seed) pair, `configure` applying x to a copy of
 /// the base config before each run, with up to `jobs` replicas in flight at
-/// once (0 = one per hardware thread). Point and run order match the inputs
-/// regardless of jobs. `configure` must be safe to call concurrently (it
-/// only ever mutates the private copy it is handed).
+/// once (0 = one per hardware thread), each enrolled in `session` (null:
+/// plain runs). Point and run order match the inputs regardless of jobs.
+/// `configure` must be safe to call concurrently (it only ever mutates the
+/// private copy it is handed).
 std::vector<SweepPoint> parallel_sweep(const ExperimentConfig& base,
                                        const std::vector<double>& xs,
                                        const ConfigureFn& configure, std::size_t seeds,
-                                       std::size_t jobs);
+                                       std::size_t jobs, replay::Session* session);
 
 }  // namespace dynreg::harness

@@ -7,9 +7,10 @@
 //   replay   drive the run from *replay instead of the rng (see
 //            replay/replayer.h for the divergence semantics).
 //
-// The hooks overload never consults the global replay::Session — that is
-// what lets the schedule searcher and the minimizer run thousands of nested
-// replays while a CLI-level record/replay session is in flight.
+// Default-constructed hooks make a plain live run. A replay::SessionRun
+// builds them for a run enrolled in a record/replay session; the schedule
+// searcher and the minimizer build their own, so their nested replays stay
+// out of any session an invocation holds.
 #pragma once
 
 #include "replay/trace.h"

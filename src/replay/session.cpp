@@ -7,47 +7,15 @@
 
 namespace dynreg::replay {
 
-Session& Session::instance() {
-  static Session session;
-  return session;
-}
-
-void Session::begin_record() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  mode_ = Mode::kRecord;
-  traces_.clear();
-  replays_ = 0;
-  hash_mismatches_ = 0;
-}
-
-void Session::begin_replay(std::vector<Trace> traces) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  mode_ = Mode::kReplay;
-  traces_.clear();
-  replays_ = 0;
-  hash_mismatches_ = 0;
+Session::Session(std::vector<Trace> traces) : replaying_(true) {
   for (Trace& t : traces) {
     const Key key{t.fingerprint, t.seed};
     traces_.emplace(key, std::make_shared<const Trace>(std::move(t)));
   }
 }
 
-void Session::end() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  mode_ = Mode::kOff;
-  traces_.clear();
-  replays_ = 0;
-  hash_mismatches_ = 0;
-}
-
-Session::Mode Session::mode() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return mode_;
-}
-
 void Session::commit(Trace trace) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (mode_ != Mode::kRecord) return;
   const Key key{trace.fingerprint, trace.seed};
   traces_.emplace(key, std::make_shared<const Trace>(std::move(trace)));
 }
@@ -89,32 +57,26 @@ std::size_t Session::hash_mismatches() const {
   return hash_mismatches_;
 }
 
-SessionRun::SessionRun(std::uint64_t key, std::uint64_t seed) {
-  if (key == 0) return;
-  Session& session = Session::instance();
-  switch (session.mode()) {
-    case Session::Mode::kOff:
-      break;
-    case Session::Mode::kRecord:
-      recorded_.fingerprint = key;
-      recorded_.seed = seed;
-      hooks_.record = &recorded_;
-      break;
-    case Session::Mode::kReplay:
-      replayed_ = session.find(key, seed);
-      hooks_.replay = replayed_.get();
-      break;
+SessionRun::SessionRun(Session* session, std::uint64_t key, std::uint64_t seed)
+    : session_(key == 0 ? nullptr : session) {
+  if (session_ == nullptr) return;
+  if (session_->replaying_) {
+    replayed_ = session_->find(key, seed);
+    hooks_.replay = replayed_.get();
+  } else {
+    recorded_.fingerprint = key;
+    recorded_.seed = seed;
+    hooks_.record = &recorded_;
   }
 }
 
 void SessionRun::finish(std::uint64_t trace_hash) {
-  Session& session = Session::instance();
   if (hooks_.record != nullptr) {
     recorded_.recorded_hash = trace_hash;
-    session.commit(std::move(recorded_));
+    session_->commit(std::move(recorded_));
   } else if (replayed_) {
-    session.note_replay(replayed_->recorded_hash == 0 || trace_hash == 0 ||
-                        trace_hash == replayed_->recorded_hash);
+    session_->note_replay(replayed_->recorded_hash == 0 || trace_hash == 0 ||
+                          trace_hash == replayed_->recorded_hash);
   }
   hooks_ = RunHooks{};
   replayed_.reset();

@@ -66,8 +66,8 @@ TEST(AuditTrace, DifferentSeedsDiverge) {
 TEST(AuditTrace, HashIndependentOfWorkerCount) {
   const auto cfg = es_churn_config();
   constexpr std::size_t kSeeds = 6;
-  const auto serial = run_replicas(cfg, kSeeds, 1);
-  const auto parallel = run_replicas(cfg, kSeeds, 8);
+  const auto serial = run_replicas(cfg, kSeeds, 1, nullptr);
+  const auto parallel = run_replicas(cfg, kSeeds, 8, nullptr);
   ASSERT_EQ(serial.size(), kSeeds);
   ASSERT_EQ(parallel.size(), kSeeds);
   for (std::size_t i = 0; i < kSeeds; ++i) {
@@ -87,8 +87,8 @@ TEST(AuditTrace, SweepHashesIndependentOfWorkerCount) {
   const auto configure = [](ExperimentConfig& cfg, double rate) {
     cfg.churn_rate = rate;
   };
-  const auto serial = parallel_sweep(base, rates, configure, 3, 1);
-  const auto parallel = parallel_sweep(base, rates, configure, 3, 8);
+  const auto serial = parallel_sweep(base, rates, configure, 3, 1, nullptr);
+  const auto parallel = parallel_sweep(base, rates, configure, 3, 8, nullptr);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t p = 0; p < serial.size(); ++p) {
     ASSERT_EQ(serial[p].runs.size(), parallel[p].runs.size());

@@ -9,7 +9,6 @@
 
 #include "churn/chronicle.h"
 #include "harness/experiment.h"
-#include "replay/hooks.h"
 
 namespace dynreg::churn {
 namespace {
@@ -118,9 +117,8 @@ TEST(ChronicleOptions, ExperimentReportUnchangedByAggregateMode) {
   harness::ExperimentConfig flagged = cfg;
   flagged.chronicle_aggregate = true;
 
-  const harness::MetricsReport a = harness::run_experiment(cfg, replay::RunHooks{});
-  const harness::MetricsReport b =
-      harness::run_experiment(flagged, replay::RunHooks{});
+  const harness::MetricsReport a = harness::run_experiment(cfg);
+  const harness::MetricsReport b = harness::run_experiment(flagged);
 
   EXPECT_EQ(a.trace_hash, b.trace_hash);
   EXPECT_EQ(a.reads_issued, b.reads_issued);
@@ -156,9 +154,8 @@ TEST(ChronicleOptions, ShardedReportUnchangedByAggregateMode) {
   harness::ExperimentConfig flagged = cfg;
   flagged.chronicle_aggregate = true;
 
-  const harness::MetricsReport a = harness::run_experiment(cfg, replay::RunHooks{});
-  const harness::MetricsReport b =
-      harness::run_experiment(flagged, replay::RunHooks{});
+  const harness::MetricsReport a = harness::run_experiment(cfg);
+  const harness::MetricsReport b = harness::run_experiment(flagged);
 
   EXPECT_EQ(a.trace_hash, b.trace_hash);
   EXPECT_EQ(a.reads_completed, b.reads_completed);

@@ -9,8 +9,9 @@ subcommand does not accept are `unknown flag` errors (usage, exit 2), that a
 missing or extra positional argument prints usage with exit 2 (so does
 `run --all <name>`), that unresolvable targets exit 1, that a run directory
 --out cannot create exits 1, that a recording replays while a replay its
-recording does not cover exits 1, and that one cheap experiment runs with
-output independent of --jobs. Every invocation runs in a fresh temporary directory.
+recording does not cover exits 1, that a config the run cannot honour exits
+1, and that one cheap experiment runs with output independent of --jobs.
+Every invocation runs in a fresh temporary directory.
 """
 
 import json
@@ -212,6 +213,12 @@ def check_replay_contract(cli):
                   stderr_prefix="replay: no trace recorded for config fingerprint")
 
 
+def check_rejected_configs(cli):
+    """A config the run cannot honour exits 1 with `<command>: <reason>`."""
+    cli.check(["run", "es_churn_sweep", "--seeds=1", "--shards=1000"], 1, stdout="",
+              stderr_prefix="run: shard count 1000 exceeds the system size n=21")
+
+
 def check_happy_path(cli):
     proc = cli.check(["list"], 0, stderr="")
     for word in ["fig3_join_wait", "E1", "E20"]:
@@ -258,6 +265,7 @@ def main():
     check_operand_counts(cli)
     check_unresolvable_targets(cli)
     check_replay_contract(cli)
+    check_rejected_configs(cli)
     check_happy_path(cli)
     for failure in cli.failures:
         print("FAIL:", failure)

@@ -126,8 +126,8 @@ TEST(FaultPlan, ByzantineClassIsDeterministic) {
 
 TEST(FaultPlan, FaultedRunsAreJobsIndependent) {
   const auto cfg = everything_config();
-  const auto serial = harness::run_replicas(cfg, 4, 1);
-  const auto pooled = harness::run_replicas(cfg, 4, 8);
+  const auto serial = harness::run_replicas(cfg, 4, 1, nullptr);
+  const auto pooled = harness::run_replicas(cfg, 4, 8, nullptr);
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE(i);
@@ -275,12 +275,12 @@ TEST(FaultPlan, ShardedRunInjectsFaultsInEveryShard) {
   cfg.fault.byzantine.stale_replay = false;
   cfg.fault.byzantine.forge = false;  // value corruption only
 
-  const MetricsReport a = harness::run_experiment(cfg, replay::RunHooks{});
+  const MetricsReport a = harness::run_experiment(cfg);
   EXPECT_GT(a.faults_crashes, 0u);
   EXPECT_GT(a.faults_partitions, 0u);
   EXPECT_GT(a.msgs_transformed, 0u);
   ASSERT_EQ(a.shards.size(), 2u);
-  expect_identical(a, harness::run_experiment(cfg, replay::RunHooks{}));
+  expect_identical(a, harness::run_experiment(cfg));
 
   replay::Trace trace;
   trace.seed = cfg.seed;

@@ -145,8 +145,8 @@ TEST(ParallelSweep, OutputIndependentOfWorkerCount) {
   const std::vector<double> xs{0.0, 0.01, 0.03};
   const auto configure = [](ExperimentConfig& cfg, double c) { cfg.churn_rate = c; };
 
-  const auto serial = parallel_sweep(base, xs, configure, /*seeds=*/4, /*jobs=*/1);
-  const auto parallel = parallel_sweep(base, xs, configure, /*seeds=*/4, /*jobs=*/8);
+  const auto serial = parallel_sweep(base, xs, configure, /*seeds=*/4, /*jobs=*/1, nullptr);
+  const auto parallel = parallel_sweep(base, xs, configure, /*seeds=*/4, /*jobs=*/8, nullptr);
   EXPECT_EQ(serialize(serial), serialize(parallel));
 }
 
@@ -157,8 +157,8 @@ TEST(ParallelSweep, ReplicaSeedsMatchHistoricalDerivation) {
 
 TEST(RunReplicas, SeedOrderIsStable) {
   const ExperimentConfig base = cheap_config();
-  const auto serial = run_replicas(base, 4, /*jobs=*/1);
-  const auto pooled = run_replicas(base, 4, /*jobs=*/4);
+  const auto serial = run_replicas(base, 4, /*jobs=*/1, nullptr);
+  const auto pooled = run_replicas(base, 4, /*jobs=*/4, nullptr);
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].reads_completed, pooled[i].reads_completed) << i;

@@ -7,10 +7,12 @@
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "emit.h"
 #include "harness/experiment.h"
+#include "harness/sweep.h"
 #include "registry.h"
 #include "replay/session.h"
 #include "replay/trace_io.h"
@@ -23,33 +25,32 @@ struct Recorded {
   replay::TraceFile file;
 };
 
-Recorded record(const Experiment& e, std::size_t jobs) {
+RunOptions options(std::size_t jobs, replay::Session* session) {
   RunOptions opts;
   opts.seeds = 1;  // one replica per point keeps the full sweep affordable
   opts.max_n = 100;  // caps the scaling experiments' (E15/E16) n grids too
   opts.jobs = jobs;
-  replay::Session& session = replay::Session::instance();
-  session.begin_record();
-  const ExperimentResult result = e.run(opts);
+  opts.session = session;
+  return opts;
+}
+
+Recorded record(const Experiment& e, std::size_t jobs) {
+  replay::Session session;
+  const ExperimentResult result = e.run(options(jobs, &session));
   Recorded rec;
   rec.json = to_json(e, 1, result);
   rec.file.experiment = e.name;
   rec.file.seeds = {1};
   rec.file.traces = session.collected();
-  session.end();
   return rec;
 }
 
 std::string replay_from(const Experiment& e, replay::TraceFile file, std::size_t jobs) {
-  RunOptions opts;
-  opts.seeds = 1;
-  opts.max_n = 100;
-  opts.jobs = jobs;
-  replay::Session& session = replay::Session::instance();
-  session.begin_replay(std::move(file.traces));
-  const ExperimentResult result = e.run(opts);
+  const bool recorded = !file.traces.empty();
+  replay::Session session(std::move(file.traces));
+  const ExperimentResult result = e.run(options(jobs, &session));
+  EXPECT_EQ(session.replays() > 0, recorded) << e.name;
   EXPECT_EQ(session.hash_mismatches(), 0u) << e.name;
-  session.end();
   return to_json(e, 1, result);
 }
 
@@ -61,9 +62,8 @@ TEST(ReplayRoundTrip, EveryExperimentRecordsAndReplaysByteIdentically) {
     // Serialize through the real file format — the replay consumes exactly
     // the bytes a `dynreg_exp record` artifact would hold.
     replay::TraceFile decoded = replay::decode(replay::encode(rec.file));
-    // E14 drives its runs through the hooks overload (session-bypassing by
-    // design: its searches must not pollute the recording); every other
-    // experiment's runs must show up in the session.
+    // E14 is never handed the session (its searches must stay out of the
+    // recording); every other experiment's runs must show up in it.
     if (e->name != "threshold_search") {
       EXPECT_FALSE(decoded.traces.empty()) << e->name;
     }
@@ -188,6 +188,56 @@ TEST(ReplayRoundTrip, ScriptedScenarioExperimentsEnrollInTheSession) {
         replay_from(*e, replay::decode(replay::encode(rec.file)), /*jobs=*/1);
     EXPECT_EQ(replayed, rec.json);
   }
+}
+
+TEST(ReplayRoundTrip, SessionsInOneProcessAreIndependent) {
+  // Two recordings of different experiments in flight at once, each with
+  // pooled workers of its own, while this thread makes a plain run: neither
+  // session sees the other's runs or the plain one, and each replays
+  // byte-identically from its own traces.
+  const Experiment* a = ExperimentRegistry::instance().find("es_churn_sweep");
+  const Experiment* b = ExperimentRegistry::instance().find("closed_loop_clients");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  ASSERT_TRUE(a->scenario);
+  harness::ExperimentConfig plain = a->scenario();
+  plain.seed = 424242;  // a (config, seed) neither recording runs
+
+  Recorded a_rec;
+  Recorded b_rec;
+  std::thread a_thread([&] { a_rec = record(*a, /*jobs=*/2); });
+  std::thread b_thread([&] { b_rec = record(*b, /*jobs=*/2); });
+  EXPECT_EQ(harness::run_experiment(plain).trace_hash,
+            harness::run_in_session(plain, nullptr).trace_hash);
+  a_thread.join();
+  b_thread.join();
+
+  ASSERT_FALSE(a_rec.file.traces.empty());
+  ASSERT_FALSE(b_rec.file.traces.empty());
+  const std::uint64_t plain_key = replay::fingerprint(plain);
+  for (const Recorded* rec : {&a_rec, &b_rec}) {
+    for (const replay::Trace& t : rec->file.traces) {
+      EXPECT_FALSE(t.fingerprint == plain_key && t.seed == plain.seed);
+    }
+  }
+  for (const replay::Trace& ta : a_rec.file.traces) {
+    for (const replay::Trace& tb : b_rec.file.traces) {
+      EXPECT_NE(ta.fingerprint, tb.fingerprint);
+    }
+  }
+  // Each concurrent recording holds exactly what a recording made alone
+  // holds.
+  EXPECT_EQ(replay::encode(a_rec.file), replay::encode(record(*a, /*jobs=*/1).file));
+  EXPECT_EQ(replay::encode(b_rec.file), replay::encode(record(*b, /*jobs=*/1).file));
+
+  std::string a_replayed;
+  std::string b_replayed;
+  std::thread a_replay([&] { a_replayed = replay_from(*a, a_rec.file, /*jobs=*/2); });
+  std::thread b_replay([&] { b_replayed = replay_from(*b, b_rec.file, /*jobs=*/2); });
+  a_replay.join();
+  b_replay.join();
+  EXPECT_EQ(a_replayed, a_rec.json);
+  EXPECT_EQ(b_replayed, b_rec.json);
 }
 
 }  // namespace

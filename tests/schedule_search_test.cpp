@@ -39,7 +39,7 @@ TEST(ScheduleSearch, RecordedBaseReplaysByteIdentically) {
   // the replay ran (hash 0 on both sides).
   EXPECT_EQ(replayed.trace_hash, base.recorded_hash);
 
-  const harness::MetricsReport original = harness::run_experiment(cfg, RunHooks{});
+  const harness::MetricsReport original = harness::run_experiment(cfg);
   EXPECT_EQ(original.trace_hash, base.recorded_hash);
 }
 
@@ -114,7 +114,7 @@ TEST(ScheduleSearch, ResultsAreJobsIndependent) {
 TEST(ScheduleSearch, FindsTheNoWaitViolationUnderLegalChurn) {
   // The base schedule is clean — E3-style sampling would report "safe".
   const harness::ExperimentConfig cfg = scenario(harness::Protocol::kSyncNoWait);
-  const harness::MetricsReport base_report = harness::run_experiment(cfg, RunHooks{});
+  const harness::MetricsReport base_report = harness::run_experiment(cfg);
   EXPECT_FALSE(violates(base_report));
 
   const Trace base = record_base(cfg);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "harness/experiment.h"
@@ -55,10 +56,21 @@ TEST(Keyspace, HashPartitionSpreadsConsecutiveKeys) {
   }
 }
 
+TEST(ShardedRun, RejectsMoreShardsThanProcesses) {
+  // n/S would leave the extra shards without a single process: completion
+  // and latency would then be reported from empty shards.
+  harness::ExperimentConfig cfg = sharded_config();
+  cfg.shard_count = cfg.n + 1;
+  EXPECT_THROW(harness::run_experiment(cfg), std::invalid_argument);
+  cfg.shard_count = cfg.n;  // one process per shard is still a run
+  cfg.duration = 50;
+  EXPECT_NO_THROW(harness::run_experiment(cfg));
+}
+
 TEST(ShardedRun, DeterministicAcrossRepeats) {
   const harness::ExperimentConfig cfg = sharded_config();
-  const harness::MetricsReport a = harness::run_experiment(cfg, replay::RunHooks{});
-  const harness::MetricsReport b = harness::run_experiment(cfg, replay::RunHooks{});
+  const harness::MetricsReport a = harness::run_experiment(cfg);
+  const harness::MetricsReport b = harness::run_experiment(cfg);
   EXPECT_EQ(a.trace_hash, b.trace_hash);
   EXPECT_EQ(a.reads_completed, b.reads_completed);
   EXPECT_EQ(a.writes_completed, b.writes_completed);
@@ -70,8 +82,7 @@ TEST(ShardedRun, DeterministicAcrossRepeats) {
 }
 
 TEST(ShardedRun, ServesKeyedTrafficOnEveryShard) {
-  const harness::MetricsReport r =
-      harness::run_experiment(sharded_config(), replay::RunHooks{});
+  const harness::MetricsReport r = harness::run_experiment(sharded_config());
   ASSERT_EQ(r.shards.size(), 4u);
   std::uint64_t total = 0;
   for (const harness::ShardMetrics& sm : r.shards) {
@@ -100,9 +111,9 @@ TEST(ShardedRun, WriteThroughputScalesWithShardCount) {
   cfg.workload.clients = 48;
 
   cfg.shard_count = 1;
-  const harness::MetricsReport one = harness::run_experiment(cfg, replay::RunHooks{});
+  const harness::MetricsReport one = harness::run_experiment(cfg);
   cfg.shard_count = 4;
-  const harness::MetricsReport four = harness::run_experiment(cfg, replay::RunHooks{});
+  const harness::MetricsReport four = harness::run_experiment(cfg);
 
   EXPECT_GT(four.writes_completed, one.writes_completed);
   EXPECT_GT(four.ops_per_tick, one.ops_per_tick);
