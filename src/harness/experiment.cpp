@@ -78,6 +78,7 @@ MetricsReport run_experiment(const ExperimentConfig& cfg, const replay::RunHooks
 
   MetricsReport report = harvest(cfg, map, injectors);
   report.trace_hash = sim.trace_hash();
+  report.sim_events = sim.events();
   return report;
 }
 

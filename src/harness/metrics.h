@@ -108,6 +108,15 @@ struct [[nodiscard]] MetricsReport {
   /// serializers: it is a build-mode-dependent diagnostic, and emitted
   /// experiment output stays byte-identical across audit on/off.
   std::uint64_t trace_hash = 0;
+  /// Deterministic work counters, equal in every build mode and likewise
+  /// kept out of the serializers: queued events the simulation dispatched
+  /// (sim::Simulation::events), and message copies handed to the delay
+  /// model and delivered to a receiver, summed over every shard's network
+  /// (net::Network::Stats sent / delivered). Tests pin them exactly, so a
+  /// change to the event or message volume shows on any machine.
+  std::uint64_t sim_events = 0;
+  std::uint64_t net_copies_sent = 0;
+  std::uint64_t net_copies_delivered = 0;
 
   double read_completion_rate() const {
     return reads_issued == 0 ? 1.0

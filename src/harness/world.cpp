@@ -291,6 +291,8 @@ MetricsReport harvest(const ExperimentConfig& cfg, const shard::ShardMap& groups
     report.atomicity.reads_checked += inv.reads_checked;
     report.atomicity.inversion_count += inv.inversion_count;
 
+    report.net_copies_sent += ref.net->stats().sent;
+    report.net_copies_delivered += ref.net->stats().delivered;
     for (const auto& [type, count] : ref.net->delivered_by_type()) {
       report.msgs_by_type[type] += count;
     }

@@ -43,8 +43,8 @@ class ShardedClient {
   [[nodiscard]] const ShardMap& map() const { return map_; }
 
   /// Fills `report` with harness::harvest over this router's shards (global
-  /// fields plus the per-shard ShardMetrics slices). trace_hash is the
-  /// caller's.
+  /// fields plus the per-shard ShardMetrics slices). trace_hash and
+  /// sim_events are the caller's.
   void harvest(const harness::ExperimentConfig& cfg,
                harness::MetricsReport& report) const;
 

@@ -13,6 +13,7 @@ bool Simulation::step() {
   audit_note(queue_.next_time());
   audit_note(++audit_seq_);
 #endif
+  ++events_;
   const Time before = now_;
   queue_.run_top(&now_);  // advances the clock, then executes in place
   // One arena epoch per simulated-clock advance: anything freed at `before`

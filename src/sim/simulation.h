@@ -91,6 +91,11 @@ class Simulation {
 #endif
   }
 
+  /// Queued events step() has dispatched so far, in every build mode. A
+  /// batched broadcast is one event here however many copies it carries,
+  /// unlike the audit digest, which folds each copy.
+  [[nodiscard]] std::uint64_t events() const { return events_; }
+
   /// Schedules fn at absolute time t (clamped to now if in the past).
   /// Accepts any `void()` callable; small captures are stored without
   /// allocating (see InlineTask).
@@ -127,6 +132,7 @@ class Simulation {
   EventQueue queue_;
   Rng rng_;
   std::uint64_t seed_ = 0;
+  std::uint64_t events_ = 0;
 #ifdef DYNREG_AUDIT
   std::uint64_t trace_hash_ = 0x9e3779b97f4a7c15ULL;  // non-zero: "audited, empty"
   std::uint64_t audit_seq_ = 0;

@@ -1,10 +1,15 @@
-// Pinned event-stream digests. Each scenario's DYNREG_AUDIT trace_hash folds
-// every dispatched message copy's (time, dispatch sequence number) and its
-// (from, to, type) shape, so any change to delivery order, delivery time,
-// drop accounting, or RNG draw order changes the literal below. The literals
-// were captured from the per-copy event design (one queued event per
-// message copy); the grouped delivery path (one queued event per broadcast
-// arrival tick) must reproduce them exactly.
+// Pinned event-stream digests and work counts. Each scenario's DYNREG_AUDIT
+// trace_hash folds every dispatched message copy's (time, dispatch sequence
+// number) and its (from, to, type) shape, so any change to delivery order,
+// delivery time, drop accounting, or RNG draw order changes the literal
+// below. The literals were captured from the per-copy event design (one
+// queued event per message copy); the grouped delivery path (one queued
+// event per broadcast arrival tick) must reproduce them exactly.
+//
+// The counts (queued events dispatched, message copies sent and delivered)
+// hold in every build mode. They are the machine-independent gate for
+// performance work: a change that only makes the same run faster leaves
+// them alone, and one that queues fewer events must say so here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -115,24 +120,112 @@ ExperimentConfig sync_sharded() {
   return cfg;
 }
 
-void expect_pinned(const ExperimentConfig& cfg, std::uint64_t expected) {
-  if (!sim::Simulation::audit_enabled()) {
-    GTEST_SKIP() << "trace_hash needs a DYNREG_AUDIT build";
-  }
-  const MetricsReport report = run_experiment(cfg);
-  EXPECT_EQ(report.trace_hash, expected)
-      << "actual 0x" << std::hex << report.trace_hash;
+// Small copies of the three perfbench workload shapes (perfbench/src/
+// workloads.cpp), duplicated here so the gate does not depend on the
+// benchmark's sources.
+
+// quorum_scale: ES quorum operations over a fanout-4 tree, no churn.
+ExperimentConfig quorum_scale() {
+  ExperimentConfig cfg;
+  cfg.protocol = Protocol::kEventuallySync;
+  cfg.timing = Timing::kEventuallySynchronous;
+  cfg.gst = 0;
+  cfg.n = 2000;
+  cfg.delta = 5;
+  cfg.duration = 400;
+  cfg.churn_kind = ChurnKind::kNone;
+  cfg.dissemination = Dissemination::kTree;
+  cfg.tree_fanout = 4;
+  cfg.workload.read_interval = 40;
+  cfg.workload.write_interval = 80;
+  cfg.chronicle_aggregate = true;
+  cfg.seed = 1;
+  return cfg;
 }
 
-TEST(EventStreamPin, EsFlat) { expect_pinned(es_flat(), 0xbaf107f8d730c33aULL); }
-TEST(EventStreamPin, EsTree) { expect_pinned(es_tree(), 0x7c97c6ee02db0983ULL); }
-TEST(EventStreamPin, SyncUnderChurn) { expect_pinned(sync_churn(), 0x245ae4a0b2220e1bULL); }
-TEST(EventStreamPin, EsCrashAndPartition) { expect_pinned(es_faults(), 0x707f13a1b35377e7ULL); }
-TEST(EventStreamPin, AbdUnderChurn) { expect_pinned(abd_churn(), 0x76fb3c6b5955e378ULL); }
+// churn_sessions: sync shards under churn at a twentieth of Theorem 1's
+// bound, one closed-loop session per process over zipfian keys.
+ExperimentConfig churn_sessions() {
+  ExperimentConfig cfg;
+  cfg.protocol = Protocol::kSync;
+  cfg.timing = Timing::kSynchronous;
+  cfg.n = 1024;
+  cfg.delta = 5;
+  cfg.shard_count = 16;
+  cfg.duration = 200;
+  cfg.churn_kind = ChurnKind::kConstant;
+  cfg.churn_rate = 0.05 * cfg.sync_churn_threshold();
+  cfg.workload.clients = cfg.n;
+  cfg.workload.think_time = 2;
+  cfg.workload.key_count = 256;
+  cfg.workload.zipf_s = 0.99;
+  cfg.workload.read_frac = 0.9;
+  cfg.chronicle_aggregate = true;
+  cfg.seed = 1;
+  return cfg;
+}
 
-// The sharded pin also fixes the integer report fields, which hold in every
-// build mode; only the hash needs the auditor.
+// fault_search's base run: n=15 ES with durable crash-recovery and
+// asymmetric partitions (the search then perturbs runs like this one).
+ExperimentConfig fault_search_base() {
+  ExperimentConfig cfg;
+  cfg.protocol = Protocol::kEventuallySync;
+  cfg.timing = Timing::kEventuallySynchronous;
+  cfg.gst = 0;
+  cfg.n = 15;
+  cfg.delta = 5;
+  cfg.duration = 2500;
+  cfg.churn_rate = 0.0;
+  cfg.workload.read_interval = 10;
+  cfg.workload.write_interval = 60;
+  cfg.fault.crash.rate = 0.01;
+  cfg.fault.crash.recover_fraction = 1.0;
+  cfg.fault.crash.restart = fault::RestartState::kDurable;
+  cfg.fault.partition.rate = 0.002;
+  cfg.fault.partition.duration = 150;
+  cfg.fault.partition.fraction = 0.3;
+  cfg.fault.partition.asymmetric = true;
+  cfg.seed = 1;
+  return cfg;
+}
+
+struct Counts {
+  std::uint64_t sim_events;
+  std::uint64_t net_copies_sent;
+  std::uint64_t net_copies_delivered;
+};
+
+/// Runs `cfg` and checks its work counts (every build) and its trace_hash
+/// (audit builds).
+void expect_pinned(const ExperimentConfig& cfg, std::uint64_t hash, const Counts& counts) {
+  const MetricsReport report = run_experiment(cfg);
+  EXPECT_EQ(report.sim_events, counts.sim_events);
+  EXPECT_EQ(report.net_copies_sent, counts.net_copies_sent);
+  EXPECT_EQ(report.net_copies_delivered, counts.net_copies_delivered);
+  if (sim::Simulation::audit_enabled()) {
+    EXPECT_EQ(report.trace_hash, hash) << "actual 0x" << std::hex << report.trace_hash;
+  }
+}
+
+TEST(EventStreamPin, EsFlat) {
+  expect_pinned(es_flat(), 0xbaf107f8d730c33aULL, {9649, 12973, 12076});
+}
+TEST(EventStreamPin, EsTree) {
+  expect_pinned(es_tree(), 0x7c97c6ee02db0983ULL, {13462, 18012, 16482});
+}
+TEST(EventStreamPin, SyncUnderChurn) {
+  expect_pinned(sync_churn(), 0x245ae4a0b2220e1bULL, {51035, 92838, 78671});
+}
+TEST(EventStreamPin, EsCrashAndPartition) {
+  expect_pinned(es_faults(), 0x707f13a1b35377e7ULL, {5994, 5963, 5923});
+}
+TEST(EventStreamPin, AbdUnderChurn) {
+  expect_pinned(abd_churn(), 0x76fb3c6b5955e378ULL, {5404, 9026, 8759});
+}
+
+// The sharded pin also fixes the integer report fields.
 TEST(EventStreamPin, SyncShardedZipfian) {
+  expect_pinned(sync_sharded(), 0xe69832f62ba6786bULL, {22095, 24629, 20880});
   const MetricsReport report = run_experiment(sync_sharded());
   EXPECT_EQ(report.reads_completed, 1705u);
   EXPECT_EQ(report.writes_completed, 410u);
@@ -140,9 +233,16 @@ TEST(EventStreamPin, SyncShardedZipfian) {
   const std::map<std::string, std::uint64_t> msgs{
       {"sync.inquiry", 9597}, {"sync.reply", 7070}, {"sync.write", 4213}};
   EXPECT_EQ(report.msgs_by_type, msgs);
-  if (sim::Simulation::audit_enabled()) {
-    EXPECT_EQ(report.trace_hash, 0xe69832f62ba6786bULL) << "actual 0x" << std::hex << report.trace_hash;
-  }
+}
+
+TEST(EventStreamPin, QuorumScaleShape) {
+  expect_pinned(quorum_scale(), 0xd9c82e1682a2caa3ULL, {26342, 51974, 51974});
+}
+TEST(EventStreamPin, ChurnSessionsShape) {
+  expect_pinned(churn_sessions(), 0xf6881075e6bc8c0fULL, {64538, 121067, 117425});
+}
+TEST(EventStreamPin, FaultSearchShape) {
+  expect_pinned(fault_search_base(), 0xb5d105cc25c86e8dULL, {8917, 8624, 8564});
 }
 
 }  // namespace
