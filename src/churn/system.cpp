@@ -78,10 +78,7 @@ sim::ProcessId System::add_member(bool initial) {
   ctx_[id] = std::move(ctx);
   node_[id] = std::move(node);
   member_ids_.push_back(id);  // ids are monotone: append keeps the order
-  node::Node* raw = node_[id].get();
-  net_.attach(id, [raw](sim::ProcessId from, const net::Payload& payload) {
-    raw->on_message(from, payload);
-  });
+  net_.attach(id, node_[id].get());
   return id;
 }
 

@@ -9,11 +9,12 @@
 //    for their local state directly).
 //
 // Dispatch is O(1): processes live in a dense vector indexed by ProcessId
-// (ids are assigned densely by the churn system), with an attached flag and
-// a generation counter per slot instead of a tree-backed map. Broadcast
-// fan-out walks the vector in id order — the same deterministic order the
-// previous std::map gave. Per-delivery metrics are keyed on interned
-// PayloadTypeId tags; the string-keyed view is materialized only on demand.
+// (ids are assigned densely by the churn system). Each 16-byte slot holds a
+// non-owning Receiver* (net/receiver.h; a protocol node is one) and a
+// generation counter; a null receiver means detached. Broadcast fan-out
+// walks the sorted live membership in id order, so the RNG draw sequence is
+// fixed. Per-delivery metrics are keyed on interned PayloadTypeId tags; the
+// string-keyed view is materialized only on demand.
 //
 // Every broadcast takes one path: the installed Disseminator (flat by
 // default) plans each copy's arrival offset, drawing the per-copy verdicts
@@ -28,8 +29,16 @@
 // Simulation::step does for a queued event). This is the per-copy design's
 // order exactly: the copies one broadcast lands at tick t were pushed in one
 // synchronous burst, so they were adjacent in that tick's FIFO, and anything
-// a handler schedules lands after the group either way. Point-to-point
+// a receiver schedules lands after the group either way. Point-to-point
 // sends stay one inline event each.
+//
+// A large batch addresses thousands of receivers scattered over the heap,
+// so each copy would otherwise stall on a cache miss at its receiver. While
+// delivering copy k, the batch loop prefetches the slot of recipient
+// k + kSlotPrefetch and the receiver object of recipient k +
+// kReceiverPrefetch (network.cpp). The prefetches are hints only: every
+// copy still re-reads its slot at delivery time, so a receiver detached by
+// an earlier copy's receiver in the same batch is never called.
 #pragma once
 
 #include <cstdint>
@@ -42,32 +51,29 @@
 #include "net/disseminator.h"
 #include "net/fault_hook.h"
 #include "net/payload.h"
-#include "sim/inline_function.h"
+#include "net/receiver.h"
 #include "sim/simulation.h"
 
 namespace dynreg::net {
 
 class Network {
  public:
-  /// Per-process delivery callback, invoked once per delivered copy — a hot
-  /// path, hence InlineFunction (the attach lambdas capture one node
-  /// pointer, far inside the inline budget; see sim/inline_function.h).
-  using Handler = sim::InlineFunction<void(sim::ProcessId from, const Payload& payload)>;
-
   Network(sim::Simulation& sim, std::unique_ptr<DelayModel> delays)
       : sim_(sim),
         delays_(std::move(delays)),
         disseminator_(std::make_unique<FlatDisseminator>()) {}
 
-  /// Registers a process. Messages are delivered only to attached processes.
-  void attach(sim::ProcessId id, Handler handler);
+  /// Registers a process: copies addressed to `id` go to `receiver` (non-null,
+  /// not owned) until the id is detached or attached to another receiver.
+  /// The caller keeps `receiver` alive while it is attached.
+  void attach(sim::ProcessId id, Receiver* receiver);
 
   /// Deregisters a process; in-flight messages towards it are dropped at
   /// their delivery time.
   void detach(sim::ProcessId id);
 
   bool attached(sim::ProcessId id) const {
-    return id < slots_.size() && slots_[id].attached;
+    return id < slots_.size() && slots_[id].receiver != nullptr;
   }
 
   /// Times the slot has been attached or detached; lets tests and debugging
@@ -114,7 +120,7 @@ class Network {
 
   struct Stats {
     std::uint64_t sent = 0;            // copies handed to the delay model
-    std::uint64_t delivered = 0;       // copies that reached a handler
+    std::uint64_t delivered = 0;       // copies that reached a receiver
     std::uint64_t dropped_departed = 0;  // receiver left before delivery
     std::uint64_t dropped_loss = 0;      // omission faults
     std::uint64_t dropped_partition = 0;  // copies cut by FaultHook::link_cut
@@ -128,10 +134,10 @@ class Network {
 
  private:
   struct Slot {
-    Handler handler;
+    Receiver* receiver = nullptr;  // null = detached
     std::uint32_t generation = 0;
-    bool attached = false;
   };
+  static_assert(sizeof(Slot) <= 16, "a slot is one pointer and a generation");
 
   // The copies of one broadcast that arrive at the same tick, in dispatch
   // order: header plus `count` trailing recipient ids, one arena block.
@@ -158,7 +164,7 @@ class Network {
   BatchPtr make_batch(sim::ProcessId from, const PayloadPtr& payload,
                       const std::uint32_t* positions, std::uint32_t count);
   void deliver_batch(Batch& batch);
-  /// One copy's delivery: departed check, transform, counters, audit, handler.
+  /// One copy's delivery: departed check, transform, counters, audit, receiver.
   void deliver(sim::ProcessId from, sim::ProcessId to, const PayloadPtr& payload);
 
   sim::Simulation& sim_;

@@ -1,17 +1,17 @@
-// Base class for protocol processes hosted by churn::System.
+// Base class for protocol processes hosted by churn::System. A node is its
+// own network receiver: the system attaches it under its id, and the network
+// calls on_message (declared by net::Receiver) for every delivered copy.
 #pragma once
 
-#include "net/payload.h"
+#include "net/receiver.h"
 #include "sim/simulation.h"
 
 namespace dynreg::node {
 
-class Node {
+class Node : public net::Receiver {
  public:
   explicit Node(sim::ProcessId id) : id_(id) {}
   virtual ~Node() = default;
-
-  virtual void on_message(sim::ProcessId from, const net::Payload& payload) = 0;
 
   /// Called by churn::System when this node departs, after its timers are
   /// cancelled and its network slot detached but before it is destroyed.

@@ -4,6 +4,8 @@
 #include <new>
 #include <utility>
 
+#include "sim/prefetch.h"
+
 #if defined(__linux__)
 #include <sys/mman.h>
 #define DYNREG_SLAB_MMAP 1
@@ -20,14 +22,6 @@ constexpr std::size_t kArity = 4;
 // so without prefetch every dispatch eats a full demand miss; looking a few
 // slots ahead keeps that many misses in flight instead of one.
 constexpr std::uint32_t kBucketPrefetch = 12;
-
-inline void prefetch_ro(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, 0, 3);
-#else
-  (void)p;
-#endif
-}
 
 inline std::uint32_t ctz64(std::uint64_t x) {
 #if defined(__GNUC__) || defined(__clang__)

@@ -19,6 +19,7 @@
 #include <tuple>
 #include <vector>
 
+#include "fn_receiver.h"
 #include "net/delay_model.h"
 #include "net/disseminator.h"
 #include "net/fault_hook.h"
@@ -46,11 +47,12 @@ std::vector<Delivery> run_broadcast(std::unique_ptr<Disseminator> d,
                                     double loss_rate = 0.0) {
   sim::Simulation sim(seed);
   Network net(sim, std::make_unique<net::FixedDelay>(3));
+  test::FnReceivers rx(net);
   net.set_disseminator(std::move(d));
   net.set_loss_rate(loss_rate);
   std::vector<Delivery> log;
   for (sim::ProcessId id = 0; id < n; ++id) {
-    net.attach(id, [&log, id, &sim](sim::ProcessId from, const Payload&) {
+    rx.attach(id, [&log, id, &sim](sim::ProcessId from, const Payload&) {
       log.push_back({id, from, sim.now()});
     });
   }
@@ -129,12 +131,13 @@ TEST(Disseminator, TreeLossDropsOnlyThatRecipientsCopy) {
   // i.e. every broadcast accounts for exactly n-1 copies.
   sim::Simulation sim(11);
   Network net(sim, std::make_unique<net::FixedDelay>(2));
+  test::FnReceivers rx(net);
   net.set_disseminator(std::make_unique<TreeDisseminator>(2));
   net.set_loss_rate(0.4);
   constexpr std::size_t kN = 25;
   std::map<sim::ProcessId, int> copies;
   for (sim::ProcessId id = 0; id < kN; ++id) {
-    net.attach(id, [&copies, id](sim::ProcessId, const Payload&) { ++copies[id]; });
+    rx.attach(id, [&copies, id](sim::ProcessId, const Payload&) { ++copies[id]; });
   }
   constexpr int kBroadcasts = 50;
   for (int i = 0; i < kBroadcasts; ++i) net.broadcast(0, make_payload<Ping>());
@@ -237,12 +240,13 @@ TEST_P(GroupedDelivery, DeliveryOrderIsTheStableSortOfTheRecordedVerdicts) {
     }
     sim::Simulation sim(41);
     Network net(sim, std::make_unique<LoggingDelay>(std::move(inner), drawn));
+    test::FnReceivers rx(net);
     net.set_disseminator(make_disseminator(GetParam()));
     net.set_loss_rate(0.3);
     constexpr sim::ProcessId kN = 60;
     std::vector<Seen> seen;
     for (sim::ProcessId id = 0; id < kN; ++id) {
-      net.attach(id, [&seen, &sim, id](sim::ProcessId from, const Payload& p) {
+      rx.attach(id, [&seen, &sim, id](sim::ProcessId from, const Payload& p) {
         seen.emplace_back(sim.now(), from, id, p.type_name());
       });
     }
@@ -295,6 +299,7 @@ TEST_P(GroupedDelivery, HandlerDetachingALaterRecipientOfTheSameTickDropsThatCop
   std::vector<Drawn> drawn;
   sim::Simulation sim(7);
   Network net(sim, std::make_unique<LoggingDelay>(std::make_unique<FixedDelay>(3), drawn));
+  test::FnReceivers rx(net);
   net.set_disseminator(make_disseminator(GetParam()));
   net.set_loss_rate(0.25);
   constexpr sim::ProcessId kN = 40;
@@ -302,7 +307,7 @@ TEST_P(GroupedDelivery, HandlerDetachingALaterRecipientOfTheSameTickDropsThatCop
   sim::Time victim_arrival = 0;
   std::map<sim::ProcessId, int> received;
   for (sim::ProcessId id = 0; id < kN; ++id) {
-    net.attach(id, [&, id](sim::ProcessId, const Payload&) {
+    rx.attach(id, [&, id](sim::ProcessId, const Payload&) {
       ++received[id];
       if (id != victim && sim.now() == victim_arrival && net.attached(victim)) {
         net.detach(victim);
@@ -334,6 +339,60 @@ TEST_P(GroupedDelivery, HandlerDetachingALaterRecipientOfTheSameTickDropsThatCop
   EXPECT_EQ(net.stats().dropped_loss, lost);
 }
 
+TEST_P(GroupedDelivery, ReceiverChangesMidBatchTakeEffectForLaterCopies) {
+  // A batch far longer than the delivery loop's prefetch distances. The
+  // first copy's receiver detaches a later recipient and destroys its
+  // receiver, and moves a second later recipient to a fresh receiver. The
+  // loop has already prefetched both old receivers; it must still drop the
+  // first copy and hand the second to the fresh receiver. Every receiver is
+  // its own heap object, so a call into a destroyed one fails under ASan.
+  std::vector<Drawn> drawn;
+  sim::Simulation sim(5);
+  Network net(sim, std::make_unique<LoggingDelay>(std::make_unique<FixedDelay>(3), drawn));
+  net.set_disseminator(make_disseminator(GetParam()));
+  constexpr sim::ProcessId kN = 300;
+  std::map<sim::ProcessId, int> received;
+  std::vector<std::unique_ptr<test::FnReceiver>> receivers(kN);
+  for (sim::ProcessId id = 0; id < kN; ++id) {
+    receivers[id] = std::make_unique<test::FnReceiver>(
+        [&received, id](sim::ProcessId, const Payload&) { ++received[id]; });
+    net.attach(id, receivers[id].get());
+  }
+  net.broadcast(0, make_payload<Ping>());
+
+  // The largest same-tick batch, in delivery (position) order.
+  const auto arrival = rebuild_arrivals(drawn, 0, kN - 1, GetParam());
+  std::map<sim::Duration, std::vector<sim::ProcessId>> by_tick;
+  for (std::size_t i = 0; i < arrival.size(); ++i) by_tick[arrival[i]].push_back(drawn[i].to);
+  std::vector<sim::ProcessId> batch;
+  for (const auto& [tick, ids] : by_tick) {
+    if (ids.size() > batch.size()) batch = ids;
+  }
+  ASSERT_GE(batch.size(), 64u);
+  const sim::ProcessId first = batch[0];
+  const sim::ProcessId gone = batch[5];
+  const sim::ProcessId moved = batch[10];
+
+  int fresh_copies = 0;
+  test::FnReceiver fresh([&fresh_copies](sim::ProcessId, const Payload&) { ++fresh_copies; });
+  test::FnReceiver trigger([&](sim::ProcessId, const Payload&) {
+    net.detach(gone);
+    receivers[gone].reset();
+    net.detach(moved);
+    receivers[moved].reset();
+    net.attach(moved, &fresh);
+  });
+  net.attach(first, &trigger);
+  sim.run();
+
+  EXPECT_EQ(received.count(gone), 0u);
+  EXPECT_EQ(received.count(moved), 0u);
+  EXPECT_EQ(fresh_copies, 1);
+  EXPECT_EQ(net.stats().dropped_departed, 1u);
+  EXPECT_EQ(net.stats().delivered, kN - 2);
+  EXPECT_EQ(received.size(), kN - 4);  // sender, trigger, gone, moved
+}
+
 /// Cuts edges into ids = 0 mod 5 and rewrites copies to ids = 1 mod 5.
 class SplitHook final : public FaultHook {
  public:
@@ -353,6 +412,7 @@ class SplitHook final : public FaultHook {
 TEST_P(GroupedDelivery, FaultHookActsPerCopyInsideABatch) {
   sim::Simulation sim(3);
   Network net(sim, std::make_unique<FixedDelay>(2));
+  test::FnReceivers rx(net);
   net.set_disseminator(make_disseminator(GetParam()));
   net.set_loss_rate(0.2);
   SplitHook hook;
@@ -361,7 +421,7 @@ TEST_P(GroupedDelivery, FaultHookActsPerCopyInsideABatch) {
   constexpr sim::ProcessId kSender = 2;
   std::map<sim::ProcessId, std::vector<std::string_view>> got;
   for (sim::ProcessId id = 0; id < kN; ++id) {
-    net.attach(id, [&got, id](sim::ProcessId from, const Payload& p) {
+    rx.attach(id, [&got, id](sim::ProcessId from, const Payload& p) {
       EXPECT_EQ(from, sim::ProcessId{kSender});
       got[id].push_back(p.type_name());
     });

@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "fn_receiver.h"
 #include "net/delay_model.h"
 #include "net/network.h"
 #include "sim/simulation.h"
@@ -20,8 +21,9 @@ struct Ping final : Payload {
 TEST(Network, DeliversWithModelDelayAndRecordsType) {
   sim::Simulation sim(1);
   Network net(sim, std::make_unique<FixedDelay>(4));
+  test::FnReceivers rx(net);
   std::vector<sim::Time> arrivals;
-  net.attach(1, [&](sim::ProcessId from, const Payload& p) {
+  rx.attach(1, [&](sim::ProcessId from, const Payload& p) {
     EXPECT_EQ(from, 0u);
     EXPECT_EQ(p.type_name(), "test.ping");
     arrivals.push_back(sim.now());
@@ -37,9 +39,10 @@ TEST(Network, DeliversWithModelDelayAndRecordsType) {
 TEST(Network, BroadcastReachesEveryoneAttachedExceptSender) {
   sim::Simulation sim(1);
   Network net(sim, std::make_unique<FixedDelay>(1));
+  test::FnReceivers rx(net);
   std::map<sim::ProcessId, int> received;
   for (sim::ProcessId id = 0; id < 4; ++id) {
-    net.attach(id, [&received, id](sim::ProcessId, const Payload&) { ++received[id]; });
+    rx.attach(id, [&received, id](sim::ProcessId, const Payload&) { ++received[id]; });
   }
   net.broadcast(2, make_payload<Ping>());
   sim.run();
@@ -53,8 +56,9 @@ TEST(Network, BroadcastReachesEveryoneAttachedExceptSender) {
 TEST(Network, InFlightMessageToDepartedProcessIsDropped) {
   sim::Simulation sim(1);
   Network net(sim, std::make_unique<FixedDelay>(10));
+  test::FnReceivers rx(net);
   int delivered = 0;
-  net.attach(1, [&delivered](sim::ProcessId, const Payload&) { ++delivered; });
+  rx.attach(1, [&delivered](sim::ProcessId, const Payload&) { ++delivered; });
   net.send(0, 1, make_payload<Ping>());
   sim.run_until(5);
   net.detach(1);  // leaves while the message is in flight
@@ -68,10 +72,11 @@ TEST(Network, InFlightMessageToDepartedProcessIsDropped) {
 TEST(Network, LateJoinerDoesNotReceiveEarlierBroadcasts) {
   sim::Simulation sim(1);
   Network net(sim, std::make_unique<FixedDelay>(10));
+  test::FnReceivers rx(net);
   int delivered = 0;
-  net.attach(0, [](sim::ProcessId, const Payload&) {});
+  rx.attach(0, [](sim::ProcessId, const Payload&) {});
   net.broadcast(0, make_payload<Ping>());  // nobody else attached yet
-  net.attach(1, [&delivered](sim::ProcessId, const Payload&) { ++delivered; });
+  rx.attach(1, [&delivered](sim::ProcessId, const Payload&) { ++delivered; });
   sim.run();
   EXPECT_EQ(delivered, 0);
 }
@@ -79,21 +84,22 @@ TEST(Network, LateJoinerDoesNotReceiveEarlierBroadcasts) {
 TEST(Network, GenerationDistinguishesIncarnationsOfAReusedId) {
   sim::Simulation sim(1);
   Network net(sim, std::make_unique<FixedDelay>(1));
+  test::FnReceivers rx(net);
   EXPECT_EQ(net.generation(7), 0u);  // never-seen id
 
-  net.attach(7, [](sim::ProcessId, const Payload&) {});
+  rx.attach(7, [](sim::ProcessId, const Payload&) {});
   const auto first = net.generation(7);
   net.detach(7);
-  net.attach(7, [](sim::ProcessId, const Payload&) {});
+  rx.attach(7, [](sim::ProcessId, const Payload&) {});
   EXPECT_GT(net.generation(7), first);  // re-attach is a new incarnation
 
   // Delivery deliberately ignores generations: whoever holds the id at
   // delivery time receives in-flight messages, as with the old map dispatch.
   int delivered = 0;
-  net.attach(1, [](sim::ProcessId, const Payload&) { FAIL() << "old incarnation"; });
+  rx.attach(1, [](sim::ProcessId, const Payload&) { FAIL() << "old incarnation"; });
   net.send(0, 1, make_payload<Ping>());
   net.detach(1);
-  net.attach(1, [&delivered](sim::ProcessId, const Payload&) { ++delivered; });
+  rx.attach(1, [&delivered](sim::ProcessId, const Payload&) { ++delivered; });
   sim.run();
   EXPECT_EQ(delivered, 1);
 }
@@ -101,12 +107,13 @@ TEST(Network, GenerationDistinguishesIncarnationsOfAReusedId) {
 TEST(Network, SparseIdsAndReattachKeepBroadcastMembershipExact) {
   sim::Simulation sim(1);
   Network net(sim, std::make_unique<FixedDelay>(1));
+  test::FnReceivers rx(net);
   std::map<sim::ProcessId, int> received;
   const auto handler = [&received](sim::ProcessId id) {
     return [&received, id](sim::ProcessId, const Payload&) { ++received[id]; };
   };
   // Out-of-order, sparse attach pattern with a detach in the middle.
-  for (const sim::ProcessId id : {9u, 2u, 40u, 5u}) net.attach(id, handler(id));
+  for (const sim::ProcessId id : {9u, 2u, 40u, 5u}) rx.attach(id, handler(id));
   net.detach(9);
   EXPECT_FALSE(net.attached(9));
   EXPECT_TRUE(net.attached(40));
@@ -123,8 +130,9 @@ TEST(Network, SparseIdsAndReattachKeepBroadcastMembershipExact) {
 TEST(Network, LossRateDropsMessages) {
   sim::Simulation sim(1);
   Network net(sim, std::make_unique<FixedDelay>(1));
+  test::FnReceivers rx(net);
   int delivered = 0;
-  net.attach(1, [&delivered](sim::ProcessId, const Payload&) { ++delivered; });
+  rx.attach(1, [&delivered](sim::ProcessId, const Payload&) { ++delivered; });
   net.set_loss_rate(1.0);
   for (int i = 0; i < 10; ++i) net.send(0, 1, make_payload<Ping>());
   sim.run();
@@ -139,10 +147,11 @@ TEST(Network, BroadcastLandingAtOneTickIsOneQueuedEvent) {
   // copies, in recipient order, and leaves the queue empty.
   sim::Simulation sim(1);
   Network net(sim, std::make_unique<FixedDelay>(3));
+  test::FnReceivers rx(net);
   constexpr sim::ProcessId kN = 1000;
   std::vector<sim::ProcessId> order;
   for (sim::ProcessId id = 0; id < kN; ++id) {
-    net.attach(id, [&order, &sim, id](sim::ProcessId from, const Payload&) {
+    rx.attach(id, [&order, &sim, id](sim::ProcessId from, const Payload&) {
       EXPECT_EQ(from, 0u);
       EXPECT_EQ(sim.now(), 3u);
       order.push_back(id);
