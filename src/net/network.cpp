@@ -20,7 +20,8 @@ namespace {
 // (slot, receiver) = (8, 4) 1.05 s, (16, 8) 1.05 s, (32, 16) 1.01 s,
 // (48, 24) 1.05 s. The gain is flat across that range, within the run-to-run
 // spread, and (16, 8) sits in its middle. Also prefetching the receiver's
-// second cache line measured 1.00 s, no clear gain, so one line it is.
+// second cache line measured 1.00 s, no clear gain, so only its first line
+// is prefetched.
 constexpr std::uint32_t kSlotPrefetch = 16;
 constexpr std::uint32_t kReceiverPrefetch = 8;
 

@@ -340,12 +340,13 @@ TEST_P(GroupedDelivery, HandlerDetachingALaterRecipientOfTheSameTickDropsThatCop
 }
 
 TEST_P(GroupedDelivery, ReceiverChangesMidBatchTakeEffectForLaterCopies) {
-  // A batch far longer than the delivery loop's prefetch distances. The
-  // first copy's receiver detaches a later recipient and destroys its
-  // receiver, and moves a second later recipient to a fresh receiver. The
-  // loop has already prefetched both old receivers; it must still drop the
-  // first copy and hand the second to the fresh receiver. Every receiver is
-  // its own heap object, so a call into a destroyed one fails under ASan.
+  // A batch far longer than the delivery loop's prefetch distances. One
+  // copy's receiver, mid-batch, detaches the next recipient and destroys
+  // its receiver, and moves the recipient eight copies on to a fresh
+  // receiver. Both follow closely enough that the loop has already
+  // prefetched their old receivers; it must still drop the first copy and
+  // hand the second to the fresh receiver. Every receiver is its own heap
+  // object, so a call into a destroyed one fails under ASan.
   std::vector<Drawn> drawn;
   sim::Simulation sim(5);
   Network net(sim, std::make_unique<LoggingDelay>(std::make_unique<FixedDelay>(3), drawn));
@@ -369,9 +370,9 @@ TEST_P(GroupedDelivery, ReceiverChangesMidBatchTakeEffectForLaterCopies) {
     if (ids.size() > batch.size()) batch = ids;
   }
   ASSERT_GE(batch.size(), 64u);
-  const sim::ProcessId first = batch[0];
-  const sim::ProcessId gone = batch[5];
-  const sim::ProcessId moved = batch[10];
+  const sim::ProcessId first = batch[20];
+  const sim::ProcessId gone = batch[21];
+  const sim::ProcessId moved = batch[28];
 
   int fresh_copies = 0;
   test::FnReceiver fresh([&fresh_copies](sim::ProcessId, const Payload&) { ++fresh_copies; });
