@@ -13,6 +13,8 @@
 namespace dynreg::replay {
 namespace {
 
+/// Every encoded field set away from its default, so a field the decoder
+/// dropped (or read into the wrong slot) changes the re-encoded bytes.
 harness::ExperimentConfig sample_config() {
   harness::ExperimentConfig cfg;
   cfg.protocol = harness::Protocol::kEventuallySync;
@@ -21,6 +23,7 @@ harness::ExperimentConfig sample_config() {
   cfg.delta = 4;
   cfg.duration = 1234;
   cfg.seed = 99;
+  cfg.churn_kind = harness::ChurnKind::kNone;
   cfg.churn_rate = 0.0125;
   cfg.leave_policy = churn::LeavePolicy::kOldestActiveFirst;
   cfg.gst = 250;
@@ -28,8 +31,40 @@ harness::ExperimentConfig sample_config() {
   cfg.loss_rate = 0.05;
   cfg.es_atomic_reads = true;
   cfg.sync_delta_pp = 3;
+  cfg.sync_refresh_interval = 17;
+  cfg.workload.kind = workload::Kind::kBursty;
   cfg.workload.read_interval = 7;
   cfg.workload.write_interval = 29;
+  cfg.workload.writes_enabled = false;
+  cfg.workload.writer_mode = workload::WriterMode::kConcurrent;
+  cfg.workload.concurrent_writers = 3;
+  cfg.workload.clients = 6;
+  cfg.workload.think_time = 2;
+  cfg.workload.burst_on = 150;
+  cfg.workload.burst_off = 90;
+  cfg.dissemination = harness::Dissemination::kTree;
+  cfg.tree_fanout = 3;
+  cfg.workload.op_deadline = 40;  // v3 appendix fields
+  cfg.workload.retry_max_attempts = 5;
+  cfg.workload.retry_backoff = 6;
+  cfg.workload.retry_exponential = true;
+  cfg.es_retransmit_backoff = true;
+  cfg.es_validate_replies = true;
+  cfg.fault.crash.rate = 0.002;
+  cfg.fault.crash.recover_fraction = 0.5;
+  cfg.fault.crash.recovery_delay = 33;
+  cfg.fault.crash.restart = fault::RestartState::kVolatile;
+  cfg.fault.partition.rate = 0.001;
+  cfg.fault.partition.duration = 77;
+  cfg.fault.partition.fraction = 0.4;
+  cfg.fault.partition.asymmetric = true;
+  cfg.fault.byzantine.fraction = 0.2;
+  cfg.fault.byzantine.transform_rate = 0.3;
+  cfg.fault.byzantine.equivocate = false;  // kind bits 0b1010: mixed on purpose
+  cfg.fault.byzantine.stale_replay = true;
+  cfg.fault.byzantine.forge = false;
+  cfg.fault.byzantine.corrupt = true;
+  cfg.fault.tick = 8;
   cfg.shard_count = 4;  // v4 appendix fields
   cfg.workload.key_count = 96;
   cfg.workload.zipf_s = 1.25;
@@ -53,9 +88,12 @@ TraceFile sample_file() {
   t.net.push_back(NetRecord{5, 0, 1, 2, false, 3});
   t.net.push_back(NetRecord{5, 0, 2, 2, true, 0});
   t.net.push_back(NetRecord{9, 1, 0, 4, false, 1});
+  t.net.push_back(NetRecord{12, 3, 6, 1, true, 0});
   t.churn.push_back(ChurnRecord{7, true, 0, 0});
   t.churn.push_back(ChurnRecord{11, false, 3, 2});  // v4: shard-tagged
   t.picks.push_back(PickRecord{8, 2});
+  t.faults.push_back(FaultRecord{6, 0xfedcba9876543210ULL});  // v3 fault stream
+  t.faults.push_back(FaultRecord{10, 1});
   f.traces.push_back(t);
 
   Trace empty;  // a trace with no decisions must survive the format too
@@ -63,6 +101,22 @@ TraceFile sample_file() {
   empty.seed = 1;
   f.traces.push_back(empty);
   return f;
+}
+
+/// The trailing u64 of an encoded file (little-endian).
+std::uint64_t stored_checksum(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= std::uint64_t{bytes[bytes.size() - 8 + i]} << (8 * i);
+  return v;
+}
+
+// The format, pinned: a refactor of the encoder or decoder must reproduce
+// these bytes exactly (the sample sets every encoded field, so a reordered,
+// dropped or re-typed field moves both digests). Changing them is a format
+// change, which needs a kTraceVersion bump.
+TEST(TraceFormat, EncodedBytesArePinned) {
+  EXPECT_EQ(fingerprint(sample_config()), 0x1f8908eeb70693c0ULL);
+  EXPECT_EQ(stored_checksum(encode(sample_file())), 0xefe184bcc4d3bb7aULL);
 }
 
 TEST(TraceFormat, EncodeDecodeRoundTripsBitExactly) {
@@ -78,7 +132,7 @@ TEST(TraceFormat, EncodeDecodeRoundTripsBitExactly) {
   EXPECT_EQ(d.traces[0].seed, 42u);
   EXPECT_EQ(d.traces[0].recorded_hash, 0x1234567890abcdefULL);
   EXPECT_TRUE(d.traces[0].churn_loop);
-  ASSERT_EQ(d.traces[0].net.size(), 3u);
+  ASSERT_EQ(d.traces[0].net.size(), 4u);
   EXPECT_EQ(d.traces[0].net[1].time, 5u);
   EXPECT_TRUE(d.traces[0].net[1].lost);
   ASSERT_EQ(d.traces[0].churn.size(), 2u);
@@ -88,6 +142,12 @@ TEST(TraceFormat, EncodeDecodeRoundTripsBitExactly) {
   EXPECT_EQ(d.traces[0].churn[1].shard, 2u);
   ASSERT_EQ(d.traces[0].picks.size(), 1u);
   EXPECT_EQ(d.traces[0].picks[0].chosen, 2u);
+  ASSERT_EQ(d.traces[0].faults.size(), 2u);
+  EXPECT_EQ(d.traces[0].faults[0].time, 6u);
+  EXPECT_EQ(d.traces[0].faults[0].value, 0xfedcba9876543210ULL);
+  EXPECT_EQ(d.traces[0].faults[1].time, 10u);
+  EXPECT_TRUE(d.traces[0].net[3].lost);
+  EXPECT_EQ(d.traces[0].net[3].to, 6u);
   EXPECT_TRUE(d.traces[1].net.empty());
 
   // The decisive check: re-encoding the decoded file reproduces the bytes.
@@ -111,7 +171,20 @@ TEST(TraceFormat, ConfigEncodingRoundTripsEveryField) {
   EXPECT_EQ(d.churn_rate, cfg.churn_rate);
   ASSERT_TRUE(d.sync_delta_pp.has_value());
   EXPECT_EQ(*d.sync_delta_pp, 3u);
-  EXPECT_FALSE(d.sync_refresh_interval.has_value());
+  ASSERT_TRUE(d.sync_refresh_interval.has_value());
+  EXPECT_EQ(*d.sync_refresh_interval, 17u);
+  EXPECT_EQ(d.workload.kind, workload::Kind::kBursty);
+  EXPECT_EQ(d.workload.writer_mode, workload::WriterMode::kConcurrent);
+  EXPECT_EQ(d.dissemination, harness::Dissemination::kTree);
+  EXPECT_EQ(d.workload.retry_max_attempts, 5u);  // v3 appendix
+  EXPECT_TRUE(d.es_validate_replies);
+  EXPECT_EQ(d.fault.crash.restart, fault::RestartState::kVolatile);
+  EXPECT_TRUE(d.fault.partition.asymmetric);
+  EXPECT_FALSE(d.fault.byzantine.equivocate);
+  EXPECT_TRUE(d.fault.byzantine.stale_replay);
+  EXPECT_FALSE(d.fault.byzantine.forge);
+  EXPECT_TRUE(d.fault.byzantine.corrupt);
+  EXPECT_EQ(d.fault.tick, 8u);
   EXPECT_EQ(d.shard_count, 4u);  // v4 appendix
   EXPECT_EQ(d.workload.key_count, 96u);
   EXPECT_EQ(d.workload.zipf_s, 1.25);
@@ -142,6 +215,14 @@ TEST(TraceFormat, FingerprintIgnoresSeedAndSeesEverythingElse) {
   b = a;
   b.workload.storm_every = 0;
   EXPECT_NE(fingerprint(a), fingerprint(b));
+  // Each Byzantine kind is its own bit of the packed flags byte.
+  for (bool fault::ByzantinePlan::*kind :
+       {&fault::ByzantinePlan::equivocate, &fault::ByzantinePlan::stale_replay,
+        &fault::ByzantinePlan::forge, &fault::ByzantinePlan::corrupt}) {
+    b = a;
+    b.fault.byzantine.*kind = !(a.fault.byzantine.*kind);
+    EXPECT_NE(fingerprint(a), fingerprint(b));
+  }
 }
 
 TEST(TraceFormat, EveryTruncationThrowsCleanly) {
