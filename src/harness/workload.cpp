@@ -19,12 +19,12 @@ const char* to_string(Kind k) {
 
 // --- shared machinery --------------------------------------------------------
 
-client::OpOptions Generator::op_options() const {
+client::OpOptions op_options(const Config& config) {
   client::OpOptions options;
-  if (env_.config.op_deadline > 0) options.deadline = env_.config.op_deadline;
-  options.retry.max_attempts = env_.config.retry_max_attempts;
-  options.retry.backoff = env_.config.retry_backoff;
-  options.retry.exponential = env_.config.retry_exponential;
+  if (config.op_deadline > 0) options.deadline = config.op_deadline;
+  options.retry.max_attempts = config.retry_max_attempts;
+  options.retry.backoff = config.retry_backoff;
+  options.retry.exponential = config.retry_exponential;
   return options;
 }
 
@@ -35,7 +35,7 @@ void Generator::issue_read() {
   const auto reader = env_.client.random_active();
   // Fire-and-forget: open-loop reads are observed through history/metrics
   // only, so the handle is intentionally dropped.
-  if (reader) (void)env_.client.read(*reader, op_options());
+  if (reader) (void)env_.client.read(*reader, op_options(env_.config));
 }
 
 void Generator::issue_write(sim::ProcessId writer) {
@@ -55,7 +55,7 @@ void Generator::issue_write(sim::ProcessId writer) {
   outstanding.push_back(begun);
   // Fire-and-forget: outstanding-write bookkeeping runs through the
   // resolution hook, so the handle is intentionally dropped.
-  (void)env_.client.write(writer, v, op_options(),
+  (void)env_.client.write(writer, v, op_options(env_.config),
                           [this, writer, begun](const client::OpHandle&) {
                             auto& pending = outstanding_writes_[writer];
                             pending.erase(
@@ -107,7 +107,7 @@ class ClosedLoopGenerator final : public Generator {
     client::ClientSession::Config sc;
     sc.think_time = env_.config.think_time;
     sc.horizon = env_.horizon;
-    sc.op_options = op_options();
+    sc.op_options = op_options(env_.config);
     sessions_.reserve(env_.config.clients);
     for (std::size_t i = 0; i < env_.config.clients; ++i) {
       sessions_.push_back(

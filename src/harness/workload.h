@@ -45,6 +45,12 @@ struct Env {
   std::vector<sim::ProcessId> writers;
 };
 
+/// The per-op client policy (deadline + retry) `config` describes, for the
+/// unsharded engines and the keyed one alike. Default config fields build a
+/// default OpOptions — byte-identical to the historical no-options issue
+/// path.
+[[nodiscard]] client::OpOptions op_options(const Config& config);
+
 /// A workload engine. start() schedules the first events; traffic then
 /// sustains itself through the simulation until the horizon.
 class Generator {
@@ -70,11 +76,6 @@ class Generator {
 
   /// Whether the read tick firing at `now` should issue its read.
   virtual bool read_tick_allowed(sim::Time now) const;
-
-  /// The per-op client policy (deadline + retry) the config describes.
-  /// Default config fields build a default OpOptions — byte-identical to
-  /// the historical no-options issue path.
-  [[nodiscard]] client::OpOptions op_options() const;
 
   /// The shared designated-writer stream: writes every write_interval,
   /// each writer kept (mostly) sequential — a tick is skipped while a write

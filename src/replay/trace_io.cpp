@@ -4,107 +4,202 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
-#include <utility>
+#include <limits>
 
 namespace dynreg::replay {
 
 namespace {
 
-// ---------------------------------------------------------------- encoding
+// The format is written down once per persisted structure — config_fields,
+// trace_fields, file_fields below — as a template over an `io` object. A
+// Writer instantiation appends each field's bytes; a Reader instantiation
+// parses them back into the same fields. Both classes expose the same
+// adapters (one per wire shape), so the encoder and decoder cannot drift.
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
+/// Appends fields to a byte buffer. Adapters take const references so the
+/// field lists can be instantiated over const structures.
+class Writer {
+ public:
+  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+  void u32(std::uint32_t v) { little_endian(v, 4); }
+  /// Fixed 8-byte word (hashes, decision words, double bits).
+  void word(const std::uint64_t& v) { little_endian(v, 8); }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-/// LEB128: 7 value bits per byte, high bit = continuation.
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
+  /// LEB128: 7 value bits per byte, high bit = continuation.
+  template <class T>
+  void varint(const T& field) {
+    std::uint64_t v = field;
+    while (v >= 0x80) {
+      out_.push_back(static_cast<std::uint8_t>(v) | 0x80);
+      v >>= 7;
+    }
+    out_.push_back(static_cast<std::uint8_t>(v));
   }
-  out.push_back(static_cast<std::uint8_t>(v));
-}
 
-void put_double(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
+  void flag(const bool& v) { u8(v ? 1 : 0); }
 
-void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_varint(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
-}
+  void real(const double& v) {
+    std::uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
+    std::memcpy(&bits, &v, sizeof(bits));
+    word(bits);
+  }
 
-// ---------------------------------------------------------------- decoding
+  /// Enum as one byte; `max` and `what` only matter to the Reader.
+  template <class E>
+  void tag(const E& v, std::uint8_t /*max*/, const char* /*what*/) {
+    u8(static_cast<std::uint8_t>(v));
+  }
 
-/// Bounds-checked cursor over the byte buffer. Every read validates the
-/// remaining length first; violations throw TraceError naming the offset.
+  /// Bools packed into one byte, the first argument in bit 0.
+  template <class... Flags>
+  void bits(const char* /*what*/, const Flags&... flags) {
+    std::uint8_t v = 0;
+    unsigned bit = 0;
+    ((v = static_cast<std::uint8_t>(v | (flags ? 1u : 0u) << bit++)), ...);
+    u8(v);
+  }
+
+  /// Presence byte, then the value (through `fields`) when present.
+  template <class T, class Fields>
+  void maybe(const std::optional<T>& v, Fields&& fields) {
+    flag(v.has_value());
+    if (v.has_value()) fields(*v);
+  }
+  template <class T>
+  void maybe(const std::optional<T>& v) {
+    maybe(v, [this](const T& x) { varint(x); });
+  }
+
+  /// A varint that is on the wire only when `present` holds.
+  template <class T>
+  void when(bool present, const T& field) {
+    if (present) varint(field);
+  }
+
+  /// A timestamp as the (non-negative) gap since `prev`, the previous
+  /// record's time in the same stream.
+  void delta(const sim::Time& t, sim::Time& prev) {
+    varint(t - prev);
+    prev = t;
+  }
+
+  void text(const std::string& s) {
+    varint(s.size());
+    out_.insert(out_.end(), s.begin(), s.end());
+  }
+
+  /// Element count, then each element through `fields`.
+  template <class T, class Fields>
+  void stream(const char* /*what*/, const std::vector<T>& items, Fields&& fields) {
+    varint(items.size());
+    for (const T& item : items) fields(item);
+  }
+
+ private:
+  void u8(std::uint8_t v) { out_.push_back(v); }
+
+  void little_endian(std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+
+  std::vector<std::uint8_t>& out_;
+};
+
+/// Bounds-checked cursor over the byte buffer, with the Writer's adapters
+/// in reverse. Every read validates the remaining length first, and every
+/// value against its field's range; violations throw TraceError naming the
+/// offset.
 class Reader {
  public:
   Reader(const std::vector<std::uint8_t>& bytes, std::size_t pos)
-      : bytes_(&bytes), pos_(pos) {}
+      : bytes_(bytes), pos_(pos) {}
 
   [[nodiscard]] std::size_t pos() const { return pos_; }
-  [[nodiscard]] std::size_t remaining() const { return bytes_->size() - pos_; }
 
-  std::uint8_t u8() {
-    need(1, "byte");
-    return (*bytes_)[pos_++];
-  }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(little_endian(4, "u32")); }
+  void word(std::uint64_t& v) { v = little_endian(8, "u64"); }
 
-  std::uint32_t u32() {
-    need(4, "u32");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{(*bytes_)[pos_++]} << (8 * i);
-    return v;
-  }
-
-  std::uint64_t u64() {
-    need(8, "u64");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{(*bytes_)[pos_++]} << (8 * i);
-    return v;
-  }
-
-  std::uint64_t varint() {
-    std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      need(1, "varint");
-      const std::uint8_t byte = (*bytes_)[pos_++];
-      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) {
-        // Reject non-canonical bits beyond 64 (shift 63 leaves 1 usable bit).
-        if (shift == 63 && (byte & 0x7e) != 0) fail("varint overflows 64 bits");
-        return v;
+  /// Rejects a value its field cannot hold rather than truncating it.
+  template <class T>
+  void varint(T& field) {
+    const std::uint64_t v = uleb();
+    if constexpr (sizeof(T) < sizeof(std::uint64_t)) {
+      if (v > std::numeric_limits<T>::max()) {
+        fail("value " + std::to_string(v) + " out of range for a " +
+             std::to_string(8 * sizeof(T)) + "-bit field");
       }
     }
-    fail("varint longer than 10 bytes");
-    return 0;  // unreachable
+    field = static_cast<T>(v);
   }
 
-  double dbl() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
+  void flag(bool& v) { v = u8() != 0; }
+
+  void real(double& v) {
+    std::uint64_t bits = 0;
+    word(bits);
     std::memcpy(&v, &bits, sizeof(v));
-    return v;
   }
 
-  std::string str() {
-    const std::uint64_t len = varint();
-    need(len, "string body");
-    std::string s(reinterpret_cast<const char*>(bytes_->data()) + pos_,
-                  static_cast<std::size_t>(len));
-    pos_ += static_cast<std::size_t>(len);
-    return s;
+  template <class E>
+  void tag(E& v, std::uint8_t max, const char* what) {
+    v = static_cast<E>(bounded_u8(max, what));
   }
+
+  template <class... Flags>
+  void bits(const char* what, Flags&... flags) {
+    const std::uint8_t v = bounded_u8((1u << sizeof...(Flags)) - 1, what);
+    unsigned bit = 0;
+    ((flags = ((v >> bit++) & 1u) != 0), ...);
+  }
+
+  template <class T, class Fields>
+  void maybe(std::optional<T>& v, Fields&& fields) {
+    bool present = false;
+    flag(present);
+    if (present) fields(v.emplace());
+    else v.reset();
+  }
+  template <class T>
+  void maybe(std::optional<T>& v) {
+    maybe(v, [this](T& x) { varint(x); });
+  }
+
+  /// Absent fields read as zero.
+  template <class T>
+  void when(bool present, T& field) {
+    field = T{};
+    if (present) varint(field);
+  }
+
+  void delta(sim::Time& t, sim::Time& prev) {
+    prev += uleb();
+    t = prev;
+  }
+
+  void text(std::string& s) {
+    const std::uint64_t len = uleb();
+    need(len, "string body");
+    s.assign(reinterpret_cast<const char*>(bytes_.data()) + pos_,
+             static_cast<std::size_t>(len));
+    pos_ += static_cast<std::size_t>(len);
+  }
+
+  template <class T, class Fields>
+  void stream(const char* what, std::vector<T>& items, Fields&& fields) {
+    // Counts are not trusted for allocation: each element consumes bytes, so
+    // a lying count hits a truncation error before the vector outgrows the
+    // file.
+    const std::uint64_t count = uleb();
+    if (count > remaining()) fail(std::string(what) + " count exceeds file size");
+    items.clear();
+    items.reserve(static_cast<std::size_t>(count));
+    for (std::uint64_t i = 0; i < count; ++i) fields(items.emplace_back());
+  }
+
+ private:
+  [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
 
   void need(std::uint64_t n, const char* what) const {
     if (n > remaining()) {
@@ -117,138 +212,150 @@ class Reader {
     throw TraceError("trace decode error at offset " + std::to_string(pos_) + ": " + why);
   }
 
- private:
-  const std::vector<std::uint8_t>* bytes_;  // pointer: Reader is reassignable
+  std::uint8_t u8() {
+    need(1, "byte");
+    return bytes_[pos_++];
+  }
+
+  std::uint64_t little_endian(int bytes, const char* what) {
+    need(static_cast<std::uint64_t>(bytes), what);
+    std::uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i) v |= std::uint64_t{bytes_[pos_++]} << (8 * i);
+    return v;
+  }
+
+  std::uint64_t uleb() {
+    std::uint64_t v = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      need(1, "varint");
+      const std::uint8_t byte = bytes_[pos_++];
+      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) {
+        // Reject non-canonical bits beyond 64 (shift 63 leaves 1 usable bit).
+        if (shift == 63 && (byte & 0x7e) != 0) fail("varint overflows 64 bits");
+        return v;
+      }
+    }
+    fail("varint longer than 10 bytes");
+  }
+
+  std::uint8_t bounded_u8(unsigned max, const char* what) {
+    const std::uint8_t v = u8();
+    if (v > max) fail(std::string("bad ") + what + " tag " + std::to_string(v));
+    return v;
+  }
+
+  const std::vector<std::uint8_t>& bytes_;
   std::size_t pos_;
 };
 
-std::uint8_t enum_u8(Reader& r, std::uint8_t max, const char* what) {
-  const std::uint8_t v = r.u8();
-  if (v > max) r.fail(std::string("bad ") + what + " tag " + std::to_string(v));
-  return v;
+// ------------------------------------------------------------- field lists
+// `Cfg`, `T` and `File` are the structure, const-qualified for a Writer.
+
+/// The canonical ExperimentConfig encoding. Fields appended by a format
+/// version go at the end, under a comment naming the version.
+template <class IO, class Cfg>
+void config_fields(IO& io, Cfg& cfg) {
+  io.tag(cfg.protocol, 3, "protocol");
+  io.tag(cfg.timing, 1, "timing");
+  io.varint(cfg.n);
+  io.varint(cfg.delta);
+  io.varint(cfg.duration);
+  io.varint(cfg.seed);
+  io.tag(cfg.churn_kind, 1, "churn kind");
+  io.real(cfg.churn_rate);
+  io.tag(cfg.leave_policy, 1, "leave policy");
+  io.varint(cfg.gst);
+  io.varint(cfg.pre_gst_max);
+  io.real(cfg.loss_rate);
+  io.flag(cfg.es_atomic_reads);
+  io.maybe(cfg.sync_delta_pp);
+  io.maybe(cfg.sync_refresh_interval);
+  auto& w = cfg.workload;
+  io.tag(w.kind, 2, "workload kind");
+  io.varint(w.read_interval);
+  io.varint(w.write_interval);
+  io.flag(w.writes_enabled);
+  io.tag(w.writer_mode, 1, "writer mode");
+  io.varint(w.concurrent_writers);
+  io.varint(w.clients);
+  io.varint(w.think_time);
+  io.varint(w.burst_on);
+  io.varint(w.burst_off);
+  io.tag(cfg.dissemination, 1, "dissemination");  // v2: dissemination + fanout
+  io.varint(cfg.tree_fanout);
+  // v3: per-op client policy, ES hardening, fault::Plan.
+  io.varint(w.op_deadline);
+  io.varint(w.retry_max_attempts);
+  io.varint(w.retry_backoff);
+  io.flag(w.retry_exponential);
+  io.flag(cfg.es_retransmit_backoff);
+  io.flag(cfg.es_validate_replies);
+  auto& f = cfg.fault;
+  io.real(f.crash.rate);
+  io.real(f.crash.recover_fraction);
+  io.varint(f.crash.recovery_delay);
+  io.tag(f.crash.restart, 1, "restart state");
+  io.real(f.partition.rate);
+  io.varint(f.partition.duration);
+  io.real(f.partition.fraction);
+  io.flag(f.partition.asymmetric);
+  io.real(f.byzantine.fraction);
+  io.real(f.byzantine.transform_rate);
+  io.bits("byzantine kinds", f.byzantine.equivocate, f.byzantine.stale_replay,
+          f.byzantine.forge, f.byzantine.corrupt);
+  io.varint(f.tick);
+  // v4: the shard layer and the keyed workload. (chronicle_aggregate is
+  // deliberately NOT encoded: it changes memory accounting only, never
+  // results, so it must not split fingerprints.)
+  io.varint(cfg.shard_count);
+  io.varint(w.key_count);
+  io.real(w.zipf_s);
+  io.real(w.read_frac);
+  io.varint(w.storm_every);
+  io.varint(w.storm_len);
 }
 
-std::optional<sim::Duration> get_opt_duration(Reader& r) {
-  if (r.u8() == 0) return std::nullopt;
-  return static_cast<sim::Duration>(r.varint());
-}
-
-void put_opt_duration(std::vector<std::uint8_t>& out,
-                      const std::optional<sim::Duration>& v) {
-  put_u8(out, v.has_value() ? 1 : 0);
-  if (v.has_value()) put_varint(out, *v);
-}
-
-// ------------------------------------------------------------ trace bodies
-
-void encode_trace(const Trace& t, std::vector<std::uint8_t>& out) {
-  put_varint(out, t.fingerprint);
-  put_varint(out, t.seed);
-  put_u64(out, t.recorded_hash);
-  put_u8(out, t.churn_loop ? 1 : 0);
-
-  put_varint(out, t.net.size());
+/// A counted stream of timestamped records. Streams are recorded in time
+/// order, so each record's time goes on the wire as a delta.
+template <class IO, class Records, class Fields>
+void records(IO& io, const char* what, Records& items, Fields&& fields) {
   sim::Time prev = 0;
-  for (const NetRecord& r : t.net) {
-    put_varint(out, r.time - prev);  // streams are recorded in time order
-    prev = r.time;
-    put_varint(out, r.from);
-    put_varint(out, r.to);
-    put_varint(out, r.type);
-    put_u8(out, r.lost ? 1 : 0);
-    if (!r.lost) put_varint(out, r.delay);
-  }
-
-  put_varint(out, t.churn.size());
-  prev = 0;
-  for (const ChurnRecord& r : t.churn) {
-    put_varint(out, r.time - prev);
-    prev = r.time;
-    put_u8(out, r.join ? 1 : 0);
-    if (!r.join) put_varint(out, r.victim);
-    put_varint(out, r.shard);  // v4: joins need routing too, so every record
-  }
-
-  put_varint(out, t.picks.size());
-  prev = 0;
-  for (const PickRecord& r : t.picks) {
-    put_varint(out, r.time - prev);
-    prev = r.time;
-    put_varint(out, r.chosen);
-  }
-
-  put_varint(out, t.faults.size());
-  prev = 0;
-  for (const FaultRecord& r : t.faults) {
-    put_varint(out, r.time - prev);
-    prev = r.time;
-    put_varint(out, r.value);
-  }
+  io.stream(what, items, [&](auto& r) {
+    io.delta(r.time, prev);
+    fields(r);
+  });
 }
 
-Trace decode_trace(Reader& r) {
-  Trace t;
-  t.fingerprint = r.varint();
-  t.seed = r.varint();
-  t.recorded_hash = r.u64();
-  t.churn_loop = r.u8() != 0;
+template <class IO, class T>
+void trace_fields(IO& io, T& t) {
+  io.varint(t.fingerprint);
+  io.varint(t.seed);
+  io.word(t.recorded_hash);
+  io.flag(t.churn_loop);
+  records(io, "net record", t.net, [&io](auto& r) {
+    io.varint(r.from);
+    io.varint(r.to);
+    io.varint(r.type);
+    io.flag(r.lost);
+    io.when(!r.lost, r.delay);
+  });
+  records(io, "churn record", t.churn, [&io](auto& r) {
+    io.flag(r.join);
+    io.when(!r.join, r.victim);
+    io.varint(r.shard);  // v4: joins need routing too, so every record
+  });
+  records(io, "pick record", t.picks, [&io](auto& r) { io.varint(r.chosen); });
+  records(io, "fault record", t.faults, [&io](auto& r) { io.varint(r.value); });
+}
 
-  // Counts are not trusted for allocation: each record consumes bytes, so a
-  // lying count hits a truncation error before the vector outgrows the file.
-  std::uint64_t count = r.varint();
-  if (count > r.remaining()) r.fail("net record count exceeds file size");
-  sim::Time prev = 0;
-  t.net.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    NetRecord rec;
-    prev += r.varint();
-    rec.time = prev;
-    rec.from = static_cast<sim::ProcessId>(r.varint());
-    rec.to = static_cast<sim::ProcessId>(r.varint());
-    rec.type = static_cast<net::PayloadTypeId>(r.varint());
-    rec.lost = r.u8() != 0;
-    rec.delay = rec.lost ? 0 : static_cast<sim::Duration>(r.varint());
-    t.net.push_back(rec);
-  }
-
-  count = r.varint();
-  if (count > r.remaining()) r.fail("churn record count exceeds file size");
-  prev = 0;
-  t.churn.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ChurnRecord rec;
-    prev += r.varint();
-    rec.time = prev;
-    rec.join = r.u8() != 0;
-    rec.victim = rec.join ? 0 : static_cast<sim::ProcessId>(r.varint());
-    rec.shard = static_cast<std::uint32_t>(r.varint());
-    t.churn.push_back(rec);
-  }
-
-  count = r.varint();
-  if (count > r.remaining()) r.fail("pick record count exceeds file size");
-  prev = 0;
-  t.picks.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    PickRecord rec;
-    prev += r.varint();
-    rec.time = prev;
-    rec.chosen = static_cast<sim::ProcessId>(r.varint());
-    t.picks.push_back(rec);
-  }
-
-  count = r.varint();
-  if (count > r.remaining()) r.fail("fault record count exceeds file size");
-  prev = 0;
-  t.faults.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    FaultRecord rec;
-    prev += r.varint();
-    rec.time = prev;
-    rec.value = r.varint();
-    t.faults.push_back(rec);
-  }
-  return t;
+/// Everything between the version and the checksum.
+template <class IO, class File>
+void file_fields(IO& io, File& file) {
+  io.text(file.experiment);
+  io.stream("seed", file.seeds, [&io](auto& s) { io.varint(s); });
+  io.maybe(file.config, [&io](auto& cfg) { config_fields(io, cfg); });
+  io.stream("trace", file.traces, [&io](auto& t) { trace_fields(io, t); });
 }
 
 /// fold64 over the buffer, 8 bytes at a time (zero-padded tail), length
@@ -272,127 +379,15 @@ std::uint64_t checksum(const std::uint8_t* data, std::size_t size) {
 }  // namespace
 
 void encode_config(const harness::ExperimentConfig& cfg, std::vector<std::uint8_t>& out) {
-  put_u8(out, static_cast<std::uint8_t>(cfg.protocol));
-  put_u8(out, static_cast<std::uint8_t>(cfg.timing));
-  put_varint(out, cfg.n);
-  put_varint(out, cfg.delta);
-  put_varint(out, cfg.duration);
-  put_varint(out, cfg.seed);
-  put_u8(out, static_cast<std::uint8_t>(cfg.churn_kind));
-  put_double(out, cfg.churn_rate);
-  put_u8(out, static_cast<std::uint8_t>(cfg.leave_policy));
-  put_varint(out, cfg.gst);
-  put_varint(out, cfg.pre_gst_max);
-  put_double(out, cfg.loss_rate);
-  put_u8(out, cfg.es_atomic_reads ? 1 : 0);
-  put_opt_duration(out, cfg.sync_delta_pp);
-  put_opt_duration(out, cfg.sync_refresh_interval);
-  put_u8(out, static_cast<std::uint8_t>(cfg.workload.kind));
-  put_varint(out, cfg.workload.read_interval);
-  put_varint(out, cfg.workload.write_interval);
-  put_u8(out, cfg.workload.writes_enabled ? 1 : 0);
-  put_u8(out, static_cast<std::uint8_t>(cfg.workload.writer_mode));
-  put_varint(out, cfg.workload.concurrent_writers);
-  put_varint(out, cfg.workload.clients);
-  put_varint(out, cfg.workload.think_time);
-  put_varint(out, cfg.workload.burst_on);
-  put_varint(out, cfg.workload.burst_off);
-  put_u8(out, static_cast<std::uint8_t>(cfg.dissemination));
-  put_varint(out, cfg.tree_fanout);
-  // Format v3 appendix: per-op client policy, ES hardening, fault::Plan.
-  put_varint(out, cfg.workload.op_deadline);
-  put_varint(out, cfg.workload.retry_max_attempts);
-  put_varint(out, cfg.workload.retry_backoff);
-  put_u8(out, cfg.workload.retry_exponential ? 1 : 0);
-  put_u8(out, cfg.es_retransmit_backoff ? 1 : 0);
-  put_u8(out, cfg.es_validate_replies ? 1 : 0);
-  put_double(out, cfg.fault.crash.rate);
-  put_double(out, cfg.fault.crash.recover_fraction);
-  put_varint(out, cfg.fault.crash.recovery_delay);
-  put_u8(out, static_cast<std::uint8_t>(cfg.fault.crash.restart));
-  put_double(out, cfg.fault.partition.rate);
-  put_varint(out, cfg.fault.partition.duration);
-  put_double(out, cfg.fault.partition.fraction);
-  put_u8(out, cfg.fault.partition.asymmetric ? 1 : 0);
-  put_double(out, cfg.fault.byzantine.fraction);
-  put_double(out, cfg.fault.byzantine.transform_rate);
-  put_u8(out, static_cast<std::uint8_t>((cfg.fault.byzantine.equivocate ? 1 : 0) |
-                                        (cfg.fault.byzantine.stale_replay ? 2 : 0) |
-                                        (cfg.fault.byzantine.forge ? 4 : 0) |
-                                        (cfg.fault.byzantine.corrupt ? 8 : 0)));
-  put_varint(out, cfg.fault.tick);
-  // Format v4 appendix: the shard layer and the keyed workload. (The
-  // chronicle_aggregate flag is deliberately NOT encoded: it changes memory
-  // accounting only, never results, so it must not split fingerprints.)
-  put_varint(out, cfg.shard_count);
-  put_varint(out, cfg.workload.key_count);
-  put_double(out, cfg.workload.zipf_s);
-  put_double(out, cfg.workload.read_frac);
-  put_varint(out, cfg.workload.storm_every);
-  put_varint(out, cfg.workload.storm_len);
+  Writer w(out);
+  config_fields(w, cfg);
 }
 
 harness::ExperimentConfig decode_config(const std::vector<std::uint8_t>& bytes,
                                         std::size_t& pos) {
   Reader r(bytes, pos);
   harness::ExperimentConfig cfg;
-  cfg.protocol = static_cast<harness::Protocol>(enum_u8(r, 3, "protocol"));
-  cfg.timing = static_cast<harness::Timing>(enum_u8(r, 1, "timing"));
-  cfg.n = static_cast<std::size_t>(r.varint());
-  cfg.delta = static_cast<sim::Duration>(r.varint());
-  cfg.duration = static_cast<sim::Time>(r.varint());
-  cfg.seed = r.varint();
-  cfg.churn_kind = static_cast<harness::ChurnKind>(enum_u8(r, 1, "churn kind"));
-  cfg.churn_rate = r.dbl();
-  cfg.leave_policy = static_cast<churn::LeavePolicy>(enum_u8(r, 1, "leave policy"));
-  cfg.gst = static_cast<sim::Time>(r.varint());
-  cfg.pre_gst_max = static_cast<sim::Duration>(r.varint());
-  cfg.loss_rate = r.dbl();
-  cfg.es_atomic_reads = r.u8() != 0;
-  cfg.sync_delta_pp = get_opt_duration(r);
-  cfg.sync_refresh_interval = get_opt_duration(r);
-  cfg.workload.kind = static_cast<workload::Kind>(enum_u8(r, 2, "workload kind"));
-  cfg.workload.read_interval = static_cast<sim::Duration>(r.varint());
-  cfg.workload.write_interval = static_cast<sim::Duration>(r.varint());
-  cfg.workload.writes_enabled = r.u8() != 0;
-  cfg.workload.writer_mode = static_cast<workload::WriterMode>(enum_u8(r, 1, "writer mode"));
-  cfg.workload.concurrent_writers = static_cast<std::size_t>(r.varint());
-  cfg.workload.clients = static_cast<std::size_t>(r.varint());
-  cfg.workload.think_time = static_cast<sim::Duration>(r.varint());
-  cfg.workload.burst_on = static_cast<sim::Duration>(r.varint());
-  cfg.workload.burst_off = static_cast<sim::Duration>(r.varint());
-  cfg.dissemination =
-      static_cast<harness::Dissemination>(enum_u8(r, 1, "dissemination"));
-  cfg.tree_fanout = static_cast<std::size_t>(r.varint());
-  cfg.workload.op_deadline = static_cast<sim::Duration>(r.varint());
-  cfg.workload.retry_max_attempts = static_cast<std::uint32_t>(r.varint());
-  cfg.workload.retry_backoff = static_cast<sim::Duration>(r.varint());
-  cfg.workload.retry_exponential = r.u8() != 0;
-  cfg.es_retransmit_backoff = r.u8() != 0;
-  cfg.es_validate_replies = r.u8() != 0;
-  cfg.fault.crash.rate = r.dbl();
-  cfg.fault.crash.recover_fraction = r.dbl();
-  cfg.fault.crash.recovery_delay = static_cast<sim::Duration>(r.varint());
-  cfg.fault.crash.restart =
-      static_cast<fault::RestartState>(enum_u8(r, 1, "restart state"));
-  cfg.fault.partition.rate = r.dbl();
-  cfg.fault.partition.duration = static_cast<sim::Duration>(r.varint());
-  cfg.fault.partition.fraction = r.dbl();
-  cfg.fault.partition.asymmetric = r.u8() != 0;
-  cfg.fault.byzantine.fraction = r.dbl();
-  cfg.fault.byzantine.transform_rate = r.dbl();
-  const std::uint8_t byz_kinds = enum_u8(r, 15, "byzantine kinds");
-  cfg.fault.byzantine.equivocate = (byz_kinds & 1) != 0;
-  cfg.fault.byzantine.stale_replay = (byz_kinds & 2) != 0;
-  cfg.fault.byzantine.forge = (byz_kinds & 4) != 0;
-  cfg.fault.byzantine.corrupt = (byz_kinds & 8) != 0;
-  cfg.fault.tick = static_cast<sim::Duration>(r.varint());
-  cfg.shard_count = static_cast<std::size_t>(r.varint());
-  cfg.workload.key_count = static_cast<std::size_t>(r.varint());
-  cfg.workload.zipf_s = r.dbl();
-  cfg.workload.read_frac = r.dbl();
-  cfg.workload.storm_every = static_cast<sim::Duration>(r.varint());
-  cfg.workload.storm_len = static_cast<sim::Duration>(r.varint());
+  config_fields(r, cfg);
   pos = r.pos();
   return cfg;
 }
@@ -408,16 +403,11 @@ std::uint64_t fingerprint(const harness::ExperimentConfig& cfg) {
 
 std::vector<std::uint8_t> encode(const TraceFile& file) {
   std::vector<std::uint8_t> out;
-  put_u32(out, kTraceMagic);
-  put_u32(out, kTraceVersion);
-  put_string(out, file.experiment);
-  put_varint(out, file.seeds.size());
-  for (const std::uint64_t s : file.seeds) put_varint(out, s);
-  put_u8(out, file.config.has_value() ? 1 : 0);
-  if (file.config.has_value()) encode_config(*file.config, out);
-  put_varint(out, file.traces.size());
-  for (const Trace& t : file.traces) encode_trace(t, out);
-  put_u64(out, checksum(out.data(), out.size()));
+  Writer w(out);
+  w.u32(kTraceMagic);
+  w.u32(kTraceVersion);
+  file_fields(w, file);
+  w.word(checksum(out.data(), out.size()));
   return out;
 }
 
@@ -438,7 +428,8 @@ TraceFile decode(const std::vector<std::uint8_t>& bytes) {
   }
   if (bytes.size() < 16) throw TraceError("truncated: no room for checksum");
   Reader tail(bytes, bytes.size() - 8);
-  const std::uint64_t stored = tail.u64();
+  std::uint64_t stored = 0;
+  tail.word(stored);
   const std::uint64_t actual = checksum(bytes.data(), bytes.size() - 8);
   if (stored != actual) {
     throw TraceError("checksum mismatch: file is corrupted (stored " +
@@ -446,22 +437,7 @@ TraceFile decode(const std::vector<std::uint8_t>& bytes) {
   }
 
   TraceFile file;
-  file.experiment = header.str();
-  const std::uint64_t seed_count = header.varint();
-  if (seed_count > header.remaining()) header.fail("seed count exceeds file size");
-  file.seeds.reserve(static_cast<std::size_t>(seed_count));
-  for (std::uint64_t i = 0; i < seed_count; ++i) file.seeds.push_back(header.varint());
-  if (header.u8() != 0) {
-    std::size_t pos = header.pos();
-    file.config = decode_config(bytes, pos);
-    header = Reader(bytes, pos);
-  }
-  const std::uint64_t trace_count = header.varint();
-  if (trace_count > header.remaining()) header.fail("trace count exceeds file size");
-  file.traces.reserve(static_cast<std::size_t>(trace_count));
-  for (std::uint64_t i = 0; i < trace_count; ++i) {
-    file.traces.push_back(decode_trace(header));
-  }
+  file_fields(header, file);
   return file;
 }
 

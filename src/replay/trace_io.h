@@ -2,10 +2,12 @@
 // ExperimentConfig encoding that both the trace file format and the replay
 // session's config fingerprint are built on.
 //
-// File format (all integers little-endian; "varint" is LEB128):
+// File format (all integers little-endian; "varint" is LEB128). The
+// authoritative field-by-field layout is config_fields / trace_fields /
+// file_fields in trace_io.cpp, which the encoder and the decoder share:
 //
 //   u32  magic    0x52545244 ("DRTR")
-//   u32  version  1
+//   u32  version  4 (kTraceVersion; any other version is rejected)
 //   varint experiment-name length + bytes   (registry id, may be empty)
 //   varint seed count + varint seeds        (the run set recorded)
 //   u8   has-config; if 1: canonical ExperimentConfig encoding (the single
@@ -15,14 +17,16 @@
 //     varint fingerprint, varint seed, u64 recorded-hash, u8 churn-loop
 //     four streams (net, churn, picks, faults), each varint count + records
 //     with delta-encoded times and varint fields; net records carry the
-//     interned payload type id and a flags byte (lost); fault records carry
-//     the raw 64-bit decision word
+//     interned payload type id and a lost flag (delay only when not lost);
+//     churn records carry a join flag, the victim (leaves only) and the
+//     owning shard tag; fault records carry the raw 64-bit decision word
 //   u64  checksum   fold64 over every preceding byte
 //
 // The decoder is fully bounds-checked and throws TraceError (with a
-// position-stamped message) on truncation, bad magic, unknown version, or a
-// checksum mismatch — never UB, whatever the bytes. trace_format_test
-// fuzzes it with seeded corruptions under ASan/UBSan.
+// position-stamped message) on truncation, bad magic, unknown version, a
+// checksum mismatch, or a value too large for its field — never UB,
+// whatever the bytes. trace_format_test fuzzes it with seeded corruptions
+// under ASan/UBSan.
 #pragma once
 
 #include <cstdint>

@@ -324,6 +324,53 @@ TEST(TraceFormat, LyingRecordCountsCannotBalloonAllocation) {
   EXPECT_THROW(decode(bytes), TraceError);
 }
 
+/// A hand-built file holding one trace whose only record is a net record
+/// with the given endpoint and payload type, checksummed so only the
+/// decoder's range validation can reject it.
+std::vector<std::uint8_t> file_with_net_record(std::uint64_t to, std::uint64_t type) {
+  std::vector<std::uint8_t> bytes;
+  const auto put_varint = [&bytes](std::uint64_t v) {
+    for (; v >= 0x80; v >>= 7) bytes.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    bytes.push_back(static_cast<std::uint8_t>(v));
+  };
+  const auto put_le = [&bytes](std::uint64_t v, int n) {
+    for (int i = 0; i < n; ++i) bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  put_le(kTraceMagic, 4);
+  put_le(kTraceVersion, 4);
+  put_varint(0);  // empty experiment name
+  put_varint(0);  // zero seeds
+  bytes.push_back(0);  // no config
+  put_varint(1);  // one trace
+  put_varint(5);  // fingerprint
+  put_varint(1);  // seed
+  put_le(0, 8);   // recorded hash
+  bytes.push_back(0);  // no churn loop
+  put_varint(1);  // one net record: time delta, from, to, type, lost, delay
+  put_varint(3);
+  put_varint(0);
+  put_varint(to);
+  put_varint(type);
+  bytes.push_back(0);
+  put_varint(2);
+  for (int stream = 0; stream < 3; ++stream) put_varint(0);  // churn, picks, faults
+  put_le(file_checksum(bytes), 8);
+  return bytes;
+}
+
+TEST(TraceFormat, OutOfRangeFieldsAreRejectedNotTruncated) {
+  // The hand-built file is well formed when every value fits its field...
+  const TraceFile ok = decode(file_with_net_record(1, 7));
+  ASSERT_EQ(ok.traces.size(), 1u);
+  ASSERT_EQ(ok.traces[0].net.size(), 1u);
+  EXPECT_EQ(ok.traces[0].net[0].to, 1u);
+  EXPECT_EQ(ok.traces[0].net[0].type, 7u);
+  // ...and rejected when one does not: 2^32 + 1 is no ProcessId (it must
+  // not decode as process 1), and 2^16 is no PayloadTypeId.
+  EXPECT_THROW(decode(file_with_net_record((std::uint64_t{1} << 32) + 1, 7)), TraceError);
+  EXPECT_THROW(decode(file_with_net_record(1, std::uint64_t{1} << 16)), TraceError);
+}
+
 TEST(TraceFormat, FileIoRoundTripsAndMissingFileThrows) {
   const TraceFile f = sample_file();
   const std::string path = testing::TempDir() + "/trace_format_test.trace";
