@@ -8,19 +8,22 @@ namespace dynreg {
 
 AbdRegisterNode::AbdRegisterNode(sim::ProcessId id, node::Context& ctx,
                                  AbdConfig config, bool initial)
-    : RegisterNode(id), ctx_(ctx), config_(std::move(config)), replica_(initial) {
-  if (replica_) {
-    value_ = config_.initial_value;
-    ts_ = Timestamp{0, 0};
+    : RegisterNode(id, ctx), ctx_(ctx), config_(std::move(config)) {
+  static_assert(sizeof(node::Node) + sizeof(Hot) <= 64,
+                "on_message's hot fields must end within the receiver's first 64 bytes");
+  hot_.replica = initial;
+  if (hot_.replica) {
+    hot_.value = config_.initial_value;
+    hot_.ts = Timestamp{0, 0};
   }
   // ABD has no join protocol: every member is immediately operational.
   ctx_.notify_active();
 }
 
 void AbdRegisterNode::apply(const Timestamp& ts, Value v) {
-  if (ts_ < ts) {
-    ts_ = ts;
-    value_ = v;
+  if (hot_.ts < ts) {
+    hot_.ts = ts;
+    hot_.value = v;
   }
 }
 
@@ -28,13 +31,13 @@ void AbdRegisterNode::read(const OpContext&, ReadCompletion done) {
   const std::uint64_t rid = next_rid_++;
   PendingRead& r = reads_[rid];
   r.done = std::move(done);
-  if (replica_) {
+  if (hot_.replica) {
     r.repliers.insert(id());
-    r.best_ts = ts_;
-    r.best_value = value_;
+    r.best_ts = hot_.ts;
+    r.best_value = hot_.value;
     r.has_best = true;
   }
-  ctx_.broadcast(ctx_.make_payload<msg::AbdReadQuery>(rid));
+  broadcast(make_payload<msg::AbdReadQuery>(rid));
   if (r.repliers.size() >= majority()) start_writeback(rid);  // n == 1 corner
 }
 
@@ -42,16 +45,16 @@ void AbdRegisterNode::write(const OpContext&, Value v, WriteCompletion done) {
   // Advance past every timestamp this process has observed so a writer whose
   // local counter lags (multi-writer configs) cannot issue an already
   // superseded timestamp that replicas would ack but never store.
-  sn_ = std::max(sn_, ts_.sn) + 1;
+  sn_ = std::max(sn_, hot_.ts.sn) + 1;
   const Timestamp ts{sn_, id()};
   const std::uint64_t wid = next_wid_++;
   PendingWrite& w = writes_[wid];
   w.done = std::move(done);
-  if (replica_) {
+  if (hot_.replica) {
     apply(ts, v);
     w.ackers.insert(id());
   }
-  ctx_.broadcast(ctx_.make_payload<msg::AbdUpdate>(wid, ts, v));
+  broadcast(make_payload<msg::AbdUpdate>(wid, ts, v));
   maybe_finish_write(wid);  // n == 1 corner
 }
 
@@ -59,11 +62,11 @@ void AbdRegisterNode::start_writeback(std::uint64_t rid) {
   // Phase 2: write the chosen value back to a majority before returning.
   PendingRead& r = reads_[rid];
   r.in_writeback = true;
-  if (replica_) {
+  if (hot_.replica) {
     apply(r.best_ts, r.best_value);
     r.wb_ackers.insert(id());
   }
-  ctx_.broadcast(ctx_.make_payload<msg::AbdWriteback>(rid, r.best_ts, r.best_value));
+  broadcast(make_payload<msg::AbdWriteback>(rid, r.best_ts, r.best_value));
   maybe_finish_read(rid);
 }
 
@@ -104,9 +107,9 @@ void AbdRegisterNode::on_message(sim::ProcessId from, const net::Payload& payloa
   const net::PayloadTypeId type = payload.type_id();
 
   if (type == msg::AbdReadQuery::kTypeId) {
-    if (!replica_) return;
+    if (!hot_.replica) return;
     const auto& m = static_cast<const msg::AbdReadQuery&>(payload);
-    ctx_.send(from, ctx_.make_payload<msg::AbdReadReply>(m.rid, ts_, value_));
+    send(from, make_payload<msg::AbdReadReply>(m.rid, hot_.ts, hot_.value));
   } else if (type == msg::AbdReadReply::kTypeId) {
     const auto& m = static_cast<const msg::AbdReadReply&>(payload);
     const auto it = reads_.find(m.rid);
@@ -120,10 +123,10 @@ void AbdRegisterNode::on_message(sim::ProcessId from, const net::Payload& payloa
     }
     if (r.repliers.size() >= majority()) start_writeback(m.rid);
   } else if (type == msg::AbdWriteback::kTypeId) {
-    if (!replica_) return;
+    if (!hot_.replica) return;
     const auto& m = static_cast<const msg::AbdWriteback&>(payload);
     apply(m.ts, m.value);
-    ctx_.send(from, ctx_.make_payload<msg::AbdWritebackAck>(m.rid));
+    send(from, make_payload<msg::AbdWritebackAck>(m.rid));
   } else if (type == msg::AbdWritebackAck::kTypeId) {
     const auto& m = static_cast<const msg::AbdWritebackAck&>(payload);
     const auto it = reads_.find(m.rid);
@@ -131,10 +134,10 @@ void AbdRegisterNode::on_message(sim::ProcessId from, const net::Payload& payloa
     it->second.wb_ackers.insert(from);
     maybe_finish_read(m.rid);
   } else if (type == msg::AbdUpdate::kTypeId) {
-    if (!replica_) return;
+    if (!hot_.replica) return;
     const auto& m = static_cast<const msg::AbdUpdate&>(payload);
     apply(m.ts, m.value);
-    ctx_.send(from, ctx_.make_payload<msg::AbdUpdateAck>(m.wid));
+    send(from, make_payload<msg::AbdUpdateAck>(m.wid));
   } else if (type == msg::AbdUpdateAck::kTypeId) {
     const auto& m = static_cast<const msg::AbdUpdateAck&>(payload);
     const auto it = writes_.find(m.wid);

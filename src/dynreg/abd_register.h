@@ -32,7 +32,7 @@ class AbdRegisterNode final : public RegisterNode {
   void on_departure() override;
   void read(const OpContext& op, ReadCompletion done) override;
   void write(const OpContext& op, Value v, WriteCompletion done) override;
-  Value local_value() const override { return value_; }
+  Value local_value() const override { return hot_.value; }
   bool is_active() const override { return true; }  // no join protocol
   /// ABD's replica set is fixed at bootstrap: a crash-recovered process
   /// restarts under a fresh id and is a client, not a replica, whatever it
@@ -40,10 +40,22 @@ class AbdRegisterNode final : public RegisterNode {
   /// ignores restore(). Exactly the Section 1 motivation: static-membership
   /// quorums cannot readmit recovered state (docs/FAULTS.md).
   [[nodiscard]] DurableImage crash_image() const override {
-    return replica_ ? DurableImage{value_, ts_, true} : DurableImage{};
+    return hot_.replica ? DurableImage{hot_.value, hot_.ts, true} : DurableImage{};
   }
 
  private:
+  // What on_message reads for the bulk message types: a replica answers
+  // abd.read_query from ts and value, and applies abd.update and
+  // abd.writeback into them. Declared first, so with the node::Node base it
+  // lies in bytes [0, 64), the span net::Network prefetches ahead of batched
+  // delivery (checked in abd_register.cpp).
+  struct Hot {
+    Timestamp ts;
+    Value value = kBottom;
+    bool replica = false;
+  };
+  Hot hot_;
+
   struct PendingRead {
     ReadCompletion done;
     QuorumTally repliers;
@@ -66,10 +78,6 @@ class AbdRegisterNode final : public RegisterNode {
 
   node::Context& ctx_;
   AbdConfig config_;
-  bool replica_;
-
-  Value value_ = kBottom;
-  Timestamp ts_;
 
   std::uint64_t next_rid_ = 0;
   std::uint64_t next_wid_ = 0;

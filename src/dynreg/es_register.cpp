@@ -9,18 +9,20 @@ namespace dynreg {
 
 EsRegisterNode::EsRegisterNode(sim::ProcessId id, node::Context& ctx, EsConfig config,
                                bool initial)
-    : RegisterNode(id),
+    : RegisterNode(id, ctx),
       ctx_(ctx),
       config_(std::move(config)),
       // The pending maps draw their nodes from the simulation's epoch arena
       // (ArenaAllocator<char> converts to each map's allocator).
       reads_(sim::ArenaAllocator<char>(ctx.arena())),
       writes_(sim::ArenaAllocator<char>(ctx.arena())) {
+  static_assert(sizeof(node::Node) + sizeof(Hot) <= 64,
+                "on_message's hot fields must end within the receiver's first 64 bytes");
   if (initial) {
-    value_ = config_.initial_value;
-    ts_ = Timestamp{0, 0};
-    has_value_ = true;
-    active_ = true;
+    hot_.value = config_.initial_value;
+    hot_.ts = Timestamp{0, 0};
+    hot_.has_value = true;
+    hot_.active = true;
     ctx_.notify_active();
   } else {
     start_join();
@@ -28,11 +30,11 @@ EsRegisterNode::EsRegisterNode(sim::ProcessId id, node::Context& ctx, EsConfig c
 }
 
 void EsRegisterNode::apply(const Timestamp& ts, Value v) {
-  max_seen_sn_ = std::max(max_seen_sn_, ts.sn);
-  if (!has_value_ || ts_ < ts) {
-    ts_ = ts;
-    value_ = v;
-    has_value_ = true;
+  hot_.max_seen_sn = std::max(hot_.max_seen_sn, ts.sn);
+  if (!hot_.has_value || hot_.ts < ts) {
+    hot_.ts = ts;
+    hot_.value = v;
+    hot_.has_value = true;
   }
 }
 
@@ -41,13 +43,13 @@ void EsRegisterNode::apply(const Timestamp& ts, Value v) {
 void EsRegisterNode::start_join() {
   join_pending_ = true;
   join_id_ = static_cast<std::uint64_t>(id()) << 32;
-  ctx_.broadcast(ctx_.make_payload<msg::EsJoin>(join_id_));
+  broadcast(make_payload<msg::EsJoin>(join_id_));
   ctx_.schedule_after(retransmit_after(join_resends_), [this] { retransmit_join(); });
 }
 
 void EsRegisterNode::retransmit_join() {
   if (!join_pending_) return;
-  ctx_.broadcast(ctx_.make_payload<msg::EsJoin>(join_id_));
+  broadcast(make_payload<msg::EsJoin>(join_id_));
   ctx_.schedule_after(retransmit_after(++join_resends_), [this] { retransmit_join(); });
 }
 
@@ -59,12 +61,12 @@ void EsRegisterNode::read(const OpContext&, ReadCompletion done) {
   r.done = std::move(done);
   // The reader's own copy counts towards the quorum without a message.
   r.repliers.insert(id());
-  if (has_value_) {
-    r.best_ts = ts_;
-    r.best_value = value_;
+  if (hot_.has_value) {
+    r.best_ts = hot_.ts;
+    r.best_value = hot_.value;
     r.has_value = true;
   }
-  ctx_.broadcast(ctx_.make_payload<msg::EsRead>(rid));
+  broadcast(make_payload<msg::EsRead>(rid));
   ctx_.schedule_after(retransmit_after(0), [this, rid] { retransmit_read(rid); });
   if (r.repliers.size() >= majority()) finish_read(rid);  // n == 1 corner
 }
@@ -72,7 +74,7 @@ void EsRegisterNode::read(const OpContext&, ReadCompletion done) {
 void EsRegisterNode::retransmit_read(std::uint64_t rid) {
   const auto it = reads_.find(rid);
   if (it == reads_.end() || it->second.in_writeback) return;
-  ctx_.broadcast(ctx_.make_payload<msg::EsRead>(rid));
+  broadcast(make_payload<msg::EsRead>(rid));
   ctx_.schedule_after(retransmit_after(++it->second.resends),
                       [this, rid] { retransmit_read(rid); });
 }
@@ -101,7 +103,7 @@ void EsRegisterNode::start_writeback(std::uint64_t rid) {
   w.is_read_writeback = true;
   w.rid = rid;
   w.ackers.insert(id());
-  ctx_.broadcast(ctx_.make_payload<msg::EsWrite>(wid, w.ts, w.value));
+  broadcast(make_payload<msg::EsWrite>(wid, w.ts, w.value));
   ctx_.schedule_after(retransmit_after(0), [this, wid] { retransmit_write(wid); });
   maybe_finish_write(wid);  // n == 1 corner: the self-vote is the quorum
 }
@@ -112,7 +114,7 @@ void EsRegisterNode::write(const OpContext&, Value v, WriteCompletion done) {
   // Timestamps advance past everything this process has seen, so concurrent
   // writers converge on a total (sn, writer id) order — the multi-writer
   // extension of Section 7.
-  const Timestamp ts{std::max(ts_.sn, max_seen_sn_) + 1, id()};
+  const Timestamp ts{std::max(hot_.ts.sn, hot_.max_seen_sn) + 1, id()};
   apply(ts, v);
   const std::uint64_t wid = next_wid_++ << 1;
   PendingWrite& w = writes_.try_emplace(wid).first->second;
@@ -120,7 +122,7 @@ void EsRegisterNode::write(const OpContext&, Value v, WriteCompletion done) {
   w.ts = ts;
   w.value = v;
   w.ackers.insert(id());
-  ctx_.broadcast(ctx_.make_payload<msg::EsWrite>(wid, ts, v));
+  broadcast(make_payload<msg::EsWrite>(wid, ts, v));
   ctx_.schedule_after(retransmit_after(0), [this, wid] { retransmit_write(wid); });
   maybe_finish_write(wid);  // n == 1 corner: the self-vote is the quorum
 }
@@ -157,7 +159,7 @@ void EsRegisterNode::on_departure() {
 void EsRegisterNode::retransmit_write(std::uint64_t wid) {
   const auto it = writes_.find(wid);
   if (it == writes_.end()) return;
-  ctx_.broadcast(ctx_.make_payload<msg::EsWrite>(wid, it->second.ts, it->second.value));
+  broadcast(make_payload<msg::EsWrite>(wid, it->second.ts, it->second.value));
   ctx_.schedule_after(retransmit_after(++it->second.resends),
                       [this, wid] { retransmit_write(wid); });
 }
@@ -172,7 +174,7 @@ void EsRegisterNode::on_message(sim::ProcessId from, const net::Payload& payload
     const auto& m = static_cast<const msg::EsWrite&>(payload);
     if (rejects_envelope(m.ts, true)) return;  // forged-timestamp guard: no store, no ack
     apply(m.ts, m.value);
-    ctx_.send(from, ctx_.make_payload<msg::EsAck>(m.wid));
+    send(from, make_payload<msg::EsAck>(m.wid));
   } else if (type == msg::EsAck::kTypeId) {
     const auto& m = static_cast<const msg::EsAck&>(payload);
     const auto it = writes_.find(m.wid);
@@ -181,8 +183,8 @@ void EsRegisterNode::on_message(sim::ProcessId from, const net::Payload& payload
     maybe_finish_write(m.wid);
   } else if (type == msg::EsRead::kTypeId) {
     const auto& m = static_cast<const msg::EsRead&>(payload);
-    if (active_) {
-      ctx_.send(from, ctx_.make_payload<msg::EsReply>(m.rid, ts_, value_, has_value_));
+    if (hot_.active) {
+      send(from, make_payload<msg::EsReply>(m.rid, hot_.ts, hot_.value, hot_.has_value));
     }
   } else if (type == msg::EsReply::kTypeId) {
     const auto& m = static_cast<const msg::EsReply&>(payload);
@@ -199,9 +201,9 @@ void EsRegisterNode::on_message(sim::ProcessId from, const net::Payload& payload
     if (r.repliers.size() >= majority()) finish_read(m.rid);
   } else if (type == msg::EsJoin::kTypeId) {
     const auto& m = static_cast<const msg::EsJoin&>(payload);
-    if (active_) {
-      ctx_.send(from,
-                ctx_.make_payload<msg::EsJoinReply>(m.jid, ts_, value_, has_value_));
+    if (hot_.active) {
+      send(from,
+           make_payload<msg::EsJoinReply>(m.jid, hot_.ts, hot_.value, hot_.has_value));
     }
   } else if (type == msg::EsJoinReply::kTypeId) {
     const auto& m = static_cast<const msg::EsJoinReply&>(payload);
@@ -216,7 +218,7 @@ void EsRegisterNode::on_message(sim::ProcessId from, const net::Payload& payload
     if (join_repliers_.size() >= majority()) {
       join_pending_ = false;
       if (join_has_value_) apply(join_best_ts_, join_best_value_);
-      active_ = true;
+      hot_.active = true;
       ctx_.notify_active();
     }
   }

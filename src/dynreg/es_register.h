@@ -58,10 +58,10 @@ class EsRegisterNode final : public RegisterNode {
   void on_departure() override;
   void read(const OpContext& op, ReadCompletion done) override;
   void write(const OpContext& op, Value v, WriteCompletion done) override;
-  Value local_value() const override { return value_; }
-  bool is_active() const override { return active_; }
+  Value local_value() const override { return hot_.value; }
+  bool is_active() const override { return hot_.active; }
   [[nodiscard]] DurableImage crash_image() const override {
-    return DurableImage{value_, ts_, has_value_};
+    return DurableImage{hot_.value, hot_.ts, hot_.has_value};
   }
   /// Apply-as-floor: the image merges through the monotone apply() and the
   /// restarted process still runs the join protocol, so a stale disk image
@@ -71,6 +71,21 @@ class EsRegisterNode final : public RegisterNode {
   }
 
  private:
+  // What on_message reads for the bulk message types: an es.read reply reads
+  // active, ts, value and has_value; an es.write's apply() also reads and
+  // bumps max_seen_sn. Declared first, so with the node::Node base it lies in
+  // bytes [0, 64), the span net::Network prefetches ahead of batched
+  // delivery (checked in es_register.cpp). An es.write still reads the
+  // validate_replies flag from config_ on the next line.
+  struct Hot {
+    Timestamp ts;
+    Value value = kBottom;
+    std::uint64_t max_seen_sn = 0;
+    bool has_value = false;
+    bool active = false;
+  };
+  Hot hot_;
+
   // Pending-operation records live in maps drawn from the simulation's epoch
   // arena: each map node is a short-lived, uniform-size object churned once
   // per in-flight operation, exactly the traffic the arena batches. The
@@ -113,7 +128,7 @@ class EsRegisterNode final : public RegisterNode {
   [[nodiscard]] bool rejects_envelope(const Timestamp& ts, bool msg_has_value) const {
     if (!config_.validate_replies) return false;
     if (!msg_has_value) return ts.sn > 0;  // no value claimed, yet a timestamp
-    return ts.sn > max_seen_sn_ + config_.ts_envelope;
+    return ts.sn > hot_.max_seen_sn + config_.ts_envelope;
   }
   void apply(const Timestamp& ts, Value v);
   void start_join();
@@ -127,15 +142,9 @@ class EsRegisterNode final : public RegisterNode {
   node::Context& ctx_;
   EsConfig config_;
 
-  Value value_ = kBottom;
-  Timestamp ts_;
-  bool has_value_ = false;
-  bool active_ = false;
-
   std::uint64_t next_rid_ = 0;
   std::uint64_t next_wid_ = 0;
   std::uint64_t join_id_ = 0;
-  std::uint64_t max_seen_sn_ = 0;
 
   ArenaOpMap<PendingRead> reads_;
   ArenaOpMap<PendingWrite> writes_;

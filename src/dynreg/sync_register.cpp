@@ -8,16 +8,18 @@ namespace dynreg {
 
 SyncRegisterNode::SyncRegisterNode(sim::ProcessId id, node::Context& ctx,
                                    SyncConfig config, bool initial)
-    : RegisterNode(id), ctx_(ctx), config_(std::move(config)) {
+    : RegisterNode(id, ctx), ctx_(ctx), config_(std::move(config)) {
+  static_assert(sizeof(node::Node) + sizeof(Hot) <= 64,
+                "on_message's hot fields must end within the receiver's first 64 bytes");
   if (initial) {
-    value_ = config_.initial_value;
-    ts_ = Timestamp{0, 0};
-    has_value_ = true;
-    active_ = true;
+    hot_.value = config_.initial_value;
+    hot_.ts = Timestamp{0, 0};
+    hot_.has_value = true;
+    hot_.active = true;
     ctx_.notify_active();
     schedule_refresh();
   } else {
-    joining_ = true;
+    hot_.joining = true;
     if (config_.wait_before_inquiry) {
       // The initial delta wait guarantees any WRITE broadcast concurrent
       // with the join has landed at every active process before their
@@ -30,7 +32,7 @@ SyncRegisterNode::SyncRegisterNode(sim::ProcessId id, node::Context& ctx,
 }
 
 void SyncRegisterNode::start_inquiry() {
-  ctx_.broadcast(ctx_.make_payload<msg::SyncInquiry>());
+  broadcast(make_payload<msg::SyncInquiry>());
   // A reply takes at most delta (inquiry) + delta (reply) to round-trip;
   // footnote 4 tightens the return leg to a known delta'.
   const sim::Duration window =
@@ -39,30 +41,30 @@ void SyncRegisterNode::start_inquiry() {
 }
 
 void SyncRegisterNode::finish_join() {
-  joining_ = false;
-  active_ = true;
+  hot_.joining = false;
+  hot_.active = true;
   ctx_.notify_active();
   // Answer inquiries that arrived while we were still joining.
   for (const sim::ProcessId j : pending_inquiries_) {
-    ctx_.send(j, ctx_.make_payload<msg::SyncReply>(ts_, value_, has_value_));
+    send(j, make_payload<msg::SyncReply>(hot_.ts, hot_.value, hot_.has_value));
   }
   pending_inquiries_.clear();
   schedule_refresh();
 }
 
 void SyncRegisterNode::apply(const Timestamp& ts, Value v) {
-  if (!has_value_ || ts_ < ts) {
-    ts_ = ts;
-    value_ = v;
-    has_value_ = true;
+  if (!hot_.has_value || hot_.ts < ts) {
+    hot_.ts = ts;
+    hot_.value = v;
+    hot_.has_value = true;
   }
 }
 
 void SyncRegisterNode::schedule_refresh() {
   if (!config_.refresh_interval) return;
   ctx_.schedule_after(*config_.refresh_interval, [this] {
-    if (active_ && has_value_) {
-      ctx_.broadcast(ctx_.make_payload<msg::SyncRefresh>(ts_, value_));
+    if (hot_.active && hot_.has_value) {
+      broadcast(make_payload<msg::SyncRefresh>(hot_.ts, hot_.value));
     }
     schedule_refresh();
   });
@@ -81,10 +83,10 @@ void SyncRegisterNode::on_message(sim::ProcessId from, const net::Payload& paylo
     // window closed is discarded (this is exactly what makes the no-wait
     // variant of Figure 3a unsafe).
     const auto& m = static_cast<const msg::SyncReply&>(payload);
-    if (joining_ && m.has_value) apply(m.ts, m.value);
+    if (hot_.joining && m.has_value) apply(m.ts, m.value);
   } else if (type == msg::SyncInquiry::kTypeId) {
-    if (active_) {
-      ctx_.send(from, ctx_.make_payload<msg::SyncReply>(ts_, value_, has_value_));
+    if (hot_.active) {
+      send(from, make_payload<msg::SyncReply>(hot_.ts, hot_.value, hot_.has_value));
     } else {
       pending_inquiries_.push_back(from);
     }
@@ -95,13 +97,13 @@ void SyncRegisterNode::read(const OpContext&, ReadCompletion done) {
   // Reads are local and instantaneous — the "fast reads" design point. A
   // read can therefore never be dropped mid-flight: it resolves before the
   // invocation returns.
-  done(OpOutcome::kOk, value_);
+  done(OpOutcome::kOk, hot_.value);
 }
 
 void SyncRegisterNode::write(const OpContext&, Value v, WriteCompletion done) {
-  Timestamp ts{ts_.sn + 1, id()};
+  Timestamp ts{hot_.ts.sn + 1, id()};
   apply(ts, v);
-  ctx_.broadcast(ctx_.make_payload<msg::SyncWrite>(ts, v));
+  broadcast(make_payload<msg::SyncWrite>(ts, v));
   // In the synchronous model every copy lands within delta; the write
   // returns exactly then (Section 3.3). The completion waits in
   // pending_writes_ (not inside the timer) so a departure can resolve it.

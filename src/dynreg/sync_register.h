@@ -48,10 +48,10 @@ class SyncRegisterNode final : public RegisterNode {
   void on_departure() override;
   void read(const OpContext& op, ReadCompletion done) override;
   void write(const OpContext& op, Value v, WriteCompletion done) override;
-  Value local_value() const override { return value_; }
-  bool is_active() const override { return active_; }
+  Value local_value() const override { return hot_.value; }
+  bool is_active() const override { return hot_.active; }
   [[nodiscard]] DurableImage crash_image() const override {
-    return DurableImage{value_, ts_, has_value_};
+    return DurableImage{hot_.value, hot_.ts, hot_.has_value};
   }
   /// Apply-as-floor (docs/FAULTS.md): the image merges through the monotone
   /// apply() while the restarted process still runs the full delta-wait join,
@@ -61,6 +61,20 @@ class SyncRegisterNode final : public RegisterNode {
   }
 
  private:
+  // What on_message reads: a sync.write applies into ts, value and
+  // has_value; a sync.inquiry reply reads active and the same three; a
+  // sync.reply checks joining. Declared first, so with the node::Node base it
+  // lies in bytes [0, 64), the span net::Network prefetches ahead of batched
+  // delivery (checked in sync_register.cpp).
+  struct Hot {
+    Timestamp ts;
+    Value value = kBottom;
+    bool has_value = false;
+    bool active = false;
+    bool joining = false;
+  };
+  Hot hot_;
+
   void start_inquiry();
   void finish_join();
   void finish_write(std::uint64_t wid);
@@ -70,11 +84,6 @@ class SyncRegisterNode final : public RegisterNode {
   node::Context& ctx_;
   SyncConfig config_;
 
-  Value value_ = kBottom;
-  Timestamp ts_;
-  bool has_value_ = false;
-  bool active_ = false;
-  bool joining_ = false;
   std::vector<sim::ProcessId> pending_inquiries_;
   /// Writes waiting out their delta propagation window, tagged with a local
   /// sequence number. Held here (not captured in the timer) so a departure

@@ -1,6 +1,8 @@
 #include "harness/experiment.h"
 
+#include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -21,6 +23,18 @@ void ExperimentConfig::validate() const {
     throw std::invalid_argument("shard count " + std::to_string(shard_count) +
                                 " exceeds the system size n=" + std::to_string(n) +
                                 "; a shard needs at least one process");
+  }
+  if (dissemination == Dissemination::kTree &&
+      (tree_fanout == 0 || tree_fanout > std::numeric_limits<std::uint32_t>::max())) {
+    throw std::invalid_argument("tree fanout " + std::to_string(tree_fanout) +
+                                " is outside [1, " +
+                                std::to_string(std::numeric_limits<std::uint32_t>::max()) +
+                                "]; a tree needs at least one child per node");
+  }
+  // Written so that NaN, which compares false both ways, is rejected too.
+  if (!(loss_rate >= 0.0 && loss_rate <= 1.0)) {
+    throw std::invalid_argument("loss rate " + std::to_string(loss_rate) +
+                                " is not a probability in [0, 1]");
   }
 }
 

@@ -98,7 +98,12 @@ struct ExperimentConfig {
   fault::Plan fault;
 
   /// Throws std::invalid_argument naming the first setting this config
-  /// cannot honour: more shards than processes would leave shards empty.
+  /// cannot honour, instead of running it as something else:
+  ///  - more shards than processes would leave shards empty;
+  ///  - a tree dissemination with tree_fanout 0, or above UINT32_MAX, would
+  ///    run as fanout 1 or with a narrowed fanout;
+  ///  - a loss_rate that is NaN or outside [0, 1] would run as "never lost"
+  ///    or "always lost".
   void validate() const;
 
   /// Theorem 1's sufficient churn bound for the synchronous protocol.

@@ -19,9 +19,13 @@ namespace {
 // median of 8 runner processes, 4-vCPU Xeon VM): no prefetch 1.50 s;
 // (slot, receiver) = (8, 4) 1.05 s, (16, 8) 1.05 s, (32, 16) 1.01 s,
 // (48, 24) 1.05 s. The gain is flat across that range, within the run-to-run
-// spread, and (16, 8) sits in its middle. Also prefetching the receiver's
-// second cache line measured 1.00 s, no clear gain, so only its first line
-// is prefetched.
+// spread, and (16, 8) sits in its middle. The receiver prefetch covers
+// bytes [0, 64) of the node, which can straddle two lines: the protocols
+// keep everything a bulk handler reads there, the network handle it sends
+// through included (node/node.h). Prefetching only the first line left the
+// rest a miss: 0.84 s against 0.76 s for both lines (8 interleaved pairs,
+// 8/8 won). While the handler still loaded its separately allocated
+// Context, the second line had measured no clear gain (1.05 s -> 1.00 s).
 constexpr std::uint32_t kSlotPrefetch = 16;
 constexpr std::uint32_t kReceiverPrefetch = 8;
 
@@ -185,7 +189,14 @@ void Network::deliver_batch(Batch& batch) {
       sim::prefetch_ro(&slots_[ids[k + kSlotPrefetch]]);
     }
     if (k + kReceiverPrefetch < count && ids[k + kReceiverPrefetch] < slots_.size()) {
-      sim::prefetch_ro(slots_[ids[k + kReceiverPrefetch]].receiver);
+      // A heap-allocated node is only 16-byte aligned, so its bytes [0, 64)
+      // can straddle two lines. A detached slot is null, and null + 63 is
+      // not a pointer to form.
+      const Receiver* receiver = slots_[ids[k + kReceiverPrefetch]].receiver;
+      if (receiver != nullptr) {
+        sim::prefetch_ro(receiver);
+        sim::prefetch_ro(reinterpret_cast<const char*>(receiver) + 63);
+      }
     }
     // step() folded this event's dispatch for the first copy; every further
     // copy folds its own, so the digest matches one event per copy.

@@ -35,10 +35,12 @@
 // A large batch addresses thousands of receivers scattered over the heap,
 // so each copy would otherwise stall on a cache miss at its receiver. While
 // delivering copy k, the batch loop prefetches the slot of recipient
-// k + kSlotPrefetch and the receiver object of recipient k +
-// kReceiverPrefetch (network.cpp). The prefetches are hints only: every
-// copy still re-reads its slot at delivery time, so a receiver detached by
-// an earlier copy's receiver in the same batch is never called.
+// k + kSlotPrefetch and bytes [0, 64) of the receiver object of recipient
+// k + kReceiverPrefetch (network.cpp), where a protocol node keeps what its
+// handler reads for the bulk message types. The prefetches are hints only:
+// every copy still re-reads its slot at delivery time, so a receiver
+// detached by an earlier copy's receiver in the same batch is never called,
+// and a slot already detached is not prefetched at all.
 #pragma once
 
 #include <cstdint>
@@ -88,6 +90,9 @@ class Network {
 
   /// Sends one copy to every currently attached process except `from`.
   void broadcast(sim::ProcessId from, PayloadPtr payload);
+
+  /// The simulation's epoch arena, where protocol nodes build their payloads.
+  [[nodiscard]] sim::Arena& arena() { return sim_.arena(); }
 
   /// Installs the fan-out planner for broadcast() (FlatDisseminator until
   /// replaced; nullptr restores it).

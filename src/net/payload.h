@@ -37,7 +37,7 @@ PayloadPtr make_payload(Args&&... args) {
 
 /// Arena-backed payload: object + shared_ptr control block live in one
 /// bump-allocated span, recycled an epoch after the last reference drops.
-/// Protocol nodes reach this through node::Context::make_payload.
+/// Protocol nodes reach this through node::Node::make_payload.
 template <typename T, typename... Args>
 PayloadPtr make_payload_in(sim::Arena& arena, Args&&... args) {
   return std::allocate_shared<T>(sim::ArenaAllocator<T>(arena),

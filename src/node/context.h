@@ -1,16 +1,18 @@
-// Per-node capability handle: everything a protocol node may do to the world.
+// Per-node capability handle: timers, activation and the simulation's clock,
+// RNG and arena.
 //
-// A node only ever touches the simulation through its Context. The context
-// guards scheduled callbacks with a liveness token so that a timer set by a
-// node that has since been churned out fires into nothing instead of into
-// freed memory.
+// A node sends through its own network handle (node::Node::send/broadcast,
+// set from this context at construction), so the per-copy reply path never
+// loads the context. Everything else a node does to the world goes through
+// here. The context guards scheduled callbacks with a liveness token so that
+// a timer set by a node that has since been churned out fires into nothing
+// instead of into freed memory.
 #pragma once
 
 #include <memory>
 #include <utility>
 
 #include "net/network.h"
-#include "net/payload.h"
 #include "sim/inline_task.h"
 #include "sim/simulation.h"
 
@@ -40,19 +42,6 @@ class Context {
     });
   }
 
-  void send(sim::ProcessId to, net::PayloadPtr payload) {
-    net_.send(id_, to, std::move(payload));
-  }
-
-  /// Builds a payload in the simulation's epoch arena (the hot-path
-  /// replacement for net::make_payload's per-message heap allocation).
-  template <typename T, typename... Args>
-  net::PayloadPtr make_payload(Args&&... args) {
-    return net::make_payload_in<T>(sim_.arena(), std::forward<Args>(args)...);
-  }
-
-  void broadcast(net::PayloadPtr payload) { net_.broadcast(id_, std::move(payload)); }
-
   /// The simulation's epoch arena, for pending-operation node containers
   /// (see sim/arena.h for the lifetime contract).
   [[nodiscard]] sim::Arena& arena() { return sim_.arena(); }
@@ -67,6 +56,10 @@ class Context {
   void invalidate() { *alive_ = false; }
 
  private:
+  // The node's base takes its network handle from here, once.
+  friend class Node;
+  [[nodiscard]] net::Network& network() { return net_; }
+
   sim::Simulation& sim_;
   net::Network& net_;
   sim::ProcessId id_;

@@ -213,6 +213,20 @@ std::vector<sim::Duration> rebuild_arrivals(const std::vector<Drawn>& drawn,
   return arrival;
 }
 
+/// The largest same-tick batch of the first broadcast in `drawn` over `n`
+/// recipients, in delivery (position) order.
+std::vector<sim::ProcessId> largest_batch(const std::vector<Drawn>& drawn, std::size_t n,
+                                          std::uint32_t fanout) {
+  const auto arrival = rebuild_arrivals(drawn, 0, n, fanout);
+  std::map<sim::Duration, std::vector<sim::ProcessId>> by_tick;
+  for (std::size_t i = 0; i < arrival.size(); ++i) by_tick[arrival[i]].push_back(drawn[i].to);
+  std::vector<sim::ProcessId> batch;
+  for (const auto& [tick, ids] : by_tick) {
+    if (ids.size() > batch.size()) batch = ids;
+  }
+  return batch;
+}
+
 class GroupedDelivery : public ::testing::TestWithParam<std::uint32_t> {};
 
 using Seen = std::tuple<sim::Time, sim::ProcessId, sim::ProcessId, std::string_view>;
@@ -361,14 +375,7 @@ TEST_P(GroupedDelivery, ReceiverChangesMidBatchTakeEffectForLaterCopies) {
   }
   net.broadcast(0, make_payload<Ping>());
 
-  // The largest same-tick batch, in delivery (position) order.
-  const auto arrival = rebuild_arrivals(drawn, 0, kN - 1, GetParam());
-  std::map<sim::Duration, std::vector<sim::ProcessId>> by_tick;
-  for (std::size_t i = 0; i < arrival.size(); ++i) by_tick[arrival[i]].push_back(drawn[i].to);
-  std::vector<sim::ProcessId> batch;
-  for (const auto& [tick, ids] : by_tick) {
-    if (ids.size() > batch.size()) batch = ids;
-  }
+  const std::vector<sim::ProcessId> batch = largest_batch(drawn, kN - 1, GetParam());
   ASSERT_GE(batch.size(), 64u);
   const sim::ProcessId first = batch[20];
   const sim::ProcessId gone = batch[21];
@@ -392,6 +399,42 @@ TEST_P(GroupedDelivery, ReceiverChangesMidBatchTakeEffectForLaterCopies) {
   EXPECT_EQ(net.stats().dropped_departed, 1u);
   EXPECT_EQ(net.stats().delivered, kN - 2);
   EXPECT_EQ(received.size(), kN - 4);  // sender, trigger, gone, moved
+}
+
+TEST_P(GroupedDelivery, RecipientsDetachedBeforeTheirBatchAreDropped) {
+  // Every fifth recipient of a long same-tick batch detaches, and its
+  // receiver is destroyed, before the batch is delivered. The delivery loop
+  // then finds their slots null when it prefetches ahead: it must form no
+  // address from a null receiver (null + 63 is undefined behaviour, which
+  // UBSan's pointer-overflow check reports) and must drop their copies.
+  std::vector<Drawn> drawn;
+  sim::Simulation sim(9);
+  Network net(sim, std::make_unique<LoggingDelay>(std::make_unique<FixedDelay>(3), drawn));
+  net.set_disseminator(make_disseminator(GetParam()));
+  constexpr sim::ProcessId kN = 300;
+  std::map<sim::ProcessId, int> received;
+  std::vector<std::unique_ptr<test::FnReceiver>> receivers(kN);
+  for (sim::ProcessId id = 0; id < kN; ++id) {
+    receivers[id] = std::make_unique<test::FnReceiver>(
+        [&received, id](sim::ProcessId, const Payload&) { ++received[id]; });
+    net.attach(id, receivers[id].get());
+  }
+  net.broadcast(0, make_payload<Ping>());
+
+  const std::vector<sim::ProcessId> batch = largest_batch(drawn, kN - 1, GetParam());
+  ASSERT_GE(batch.size(), 64u);
+  std::set<sim::ProcessId> gone;
+  for (std::size_t k = 0; k < batch.size(); k += 5) gone.insert(batch[k]);
+  for (const sim::ProcessId id : gone) {
+    net.detach(id);
+    receivers[id].reset();
+  }
+  sim.run();
+
+  for (const sim::ProcessId id : gone) EXPECT_EQ(received.count(id), 0u) << id;
+  EXPECT_EQ(net.stats().dropped_departed, gone.size());
+  EXPECT_EQ(net.stats().delivered, kN - 1 - gone.size());
+  EXPECT_EQ(received.size(), kN - 1 - gone.size());
 }
 
 /// Cuts edges into ids = 0 mod 5 and rewrites copies to ids = 1 mod 5.

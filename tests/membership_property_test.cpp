@@ -35,7 +35,7 @@ sim::Duration join_delay(sim::ProcessId id) { return 1 + id % 7; }
 /// invalidation must suppress the pending notify_active).
 class StubNode final : public node::Node {
  public:
-  StubNode(sim::ProcessId id, node::Context& ctx, bool initial) : Node(id) {
+  StubNode(sim::ProcessId id, node::Context& ctx, bool initial) : Node(id, ctx) {
     if (initial) {
       ctx.notify_active();
     } else {
