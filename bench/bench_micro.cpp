@@ -87,11 +87,13 @@ class NodeSizedReceiver final : public net::Receiver {
   std::array<std::uint64_t, 39> state_{};  // with the vtable pointer: 320 bytes
 };
 
-void BM_NetworkBroadcast(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::unique_ptr<NodeSizedReceiver>> receivers(n);
-  for (auto& r : receivers) r = std::make_unique<NodeSizedReceiver>();
-  // Fisher-Yates with a fixed xorshift stream: the same scramble every run.
+// `n` separately allocated receivers, in an order scrambled against their
+// allocation order: Fisher-Yates with a fixed xorshift stream, the same
+// scramble every run.
+template <typename R>
+std::vector<std::unique_ptr<R>> scrambled_receivers(std::size_t n) {
+  std::vector<std::unique_ptr<R>> receivers(n);
+  for (auto& r : receivers) r = std::make_unique<R>();
   std::uint64_t x = 0x9e3779b97f4a7c15ull;
   for (std::size_t i = n; i > 1; --i) {
     x ^= x << 13;
@@ -99,6 +101,12 @@ void BM_NetworkBroadcast(benchmark::State& state) {
     x ^= x << 17;
     std::swap(receivers[i - 1], receivers[x % i]);
   }
+  return receivers;
+}
+
+void BM_NetworkBroadcast(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto receivers = scrambled_receivers<NodeSizedReceiver>(n);
   for (auto _ : state) {
     sim::Simulation sim(1);
     net::Network network(sim, std::make_unique<net::FixedDelay>(1));
@@ -113,6 +121,51 @@ void BM_NetworkBroadcast(benchmark::State& state) {
                           static_cast<std::int64_t>(n) * 10);
 }
 BENCHMARK(BM_NetworkBroadcast)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// Sized and touched like NodeSizedReceiver, and answers as a quorum member
+// does: each delivered copy gets one point-to-point reply to its sender,
+// built in the simulation's arena. Process 0, the origin, does not reply.
+class ReplyingReceiver final : public net::Receiver {
+ public:
+  void bind(net::Network* network, sim::ProcessId id) {
+    network_ = network;
+    id_ = id;
+  }
+  void on_message(sim::ProcessId from, const net::Payload& payload) override {
+    ++state_[0];
+    state_[kWordsPerLine] += from + payload.type_id();
+    if (id_ != 0) network_->send(id_, from, net::make_payload_in<NoopPayload>(network_->arena()));
+  }
+
+ private:
+  static constexpr std::size_t kWordsPerLine = 8;
+  net::Network* network_ = nullptr;
+  sim::ProcessId id_ = 0;
+  std::array<std::uint64_t, 37> state_{};  // with the vtable pointer: 320 bytes
+};
+
+// The fan-in half of a quorum round: every receiver of a batched broadcast
+// from process 0 replies to it, so n - 1 copies converge on one destination
+// at one tick. Items are broadcast copies, each with its reply.
+void BM_NetworkFanIn(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto receivers = scrambled_receivers<ReplyingReceiver>(n);
+  for (auto _ : state) {
+    sim::Simulation sim(1);
+    net::Network network(sim, std::make_unique<net::FixedDelay>(1));
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto id = static_cast<sim::ProcessId>(i);
+      receivers[i]->bind(&network, id);
+      network.attach(id, receivers[i].get());
+    }
+    for (int b = 0; b < 10; ++b) network.broadcast(0, net::make_payload<NoopPayload>());
+    sim.run();
+    benchmark::DoNotOptimize(network.stats().delivered);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n) * 10);
+}
+BENCHMARK(BM_NetworkFanIn)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_RegularityChecker(benchmark::State& state) {
   const auto reads = static_cast<std::size_t>(state.range(0));

@@ -17,6 +17,14 @@ Typical regeneration:
 The existing file's "baseline" section is preserved so the before/after
 comparison survives regeneration. Pass --rebaseline to promote the freshly
 measured numbers to the new baseline (e.g. at the start of a new perf PR).
+
+A benchmark added together with the change it measures has no baseline
+entry. Build the parent commit with the new benchmark's source, measure only
+that benchmark there and merge its numbers into the baseline, each entry
+labelled with --label:
+
+    python3 scripts/record_bench.py --bench parent/build/release/bench_micro \
+        --merge-baseline 'BM_NetworkFanIn' --label 'parent commit'
 """
 
 import argparse
@@ -26,12 +34,14 @@ import subprocess
 import sys
 
 
-def run_google_benchmark(bench, min_time, repetitions):
+def run_google_benchmark(bench, min_time, repetitions, bench_filter):
     cmd = [
         bench,
         "--benchmark_format=json",
         f"--benchmark_min_time={min_time}",
     ]
+    if bench_filter:
+        cmd.append(f"--benchmark_filter={bench_filter}")
     if repetitions > 1:
         cmd += [
             f"--benchmark_repetitions={repetitions}",
@@ -68,10 +78,18 @@ def main():
                     help="google-benchmark --benchmark_min_time value")
     ap.add_argument("--repetitions", type=int, default=3,
                     help="repetitions per benchmark; the median is recorded")
-    ap.add_argument("--label", default="", help="label for the current numbers")
+    ap.add_argument("--label", default="",
+                    help="label for the recorded numbers (of each entry, "
+                         "with --merge-baseline)")
     ap.add_argument("--rebaseline", action="store_true",
                     help="also record the new numbers as the baseline")
+    ap.add_argument("--merge-baseline", metavar="REGEX", default="",
+                    help="measure only the benchmarks matching REGEX and "
+                         "merge them into the existing baseline section")
     args = ap.parse_args()
+    if args.merge_baseline and args.rebaseline:
+        sys.exit("error: --merge-baseline merges into the baseline; "
+                 "--rebaseline replaces it")
 
     # Validate the existing trajectory file BEFORE the (slow) benchmark run:
     # refuse to merge into (and silently clobber) a file this script does not
@@ -94,18 +112,28 @@ def main():
                 f"the bench trajectory file or delete the existing file first."
             )
 
-    current, context = run_google_benchmark(args.bench, args.min_time, args.repetitions)
+    if args.merge_baseline and "baseline" not in doc:
+        sys.exit(f"error: {args.out} has no baseline section to merge into")
+
+    measured, context = run_google_benchmark(args.bench, args.min_time,
+                                             args.repetitions, args.merge_baseline)
 
     doc["schema"] = "dynreg-bench-v1"
-    doc["current"] = {
-        "label": args.label or "working tree",
-        "benchmarks": current,
-    }
-    doc["context"] = {
-        "num_cpus": context.get("num_cpus"),
-        "mhz_per_cpu": context.get("mhz_per_cpu"),
-        "library_build_type": context.get("library_build_type"),
-    }
+    if args.merge_baseline:
+        for entry in measured.values():
+            if args.label:
+                entry["label"] = args.label
+        doc["baseline"]["benchmarks"].update(measured)
+    else:
+        doc["current"] = {
+            "label": args.label or "working tree",
+            "benchmarks": measured,
+        }
+        doc["context"] = {
+            "num_cpus": context.get("num_cpus"),
+            "mhz_per_cpu": context.get("mhz_per_cpu"),
+            "library_build_type": context.get("library_build_type"),
+        }
     if args.rebaseline or "baseline" not in doc:
         doc["baseline"] = json.loads(json.dumps(doc["current"]))
         if args.label:
@@ -113,6 +141,7 @@ def main():
 
     speedups = {}
     base = doc["baseline"]["benchmarks"]
+    current = doc.get("current", {}).get("benchmarks", {})
     for name, cur in current.items():
         if name in base and "items_per_second" in cur and "items_per_second" in base[name]:
             speedups[name] = round(
@@ -124,7 +153,8 @@ def main():
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=False)
         f.write("\n")
-    print(f"wrote {args.out} ({len(current)} benchmarks)")
+    section = "baseline" if args.merge_baseline else "current"
+    print(f"wrote {args.out} ({len(measured)} benchmarks into {section})")
 
 
 if __name__ == "__main__":

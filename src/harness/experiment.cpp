@@ -32,10 +32,30 @@ void ExperimentConfig::validate() const {
                                 "]; a tree needs at least one child per node");
   }
   // Written so that NaN, which compares false both ways, is rejected too.
-  if (!(loss_rate >= 0.0 && loss_rate <= 1.0)) {
-    throw std::invalid_argument("loss rate " + std::to_string(loss_rate) +
-                                " is not a probability in [0, 1]");
+  const auto probability = [](const char* name, double v) {
+    if (!(v >= 0.0 && v <= 1.0)) {
+      throw std::invalid_argument(std::string(name) + " " + std::to_string(v) +
+                                  " is not a probability in [0, 1]");
+    }
+  };
+  const auto rate = [](const char* name, double v) {
+    if (!(v >= 0.0)) {
+      throw std::invalid_argument(std::string(name) + " " + std::to_string(v) +
+                                  " is not a rate >= 0");
+    }
+  };
+  probability("loss rate", loss_rate);
+  rate("churn rate", churn_rate);
+  if (fault.tick == 0) {
+    throw std::invalid_argument(
+        "fault tick 0 would reschedule the injector at the same tick forever");
   }
+  rate("crash rate", fault.crash.rate);
+  probability("crash recover fraction", fault.crash.recover_fraction);
+  rate("partition rate", fault.partition.rate);
+  probability("partition fraction", fault.partition.fraction);
+  probability("byzantine fraction", fault.byzantine.fraction);
+  probability("byzantine transform rate", fault.byzantine.transform_rate);
 }
 
 MetricsReport run_experiment(const ExperimentConfig& cfg, const replay::RunHooks& hooks) {

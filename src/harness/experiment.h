@@ -103,7 +103,13 @@ struct ExperimentConfig {
   ///  - a tree dissemination with tree_fanout 0, or above UINT32_MAX, would
   ///    run as fanout 1 or with a narrowed fanout;
   ///  - a loss_rate that is NaN or outside [0, 1] would run as "never lost"
-  ///    or "always lost".
+  ///    or "always lost", and so would the fault plan's probabilities
+  ///    (crash.recover_fraction, partition.fraction, byzantine.fraction,
+  ///    byzantine.transform_rate);
+  ///  - a churn_rate, crash.rate or partition.rate that is negative or NaN
+  ///    would run as no churn or no faults;
+  ///  - fault.tick 0 would reschedule the injector at the same tick forever,
+  ///    so the run would never reach its duration.
   void validate() const;
 
   /// Theorem 1's sufficient churn bound for the synchronous protocol.

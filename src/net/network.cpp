@@ -29,6 +29,12 @@ namespace {
 constexpr std::uint32_t kSlotPrefetch = 16;
 constexpr std::uint32_t kReceiverPrefetch = 8;
 
+// Entries in a Unicast's first spill block; each further block doubles, up
+// to kSpillMaxBlock. A reply group is often a handful of copies, so the
+// first block stays small; a 1e5-process quorum fans in thousands per tick.
+constexpr std::uint32_t kSpillFirstBlock = 3;
+constexpr std::uint32_t kSpillMaxBlock = 256;
+
 }  // namespace
 
 void Network::attach(sim::ProcessId id, Receiver* receiver) {
@@ -85,14 +91,62 @@ Network::Hop Network::hop_verdict(sim::ProcessId hop_from, sim::ProcessId to,
 void Network::send(sim::ProcessId from, sim::ProcessId to, PayloadPtr payload) {
   const Hop hop = hop_verdict(from, to, *payload);
   if (hop.lost) return;
-  auto task = [this, from, to, payload = std::move(payload)] {
-    deliver(from, to, payload);
-  };
-  // The point-to-point closure is one queued event per reply/ack; it must
-  // never outgrow the scheduler's inline capture budget.
-  static_assert(sizeof(task) <= sim::InlineTask::kInlineCapacity,
+  if (coalescing_) {
+    Unicast* group = sim_.newest_as<Unicast>(sim_.now() + hop.delay);
+    if (group != nullptr && group->network == this && group->to == to) {
+      group->append(from, std::move(payload));
+      return;
+    }
+  }
+  // The point-to-point closure must never outgrow the scheduler's inline
+  // capture budget: newest_as() finds only in-place Unicasts.
+  static_assert(sizeof(Unicast) <= sim::InlineTask::kInlineCapacity,
                 "delivery closure must stay inline — see sim/inline_task.h");
-  sim_.schedule_after(hop.delay, std::move(task));
+  sim_.schedule_after(hop.delay, Unicast(this, from, to, std::move(payload)));
+}
+
+void Network::Unicast::append(sim::ProcessId sender, PayloadPtr p) {
+  const auto new_block = [this](std::uint32_t capacity) {
+    sim::Arena& arena = network->arena();
+    void* block = arena.allocate(sizeof(Spill) + capacity * sizeof(SpillEntry),
+                                 alignof(Spill));
+    static_assert(alignof(SpillEntry) <= alignof(Spill) &&
+                      sizeof(Spill) % alignof(SpillEntry) == 0,
+                  "entries follow the header aligned");
+    Spill* b = new (block) Spill{&arena, nullptr, nullptr, 0, capacity};
+    b->tail = b;
+    return b;
+  };
+  if (spill == nullptr) spill = new_block(kSpillFirstBlock);
+  Spill* tail = spill->tail;
+  if (tail->count == tail->capacity) {
+    Spill* next = new_block(std::min(2 * tail->capacity, kSpillMaxBlock));
+    tail->next = next;
+    spill->tail = tail = next;
+  }
+  new (&tail->entries()[tail->count++]) SpillEntry{std::move(p), sender};
+}
+
+void Network::free_spill(Spill* head) noexcept {
+  sim::Arena& arena = *head->arena;
+  for (Spill* b = head; b != nullptr;) {
+    Spill* next = b->next;
+    SpillEntry* entries = b->entries();
+    for (std::uint32_t k = 0; k < b->count; ++k) entries[k].~SpillEntry();
+    arena.deallocate(b);
+    b = next;
+  }
+}
+
+void Network::deliver_spill(sim::ProcessId to, Spill& head) {
+  for (Spill* b = &head; b != nullptr; b = b->next) {
+    const SpillEntry* entries = b->entries();
+    for (std::uint32_t k = 0; k < b->count; ++k) {
+      // Each coalesced copy was one queued event in the per-copy design.
+      sim_.audit_dispatch();
+      deliver(entries[k].from, to, entries[k].payload);
+    }
+  }
 }
 
 void Network::broadcast(sim::ProcessId from, PayloadPtr payload) {
@@ -180,6 +234,8 @@ Network::BatchPtr Network::make_batch(sim::ProcessId from, const PayloadPtr& pay
 void Network::deliver_batch(Batch& batch) {
   const sim::ProcessId* ids = batch.ids();
   const std::uint32_t count = batch.count;
+  // Deliveries never run synchronously, so batches do not nest.
+  coalescing_ = count >= kCoalesceMinBatch;
   for (std::uint32_t k = 0; k < count; ++k) {
     // Hints only, and always in bounds: a receiver may detach (or attach a
     // new id, growing slots_) before its copy comes up, and deliver()
@@ -203,6 +259,7 @@ void Network::deliver_batch(Batch& batch) {
     if (k > 0) sim_.audit_dispatch();
     deliver(batch.from, ids[k], batch.payload);
   }
+  coalescing_ = false;
 }
 
 void Network::deliver(sim::ProcessId from, sim::ProcessId to, const PayloadPtr& payload) {

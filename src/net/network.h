@@ -29,8 +29,18 @@
 // Simulation::step does for a queued event). This is the per-copy design's
 // order exactly: the copies one broadcast lands at tick t were pushed in one
 // synchronous burst, so they were adjacent in that tick's FIFO, and anything
-// a receiver schedules lands after the group either way. Point-to-point
-// sends stay one inline event each.
+// a receiver schedules lands after the group either way.
+//
+// A point-to-point send is one inline queued event (Unicast) — except while
+// a broadcast batch of at least kCoalesceMinBatch copies is being delivered,
+// when the receivers' replies fan in to a few origins. Then a send whose
+// arrival tick T already ends with this network's Unicast to the same
+// destination (Simulation::newest_as) appends (sender, payload) to that
+// event's spill instead of queuing another. Nothing was queued at T in
+// between, so the per-copy order is unchanged, and the group delivers its
+// copies one by one through deliver(), folding each further copy's dispatch
+// into the audit digest as a batch does. Smaller batches, sends outside a
+// batch and far-tier arrivals queue one event per copy.
 //
 // A large batch addresses thousands of receivers scattered over the heap,
 // so each copy would otherwise stall on a cache miss at its receiver. While
@@ -47,6 +57,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/delay_model.h"
@@ -60,6 +71,20 @@ namespace dynreg::net {
 
 class Network {
  public:
+  /// Smallest broadcast batch during whose delivery point-to-point sends
+  /// coalesce (see the file comment). Swept on perfbench, seed 1, 4-vCPU
+  /// Xeon VM, reference-scaled wall_s of two 20 s runs per value:
+  ///   threshold       parent        16         32         64         128
+  ///   quorum_scale    0.69 0.64  0.52 0.47  0.53 0.51  0.49 0.50  0.55 0.53
+  ///   fault_search    2.27 2.14  2.27 2.16  2.23 2.28  2.18 2.20  2.43 2.14
+  ///   churn_sessions     -       1.40 1.44  1.43 1.35  1.31 1.25     -
+  /// fault_search's 15-process batches reach no threshold, so its row is
+  /// run-to-run spread. churn_sessions' 64-process sync shards broadcast
+  /// 63-copy batches, which coalesce at 16 or 32 and there cost about 8%.
+  /// Coalescing every send, in or out of a batch, cost fault_search peak
+  /// RSS 11.5 -> 12.9 MiB (+12%).
+  static constexpr std::uint32_t kCoalesceMinBatch = 64;
+
   Network(sim::Simulation& sim, std::unique_ptr<DelayModel> delays)
       : sim_(sim),
         delays_(std::move(delays)),
@@ -163,6 +188,59 @@ class Network {
   };
   using BatchPtr = std::unique_ptr<Batch, BatchDeleter>;
 
+  // Copies coalesced behind a Unicast's own, in send order: a chain of arena
+  // blocks of 3, 6, 12, ... kSpillMaxBlock entries, each entry constructed
+  // in place as it arrives. The head block keeps the arena (a queue torn
+  // down after its Network must not reach the Network) and the block being
+  // filled.
+  struct SpillEntry {
+    PayloadPtr payload;
+    sim::ProcessId from;
+  };
+  struct Spill {
+    sim::Arena* arena;
+    Spill* next;
+    Spill* tail;  // head block only
+    std::uint32_t count;
+    std::uint32_t capacity;
+    SpillEntry* entries() { return reinterpret_cast<SpillEntry*>(this + 1); }
+  };
+
+  // One queued point-to-point delivery: its own copy, delivered inline, and
+  // the copies coalesced behind it.
+  struct Unicast {
+    Network* network;
+    sim::ProcessId from;
+    sim::ProcessId to;
+    PayloadPtr payload;
+    Spill* spill = nullptr;
+
+    Unicast(Network* net, sim::ProcessId sender, sim::ProcessId dest, PayloadPtr p)
+        : network(net), from(sender), to(dest), payload(std::move(p)) {}
+    Unicast(Unicast&& other) noexcept
+        : network(other.network),
+          from(other.from),
+          to(other.to),
+          payload(std::move(other.payload)),
+          spill(std::exchange(other.spill, nullptr)) {}
+    Unicast(const Unicast&) = delete;
+    Unicast& operator=(const Unicast&) = delete;
+    Unicast& operator=(Unicast&&) = delete;
+    ~Unicast() {
+      if (spill != nullptr) free_spill(spill);
+    }
+
+    void operator()() {
+      network->deliver(from, to, payload);
+      if (spill != nullptr) network->deliver_spill(to, *spill);
+    }
+    void append(sim::ProcessId sender, PayloadPtr p);
+  };
+
+  static void free_spill(Spill* head) noexcept;
+  /// The spilled copies' deliveries, each folded as its own dispatch.
+  void deliver_spill(sim::ProcessId to, Spill& head);
+
   /// Queues the broadcast planned in arrivals_scratch_ as one batch per
   /// distinct arrival offset.
   void schedule_batches(sim::ProcessId from, const PayloadPtr& payload);
@@ -187,6 +265,9 @@ class Network {
   // follows the active set, not the cumulative id space of a churning run.
   std::vector<sim::ProcessId> attached_ids_;
   double loss_rate_ = 0.0;
+  // Set while deliver_batch() delivers a batch of at least kCoalesceMinBatch
+  // copies: send() then appends to a matching Unicast at the arrival tick.
+  bool coalescing_ = false;
   Stats stats_;
   std::vector<std::uint64_t> delivered_by_type_id_;  // indexed by PayloadTypeId
 };

@@ -117,6 +117,19 @@ class EventQueue {
   /// running event observes the new time. Precondition: !empty().
   void run_top(Time* now_out = nullptr);
 
+  /// The callable of the newest event queued at `time` in the near tier, or
+  /// nullptr when the ring holds none there: nothing queued at `time`,
+  /// `time` outside the window, or only far-tier events at it. (An
+  /// in-window tick's ring events are all younger than its far-tier ones,
+  /// so a non-null result is the newest event at `time` overall.) The
+  /// callable stays put until it runs and may be amended in place.
+  InlineTask* newest_at(Time time) {
+    if (time < base_time_ || time - base_time_ >= kWindow) return nullptr;
+    const Bucket& bucket = ring_[time & (kWindow - 1)];
+    if (bucket.head == kNil) return nullptr;
+    return &pool_.task(blocks_[bucket.tail].slots[bucket.fill - 1]);
+  }
+
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
 

@@ -16,8 +16,11 @@
 // the InlineTask tests pin the boundary).
 //
 // The type is deliberately minimal: construct from a callable, move, invoke,
-// destroy. No copy, no target introspection, no allocator awareness — it
-// exists purely to keep the event and operation hot paths allocation-free.
+// destroy, and ask whether it holds a given in-place callable type (one
+// pointer compare against that type's operation table; the network uses it
+// to find its own point-to-point delivery at the tail of a tick). No copy,
+// no allocator awareness — it exists purely to keep the event and operation
+// hot paths allocation-free.
 #pragma once
 
 #include <cstddef>
@@ -92,6 +95,15 @@ class InlineFunction<R(Args...)> {
 
   R operator()(Args... args) {
     return ops_->invoke(storage_, std::forward<Args>(args)...);
+  }
+
+  /// The stored callable if it is an F held in the in-place buffer, else
+  /// nullptr: empty, another callable type, or an F that fell back to the
+  /// heap. F is the decayed callable type the function was built from.
+  template <typename F>
+  [[nodiscard]] F* target() {
+    if (ops_ != &inline_ops<F>) return nullptr;
+    return std::launder(reinterpret_cast<F*>(storage_));
   }
 
   void reset() {

@@ -109,6 +109,17 @@ class Simulation {
     queue_.push(now_ + d, std::forward<F>(fn));
   }
 
+  /// The newest event queued at tick `t` if it is an F stored in place
+  /// (InlineFunction::target), else nullptr — also when nothing is queued at
+  /// `t` or `t` lies outside the event queue's near-tier window. Work
+  /// appended to that event runs right after its own, exactly where an
+  /// event pushed at `t` now would run.
+  template <typename F>
+  F* newest_as(Time t) {
+    InlineTask* task = queue_.newest_at(t);
+    return task != nullptr ? task->target<F>() : nullptr;
+  }
+
   /// Time of the next pending event, if any.
   std::optional<Time> next_event_time() const;
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "sim/simulation.h"
 
 namespace dynreg::sim {
 namespace {
@@ -241,6 +242,101 @@ TEST(EventQueueProperty, ManyDuplicateTimesStayFifo) {
     model_order.push_back(model.pop());
   }
   EXPECT_EQ(queue_order, model_order);
+}
+
+// --- Appending to the newest event at a tick --------------------------------
+
+// A queued callable that runs several logical events in order, the way the
+// network's coalesced point-to-point delivery does.
+struct Group {
+  std::vector<int>* out;
+  std::vector<int> ids;
+  void operator()() { out->insert(out->end(), ids.begin(), ids.end()); }
+};
+
+/// Random trace in which a group push appends its id to the newest event at
+/// its tick when that event is a Group, and queues a new Group otherwise;
+/// plain pushes and pops interleave. The order must equal the reference
+/// model's, where every id was its own event.
+void run_coalescing_trace(std::uint32_t seed, Time max_jump) {
+  std::mt19937 rng(seed);
+  Simulation sim(seed);
+  ReferenceModel model;
+  std::vector<int> sim_order;
+  std::vector<int> model_order;
+  int next_id = 0;
+  std::size_t appended = 0;
+
+  for (int step = 0; step < 6000; ++step) {
+    if (model.empty() || rng() % 10 < 7) {
+      Time at = sim.now() + 1 + rng() % 4;
+      if (rng() % 16 == 0) at = sim.now() + rng() % max_jump;
+      const int id = next_id++;
+      model.push(at, id);
+      if (rng() % 4 != 0) {
+        if (Group* g = sim.newest_as<Group>(at)) {
+          g->ids.push_back(id);
+          ++appended;
+        } else {
+          sim.schedule_at(at, Group{&sim_order, {id}});
+        }
+      } else {
+        sim.schedule_at(at, [&sim_order, id] { sim_order.push_back(id); });
+      }
+    } else {
+      ASSERT_EQ(sim.next_event_time().value_or(0), model.next_time());
+      // One queued event may carry several model events at its tick.
+      const std::size_t before = sim_order.size();
+      sim.step();
+      for (std::size_t k = before; k < sim_order.size(); ++k) {
+        model_order.push_back(model.pop());
+      }
+    }
+  }
+  while (sim.step()) {
+  }
+  while (!model.empty()) model_order.push_back(model.pop());
+  EXPECT_EQ(sim_order, model_order);
+  EXPECT_GT(appended, 1000u);  // the trace does coalesce
+}
+
+TEST(EventQueueProperty, AppendingToTheNewestEventKeepsThePerEventOrder) {
+  run_coalescing_trace(/*seed=*/5, /*max_jump=*/EventQueue::kWindow / 2);
+  run_coalescing_trace(/*seed=*/6, /*max_jump=*/4 * EventQueue::kWindow);
+}
+
+TEST(EventQueueProperty, NewestAsSeesOnlyTheNewestInWindowRingEvent) {
+  Simulation sim(1);
+  std::vector<int> out;
+  EXPECT_EQ(sim.newest_as<Group>(5), nullptr);  // empty queue
+
+  sim.schedule_at(5, Group{&out, {1}});
+  Group* g = sim.newest_as<Group>(5);
+  ASSERT_NE(g, nullptr);
+  EXPECT_EQ(g->ids, std::vector<int>{1});
+  EXPECT_EQ(sim.newest_as<Group>(6), nullptr);  // nothing queued there
+
+  sim.schedule_at(5, [] {});  // a newer event of another type hides it
+  EXPECT_EQ(sim.newest_as<Group>(5), nullptr);
+
+  // Beyond the window: the far tier, never handed out.
+  const Time far = 10 + EventQueue::kWindow;
+  sim.schedule_at(far, Group{&out, {2}});
+  EXPECT_EQ(sim.newest_as<Group>(far), nullptr);
+
+  // Move the window past 5 and over `far`: the far-tier event at an
+  // in-window tick still is not handed out, and 5 is behind the window.
+  sim.schedule_at(20, [] {});
+  sim.run_until(20);
+  EXPECT_EQ(sim.newest_as<Group>(far), nullptr);
+  EXPECT_EQ(sim.newest_as<Group>(5), nullptr);
+
+  // A ring event queued at that tick now is the newest there.
+  sim.schedule_at(far, Group{&out, {3}});
+  ASSERT_NE(sim.newest_as<Group>(far), nullptr);
+  sim.newest_as<Group>(far)->ids.push_back(4);
+  sim.run();
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4}));
 }
 
 }  // namespace

@@ -145,5 +145,41 @@ TEST(InlineTask, SharedPtrCaptureKeepsReferenceCounts) {
   EXPECT_EQ(sp.use_count(), 1);
 }
 
+// Named callables for target<F>(): the network looks its own delivery
+// closure up this way, by exact type.
+struct Tagged {
+  int value;
+  void operator()() {}
+};
+struct OtherTagged {
+  int value;
+  void operator()() {}
+};
+struct Oversized {
+  unsigned char bytes[InlineTask::kInlineCapacity + 1];
+  void operator()() {}
+};
+
+TEST(InlineTask, TargetFindsTheStoredCallableOfThatTypeOnly) {
+  InlineTask t(Tagged{7});
+  ASSERT_NE(t.target<Tagged>(), nullptr);
+  EXPECT_EQ(t.target<Tagged>()->value, 7);
+  t.target<Tagged>()->value = 9;  // amended in place
+  InlineTask moved(std::move(t));
+  ASSERT_NE(moved.target<Tagged>(), nullptr);
+  EXPECT_EQ(moved.target<Tagged>()->value, 9);
+
+  EXPECT_EQ(moved.target<OtherTagged>(), nullptr);  // another type
+  EXPECT_EQ(t.target<Tagged>(), nullptr);  // NOLINT(bugprone-use-after-move): empty
+  InlineTask lambda([] {});
+  EXPECT_EQ(lambda.target<Tagged>(), nullptr);
+}
+
+TEST(InlineTask, TargetIsNullForAHeapStoredCallable) {
+  InlineTask t(Oversized{});
+  ASSERT_FALSE(t.is_inline());
+  EXPECT_EQ(t.target<Oversized>(), nullptr);
+}
+
 }  // namespace
 }  // namespace dynreg::sim
