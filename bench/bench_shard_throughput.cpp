@@ -101,15 +101,13 @@ ExperimentResult run(const RunOptions& opts) {
        "global write queue splits into S shorter ones.\n"});
 
   // Headline scale cell: 1e5 processes, 1e5 closed-loop sessions, 16
-  // shards, single seed (the cell is the point, not the variance). The
-  // chronicle runs aggregate-only so membership accounting stays O(horizon)
-  // per shard instead of O(joins).
+  // shards, single seed (the cell is the point, not the variance). Each
+  // shard's chronicle holds one record per id that ever entered it.
   if (opts.max_n >= 100000) {
     ExperimentConfig scale = base_config();
     scale.n = opts.max_n;
     scale.shard_count = 16;
     scale.duration = 80;
-    scale.chronicle_aggregate = true;
     scale.workload.clients = opts.max_n;
     scale.workload.think_time = 8;
     scale.workload.key_count = 4096;

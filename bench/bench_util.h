@@ -51,7 +51,7 @@ class ScriptedCluster {
         session_(session, replay_key, seed),
         streams_(sim, session_.hooks()),
         world(sim, std::move(delays), system_config(n, policy), churn_model(churn_rate),
-              std::move(factory), streams_, /*shard=*/0) {
+              std::move(factory), /*horizon=*/0, streams_, /*shard=*/0) {
     world.system.bootstrap();
   }
 

@@ -1,6 +1,7 @@
 #include "churn/chronicle.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -22,32 +23,12 @@ std::size_t min_prefix(const std::vector<std::int64_t>& diff, sim::Time last) {
              : static_cast<std::size_t>(std::max<std::int64_t>(0, best));
 }
 
-/// Prefix sum of diff[0..t].
-std::int64_t prefix_at(const std::vector<std::int64_t>& diff, sim::Time t) {
-  std::int64_t running = 0;
-  for (sim::Time i = 0; i <= t; ++i) running += diff[static_cast<std::size_t>(i)];
-  return running;
-}
-
 }  // namespace
-
-Chronicle::Chronicle(const ChronicleOptions& options) : options_(options) {
-  if (!options_.aggregate_only) return;
-  last_start_ = options_.horizon >= options_.window
-                    ? options_.horizon - options_.window
-                    : 0;
-  inst_diff_.assign(static_cast<std::size_t>(options_.horizon) + 2, 0);
-  win_diff_.assign(static_cast<std::size_t>(last_start_) + 2, 0);
-}
 
 void Chronicle::note_enter(sim::ProcessId id, sim::Time at, bool initial) {
   Record r;
   r.entered = at;
   r.initial = initial;
-  if (options_.aggregate_only) {
-    live_[id] = r;
-    return;
-  }
   // Ids are handed out contiguously, so this is a push_back in the common
   // case; the resize keeps the dense-index invariant if one is ever skipped.
   if (id >= records_.size()) records_.resize(id + 1);
@@ -55,77 +36,12 @@ void Chronicle::note_enter(sim::ProcessId id, sim::Time at, bool initial) {
 }
 
 void Chronicle::note_activated(sim::ProcessId id, sim::Time at) {
-  if (options_.aggregate_only) {
-    const auto it = live_.find(id);
-    if (it != live_.end()) it->second.activated = at;
-    return;
-  }
   records_[id].activated = at;
 }
 
-void Chronicle::note_left(sim::ProcessId id, sim::Time at) {
-  if (options_.aggregate_only) {
-    const auto it = live_.find(id);
-    if (it == live_.end()) return;
-    fold(it->second, at);
-    live_.erase(it);
-    return;
-  }
-  records_[id].left = at;
-}
-
-void Chronicle::fold(const Record& r, sim::Time left) {
-  if (!r.activated) return;  // never active: contributes to no count
-  const sim::Time act = *r.activated;
-  // Instant counts: active over [act, left), clipped to [0, horizon].
-  if (act <= options_.horizon) {
-    inst_diff_[static_cast<std::size_t>(act)] += 1;
-    if (left <= options_.horizon) inst_diff_[static_cast<std::size_t>(left)] -= 1;
-  }
-  // Window-start counts: covers start t iff act <= t and left > t + window,
-  // i.e. t in [act, left - window - 1] — the same per-record range the
-  // full-mode sweep derives.
-  if (act <= last_start_ && left > act + options_.window) {
-    const sim::Time hi = std::min<sim::Time>(last_start_, left - options_.window - 1);
-    win_diff_[static_cast<std::size_t>(act)] += 1;
-    win_diff_[static_cast<std::size_t>(hi) + 1] -= 1;
-  }
-}
-
-const Chronicle::Record* Chronicle::record(sim::ProcessId id) const {
-  if (options_.aggregate_only) {
-    const auto it = live_.find(id);
-    return it == live_.end() ? nullptr : &it->second;
-  }
-  return id < records_.size() ? &records_[id] : nullptr;
-}
-
-std::vector<std::int64_t> Chronicle::combined_instant() const {
-  std::vector<std::int64_t> diff = inst_diff_;
-  for (const auto& [id, r] : live_) {
-    if (r.activated && *r.activated <= options_.horizon) {
-      diff[static_cast<std::size_t>(*r.activated)] += 1;  // live: no end mark
-    }
-  }
-  return diff;
-}
-
-std::vector<std::int64_t> Chronicle::combined_window() const {
-  std::vector<std::int64_t> diff = win_diff_;
-  for (const auto& [id, r] : live_) {
-    if (r.activated && *r.activated <= last_start_) {
-      diff[static_cast<std::size_t>(*r.activated)] += 1;  // covers through horizon
-    }
-  }
-  return diff;
-}
+void Chronicle::note_left(sim::ProcessId id, sim::Time at) { records_[id].left = at; }
 
 std::size_t Chronicle::active_at(sim::Time t) const {
-  if (options_.aggregate_only) {
-    const sim::Time at = std::min(t, options_.horizon);
-    return static_cast<std::size_t>(
-        std::max<std::int64_t>(0, prefix_at(combined_instant(), at)));
-  }
   std::size_t n = 0;
   for (const Record& r : records_) {
     if (r.activated && *r.activated <= t && (!r.left || *r.left > t)) ++n;
@@ -137,14 +53,6 @@ std::size_t Chronicle::active_through(sim::Time t1, sim::Time t2) const {
   // A process is active over the half-open interval [activated, left), the
   // same convention as active_at, so A(t1, t2) is a subset of every A(t)
   // with t in [t1, t2].
-  if (options_.aggregate_only) {
-    // Only the registered window's starts are folded; other spans would
-    // silently undercount, so they answer 0 (aggregate callers — the
-    // harness — only ever ask for the registered window).
-    if (t2 - t1 != options_.window || t1 > last_start_) return 0;
-    return static_cast<std::size_t>(
-        std::max<std::int64_t>(0, prefix_at(combined_window(), t1)));
-  }
   std::size_t n = 0;
   for (const Record& r : records_) {
     if (r.activated && *r.activated <= t1 && (!r.left || *r.left > t2)) ++n;
@@ -154,11 +62,6 @@ std::size_t Chronicle::active_through(sim::Time t1, sim::Time t2) const {
 
 std::size_t Chronicle::min_active_through_window(sim::Duration window,
                                                 sim::Time horizon) const {
-  if (options_.aggregate_only) {
-    if (horizon < window) return active_through(0, window);
-    const sim::Time last = std::min(horizon - window, last_start_);
-    return min_prefix(combined_window(), last);
-  }
   if (horizon < window) return active_through(0, window);
   const sim::Time last_start = horizon - window;
   // A record counts for window-start t iff activated <= t and left > t +
@@ -180,9 +83,6 @@ std::size_t Chronicle::min_active_through_window(sim::Duration window,
 }
 
 std::size_t Chronicle::min_active_at(sim::Time horizon) const {
-  if (options_.aggregate_only) {
-    return min_prefix(combined_instant(), std::min(horizon, options_.horizon));
-  }
   std::vector<std::int64_t> diff(static_cast<std::size_t>(horizon) + 2, 0);
   for (const Record& r : records_) {
     if (!r.activated || *r.activated > horizon) continue;

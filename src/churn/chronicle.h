@@ -2,38 +2,24 @@
 // join completed (it became active), and when it left. The consistency and
 // Lemma 2 analyses are computed against this record, never against protocol
 // state — the chronicle is the omniscient observer the paper's proofs reason
-// with (A(t), A(t1, t2)).
+// with (A(t), A(t1, t2)). It is also the one per-id membership timeline:
+// churn::System reads activation times from it rather than keeping copies.
+//
+// One representation: a dense Record per id that ever entered, so memory is
+// O(ids ever entered) at 48 B each — 4.8 MB for the 1e5 members of a
+// 1e5-process run. That beats a map of live members (~96 B per node) at
+// every scale dynreg runs: on perfbench's quorum_scale (4-vCPU Xeon VM) it
+// takes set-up from 0.063 to 0.030 s and peak RSS from 81.4 to 77.1 MiB
+// (docs/PERFORMANCE.md, "One membership timeline").
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
 #include "sim/simulation.h"
 
 namespace dynreg::churn {
-
-/// Memory policy for the chronicle. The default (full mode) retains one
-/// Record per process that ever entered — O(joins) memory, which a 1e5-scale
-/// sharded run pays once per shard. Aggregate-only mode keeps the A(t)
-/// accounting exact while holding only *live* members: when a process
-/// leaves, its completed [activated, left) interval is folded into
-/// difference-array counters over [0, horizon] (instant counts plus
-/// window-start counts for the one pre-registered window), and the record is
-/// dropped. min_active_at / min_active_through_window / active_at answer
-/// identically to full mode (regression-tested); records() is empty and
-/// active_through is only answerable for the registered window.
-struct ChronicleOptions {
-  bool aggregate_only = false;
-  /// The one A(t, t + window) window aggregate mode can answer (the harness
-  /// queries 3*delta). Ignored in full mode.
-  sim::Duration window = 0;
-  /// Run horizon bounding the counter arrays. Queries clamp to it. Ignored
-  /// in full mode.
-  sim::Time horizon = 0;
-};
 
 class Chronicle {
  public:
@@ -44,30 +30,20 @@ class Chronicle {
     bool initial = false;
   };
 
-  Chronicle() = default;
-  explicit Chronicle(const ChronicleOptions& options);
-
   void note_enter(sim::ProcessId id, sim::Time at, bool initial);
   void note_activated(sim::ProcessId id, sim::Time at);
   void note_left(sim::ProcessId id, sim::Time at);
 
   /// Dense, id-indexed records: System hands out ids contiguously from 0, so
-  /// index == ProcessId. (Was a std::map; at 1e5 processes the analyses
-  /// below walk the whole history, and a contiguous sweep beats a pointer
-  /// chase per process.) Empty in aggregate-only mode — departed processes
-  /// survive only as counter contributions there.
+  /// index == ProcessId. At 1e5 processes the analyses below walk the whole
+  /// history, and a contiguous sweep beats a pointer chase per process.
   [[nodiscard]] const std::vector<Record>& records() const { return records_; }
-
-  /// The record for `id`. Full mode: nullptr only if the id never entered.
-  /// Aggregate mode: live members only (nullptr once the process left).
-  [[nodiscard]] const Record* record(sim::ProcessId id) const;
 
   /// |A(t)|: processes active at instant t (activated <= t, not yet left).
   std::size_t active_at(sim::Time t) const;
 
   /// |A(t1, t2)|: processes active throughout the whole interval [t1, t2] —
-  /// the quantity of the paper's Lemma 2. Aggregate mode answers only for
-  /// t2 - t1 == options.window (the pre-registered window).
+  /// the quantity of the paper's Lemma 2.
   std::size_t active_through(sim::Time t1, sim::Time t2) const;
 
   /// min over t in [0, horizon - window] of |A(t, t + window)|, computed with
@@ -78,24 +54,7 @@ class Chronicle {
   std::size_t min_active_at(sim::Time horizon) const;
 
  private:
-  /// Folds a departed member's completed intervals into the counters
-  /// (aggregate mode only).
-  void fold(const Record& r, sim::Time left);
-
-  /// Instant/window counts covering [0, t], folded + live combined.
-  [[nodiscard]] std::vector<std::int64_t> combined_instant() const;
-  [[nodiscard]] std::vector<std::int64_t> combined_window() const;
-
-  ChronicleOptions options_;
-  std::vector<Record> records_;  // indexed by ProcessId (full mode)
-
-  // Aggregate mode state. live_ holds members that entered and have not
-  // left (std::map: ordered, pointer-stable — record() hands out pointers).
-  std::map<sim::ProcessId, Record> live_;
-  /// last window start: options.horizon - window, floored at 0.
-  sim::Time last_start_ = 0;
-  std::vector<std::int64_t> inst_diff_;  // diff array over instants [0, horizon]
-  std::vector<std::int64_t> win_diff_;   // diff array over window starts [0, last_start_]
+  std::vector<Record> records_;  // indexed by ProcessId
 };
 
 }  // namespace dynreg::churn

@@ -26,8 +26,7 @@ System::System(sim::Simulation& sim, net::Network& net, SystemConfig config,
       net_(net),
       config_(std::move(config)),
       churn_(std::move(churn)),
-      factory_(std::move(factory)),
-      chronicle_(config_.chronicle) {}
+      factory_(std::move(factory)) {}
 
 void System::bootstrap() {
   for (std::size_t i = 0; i < config_.initial_size; ++i) add_member(/*initial=*/true);
@@ -46,31 +45,23 @@ void System::ensure_slot(sim::ProcessId id) {
   const std::size_t n = id + 1;
   ctx_.resize(n);
   node_.resize(n);
-  activated_at_.resize(n, 0);
-  active_flag_.resize(n, 0);
 }
 
 sim::ProcessId System::add_member(bool initial) {
   const sim::ProcessId id = next_id_++;
   chronicle_.note_enter(id, sim_.now(), initial);
-  // Grow the columns before the node exists: a bootstrap node's constructor
-  // notifies activation synchronously, and the callback writes the columns.
   ensure_slot(id);
 
   auto ctx = std::make_unique<node::Context>(sim_, net_, id, [this, id] {
     // Runs when the node's join protocol completes (or immediately, for
     // bootstrap members). The node_ column entry may not be set yet when a
     // constructor notifies, so only chronicle/active bookkeeping lives here.
-    const Chronicle::Record* rec = chronicle_.record(id);
-    const bool initial_member = rec != nullptr && rec->initial;
+    const Chronicle::Record& rec = chronicle_.records()[id];
     chronicle_.note_activated(id, sim_.now());
-    activated_at_[id] = sim_.now();
-    active_flag_[id] = 1;
     insert_sorted(active_ids_, id);
-    if (!initial_member) {
+    if (!rec.initial) {
       ++joins_completed_;
-      join_latency_total_ +=
-          sim_.now() - (rec != nullptr ? rec->entered : sim_.now());
+      join_latency_total_ += sim_.now() - rec.entered;
     }
   });
   std::unique_ptr<node::Node> node = factory_(id, *ctx, initial);
@@ -84,7 +75,7 @@ sim::ProcessId System::add_member(bool initial) {
 
 void System::leave(sim::ProcessId id) {
   if (!is_member(id)) return;
-  if (active_flag_[id] == 0) ++joins_abandoned_;
+  if (!chronicle_.records()[id].activated) ++joins_abandoned_;
   chronicle_.note_left(id, sim_.now());
   net_.detach(id);
   ctx_[id]->invalidate();
@@ -97,7 +88,6 @@ void System::leave(sim::ProcessId id) {
   // no longer reach this node.
   std::unique_ptr<node::Context> ctx = std::move(ctx_[id]);
   std::unique_ptr<node::Node> node = std::move(node_[id]);
-  active_flag_[id] = 0;
   erase_sorted(active_ids_, id);
   erase_sorted(member_ids_, id);
   node->on_departure();
@@ -165,9 +155,10 @@ sim::ProcessId System::pick_victim() {
     sim::Time best_at = 0;
     for (const sim::ProcessId id : active_ids_) {
       if (exempt(id)) continue;
-      if (!found || activated_at_[id] < best_at) {
+      const sim::Time at = *chronicle_.records()[id].activated;
+      if (!found || at < best_at) {
         best = id;
-        best_at = activated_at_[id];
+        best_at = at;
         found = true;
       }
     }

@@ -23,6 +23,14 @@ enum class LeavePolicy {
   kOldestActiveFirst,  // adversarial: kill the longest-active (most informed)
 };
 
+/// Inert: selects nothing; ROADMAP item 6 deletes it together with
+/// perfbench's copied world, which still brace-initialises it.
+struct ChronicleOptions {
+  bool aggregate_only = false;
+  sim::Duration window = 0;
+  sim::Time horizon = 0;
+};
+
 struct SystemConfig {
   std::size_t initial_size = 0;
   LeavePolicy leave_policy = LeavePolicy::kUniform;
@@ -31,8 +39,8 @@ struct SystemConfig {
   std::vector<sim::ProcessId> exempt;
   /// Granularity of churn arithmetic, in ticks.
   sim::Duration churn_tick = 1;
-  /// Chronicle memory policy (default: full per-process records, the
-  /// historical behavior; see churn::ChronicleOptions).
+  /// Inert: selects nothing and nothing in dynreg reads it; ROADMAP item 6
+  /// deletes it together with perfbench's copied world, which assigns it.
   ChronicleOptions chronicle;
 };
 
@@ -120,18 +128,16 @@ class System {
 
   // Member state as id-indexed struct-of-arrays columns (ids are dense and
   // never reused, so index == ProcessId; a null node_ entry means "not a
-  // member"). The previous std::map<id, Member> cost a pointer chase per
-  // lookup and O(members) node-hopping per iteration; the columns make
-  // membership O(1) and iteration a contiguous sweep of the two sorted id
-  // vectors. member_ids_ stays sorted for free (new ids are always the
-  // largest); active_ids_ inserts in id order on activation. Both erase by
-  // shift on leave — contiguous memmove, cheaper in practice than the old
-  // tree rebalance, and the iteration order (ascending id) is bit-identical
-  // to the map's, which the RNG draw sequence depends on.
+  // member"). Membership is O(1) and iteration a contiguous sweep of the two
+  // sorted id vectors. member_ids_ stays sorted for free (new ids are always
+  // the largest); active_ids_ inserts in id order on activation. Both erase
+  // by shift on leave, and their ascending-id order is what the RNG draw
+  // sequence depends on. When a process entered, activated and left lives
+  // only in chronicle_, the one per-id membership timeline: the
+  // oldest-active victim choice, the abandoned-join count and the join
+  // latency all read it there.
   std::vector<std::unique_ptr<node::Context>> ctx_;   // column: per-id context
   std::vector<std::unique_ptr<node::Node>> node_;     // column: per-id node
-  std::vector<sim::Time> activated_at_;               // column: activation time
-  std::vector<std::uint8_t> active_flag_;             // column: join completed
   std::vector<sim::ProcessId> member_ids_;  // sorted ascending, live members
   std::vector<sim::ProcessId> active_ids_;  // sorted ascending, active members
   Chronicle chronicle_;

@@ -216,8 +216,6 @@ class Client {
   void set_target_observer(TargetObserver* observer) { target_observer_ = observer; }
 
   OpStats& stats() { return stats_; }
-  [[nodiscard]] const std::deque<OpRecord>& records() const { return records_; }
-  [[nodiscard]] OpHandle handle(OpId id) const { return OpHandle(&records_[id]); }
 
  private:
   struct Station {

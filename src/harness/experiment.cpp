@@ -44,6 +44,24 @@ void ExperimentConfig::validate() const {
                                   " is not a rate >= 0");
     }
   };
+  if (delta == 0) {
+    throw std::invalid_argument(
+        "delta 0: the delay models would run it as 1 while protocol timers use 0");
+  }
+  if (timing == Timing::kEventuallySynchronous && pre_gst_max < delta) {
+    throw std::invalid_argument("pre-GST max delay " + std::to_string(pre_gst_max) +
+                                " is below delta=" + std::to_string(delta) +
+                                "; pre-GST delays must be able to reach delta");
+  }
+  if ((protocol == Protocol::kSync || protocol == Protocol::kSyncNoWait) && sync_delta_pp &&
+      (*sync_delta_pp == 0 || *sync_delta_pp > delta)) {
+    throw std::invalid_argument("sync delta' " + std::to_string(*sync_delta_pp) +
+                                " is outside [1, delta=" + std::to_string(delta) +
+                                "]; a reply bound must be a positive delay within delta");
+  }
+  if (duration == 0) {
+    throw std::invalid_argument("duration 0 would end the run before it starts");
+  }
   probability("loss rate", loss_rate);
   rate("churn rate", churn_rate);
   if (fault.tick == 0) {
@@ -53,9 +71,26 @@ void ExperimentConfig::validate() const {
   rate("crash rate", fault.crash.rate);
   probability("crash recover fraction", fault.crash.recover_fraction);
   rate("partition rate", fault.partition.rate);
+  if (fault.partition.rate > 0.0 && fault.partition.duration == 0) {
+    throw std::invalid_argument(
+        "partition duration 0 would heal each partition at the tick it forms");
+  }
   probability("partition fraction", fault.partition.fraction);
   probability("byzantine fraction", fault.byzantine.fraction);
   probability("byzantine transform rate", fault.byzantine.transform_rate);
+  // Unsharded runs drive the workload engines; a zero interval would
+  // reschedule their tick at the same instant forever.
+  if (shard_count == 0) {
+    if (workload.kind != workload::Kind::kClosedLoop && workload.read_interval == 0) {
+      throw std::invalid_argument(
+          "read interval 0 would reschedule the read tick at the same instant forever");
+    }
+    if (workload.writes_enabled && workload.write_interval == 0) {
+      throw std::invalid_argument(
+          "write interval 0 would reschedule the write tick at the same instant forever");
+    }
+  }
+  probability("read fraction", workload.read_frac);
 }
 
 MetricsReport run_experiment(const ExperimentConfig& cfg, const replay::RunHooks& hooks) {

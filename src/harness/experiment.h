@@ -85,11 +85,8 @@ struct ExperimentConfig {
   /// to pre-shard builds.
   std::size_t shard_count = 0;
 
-  /// churn::ChronicleOptions::aggregate_only for every System this run
-  /// builds: keep the A(t) counters, drop per-member records, so 1e5-scale
-  /// runs don't pay O(joins) memory per shard. Results are unchanged
-  /// (regression-tested), so this flag is excluded from the canonical
-  /// encoding and never splits a trace fingerprint.
+  /// Inert: selects nothing, is not encoded, and nothing in dynreg reads it;
+  /// ROADMAP item 6 deletes it together with perfbench's copied world.
   bool chronicle_aggregate = false;
 
   /// Deterministic fault campaign (crash/recovery, partitions, Byzantine
@@ -109,7 +106,18 @@ struct ExperimentConfig {
   ///  - a churn_rate, crash.rate or partition.rate that is negative or NaN
   ///    would run as no churn or no faults;
   ///  - fault.tick 0 would reschedule the injector at the same tick forever,
-  ///    so the run would never reach its duration.
+  ///    so the run would never reach its duration;
+  ///  - delta 0 would run as 1 in the delay models but as 0 in the protocol
+  ///    timers;
+  ///  - an eventually synchronous pre_gst_max below delta, or a sync /
+  ///    no-wait sync_delta_pp of 0 or above delta, breaks the timing model
+  ///    it claims;
+  ///  - duration 0, or partition.duration 0 under a partition rate, runs
+  ///    nothing;
+  ///  - an unsharded run's read_interval 0 (open-loop or bursty) or
+  ///    write_interval 0 (writes enabled) would reschedule its tick at the
+  ///    same instant forever;
+  ///  - a read_frac that is NaN or outside [0, 1] is not a fraction.
   void validate() const;
 
   /// Theorem 1's sufficient churn bound for the synchronous protocol.

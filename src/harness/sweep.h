@@ -42,20 +42,8 @@ struct SweepPoint {
   double mean_violation_rate() const {
     return mean_of(runs, [](const MetricsReport& r) { return r.regularity.violation_rate(); });
   }
-  double mean_read_completion() const {
-    return mean_of(runs, [](const MetricsReport& r) { return r.read_completion_rate(); });
-  }
-  double mean_write_completion() const {
-    return mean_of(runs, [](const MetricsReport& r) { return r.write_completion_rate(); });
-  }
   double mean_join_completion() const {
     return mean_of(runs, [](const MetricsReport& r) { return r.join_completion_rate(); });
-  }
-  double mean_read_latency() const {
-    return mean_of(runs, [](const MetricsReport& r) { return r.read_latency_mean; });
-  }
-  double mean_write_latency() const {
-    return mean_of(runs, [](const MetricsReport& r) { return r.write_latency_mean; });
   }
   double mean_join_latency() const {
     return mean_of(runs, [](const MetricsReport& r) { return r.join_latency_mean; });

@@ -100,7 +100,6 @@ churn::SystemConfig system_config(const ExperimentConfig& cfg, std::size_t n,
   sys.initial_size = n;
   sys.leave_policy = cfg.leave_policy;
   sys.exempt = writers;
-  sys.chronicle = {cfg.chronicle_aggregate, 3 * cfg.delta, cfg.duration};
   return sys;
 }
 
@@ -172,14 +171,14 @@ fault::DecisionSource& RunStreams::fault_decisions() {
 
 World::World(sim::Simulation& sim, std::unique_ptr<net::DelayModel> delays,
              const churn::SystemConfig& sys, std::unique_ptr<churn::ChurnModel> churn,
-             churn::System::NodeFactory factory, RunStreams& streams,
-             std::uint32_t shard)
+             churn::System::NodeFactory factory, sim::Time horizon,
+             RunStreams& streams, std::uint32_t shard)
     : recorder_(streams.recorder(shard)),
       n(sys.initial_size),
       net(sim, streams.delays(std::move(delays))),
       history(kInitialValue),
       system(sim, net, sys, streams.churn(std::move(churn), shard), std::move(factory)),
-      client(sim, system, history, sys.chronicle.horizon) {
+      client(sim, system, history, horizon) {
   if (recorder_) {
     system.set_churn_observer(recorder_.get());
     client.set_target_observer(recorder_.get());
@@ -193,7 +192,7 @@ World::World(sim::Simulation& sim, const ExperimentConfig& cfg, std::size_t size
              const std::vector<sim::ProcessId>& writers, RunStreams& streams,
              std::uint32_t shard)
     : World(sim, build_delays(cfg), system_config(cfg, size, writers), live_churn(cfg),
-            build_node_factory(cfg, size), streams, shard) {
+            build_node_factory(cfg, size), cfg.duration, streams, shard) {
   net.set_loss_rate(cfg.loss_rate);
   if (cfg.dissemination == Dissemination::kTree) {
     // kFlat keeps the network's default FlatDisseminator.

@@ -73,12 +73,12 @@ class World {
  public:
   /// Assembles one group of `sys.initial_size` processes over `delays` and
   /// `churn` (both replaced on replay), records or replays through
-  /// `streams`, tagging its churn records `shard`. The client's retry
-  /// horizon is `sys.chronicle.horizon`. Nothing runs until
-  /// system.bootstrap().
+  /// `streams`, tagging its churn records `shard`. The client re-issues no
+  /// attempt at or after `horizon`. Nothing runs until system.bootstrap().
   World(sim::Simulation& sim, std::unique_ptr<net::DelayModel> delays,
         const churn::SystemConfig& sys, std::unique_ptr<churn::ChurnModel> churn,
-        churn::System::NodeFactory factory, RunStreams& streams, std::uint32_t shard);
+        churn::System::NodeFactory factory, sim::Time horizon, RunStreams& streams,
+        std::uint32_t shard);
 
   /// The world `cfg` describes for one group of `size` processes whose
   /// designated `writers` are exempt from churn and from injected crashes.

@@ -58,20 +58,15 @@ class ReplayDelayModel final : public net::DelayModel {
       if (r.lost) return {true, 0};
       return {false, r.delay < 1 ? sim::Duration{1} : r.delay};
     }
-    ++fallback_draws_;
     if (loss_rate > 0.0 && fallback_.bernoulli(loss_rate)) return {true, 0};
     return {false, fallback_.uniform_int(1, max_delay_)};
   }
-
-  [[nodiscard]] std::size_t consumed() const { return next_; }
-  [[nodiscard]] std::uint64_t fallback_draws() const { return fallback_draws_; }
 
  private:
   std::shared_ptr<const Trace> trace_;
   sim::Duration max_delay_;
   sim::Rng fallback_;
   std::size_t next_ = 0;
-  std::uint64_t fallback_draws_ = 0;
 };
 
 /// Replays one membership group's share of the churn stream as a scripted

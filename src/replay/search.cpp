@@ -129,6 +129,12 @@ Trace record_base(const harness::ExperimentConfig& cfg) {
   hooks.record = &trace;
   const harness::MetricsReport report = harness::run_experiment(cfg, hooks);
   trace.recorded_hash = report.trace_hash;
+  // The base outlives every variant perturbed from it; give back the growth
+  // slack of its streams, up to half of each one's capacity.
+  trace.net.shrink_to_fit();
+  trace.churn.shrink_to_fit();
+  trace.picks.shrink_to_fit();
+  trace.faults.shrink_to_fit();
   return trace;
 }
 

@@ -306,8 +306,7 @@ void config_fields(IO& io, Cfg& cfg) {
           f.byzantine.forge, f.byzantine.corrupt);
   io.varint(f.tick);
   // v4: the shard layer and the keyed workload. (chronicle_aggregate is
-  // deliberately NOT encoded: it changes memory accounting only, never
-  // results, so it must not split fingerprints.)
+  // inert, so it is not encoded and never splits a fingerprint.)
   io.varint(cfg.shard_count);
   io.varint(w.key_count);
   io.real(w.zipf_s);

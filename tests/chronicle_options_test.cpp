@@ -1,11 +1,14 @@
-// ChronicleOptions aggregate-only mode: the A(t) accounting must answer
-// byte-identically to full mode while holding only live members. Synthetic
-// histories compare every query both ways; the experiment-level regression
-// pins the whole MetricsReport (accounting totals included) unchanged when
-// the flag flips on a churn-heavy run.
+// The chronicle's A(t) accounting against a brute-force count, and the
+// inert ChronicleOptions flag. A scripted lifetime table is fed into a
+// Chronicle; every query is then checked against a count taken straight
+// from the table, instant by instant. The experiment-level regressions pin
+// the whole MetricsReport unchanged when the (now inert) flag flips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <optional>
+#include <vector>
 
 #include "churn/chronicle.h"
 #include "harness/experiment.h"
@@ -13,91 +16,127 @@
 namespace dynreg::churn {
 namespace {
 
-constexpr sim::Duration kWindow = 10;
 constexpr sim::Time kHorizon = 100;
+constexpr sim::Duration kWindows[] = {1, 10, 30};
 
-/// Replays the same lifetime script into both chronicles.
-struct Pair {
-  Chronicle full;
-  Chronicle aggregate{ChronicleOptions{true, kWindow, kHorizon}};
-
-  void enter(sim::ProcessId id, sim::Time at, bool initial = false) {
-    full.note_enter(id, at, initial);
-    aggregate.note_enter(id, at, initial);
-  }
-  void activate(sim::ProcessId id, sim::Time at) {
-    full.note_activated(id, at);
-    aggregate.note_activated(id, at);
-  }
-  void leave(sim::ProcessId id, sim::Time at) {
-    full.note_left(id, at);
-    aggregate.note_left(id, at);
-  }
+struct Lifetime {
+  sim::ProcessId id;
+  sim::Time entered;
+  std::optional<sim::Time> activated;
+  std::optional<sim::Time> left;
+  bool initial = false;
 };
 
 /// A membership history exercising every interval shape: initial stayers,
-/// joiners that leave, a member too short-lived to cover any window, a
-/// late activation near the horizon, and a join that never completes.
-Pair scripted_history() {
-  Pair p;
-  p.enter(0, 0, true);
-  p.activate(0, 0);  // initial member, stays forever
-  p.enter(1, 5);
-  p.activate(1, 8);
-  p.leave(1, 30);  // covers window starts [8, 19]
-  p.enter(2, 10);
-  p.activate(2, 12);
-  p.leave(2, 18);  // active 6 ticks: never covers a 10-tick window
-  p.enter(3, 90);
-  p.activate(3, 95);  // activates near the horizon, stays
-  p.enter(4, 20);
-  p.leave(4, 40);  // join never completes: contributes nothing
-  p.enter(5, 0, true);
-  p.activate(5, 0);
-  p.leave(5, 60);
-  return p;
+/// joiners that leave, a member too short-lived to cover a 10-tick window,
+/// a late activation near the horizon, and a join that never completes.
+const std::vector<Lifetime> kScript = {
+    {0, 0, 0, std::nullopt, true},  // initial member, stays forever
+    {1, 5, 8, 30},                  // covers 10-tick window starts [8, 19]
+    {2, 10, 12, 18},                // active 6 ticks
+    {3, 90, 95, std::nullopt},      // activates near the horizon, stays
+    {4, 20, std::nullopt, 40},      // join never completes
+    {5, 0, 0, 60, true},
+};
+
+/// Feeds `script` into a chronicle in time order, as System would.
+Chronicle replay(const std::vector<Lifetime>& script) {
+  struct Step {
+    sim::Time at;
+    int kind;  // 0 enter, 1 activate, 2 leave: the order within one tick
+    const Lifetime* life;
+  };
+  std::vector<Step> steps;
+  for (const Lifetime& l : script) {
+    steps.push_back({l.entered, 0, &l});
+    if (l.activated) steps.push_back({*l.activated, 1, &l});
+    if (l.left) steps.push_back({*l.left, 2, &l});
+  }
+  std::stable_sort(steps.begin(), steps.end(), [](const Step& a, const Step& b) {
+    return a.at != b.at ? a.at < b.at : a.kind < b.kind;
+  });
+  Chronicle chron;
+  for (const Step& s : steps) {
+    if (s.kind == 0) chron.note_enter(s.life->id, s.at, s.life->initial);
+    if (s.kind == 1) chron.note_activated(s.life->id, s.at);
+    if (s.kind == 2) chron.note_left(s.life->id, s.at);
+  }
+  return chron;
 }
 
-TEST(ChronicleOptions, ActiveAtMatchesFullModeEverywhere) {
-  const Pair p = scripted_history();
+/// Active at instant t: activated by t and not yet left.
+bool active_at(const Lifetime& l, sim::Time t) {
+  return l.activated && *l.activated <= t && (!l.left || t < *l.left);
+}
+
+std::size_t brute_active_at(sim::Time t) {
+  std::size_t n = 0;
+  for (const Lifetime& l : kScript) n += active_at(l, t) ? 1 : 0;
+  return n;
+}
+
+/// Active at every instant of [t1, t2], checked one instant at a time.
+std::size_t brute_active_through(sim::Time t1, sim::Time t2) {
+  std::size_t n = 0;
+  for (const Lifetime& l : kScript) {
+    bool all = true;
+    for (sim::Time t = t1; t <= t2; ++t) all = all && active_at(l, t);
+    n += all ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(Chronicle, ActiveAtMatchesBruteForceEverywhere) {
+  const Chronicle chron = replay(kScript);
   for (sim::Time t = 0; t <= kHorizon; ++t) {
-    EXPECT_EQ(p.aggregate.active_at(t), p.full.active_at(t)) << "t=" << t;
+    EXPECT_EQ(chron.active_at(t), brute_active_at(t)) << "t=" << t;
   }
 }
 
-TEST(ChronicleOptions, RegisteredWindowMatchesFullModeAtEveryStart) {
-  const Pair p = scripted_history();
-  for (sim::Time t = 0; t + kWindow <= kHorizon; ++t) {
-    EXPECT_EQ(p.aggregate.active_through(t, t + kWindow),
-              p.full.active_through(t, t + kWindow))
-        << "t=" << t;
+TEST(Chronicle, ActiveThroughMatchesBruteForceAtEveryStart) {
+  const Chronicle chron = replay(kScript);
+  for (const sim::Duration w : kWindows) {
+    for (sim::Time t = 0; t <= kHorizon; ++t) {
+      EXPECT_EQ(chron.active_through(t, t + w), brute_active_through(t, t + w))
+          << "t=" << t << " w=" << w;
+    }
   }
 }
 
-TEST(ChronicleOptions, MinQueriesMatchFullMode) {
-  const Pair p = scripted_history();
-  EXPECT_EQ(p.aggregate.min_active_at(kHorizon), p.full.min_active_at(kHorizon));
-  EXPECT_EQ(p.aggregate.min_active_through_window(kWindow, kHorizon),
-            p.full.min_active_through_window(kWindow, kHorizon));
+TEST(Chronicle, MinQueriesMatchBruteForce) {
+  const Chronicle chron = replay(kScript);
+  std::size_t min_at = brute_active_at(0);
+  for (sim::Time t = 1; t <= kHorizon; ++t) min_at = std::min(min_at, brute_active_at(t));
+  EXPECT_EQ(chron.min_active_at(kHorizon), min_at);
+  for (const sim::Duration w : kWindows) {
+    std::size_t min_through = brute_active_through(0, w);
+    for (sim::Time t = 1; t + w <= kHorizon; ++t) {
+      min_through = std::min(min_through, brute_active_through(t, t + w));
+    }
+    EXPECT_EQ(chron.min_active_through_window(w, kHorizon), min_through) << "w=" << w;
+  }
 }
 
-TEST(ChronicleOptions, AggregateModeDropsDepartedRecords) {
-  const Pair p = scripted_history();
-  EXPECT_TRUE(p.aggregate.records().empty());
-  EXPECT_EQ(p.aggregate.record(1), nullptr);   // departed: folded away
-  ASSERT_NE(p.aggregate.record(0), nullptr);   // live: still queryable
-  EXPECT_TRUE(p.aggregate.record(0)->initial);
-  ASSERT_NE(p.full.record(1), nullptr);  // full mode keeps everything
+TEST(Chronicle, RecordsKeepDepartedMembers) {
+  const Chronicle chron = replay(kScript);
+  ASSERT_EQ(chron.records().size(), kScript.size());
+  for (const Lifetime& l : kScript) {
+    const Chronicle::Record& r = chron.records()[l.id];
+    EXPECT_EQ(r.entered, l.entered) << l.id;
+    EXPECT_EQ(r.activated, l.activated) << l.id;
+    EXPECT_EQ(r.left, l.left) << l.id;
+    EXPECT_EQ(r.initial, l.initial) << l.id;
+  }
 }
 
-TEST(ChronicleOptions, LiveMembersCountThroughTheHorizon) {
-  Pair p;
-  p.enter(0, 0, true);
-  p.activate(0, 0);
-  // Nobody ever leaves: the open-ended contribution must cover every
-  // instant and every window start.
-  EXPECT_EQ(p.aggregate.min_active_at(kHorizon), 1u);
-  EXPECT_EQ(p.aggregate.min_active_through_window(kWindow, kHorizon), 1u);
+TEST(Chronicle, LiveMembersCountThroughTheHorizon) {
+  Chronicle chron;
+  chron.note_enter(0, 0, true);
+  chron.note_activated(0, 0);
+  // Nobody ever leaves: the open-ended record must cover every instant and
+  // every window start.
+  EXPECT_EQ(chron.min_active_at(kHorizon), 1u);
+  EXPECT_EQ(chron.min_active_through_window(10, kHorizon), 1u);
 }
 
 // The experiment-level regression: the chronicle is pure observation, so

@@ -171,5 +171,111 @@ TEST(ConfigValidate, RejectsNegativeOrNaNChurnRate) {
       {-0.01, kNaN}, {0.0, 0.01});
 }
 
+TEST(ConfigValidate, RejectsDeltaZero) {
+  // The delay models would clamp it to 1 while protocol timers use 0.
+  ExperimentConfig cfg = small_config();
+  cfg.delta = 0;
+  EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+  cfg.delta = 1;
+  EXPECT_NO_THROW(run_experiment(cfg));
+}
+
+TEST(ConfigValidate, RejectsPreGstMaxBelowDelta) {
+  ExperimentConfig cfg = small_config();
+  cfg.protocol = Protocol::kEventuallySync;
+  cfg.timing = Timing::kEventuallySynchronous;
+  cfg.delta = 5;
+  cfg.pre_gst_max = 4;
+  EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+  cfg.pre_gst_max = 5;
+  EXPECT_NO_THROW(run_experiment(cfg));
+  cfg.timing = Timing::kSynchronous;  // no GST: the bound is unused
+  cfg.pre_gst_max = 4;
+  EXPECT_NO_THROW(run_experiment(cfg));
+}
+
+TEST(ConfigValidate, RejectsSyncDeltaPpOutsideOneToDelta) {
+  // delta' bounds a reply's one-way delay: 0 is no delay at all, and above
+  // delta it would lengthen the join instead of shortening it.
+  for (const Protocol p : {Protocol::kSync, Protocol::kSyncNoWait}) {
+    ExperimentConfig cfg = small_config();
+    cfg.protocol = p;
+    cfg.delta = 5;
+    cfg.sync_delta_pp = 0;
+    EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+    cfg.sync_delta_pp = 6;
+    EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+    cfg.sync_delta_pp = 1;
+    EXPECT_NO_THROW(run_experiment(cfg));
+    cfg.sync_delta_pp = 5;
+    EXPECT_NO_THROW(run_experiment(cfg));
+  }
+  ExperimentConfig es = small_config();  // other protocols never read it
+  es.protocol = Protocol::kEventuallySync;
+  es.sync_delta_pp = 0;
+  EXPECT_NO_THROW(run_experiment(es));
+}
+
+TEST(ConfigValidate, RejectsDurationZero) {
+  ExperimentConfig cfg = small_config();
+  cfg.duration = 0;
+  EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+  cfg.duration = 1;
+  EXPECT_NO_THROW(run_experiment(cfg));
+}
+
+TEST(ConfigValidate, RejectsPartitionDurationZeroUnderPartitionRate) {
+  ExperimentConfig cfg = small_config();
+  cfg.fault.partition.rate = 0.01;
+  cfg.fault.partition.duration = 0;
+  EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+  cfg.fault.partition.duration = 1;
+  EXPECT_NO_THROW(run_experiment(cfg));
+  cfg.fault.partition.rate = 0.0;  // no partitions: the duration is unused
+  cfg.fault.partition.duration = 0;
+  EXPECT_NO_THROW(run_experiment(cfg));
+}
+
+TEST(ConfigValidate, RejectsReadIntervalZeroForOpenLoopAndBursty) {
+  // The read tick would reschedule itself at the same instant forever.
+  for (const workload::Kind kind : {workload::Kind::kOpenLoop, workload::Kind::kBursty}) {
+    ExperimentConfig cfg = small_config();
+    cfg.workload.kind = kind;
+    cfg.workload.read_interval = 0;
+    EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+    cfg.workload.read_interval = 1;
+    EXPECT_NO_THROW(run_experiment(cfg));
+  }
+  ExperimentConfig closed = small_config();  // sessions have no read tick
+  closed.workload.kind = workload::Kind::kClosedLoop;
+  closed.workload.read_interval = 0;
+  EXPECT_NO_THROW(run_experiment(closed));
+  ExperimentConfig sharded = small_config();  // the keyed engine has none either
+  sharded.shard_count = 2;
+  sharded.workload.read_interval = 0;
+  EXPECT_NO_THROW(run_experiment(sharded));
+}
+
+TEST(ConfigValidate, RejectsWriteIntervalZeroWithWritesEnabled) {
+  // The write tick would reschedule itself at the same instant forever.
+  ExperimentConfig cfg = small_config();
+  cfg.workload.write_interval = 0;
+  EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+  cfg.workload.write_interval = 1;
+  EXPECT_NO_THROW(run_experiment(cfg));
+  cfg.workload.write_interval = 0;
+  cfg.workload.writes_enabled = false;  // no writers: no write tick
+  EXPECT_NO_THROW(run_experiment(cfg));
+  ExperimentConfig sharded = small_config();
+  sharded.shard_count = 2;
+  sharded.workload.write_interval = 0;
+  EXPECT_NO_THROW(run_experiment(sharded));
+}
+
+TEST(ConfigValidate, RejectsReadFracOutsideUnitInterval) {
+  expect_rejects([](ExperimentConfig& c, double v) { c.workload.read_frac = v; },
+                 {-0.1, 1.5, kNaN}, {0.0, 1.0});
+}
+
 }  // namespace
 }  // namespace dynreg::harness

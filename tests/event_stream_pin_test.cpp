@@ -138,7 +138,6 @@ ExperimentConfig quorum_scale() {
   cfg.tree_fanout = 4;
   cfg.workload.read_interval = 40;
   cfg.workload.write_interval = 80;
-  cfg.chronicle_aggregate = true;
   cfg.seed = 1;
   return cfg;
 }
@@ -160,7 +159,6 @@ ExperimentConfig churn_sessions() {
   cfg.workload.key_count = 256;
   cfg.workload.zipf_s = 0.99;
   cfg.workload.read_frac = 0.9;
-  cfg.chronicle_aggregate = true;
   cfg.seed = 1;
   return cfg;
 }

@@ -5,8 +5,12 @@
 // same member/active sets, same ascending iteration order (the RNG draw
 // sequence depends on it), same join accounting — across long random
 // interleavings of spawn / leave / time advancement, including leaves that
-// land while a join is still pending. Run under ASan/UBSan this also sweeps
-// the column-growth and erase-by-shift paths for memory errors.
+// land while a join is still pending. The chronicle is the one per-id
+// membership timeline, so each id's entered/activated/left times and the
+// join-latency total are checked against the model too, as is the
+// oldest-active-first victim choice that reads them. Run under ASan/UBSan
+// this also sweeps the column-growth and erase-by-shift paths for memory
+// errors.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,30 +50,49 @@ class StubNode final : public node::Node {
 };
 
 /// The naive model the columns are checked against: one map entry per
-/// member, activation promoted by explicit time sweep.
+/// member, activation promoted by explicit time sweep, plus every id's
+/// lifetime for the chronicle.
 struct Model {
   struct Rec {
     bool active = false;
     std::optional<sim::Time> activates_at;  // pending join
   };
+  struct Life {
+    sim::Time entered = 0;
+    std::optional<sim::Time> activated;
+    std::optional<sim::Time> left;
+  };
   std::map<sim::ProcessId, Rec> members;
+  std::vector<Life> lives;  // every id ever issued; index == id
   std::uint64_t joins_started = 0;
   std::uint64_t joins_completed = 0;
   std::uint64_t joins_abandoned = 0;
+  std::uint64_t join_latency_total = 0;
 
+  explicit Model(std::size_t initial) {
+    for (sim::ProcessId id = 0; id < initial; ++id) {
+      members[id] = Rec{true, std::nullopt};
+      lives.push_back(Life{0, 0, std::nullopt});
+    }
+  }
   void spawn(sim::ProcessId id, sim::Time now) {
     ++joins_started;
     members[id] = Rec{false, now + join_delay(id)};
+    ASSERT_EQ(id, lives.size());
+    lives.push_back(Life{now, std::nullopt, std::nullopt});
   }
-  void leave(sim::ProcessId id) {
+  void leave(sim::ProcessId id, sim::Time now) {
     const auto it = members.find(id);
     if (!it->second.active) ++joins_abandoned;
     members.erase(it);
+    lives[id].left = now;
   }
   void promote_through(sim::Time now) {
     for (auto& [id, rec] : members) {
       if (!rec.active && rec.activates_at && *rec.activates_at <= now) {
         rec.active = true;
+        lives[id].activated = *rec.activates_at;
+        join_latency_total += *rec.activates_at - lives[id].entered;
         rec.activates_at.reset();
         ++joins_completed;
       }
@@ -102,10 +125,7 @@ TEST(MembershipProperty, SoaColumnsMatchNaiveMapModel) {
                   });
     system.bootstrap();
 
-    Model model;
-    for (sim::ProcessId id = 0; id < 50; ++id) {
-      model.members[id] = Model::Rec{true, std::nullopt};
-    }
+    Model model(50);
 
     std::mt19937 rng(seed);
     sim::Time now = 0;
@@ -120,7 +140,7 @@ TEST(MembershipProperty, SoaColumnsMatchNaiveMapModel) {
         const auto ids = model.member_ids();
         const sim::ProcessId victim = ids[rng() % ids.size()];
         system.leave(victim);
-        model.leave(victim);
+        model.leave(victim, now);
       } else {
         now += 1 + rng() % 3;
         sim.run_until(now);
@@ -133,6 +153,15 @@ TEST(MembershipProperty, SoaColumnsMatchNaiveMapModel) {
       ASSERT_EQ(system.joins_started(), model.joins_started);
       ASSERT_EQ(system.joins_completed(), model.joins_completed);
       ASSERT_EQ(system.joins_abandoned(), model.joins_abandoned);
+      ASSERT_EQ(system.join_latency_total(), model.join_latency_total);
+      const auto& records = system.chronicle().records();
+      ASSERT_EQ(records.size(), model.lives.size());
+      for (sim::ProcessId id = 0; id < records.size(); ++id) {
+        ASSERT_EQ(records[id].entered, model.lives[id].entered) << "id " << id;
+        ASSERT_EQ(records[id].activated, model.lives[id].activated) << "id " << id;
+        ASSERT_EQ(records[id].left, model.lives[id].left) << "id " << id;
+        ASSERT_EQ(records[id].initial, id < 50) << "id " << id;
+      }
     }
 
     // find() agrees with the model on membership, including for every id
@@ -145,6 +174,58 @@ TEST(MembershipProperty, SoaColumnsMatchNaiveMapModel) {
     const auto& active = system.active_ids();
     ASSERT_TRUE(std::is_sorted(active.begin(), active.end()));
   }
+}
+
+/// Checks every churn-driven victim against the chronicle, walked
+/// independently of the system's active_ids(): it must be the non-exempt
+/// member that activated earliest and has not left, lowest id on ties.
+class OldestActiveCheck final : public ChurnObserver {
+ public:
+  OldestActiveCheck(const System& system, sim::ProcessId exempt)
+      : system_(system), exempt_(exempt) {}
+
+  void on_churn_join(sim::Time) override {}
+
+  void on_churn_leave(sim::Time, sim::ProcessId victim) override {
+    const auto& records = system_.chronicle().records();
+    std::optional<sim::ProcessId> oldest;
+    for (sim::ProcessId id = 0; id < records.size(); ++id) {
+      const Chronicle::Record& r = records[id];
+      if (id == exempt_ || !r.activated || r.left) continue;
+      if (!oldest || *r.activated < *records[*oldest].activated) oldest = id;
+    }
+    ASSERT_TRUE(oldest.has_value());
+    EXPECT_EQ(victim, *oldest);
+    ++checked;
+  }
+
+  std::size_t checked = 0;
+
+ private:
+  const System& system_;
+  sim::ProcessId exempt_;
+};
+
+TEST(MembershipProperty, OldestActiveFirstPicksEarliestChronicleActivation) {
+  sim::Simulation sim(7);
+  net::Network net(sim, std::make_unique<net::FixedDelay>(1));
+  SystemConfig cfg;
+  cfg.initial_size = 50;
+  cfg.leave_policy = LeavePolicy::kOldestActiveFirst;
+  cfg.exempt = {0};
+  System system(sim, net, cfg, std::make_unique<ConstantChurn>(0.05),
+                [](sim::ProcessId id, node::Context& ctx, bool initial) {
+                  return std::make_unique<StubNode>(id, ctx, initial);
+                });
+  OldestActiveCheck check(system, 0);
+  system.set_churn_observer(&check);
+  system.bootstrap();
+  sim.run_until(400);
+  // 2.5 leaves per tick: the 49 initial members (all activated at 0, so the
+  // lowest id goes first) are gone within ~20 ticks, and the rest are
+  // joiners with staggered activations.
+  EXPECT_GT(check.checked, 900u);
+  EXPECT_EQ(system.chronicle().records()[0].left, std::nullopt);
 }
 
 }  // namespace
