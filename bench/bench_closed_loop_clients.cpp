@@ -2,7 +2,7 @@
 // capacity curve (not a claim from the paper — a systems experiment the
 // client API redesign opens up).
 //
-// Sweeps the number of closed-loop ClientSessions against the eventually
+// Sweeps the number of closed-loop client sessions against the eventually
 // synchronous protocol under constant churn. Each session issues one read
 // at a time against a uniformly random active process, waits for it to
 // resolve, thinks, and repeats; session operations against the same process

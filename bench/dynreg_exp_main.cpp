@@ -121,8 +121,8 @@ const Flag kFlags[] = {
        c.workload.retry_backoff = v.n;
        c.workload.retry_exponential = v.exp;
      }},
-    {"--shards", Grammar::kPositive, "N", kRun | kRecord | kReplay,
-     "shard count (replay: the recorded one)", nullptr,
+    {"--shards", Grammar::kPositive, "N", kRun | kRecord,
+     "shard count (record: kept in the trace)", nullptr,
      [](ExperimentConfig& c, const FlagValue& v) { c.shard_count = v.n; }},
     {"--zipf", Grammar::kDecimal, "S", kRun, "zipfian skew of the keyed workload", nullptr,
      [](ExperimentConfig& c, const FlagValue& v) { c.workload.zipf_s = v.x; }},
@@ -255,6 +255,18 @@ std::size_t total_decisions(const std::vector<replay::Trace>& traces) {
   return total;
 }
 
+/// The row naming `name` among the flags `command` accepts; a switch only
+/// matches without a value, any other flag only with one.
+const Flag* find_flag(const std::string& name, bool has_value, unsigned command) {
+  for (const Flag& f : kFlags) {
+    if (name == f.name && (f.commands & command) != 0 &&
+        has_value == (f.grammar != Grammar::kSwitch)) {
+      return &f;
+    }
+  }
+  return nullptr;
+}
+
 int cmd_list(const Invocation&) {
   stats::Table table({"name", "id", "reproduces", "seeds", "parameter grid"});
   for (const Experiment* e : ExperimentRegistry::instance().list()) {
@@ -364,6 +376,9 @@ int cmd_record(const Invocation& inv) {
   replay::TraceFile file;
   file.experiment = e->name;
   file.seeds = {seeds};
+  ExperimentConfig imposed;  // what the overrides (--shards) set on every config
+  bench::apply_workload(opts, imposed);
+  file.shards = imposed.shard_count;
   file.traces = session.collected();
 
   try {
@@ -401,6 +416,11 @@ int cmd_replay(const Invocation& inv) {
   RunOptions opts = inv.run;
   opts.seeds = static_cast<std::size_t>(file.seeds[0]);
   opts.session = &session;
+  if (file.shards > 0) {
+    FlagValue shards;
+    shards.n = file.shards;
+    opts.overrides.push_back({find_flag("--shards", true, kRecord)->configure, shards});
+  }
   bench::ExperimentResult result;
   try {
     result = bench::run_resolved(*e, opts);
@@ -575,18 +595,6 @@ int usage(std::ostream& os, int code) {
     os << "  " << s << f.help << "\n";
   }
   return code;
-}
-
-/// The row naming `name` among the flags `command` accepts; a switch only
-/// matches without a value, any other flag only with one.
-const Flag* find_flag(const std::string& name, bool has_value, unsigned command) {
-  for (const Flag& f : kFlags) {
-    if (name == f.name && (f.commands & command) != 0 &&
-        has_value == (f.grammar != Grammar::kSwitch)) {
-      return &f;
-    }
-  }
-  return nullptr;
 }
 
 /// Parses `args` against the flags `c` accepts into `inv`. Returns the exit

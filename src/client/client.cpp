@@ -5,20 +5,6 @@
 
 namespace dynreg::client {
 
-namespace {
-
-/// splitmix64 finalizer — the repo's standard mixing step, duplicated here
-/// (rather than pulling replay/trace.h into the client) because the client
-/// sits *below* the replay layer and must not depend on it.
-std::uint64_t mix64(std::uint64_t v) {
-  std::uint64_t z = v + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 Client::Client(sim::Simulation& sim, churn::System& system,
                consistency::History& history, sim::Time horizon)
     : sim_(sim), system_(system), history_(history), horizon_(horizon) {}
@@ -31,7 +17,7 @@ sim::Duration Client::retry_delay(const OpRecord& rec) const {
   // Jitter from a pure hash of (seed, op, attempt): deterministic per run,
   // different across ops/attempts, zero Rng draws (replay-transparent).
   const std::uint64_t h =
-      mix64(mix64(sim_.seed() ^ (rec.id * 0x9e3779b97f4a7c15ULL)) ^ rec.attempts);
+      sim::mix64(sim::mix64(sim_.seed() ^ (rec.id * sim::kGolden64)) ^ rec.attempts);
   return base + static_cast<sim::Duration>(h % retry.backoff);
 }
 
@@ -41,9 +27,10 @@ RegisterNode* Client::node(sim::ProcessId id) {
 
 OpRecord& Client::new_record(OpType type, sim::ProcessId target, OpOptions options,
                              OpHook done) {
-  records_.emplace_back();
-  OpRecord& rec = records_.back();
-  rec.id = static_cast<OpId>(records_.size() - 1);
+  const OpId id = next_id_++;
+  if (id % kChunk == 0) chunks_.push_back(std::make_unique<OpRecord[]>(kChunk));
+  OpRecord& rec = record(id);
+  rec.id = id;
   rec.type = type;
   rec.target = target;
   rec.options = std::move(options);
@@ -95,12 +82,16 @@ std::optional<sim::ProcessId> Client::random_active() {
 
 void Client::enqueue_session(OpRecord& rec) {
   rec.station = rec.target;
+  rec.next_in_station = OpRecord::kNoOp;
+  if (rec.target >= stations_.size()) stations_.resize(rec.target + std::size_t{1});
   Station& st = stations_[rec.target];
-  if (st.busy) {
-    st.queue.push_back(rec.id);
-  } else {
-    st.busy = true;
+  const auto slot = static_cast<std::uint32_t>(rec.id);
+  if (st.head == OpRecord::kNoOp) {
+    st.head = st.tail = slot;
     start_attempt(rec);
+  } else {
+    record(st.tail).next_in_station = slot;
+    st.tail = slot;
   }
 }
 
@@ -145,7 +136,7 @@ void Client::start_attempt(OpRecord& rec) {
 
 void Client::on_node_completion(OpId id, std::uint32_t attempt, OpOutcome outcome,
                                 Value v) {
-  OpRecord& rec = records_[id];
+  OpRecord& rec = record(id);
   // Late (post-timeout) or stale (previous attempt's) completions are
   // discarded: the record resolves exactly once, and each attempt is
   // accounted exactly once.
@@ -154,7 +145,7 @@ void Client::on_node_completion(OpId id, std::uint32_t attempt, OpOutcome outcom
 }
 
 void Client::on_deadline(OpId id, std::uint32_t attempt) {
-  OpRecord& rec = records_[id];
+  OpRecord& rec = record(id);
   if (rec.resolved || !rec.attempt_open || rec.attempts != attempt) return;
   finish_attempt(rec, OpOutcome::kTimedOut, kBottom);
 }
@@ -214,7 +205,7 @@ void Client::finish_attempt(OpRecord& rec, OpOutcome outcome, Value v) {
 }
 
 void Client::retry_attempt(OpId id, std::uint32_t attempt) {
-  OpRecord& rec = records_[id];
+  OpRecord& rec = record(id);
   if (rec.resolved || rec.attempt_open || rec.attempts + 1 != attempt) return;
   if (node(rec.target) == nullptr) {
     if (rec.type == OpType::kWrite) {
@@ -254,47 +245,17 @@ void Client::resolve(OpRecord& rec, OpOutcome outcome) {
 }
 
 void Client::release_station(sim::ProcessId target) {
+  // Only the op in service releases, and it is the head: pop it.
   Station& st = stations_[target];
-  if (st.queue.empty()) {
-    st.busy = false;
-    return;
-  }
+  st.head = record(st.head).next_in_station;
+  if (st.head == OpRecord::kNoOp) return;
   // Hand the slot to the next queued op at a fresh event: resolution may be
   // running inside System::leave's drop cascade, where the departing target
   // is still half-attached — dispatching now would issue into a node that
   // is being torn down.
-  sim_.schedule_after(0, [this, target] { pump_station(target); });
-}
-
-void Client::pump_station(sim::ProcessId target) {
-  Station& st = stations_[target];
-  if (st.queue.empty()) {
-    st.busy = false;
-    return;
-  }
-  const OpId id = st.queue.front();
-  st.queue.pop_front();
-  start_attempt(records_[id]);
-}
-
-void ClientSession::next_op() {
-  if (sim_.now() >= config_.horizon) return;
-  // Always advance at least one tick per cycle (see Config::think_time):
-  // instantaneous reads would otherwise re-issue at the same timestamp
-  // forever and the run would never finish.
-  const sim::Duration pause = std::max<sim::Duration>(1, config_.think_time);
-  const auto target = client_.random_active();
-  if (!target) {
-    sim_.schedule_after(pause, [this] { next_op(); });
-    return;
-  }
-  ++ops_issued_;
-  // Fire-and-forget: the session reacts through the resolution hook and
-  // never inspects the op again, so the handle is intentionally dropped.
-  (void)client_.session_read(*target, config_.op_options,
-                             [this, pause](const OpHandle&) {
-                               sim_.schedule_after(pause, [this] { next_op(); });
-                             });
+  sim_.schedule_after(0, [this, target] {
+    start_attempt(record(stations_[target].head));
+  });
 }
 
 }  // namespace dynreg::client

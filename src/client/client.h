@@ -1,7 +1,7 @@
 // The client layer: issues register operations against the deployed system
 // and owns everything the protocols should not — operation identity, typed
 // outcomes, history recording, latency capture, per-op deadlines, retries,
-// and closed-loop session scheduling.
+// and the per-process session FIFO.
 //
 // Before this layer, every bench re-implemented its own invoke/record glue
 // around bare callbacks. Now a single Client fronts the system:
@@ -11,21 +11,21 @@
 //   Client::session_read   closed-loop entry point: operations against the
 //                          same process serialize FIFO (a process serves one
 //                          client operation at a time), which is what makes
-//                          latency grow with client count under load.
-//   ClientSession          one closed-loop client: issue, await resolution,
-//                          think, repeat.
+//                          latency grow with client count under load. The
+//                          closed loop itself (issue, await resolution,
+//                          think, repeat) is workload::SessionLoop.
 //
 // Determinism contract (see docs/ARCHITECTURE.md): a Client draws randomness
 // only from the run's one sim::Rng (retry re-targeting, session targeting),
 // so a (config, seed) pair fully determines every record. OpRecords live in
-// a std::deque owned by the Client — OpHandles are non-owning views that
-// stay valid for the Client's lifetime and are never invalidated by later
-// operations.
+// fixed-size chunks owned by the Client — OpHandles are non-owning views
+// that stay valid for the Client's lifetime and are never invalidated by
+// later operations.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -77,6 +77,8 @@ using OpHook = sim::InlineFunction<void(const OpHandle&)>;
 struct OpRecord {
   /// Marker for `station`: the op does not occupy a session FIFO.
   static constexpr sim::ProcessId kNoStation = ~sim::ProcessId{0};
+  /// Marker for `next_in_station` (and the Client's station ends): no op.
+  static constexpr std::uint32_t kNoOp = ~std::uint32_t{0};
 
   OpId id = 0;
   OpType type = OpType::kRead;
@@ -90,12 +92,16 @@ struct OpRecord {
   std::uint32_t attempts = 0;  ///< attempts dispatched so far
   bool resolved = false;
   bool attempt_open = false;  ///< current attempt still awaiting the node
-  OpOptions options;
-  consistency::OpId history_op = 0;  ///< current attempt's history record
   bool session = false;  ///< issued via session_read: dispatch through stations
   sim::ProcessId station = kNoStation;  ///< station FIFO this attempt occupies
+  OpOptions options;
+  consistency::OpId history_op = 0;  ///< current attempt's history record
+  std::uint32_t next_in_station = kNoOp;  ///< the op queued behind this one
   OpHook on_resolved;
 };
+// Every issued operation keeps its record for the Client's lifetime; the
+// station link fits in padding, so the FIFO costs no record space.
+static_assert(sizeof(OpRecord) <= 176, "OpRecord grew");
 
 /// Non-owning view of an OpRecord; valid for the issuing Client's lifetime.
 /// [[nodiscard]]: a dropped handle is a leaked operation result (issue sites
@@ -218,10 +224,16 @@ class Client {
   OpStats& stats() { return stats_; }
 
  private:
+  /// One process's session FIFO, threaded through OpRecord::next_in_station.
+  /// The head is the op in service (or about to be pumped); empty when idle.
   struct Station {
-    bool busy = false;
-    std::deque<OpId> queue;
+    std::uint32_t head = OpRecord::kNoOp;
+    std::uint32_t tail = OpRecord::kNoOp;
   };
+
+  /// Records per chunk: ids index chunks directly and a record never moves.
+  static constexpr std::size_t kChunk = 32;
+  OpRecord& record(OpId id) { return chunks_[id / kChunk][id % kChunk]; }
 
   /// Delay before the next retry of `rec` (its attempts count has already
   /// been charged for the failed attempt).
@@ -236,56 +248,19 @@ class Client {
   void retry_attempt(OpId id, std::uint32_t attempt);
   void resolve(OpRecord& rec, OpOutcome outcome);
   void release_station(sim::ProcessId target);
-  void pump_station(sim::ProcessId target);
 
   sim::Simulation& sim_;
   churn::System& system_;
   consistency::History& history_;
   sim::Time horizon_;
 
-  std::deque<OpRecord> records_;  // deque: stable addresses for OpHandles
-  std::map<sim::ProcessId, Station> stations_;
+  std::vector<std::unique_ptr<OpRecord[]>> chunks_;
+  OpId next_id_ = 0;
+  std::vector<Station> stations_;  // indexed by process id (dense, never reused)
   Value next_value_ = 1;
   TargetChooser* chooser_ = nullptr;          // non-owning
   TargetObserver* target_observer_ = nullptr;  // non-owning
   OpStats stats_;
-};
-
-/// One closed-loop client: pick a uniformly random active process, issue a
-/// session read, and once it resolves (any outcome) think for `think_time`
-/// and repeat, until the horizon. When no process is active the session
-/// backs off one think interval (minimum 1 tick) and probes again.
-class ClientSession {
- public:
-  struct Config {
-    /// Ticks between an op's resolution and the next issue. A session
-    /// always advances at least one tick per cycle (think_time 0 behaves
-    /// as 1): instantaneous reads (the sync protocol) would otherwise
-    /// re-issue at the same timestamp forever and the event queue would
-    /// never drain.
-    sim::Duration think_time = 0;
-    sim::Time horizon = 0;
-    OpOptions op_options;
-  };
-
-  ClientSession(Client& client, sim::Simulation& sim, Config config)
-      : client_(client), sim_(sim), config_(config) {}
-
-  ClientSession(const ClientSession&) = delete;
-  ClientSession& operator=(const ClientSession&) = delete;
-
-  /// Issues the session's first operation (call once, before the run).
-  void start() { next_op(); }
-
-  [[nodiscard]] std::uint64_t ops_issued() const { return ops_issued_; }
-
- private:
-  void next_op();
-
-  Client& client_;
-  sim::Simulation& sim_;
-  Config config_;
-  std::uint64_t ops_issued_ = 0;
 };
 
 }  // namespace dynreg::client

@@ -43,9 +43,7 @@ class DecisionSource {
   virtual std::uint64_t draw(sim::Time now) = 0;
 
   /// Uniform double in [0, 1) derived from one draw.
-  double uniform01(sim::Time now) {
-    return static_cast<double>(draw(now) >> 11) * (1.0 / 9007199254740992.0);
-  }
+  double uniform01(sim::Time now) { return sim::unit01(draw(now)); }
 
   /// Biased coin derived from one draw.
   bool bernoulli(sim::Time now, double p) {

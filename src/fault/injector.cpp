@@ -5,15 +5,10 @@
 #include "dynreg/messages.h"
 #include "dynreg/register_node.h"
 #include "net/payload.h"
+#include "sim/rng.h"
 
 namespace dynreg::fault {
 namespace {
-
-/// [0, 1) from a pure 64-bit hash word — same arithmetic as Rng::uniform01,
-/// but over fold64 output, so side/membership tests cost no decision draw.
-double hash01(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
-}
 
 /// The (ts, value) view of a value-carrying payload. `carries` is false for
 /// types the adversary leaves alone (acks, queries, inquiries) and for
@@ -214,14 +209,14 @@ bool Injector::on_minority_side(sim::ProcessId id) const {
   if (std::find(exempt_.begin(), exempt_.end(), id) != exempt_.end()) {
     return false;
   }
-  return hash01(replay::fold64(partition_salt_, id)) < plan_.partition.fraction;
+  return sim::unit01(replay::fold64(partition_salt_, id)) < plan_.partition.fraction;
 }
 
 bool Injector::is_byzantine(sim::ProcessId id) const {
   if (std::find(exempt_.begin(), exempt_.end(), id) != exempt_.end()) {
     return false;  // designated writers stay honest; the adversary is inside
   }
-  return hash01(replay::fold64(byz_salt_, id)) < plan_.byzantine.fraction;
+  return sim::unit01(replay::fold64(byz_salt_, id)) < plan_.byzantine.fraction;
 }
 
 bool Injector::link_cut(sim::Time /*now*/, sim::ProcessId from,

@@ -28,6 +28,50 @@ client::OpOptions op_options(const Config& config) {
   return options;
 }
 
+SessionLoop::SessionLoop(sim::Simulation& sim, sim::Time horizon,
+                         sim::Duration think_time, Step step)
+    : sim_(sim),
+      horizon_(horizon),
+      pause_(std::max<sim::Duration>(1, think_time)),
+      step_(std::move(step)) {}
+
+void SessionLoop::start(std::size_t sessions) {
+  for (std::size_t s = 0; s < sessions; ++s) issue();
+}
+
+void SessionLoop::issue() {
+  if (sim_.now() >= horizon_) return;
+  const client::OpHandle h = step_([this](const client::OpHandle&) { resume(); });
+  if (!h.valid()) resume();
+}
+
+void SessionLoop::resume() {
+  const sim::Time next = sim_.now() + pause_;
+  if (next >= horizon_) return;
+  sim_.schedule_at(next, [this] { issue(); });
+}
+
+Generator::Generator(Env env)
+    : env_(std::move(env)),
+      sessions_(env_.sim, env_.horizon, env_.config.think_time,
+                [this](client::OpHook done) {
+                  const auto target = env_.client.random_active();
+                  if (!target) return client::OpHandle{};
+                  return env_.client.session_read(*target, op_options(env_.config),
+                                                  std::move(done));
+                }) {}
+
+void Generator::start() {
+  // Sessions first (their first ops go out at t=0), then the writer stream
+  // — the same relative order as the read tick's.
+  if (env_.config.kind == Kind::kClosedLoop) {
+    sessions_.start(env_.config.clients);
+  } else {
+    schedule_read_tick();
+  }
+  if (!env_.writers.empty()) schedule_write_tick();
+}
+
 void Generator::issue_read() {
   // An active id always resolves to a live node (same event, no interleaved
   // departure); were that ever broken, the client would surface it as an
@@ -63,13 +107,17 @@ void Generator::issue_write(sim::ProcessId writer) {
                           });
 }
 
-bool Generator::read_tick_allowed(sim::Time) const { return true; }
-
 void Generator::schedule_read_tick() {
   const sim::Time next = env_.sim.now() + env_.config.read_interval;
   if (next >= env_.horizon) return;
   env_.sim.schedule_at(next, [this] {
-    if (read_tick_allowed(env_.sim.now())) issue_read();
+    // Bursty phase is pure arithmetic on the clock (no toggle events):
+    // ticks [0, burst_on) of every on+off period carry traffic.
+    const sim::Duration period = env_.config.burst_on + env_.config.burst_off;
+    if (env_.config.kind != Kind::kBursty || period == 0 ||
+        env_.sim.now() % period < env_.config.burst_on) {
+      issue_read();
+    }
     schedule_read_tick();
   });
 }
@@ -83,82 +131,8 @@ void Generator::schedule_write_tick() {
   });
 }
 
-// --- open loop ---------------------------------------------------------------
-
-namespace {
-
-/// The classic driver, byte-identical to the pre-client workload for the
-/// default configuration.
-class OpenLoopGenerator final : public Generator {
- public:
-  using Generator::Generator;
-
-  void start() override {
-    schedule_read_tick();
-    if (!env_.writers.empty()) schedule_write_tick();
-  }
-};
-
-// --- closed loop -------------------------------------------------------------
-
-class ClosedLoopGenerator final : public Generator {
- public:
-  explicit ClosedLoopGenerator(Env env) : Generator(std::move(env)) {
-    client::ClientSession::Config sc;
-    sc.think_time = env_.config.think_time;
-    sc.horizon = env_.horizon;
-    sc.op_options = op_options(env_.config);
-    sessions_.reserve(env_.config.clients);
-    for (std::size_t i = 0; i < env_.config.clients; ++i) {
-      sessions_.push_back(
-          std::make_unique<client::ClientSession>(env_.client, env_.sim, sc));
-    }
-  }
-
-  void start() override {
-    // Sessions first (their first ops go out at t=0), then the writer
-    // stream — the same relative order as the open-loop engine's ticks.
-    for (auto& s : sessions_) s->start();
-    if (!env_.writers.empty()) schedule_write_tick();
-  }
-
- private:
-  std::vector<std::unique_ptr<client::ClientSession>> sessions_;
-};
-
-// --- bursty ------------------------------------------------------------------
-
-class BurstyGenerator final : public Generator {
- public:
-  using Generator::Generator;
-
-  void start() override {
-    schedule_read_tick();
-    if (!env_.writers.empty()) schedule_write_tick();
-  }
-
- private:
-  /// Phase is pure arithmetic on the clock (no extra toggle events): ticks
-  /// [0, burst_on) of every on+off period carry traffic.
-  bool read_tick_allowed(sim::Time now) const override {
-    const sim::Duration period = env_.config.burst_on + env_.config.burst_off;
-    if (period == 0) return true;
-    return now % period < env_.config.burst_on;
-  }
-};
-
-}  // namespace
-
 std::unique_ptr<Generator> make_generator(Env env) {
-  switch (env.config.kind) {
-    case Kind::kClosedLoop:
-      return std::make_unique<ClosedLoopGenerator>(std::move(env));
-    case Kind::kBursty:
-      return std::make_unique<BurstyGenerator>(std::move(env));
-    case Kind::kOpenLoop:
-      break;
-  }
-  return std::make_unique<OpenLoopGenerator>(std::move(env));
+  return std::make_unique<Generator>(std::move(env));
 }
 
 }  // namespace dynreg::workload

@@ -4,17 +4,18 @@
 // latency capture, and outcome accounting — generators only decide *when*
 // and *from where* operations are issued.
 //
-// Three engines ship:
+// One Generator runs all three kinds of read traffic:
 //   kOpenLoop    the classic driver: a read from a uniformly random active
 //                process every read_interval, independent of completions.
 //                Byte-identical to the pre-client workload driver for the
 //                default configuration (the determinism gate pins this).
-//   kClosedLoop  `clients` ClientSessions: each issues one read at a time
-//                against a random active process, waits for it to resolve,
-//                thinks for think_time, repeats. Session ops serialize per
-//                target process, so latency grows with client count.
-//   kBursty      open-loop reads gated by an on/off phase square wave
-//                (burst_on ticks of traffic, burst_off ticks of silence).
+//   kClosedLoop  `clients` sessions (SessionLoop): each issues one read at a
+//                time against a random active process, waits for it to
+//                resolve, thinks for think_time, repeats. Session ops
+//                serialize per target process, so latency grows with client
+//                count.
+//   kBursty      the open-loop read tick gated by an on/off phase square
+//                wave (burst_on ticks of traffic, burst_off ticks of silence).
 //
 // All three keep the paper's designated-writer stream (writers are pinned
 // processes inside the system, not clients): writes are issued open-loop
@@ -51,31 +52,60 @@ struct Env {
 /// path.
 [[nodiscard]] client::OpOptions op_options(const Config& config);
 
+/// The closed loop every session runs, shared by the unsharded closed-loop
+/// engine and the keyed one (shard/keyed_workload.h). Each session issues
+/// one operation through `step`, waits for it to resolve (any outcome),
+/// thinks max(1, think_time) ticks and repeats; a step that issues nothing
+/// backs off one think interval instead. No wake-up is queued at or past
+/// the horizon. The pause is at least one tick because instantaneous reads
+/// (the sync protocol) would otherwise re-issue at the same timestamp
+/// forever and the event queue would never drain.
+class SessionLoop {
+ public:
+  /// Issues one operation with `done` as its resolution hook; returns an
+  /// invalid handle when it issued nothing.
+  using Step = sim::InlineFunction<client::OpHandle(client::OpHook done)>;
+
+  SessionLoop(sim::Simulation& sim, sim::Time horizon, sim::Duration think_time,
+              Step step);
+
+  SessionLoop(const SessionLoop&) = delete;
+  SessionLoop& operator=(const SessionLoop&) = delete;
+
+  /// Starts `sessions` sessions, each issuing its first operation now.
+  void start(std::size_t sessions);
+
+ private:
+  void issue();
+  void resume();
+
+  sim::Simulation& sim_;
+  sim::Time horizon_;
+  sim::Duration pause_;
+  Step step_;
+};
+
 /// A workload engine. start() schedules the first events; traffic then
 /// sustains itself through the simulation until the horizon.
 class Generator {
  public:
-  explicit Generator(Env env) : env_(std::move(env)) {}
-  virtual ~Generator() = default;
+  explicit Generator(Env env);
 
   Generator(const Generator&) = delete;
   Generator& operator=(const Generator&) = delete;
 
-  /// Call once, after churn::System::bootstrap and before the run.
-  virtual void start() = 0;
+  /// Opens the sessions (closed loop) or the read tick, then the writer
+  /// stream. Call once, after churn::System::bootstrap and before the run.
+  void start();
 
- protected:
+ private:
   /// One open-loop read from a uniformly random active process (exact port
   /// of the classic driver).
   void issue_read();
 
-  /// The shared open-loop read tick: a read every read_interval whenever
-  /// read_tick_allowed() holds (always, by default; the bursty engine gates
-  /// it by phase). One loop, so open-loop and bursty cannot drift apart.
+  /// The open-loop read tick: a read every read_interval, skipped outside
+  /// the burst phase under kBursty.
   void schedule_read_tick();
-
-  /// Whether the read tick firing at `now` should issue its read.
-  virtual bool read_tick_allowed(sim::Time now) const;
 
   /// The shared designated-writer stream: writes every write_interval,
   /// each writer kept (mostly) sequential — a tick is skipped while a write
@@ -83,12 +113,10 @@ class Generator {
   /// blocked system shows up as a collapsing completion rate rather than a
   /// frozen issue count.
   void schedule_write_tick();
-
-  Env env_;
-
- private:
   void issue_write(sim::ProcessId writer);
 
+  Env env_;
+  SessionLoop sessions_;
   std::map<sim::ProcessId, std::vector<sim::Time>> outstanding_writes_;
 };
 

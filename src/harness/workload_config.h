@@ -43,10 +43,10 @@ struct Config {
   /// Number of designated writers in concurrent mode (ids 0..k-1).
   std::size_t concurrent_writers = 2;
 
-  /// Closed-loop: number of concurrent ClientSessions.
+  /// Closed-loop: number of concurrent sessions.
   std::size_t clients = 4;
   /// Closed-loop: ticks a session waits between a resolution and its next
-  /// op (0 behaves as 1 — see client::ClientSession::Config).
+  /// op (0 behaves as 1 — see workload::SessionLoop).
   sim::Duration think_time = 5;
 
   /// Bursty: ticks of open-loop traffic per phase...

@@ -35,6 +35,7 @@
 
 #include "net/payload_type.h"
 #include "sim/event_queue.h"
+#include "sim/rng.h"
 
 namespace dynreg::replay {
 
@@ -113,14 +114,10 @@ struct Trace {
   }
 };
 
-/// splitmix64-style fold, the repo's standard mixing step (same finalizer as
-/// sim::Rng / Simulation::audit_note). Used for fingerprints and scenario
-/// keys; never on an event path.
+/// splitmix64-style fold of `v` into `h` (sim::finalize64). Used for
+/// fingerprints and scenario keys; never on an event path.
 inline std::uint64_t fold64(std::uint64_t h, std::uint64_t v) {
-  std::uint64_t z = h ^ (v + 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return sim::finalize64(h ^ (v + sim::kGolden64));
 }
 
 /// Key for a scripted scenario (benches that build their world by hand and

@@ -353,6 +353,7 @@ template <class IO, class File>
 void file_fields(IO& io, File& file) {
   io.text(file.experiment);
   io.stream("seed", file.seeds, [&io](auto& s) { io.varint(s); });
+  io.varint(file.shards);  // v5: the --shards a recording imposed
   io.maybe(file.config, [&io](auto& cfg) { config_fields(io, cfg); });
   io.stream("trace", file.traces, [&io](auto& t) { trace_fields(io, t); });
 }

@@ -7,9 +7,11 @@
 // file_fields in trace_io.cpp, which the encoder and the decoder share:
 //
 //   u32  magic    0x52545244 ("DRTR")
-//   u32  version  4 (kTraceVersion; any other version is rejected)
+//   u32  version  5 (kTraceVersion; any other version is rejected)
 //   varint experiment-name length + bytes   (registry id, may be empty)
 //   varint seed count + varint seeds        (the run set recorded)
+//   varint shards  the shard count the recording imposed on every config
+//                  (`record --shards`); 0 when each config kept its own
 //   u8   has-config; if 1: canonical ExperimentConfig encoding (the single
 //        scenario the file's traces drive — search/minimize artifacts)
 //   varint trace count
@@ -48,10 +50,12 @@ inline constexpr std::uint32_t kTraceMagic = 0x52545244u;  // "DRTR"
 // config. Version 4 tags every churn record with its owning shard and
 // appends the shard layer (shard_count) and keyed-workload fields
 // (key_count, zipf_s, read_frac, storm_every, storm_len) to the embedded
-// config, so sharded runs record/replay/search like everything else. Older
-// files are rejected (no binary traces are kept as fixtures; recordings are
+// config, so sharded runs record/replay/search like everything else.
+// Version 5 puts the recorded shard-count override in the file header, so a
+// recording made with `--shards` replays without repeating it. Older files
+// are rejected (no binary traces are kept as fixtures; recordings are
 // artifacts of the session that made them).
-inline constexpr std::uint32_t kTraceVersion = 4u;
+inline constexpr std::uint32_t kTraceVersion = 5u;
 
 /// Malformed trace bytes (truncation, bad magic, version from the future,
 /// corrupted body). The message names the offending offset or field.
@@ -83,6 +87,7 @@ std::uint64_t fingerprint(const harness::ExperimentConfig& cfg);
 struct TraceFile {
   std::string experiment;                           ///< registry id, may be ""
   std::vector<std::uint64_t> seeds;                 ///< recorded seed set
+  std::size_t shards = 0;  ///< shard count imposed on every config; 0: none
   std::optional<harness::ExperimentConfig> config;  ///< scenario artifacts only
   std::vector<Trace> traces;
 };

@@ -1,9 +1,7 @@
 #include "shard/keyed_workload.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "harness/workload.h"
 #include "shard/keyspace.h"
 
 namespace dynreg::shard {
@@ -11,16 +9,12 @@ namespace dynreg::shard {
 KeyedGenerator::KeyedGenerator(Env env)
     : env_(std::move(env)),
       picker_(env_.config.key_count, env_.config.zipf_s,
-              mix64(env_.sim.seed() ^ kKeyedWorkloadSalt)),
-      options_(workload::op_options(env_.config)) {}
+              sim::mix64(env_.sim.seed() ^ kKeyedWorkloadSalt)),
+      options_(workload::op_options(env_.config)),
+      sessions_(env_.sim, env_.horizon, env_.config.think_time,
+                [this](client::OpHook done) { return step(std::move(done)); }) {}
 
-void KeyedGenerator::start() {
-  for (std::size_t s = 0; s < env_.config.clients; ++s) issue(s);
-}
-
-sim::Duration KeyedGenerator::think() const {
-  return std::max<sim::Duration>(1, env_.config.think_time);
-}
+void KeyedGenerator::start() { sessions_.start(env_.config.clients); }
 
 Key KeyedGenerator::pick_key(sim::Time now) {
   // Storm phase: every session hammers key 0. The sampler draw is skipped
@@ -31,26 +25,11 @@ Key KeyedGenerator::pick_key(sim::Time now) {
   return static_cast<Key>(picker_.next());
 }
 
-void KeyedGenerator::issue(std::size_t session) {
-  const sim::Time now = env_.sim.now();
-  if (now >= env_.horizon) return;
-  const Key key = pick_key(now);
+client::OpHandle KeyedGenerator::step(client::OpHook done) {
+  const Key key = pick_key(env_.sim.now());
   const bool is_read = picker_.uniform01() < env_.config.read_frac;
-  auto done = [this, session](const client::OpHandle&) {
-    resume_after(session, think());
-  };
-  const client::OpHandle h =
-      is_read ? env_.router.read(key, options_, std::move(done))
-              : env_.router.write(key, options_, std::move(done));
-  // Nothing issued (shard momentarily memberless / writer absent): back off
-  // one think time and try again — the session never dies.
-  if (!h.valid()) resume_after(session, think());
-}
-
-void KeyedGenerator::resume_after(std::size_t session, sim::Duration pause) {
-  const sim::Time next = env_.sim.now() + pause;
-  if (next >= env_.horizon) return;
-  env_.sim.schedule_at(next, [this, session] { issue(session); });
+  return is_read ? env_.router.read(key, options_, std::move(done))
+                 : env_.router.write(key, options_, std::move(done));
 }
 
 }  // namespace dynreg::shard

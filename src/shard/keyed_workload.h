@@ -1,9 +1,9 @@
-// The keyed workload engine: `clients` closed-loop sessions issuing keyed
-// reads/writes through the ShardedClient. Each session draws a key from a
-// deterministic zipfian sampler, flips the read/write-mix coin, routes the
-// op to the owning shard, waits for it to resolve, thinks, repeats — the
-// closed loop self-throttles, which is what makes 1e5-session cells
-// tractable.
+// The keyed workload engine: `clients` closed-loop sessions (the shared
+// workload::SessionLoop) issuing keyed reads/writes through the
+// ShardedClient. Each session draws a key from a deterministic zipfian
+// sampler, flips the read/write-mix coin, routes the op to the owning shard,
+// waits for it to resolve, thinks, repeats — the closed loop self-throttles,
+// which is what makes 1e5-session cells tractable.
 //
 // Hot-key storm phases: while `now % storm_every < storm_len` (when
 // configured) every session hammers key 0 instead of drawing from the
@@ -15,10 +15,10 @@
 // byte-identical at any --jobs.
 #pragma once
 
-#include <cstddef>
-#include <vector>
+#include <cstdint>
 
 #include "client/client.h"
+#include "harness/workload.h"
 #include "harness/workload_config.h"
 #include "harness/zipfian.h"
 #include "shard/router.h"
@@ -48,19 +48,19 @@ class KeyedGenerator {
   KeyedGenerator& operator=(const KeyedGenerator&) = delete;
 
   /// Call once, after every shard's bootstrap and before the run. All
-  /// sessions issue their first op at the current time (t=0), mirroring the
-  /// unsharded closed-loop engine.
+  /// sessions issue their first op at the current time (t=0).
   void start();
 
  private:
-  void issue(std::size_t session);
-  void resume_after(std::size_t session, sim::Duration pause);
+  /// The sessions' step: one keyed op, or an invalid handle when the owning
+  /// shard is momentarily memberless or its writer absent.
+  client::OpHandle step(client::OpHook done);
   [[nodiscard]] Key pick_key(sim::Time now);
-  [[nodiscard]] sim::Duration think() const;
 
   Env env_;
   workload::ZipfianPicker picker_;
   client::OpOptions options_;
+  workload::SessionLoop sessions_;
 };
 
 }  // namespace dynreg::shard

@@ -58,10 +58,7 @@ class Simulation {
     // splitmix64 finalizer over (previous digest ^ value): cheap, and every
     // input bit diffuses into the whole digest, so the first diverging event
     // changes the final hash with overwhelming probability.
-    std::uint64_t z = trace_hash_ ^ v;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    trace_hash_ = z ^ (z >> 31);
+    trace_hash_ = finalize64(trace_hash_ ^ v);
 #else
     (void)v;
 #endif

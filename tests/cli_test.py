@@ -8,9 +8,10 @@ with its exact `bad --X value: ...` message and exit 2, that flags a
 subcommand does not accept are `unknown flag` errors (usage, exit 2), that a
 missing or extra positional argument prints usage with exit 2 (so does
 `run --all <name>`), that unresolvable targets exit 1, that a run directory
---out cannot create exits 1, that a recording replays while a replay its
-recording does not cover exits 1, that a config the run cannot honour exits
-1, and that one cheap experiment runs with output independent of --jobs.
+--out cannot create exits 1, that a recording replays (a sharded one
+without repeating --shards, which replay does not take), that a config the
+run cannot honour exits 1, and that one cheap experiment runs with output
+independent of --jobs.
 Every invocation runs in a fresh temporary directory.
 """
 
@@ -52,7 +53,7 @@ COMMANDS = {
              "--retry-attempts", "--retry-backoff", "--shards", "--zipf",
              "--read-frac"], ["fig3_join_wait"]),
     "record": (["--seeds", "--jobs", "--out", "--shards"], ["E4"]),
-    "replay": (["--jobs", "--shards"], ["missing.trace"]),
+    "replay": (["--jobs"], ["missing.trace"]),
     "search": (["--budget", "--seed", "--jobs", "--slack", "--out"], ["E4"]),
     "minimize": (["--out", "--max-tests"], ["missing.trace"]),
 }
@@ -204,13 +205,19 @@ def check_unresolvable_targets(cli):
 
 
 def check_replay_contract(cli):
-    """A recording replays; a replay the recording does not cover exits 1."""
+    """A recording replays, a sharded one without repeating --shards (the
+    trace file carries it), and replay refuses --shards."""
     with tempfile.TemporaryDirectory() as tmp:
         trace = os.path.join(tmp, "e4.trace")
         cli.check(["record", "E4", "--seeds=1", f"--out={trace}"], 0)
         cli.check(["replay", trace], 0)
-        cli.check(["replay", trace, "--shards=2"], 1,
-                  stderr_prefix="replay: no trace recorded for config fingerprint")
+        sharded = os.path.join(tmp, "e4_shards2.trace")
+        cli.check(["record", "E4", "--seeds=1", "--shards=2", f"--out={sharded}"], 0)
+        proc = cli.check(["replay", sharded], 0)
+        cli.expect("replay of a --shards=2 recording: audit-hash mismatches",
+                   " 0 audit-hash mismatch(es)" in proc.stderr)
+        cli.check(["replay", sharded, "--shards=2"], 2, stdout="",
+                  stderr_prefix="unknown flag: --shards=2\nusage:")
 
 
 def check_rejected_configs(cli):

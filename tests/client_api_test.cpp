@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "churn/system.h"
 #include "client/client.h"
@@ -218,6 +219,128 @@ TEST(ClientApi, RetryExhaustionKeepsFinalOutcome) {
   EXPECT_EQ(h.attempts(), 2u);
   EXPECT_EQ(starved.client->stats().reads_timed_out, 2u);
   EXPECT_EQ(starved.client->stats().retries, 1u);
+}
+
+// --- session FIFO ------------------------------------------------------------
+
+TEST(ClientSessionFifo, OpsAgainstOneTargetRunOneAtATimeInFifoOrder) {
+  Deployment d(es_factory(3), 3, std::make_unique<net::FixedDelay>(4));
+  std::vector<OpId> order;
+  const auto note = [&order](const OpHandle& h) { order.push_back(h.id()); };
+  const OpHandle a = d.client->session_read(1, {}, note);
+  const OpHandle b = d.client->session_read(1, {}, note);
+  const OpHandle c = d.client->session_read(1, {}, note);
+  // Only the head of the FIFO is on the wire; the rest wait their turn.
+  EXPECT_EQ(d.history.reads().size(), 1u);
+  d.sim.run_until(500);
+
+  ASSERT_EQ(order, (std::vector<OpId>{a.id(), b.id(), c.id()}));
+  const auto& reads = d.history.reads();
+  ASSERT_EQ(reads.size(), 3u);
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    ASSERT_TRUE(reads[i].end.has_value()) << i;
+    if (i > 0) {
+      EXPECT_EQ(reads[i - 1].end, reads[i].begin) << i;
+    }
+  }
+  // Queue wait counts toward the client-perceived latency.
+  EXPECT_EQ(c.invoked_at(), 0u);
+  EXPECT_EQ(reads[2].end, c.responded_at());
+  EXPECT_EQ(d.client->stats().reads_issued, 3u);
+}
+
+TEST(ClientSessionFifo, TimedOutAttemptFreesStationAndRetryQueuesBehindWaiters) {
+  // Reads need a round trip of 8 ticks; a 5-tick deadline always fires.
+  Deployment d(es_factory(3), 3, std::make_unique<net::FixedDelay>(4));
+  OpOptions retried;
+  retried.deadline = 5;
+  retried.retry.max_attempts = 2;
+  retried.retry.backoff = 1;
+  const OpHandle a = d.client->session_read(1, retried);
+  const OpHandle b = d.client->session_read(1);
+  const OpHandle c = d.client->session_read(1);
+  d.sim.run_until(500);
+
+  ASSERT_TRUE(a.resolved());
+  EXPECT_EQ(a.outcome(), OpOutcome::kTimedOut);
+  EXPECT_EQ(a.attempts(), 2u);
+  ASSERT_EQ(b.outcome(), OpOutcome::kOk);
+  ASSERT_EQ(c.outcome(), OpOutcome::kOk);
+  const auto& reads = d.history.reads();
+  ASSERT_EQ(reads.size(), 4u);  // a's two attempts, b, c
+  // The failed attempt hands the station on at its deadline, not after its
+  // backoff and retry: b starts the moment a times out.
+  EXPECT_EQ(reads[1].begin, 5u);
+  EXPECT_EQ(reads[1].end, b.responded_at());
+  // a's retry re-entered the FIFO behind c, which was already queued.
+  EXPECT_EQ(reads[2].end, c.responded_at());
+  EXPECT_EQ(reads[3].reader, 1u);
+  EXPECT_EQ(reads[3].begin, c.responded_at());
+  EXPECT_EQ(a.responded_at(), reads[3].begin + 5);
+}
+
+TEST(ClientSessionFifo, RetargetedRetryQueuesBehindWaitersAtItsNewStation) {
+  Deployment d(es_factory(5), 5, std::make_unique<net::FixedDelay>(4));
+  OpOptions retried;
+  retried.retry.max_attempts = 2;
+  retried.retry.backoff = 1;
+  const OpHandle a = d.client->session_read(2, retried);
+  // Every station a's retry could land on is busy with one op in service
+  // and one waiting.
+  std::vector<OpHandle> waiting;
+  for (const sim::ProcessId p : {0u, 1u, 3u, 4u}) {
+    (void)d.client->session_read(p);
+    waiting.push_back(d.client->session_read(p));
+  }
+  d.sim.schedule_at(1, [&] { d.system->leave(2); });
+  d.sim.run_until(500);
+
+  ASSERT_TRUE(a.resolved());
+  EXPECT_EQ(a.outcome(), OpOutcome::kOk);
+  EXPECT_EQ(a.attempts(), 2u);
+  const auto& retry = d.history.reads().back();
+  ASSERT_NE(retry.reader, 2u);
+  const std::size_t slot = retry.reader < 2 ? retry.reader : retry.reader - 1;
+  ASSERT_TRUE(waiting[slot].resolved());
+  EXPECT_EQ(retry.begin, waiting[slot].responded_at());
+}
+
+TEST(ClientSessionFifo, QueuedOpWhoseTargetDepartsIsDroppedUnissued) {
+  Deployment d(es_factory(5), 5, std::make_unique<net::FixedDelay>(4));
+  const OpHandle a = d.client->session_read(1);
+  const OpHandle b = d.client->session_read(1);
+  d.sim.schedule_at(1, [&] { d.system->leave(1); });
+  d.sim.run_until(500);
+
+  ASSERT_TRUE(a.resolved());
+  EXPECT_EQ(a.outcome(), OpOutcome::kDroppedOnDeparture);
+  ASSERT_TRUE(b.resolved());
+  EXPECT_EQ(b.outcome(), OpOutcome::kDroppedOnDeparture);
+  EXPECT_EQ(b.responded_at(), 1u);
+  // Only a went on the wire; b never reached its target.
+  EXPECT_EQ(d.client->stats().reads_issued, 1u);
+  EXPECT_EQ(d.history.reads().size(), 1u);
+}
+
+TEST(ClientSessionFifo, SyncReadResolvedInsideInvocationHandsOnAtFreshEvent) {
+  Deployment d(sync_factory(5), 3, std::make_unique<net::SynchronousDelay>(5));
+  OpHandle b;
+  const OpHandle a = d.client->session_read(1, {}, [&](const OpHandle&) {
+    b = d.client->session_read(1);
+  });
+  // a resolved inside its own invocation; b, queued from a's hook, waits
+  // for the station to be handed on by a later event at the same tick.
+  ASSERT_TRUE(a.resolved());
+  ASSERT_TRUE(b.valid());
+  EXPECT_FALSE(b.resolved());
+  EXPECT_EQ(d.history.reads().size(), 1u);
+  d.sim.run_until(0);
+  ASSERT_TRUE(b.resolved());
+  EXPECT_EQ(b.outcome(), OpOutcome::kOk);
+  EXPECT_EQ(b.responded_at(), 0u);
+  // With the station free again, the next session op starts immediately.
+  const OpHandle c = d.client->session_read(1);
+  EXPECT_TRUE(c.resolved());
 }
 
 // --- handles -----------------------------------------------------------------

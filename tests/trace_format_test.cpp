@@ -78,6 +78,7 @@ TraceFile sample_file() {
   TraceFile f;
   f.experiment = "es_churn_sweep";
   f.seeds = {3};
+  f.shards = 2;  // v5 header field
   f.config = sample_config();
 
   Trace t;
@@ -116,7 +117,7 @@ std::uint64_t stored_checksum(const std::vector<std::uint8_t>& bytes) {
 // change, which needs a kTraceVersion bump.
 TEST(TraceFormat, EncodedBytesArePinned) {
   EXPECT_EQ(fingerprint(sample_config()), 0x1f8908eeb70693c0ULL);
-  EXPECT_EQ(stored_checksum(encode(sample_file())), 0xefe184bcc4d3bb7aULL);
+  EXPECT_EQ(stored_checksum(encode(sample_file())), 0x9c365487b8ca4348ULL);
 }
 
 TEST(TraceFormat, EncodeDecodeRoundTripsBitExactly) {
@@ -126,6 +127,7 @@ TEST(TraceFormat, EncodeDecodeRoundTripsBitExactly) {
 
   EXPECT_EQ(d.experiment, f.experiment);
   EXPECT_EQ(d.seeds, f.seeds);
+  EXPECT_EQ(d.shards, 2u);
   ASSERT_TRUE(d.config.has_value());
   ASSERT_EQ(d.traces.size(), 2u);
   EXPECT_EQ(d.traces[0].fingerprint, f.traces[0].fingerprint);
@@ -315,6 +317,7 @@ TEST(TraceFormat, LyingRecordCountsCannotBalloonAllocation) {
   put_u32(kTraceVersion);
   bytes.push_back(0);  // empty experiment name
   bytes.push_back(0);  // zero seeds
+  bytes.push_back(0);  // no shard override
   bytes.push_back(0);  // no config
   // trace count 2^40 as LEB128: five continuation bytes then 0x10
   for (int i = 0; i < 5; ++i) bytes.push_back(0x80);
@@ -340,6 +343,7 @@ std::vector<std::uint8_t> file_with_net_record(std::uint64_t to, std::uint64_t t
   put_le(kTraceVersion, 4);
   put_varint(0);  // empty experiment name
   put_varint(0);  // zero seeds
+  put_varint(0);  // no shard override
   bytes.push_back(0);  // no config
   put_varint(1);  // one trace
   put_varint(5);  // fingerprint
