@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstddef>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "harness/experiment.h"
@@ -187,21 +189,73 @@ ExperimentConfig fault_search_base() {
   return cfg;
 }
 
+// A quarter of the processes Byzantine, rewriting half of their value-carrying
+// copies, under churn at half the protocol's bound: every transform kind
+// and every rewritable tag of `protocol` reaches the wire.
+ExperimentConfig byzantine(Protocol protocol) {
+  ExperimentConfig cfg;
+  cfg.protocol = protocol;
+  cfg.n = 15;
+  cfg.delta = 5;
+  cfg.duration = 900;
+  cfg.workload.read_interval = 6;
+  cfg.workload.write_interval = 29;
+  cfg.fault.byzantine.fraction = 0.25;
+  cfg.fault.byzantine.transform_rate = 0.5;
+  cfg.seed = 13;
+  return cfg;
+}
+
+// ES with the reply-validation guard, which drops forged timestamps.
+ExperimentConfig byzantine_es() {
+  ExperimentConfig cfg = byzantine(Protocol::kEventuallySync);
+  cfg.timing = Timing::kEventuallySynchronous;
+  cfg.gst = 0;
+  cfg.churn_rate = 0.5 * cfg.es_churn_threshold();
+  cfg.es_validate_replies = true;
+  return cfg;
+}
+
+// Sync with anti-entropy, so sync.refresh copies are rewritten too.
+ExperimentConfig byzantine_sync() {
+  ExperimentConfig cfg = byzantine(Protocol::kSync);
+  cfg.churn_rate = 0.5 * cfg.sync_churn_threshold();
+  cfg.sync_refresh_interval = 40;
+  return cfg;
+}
+
+ExperimentConfig byzantine_abd() {
+  ExperimentConfig cfg = byzantine(Protocol::kAbd);
+  cfg.churn_rate = 0.002;
+  return cfg;
+}
+
 struct Counts {
   std::uint64_t sim_events;
   std::uint64_t net_copies_sent;
   std::uint64_t net_copies_delivered;
 };
 
-/// Runs `cfg` and checks its work counts (every build) and its trace_hash
-/// (audit builds).
-void expect_pinned(const ExperimentConfig& cfg, std::uint64_t hash, const Counts& counts) {
+/// What a Byzantine run also pins: copies rewritten, reads flagged.
+struct Byzantine {
+  std::uint64_t msgs_transformed;
+  std::size_t violations;
+};
+
+/// Runs `cfg` and checks its work counts (every build), its Byzantine
+/// counts when given, and its trace_hash (audit builds).
+void expect_pinned(const ExperimentConfig& cfg, std::uint64_t hash, const Counts& counts,
+                   const std::optional<Byzantine>& byzantine = std::nullopt) {
   const MetricsReport report = run_experiment(cfg);
   EXPECT_EQ(report.sim_events, counts.sim_events);
   EXPECT_EQ(report.net_copies_sent, counts.net_copies_sent);
   EXPECT_EQ(report.net_copies_delivered, counts.net_copies_delivered);
   if (sim::Simulation::audit_enabled()) {
     EXPECT_EQ(report.trace_hash, hash) << "actual 0x" << std::hex << report.trace_hash;
+  }
+  if (byzantine) {
+    EXPECT_EQ(report.msgs_transformed, byzantine->msgs_transformed);
+    EXPECT_EQ(report.regularity.violations.size(), byzantine->violations);
   }
 }
 
@@ -219,6 +273,19 @@ TEST(EventStreamPin, EsCrashAndPartition) {
 }
 TEST(EventStreamPin, AbdUnderChurn) {
   expect_pinned(abd_churn(), 0x76fb3c6b5955e378ULL, {5404, 9026, 8759});
+}
+
+// The Byzantine pins also fix how many copies were rewritten and how many
+// reads the checker flags.
+TEST(EventStreamPin, ByzantineEs) {
+  expect_pinned(byzantine_es(), 0x8603b64b6106e617ULL, {5182, 5848, 5709}, Byzantine{266, 2});
+}
+TEST(EventStreamPin, ByzantineSync) {
+  expect_pinned(byzantine_sync(), 0x754db26f7972368fULL, {9062, 11408, 9891},
+                Byzantine{762, 130});
+}
+TEST(EventStreamPin, ByzantineAbd) {
+  expect_pinned(byzantine_abd(), 0xc9e7ea1df2fdfc91ULL, {3945, 5073, 5008}, Byzantine{232, 33});
 }
 
 // The sharded pin also fixes the integer report fields.
