@@ -29,8 +29,8 @@ std::unique_ptr<net::DelayModel> inversion_adversary() {
       200, [](sim::Time, sim::ProcessId from, sim::ProcessId to,
               const net::Payload& p) -> std::optional<sim::Duration> {
         const net::PayloadTypeId type = p.type_id();
-        if (type == msg::EsWrite::kTypeId && to >= 2) return 100;
-        if (type == msg::EsReply::kTypeId && (from == 0 || from == 1) && to == 2) return 100;
+        if (type == msg::kEsWrite && to >= 2) return 100;
+        if (type == msg::kEsReply && (from == 0 || from == 1) && to == 2) return 100;
         return 2;
       });
 }

@@ -55,7 +55,7 @@ ExperimentResult run(const RunOptions& opts) {
   result.sections.push_back(
       {"es_churn_sweep", "", std::move(table),
        "Expected shape (paper): at and near the constraint 1/(3*delta*n) = " +
-           stats::Table::fmt(bound, 5) +
+           stats::fmt(bound, 5) +
            "\noperations all complete and safety holds; far beyond it the active\n"
            "majority eventually breaks and liveness degrades first (quorums\n"
            "starve), while completed reads remain overwhelmingly legal.\n"});

@@ -72,7 +72,7 @@ ExperimentResult run(const RunOptions& opts) {
       {"active_bound", "", std::move(table),
        "Expected shape (paper): measured |A(0,3d)| tracks the analytic bound\n"
        "n(1-3*delta*c) and stays positive up to c = 1/(3*delta) = " +
-           stats::Table::fmt(threshold, 4) +
+           stats::fmt(threshold, 4) +
            ".\nThe steady-state minimum is lower (it also excludes processes whose\n"
            "joins are in progress) and hits zero before the threshold — the bound\n"
            "is tight only from a fully-active start, as in the lemma's proof.\n"});

@@ -80,7 +80,7 @@ ExperimentResult run(const RunOptions& opts) {
           {std::string(policy_tag(policy)) + "_delta" + std::to_string(delta),
            std::string(policy_tag(policy)) + " departures, delta = " +
                std::to_string(delta) + " (threshold c = " +
-               stats::Table::fmt(threshold, 4) + ")",
+               stats::fmt(threshold, 4) + ")",
            std::move(detail), ""});
       summary.add_row({Cell::num(static_cast<double>(delta), 0),
                        Cell::num(threshold, 4),

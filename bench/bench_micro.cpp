@@ -59,14 +59,14 @@ void BM_EventQueuePushPopFarSpread(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPopFarSpread)->Arg(10000);
 
+// Interned once, so the benchmark measures dispatch, not the registry.
+net::PayloadTypeId noop_type() {
+  static const net::PayloadTypeId id = net::PayloadTypeRegistry::intern("noop");
+  return id;
+}
+
 struct NoopPayload final : net::Payload {
-  std::string_view type_name() const override { return "noop"; }
-  // Cached like the real protocol messages, so the benchmark measures the
-  // dispatch path, not the registry's default per-call interning.
-  net::PayloadTypeId type_id() const override {
-    static const net::PayloadTypeId id = net::PayloadTypeRegistry::intern("noop");
-    return id;
-  }
+  NoopPayload() : net::Payload(noop_type()) {}
 };
 
 // A stand-in for a protocol node: a separately allocated object the size of

@@ -101,7 +101,7 @@ ExperimentResult run(const RunOptions& opts) {
     result.sections.push_back(
         {"n" + std::to_string(n),
          "n = " + std::to_string(n) + " (threshold c = " +
-             stats::Table::fmt(threshold, 4) +
+             stats::fmt(threshold, 4) +
              ", horizon = " + std::to_string(scaled_duration(n)) + ")",
          std::move(table), ""});
     summary.add_row({Cell::num(n_val, 0), Cell::num(lat_low, 1),

@@ -85,7 +85,7 @@ ExperimentResult run(const RunOptions& opts) {
 
   stats::DataTable table(columns);
   for (const auto& p : points) {
-    add_point_row(table, "zipf " + stats::Table::fmt(p.x, 2), p.runs);
+    add_point_row(table, "zipf " + stats::fmt(p.x, 2), p.runs);
   }
 
   // Storm cell: the head key's traffic share goes to ~100% for storm_len of

@@ -65,7 +65,7 @@ ExperimentResult run(const RunOptions& opts) {
     result.sections.push_back(
         {"churn_sweep", "", std::move(table),
          "Expected shape (paper): zero violations while c < 1/(3*delta) = " +
-             stats::Table::fmt(threshold, 4) +
+             stats::fmt(threshold, 4) +
              ";\nabove the threshold the 3-delta active window empties out, joins\n"
              "start completing with bottom, and stale/bottom reads appear. The\n"
              "pinned writer (paper: the writer stays in the system) is itself an\n"

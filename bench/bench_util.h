@@ -15,7 +15,7 @@
 #include "net/delay_model.h"
 #include "replay/session.h"
 #include "sim/simulation.h"
-#include "stats/table.h"
+#include "stats/data_table.h"
 
 namespace dynreg::bench {
 

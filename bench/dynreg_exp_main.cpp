@@ -24,7 +24,7 @@
 #include "replay/search.h"
 #include "replay/session.h"
 #include "replay/trace_io.h"
-#include "stats/table.h"
+#include "stats/data_table.h"
 
 namespace {
 
@@ -268,12 +268,14 @@ const Flag* find_flag(const std::string& name, bool has_value, unsigned command)
 }
 
 int cmd_list(const Invocation&) {
-  stats::Table table({"name", "id", "reproduces", "seeds", "parameter grid"});
+  stats::DataTable table({"name", "id", "reproduces", "seeds", "parameter grid"});
   for (const Experiment* e : ExperimentRegistry::instance().list()) {
-    table.add_row({e->name, e->id, e->paper_ref, std::to_string(e->default_seeds),
-                   e->grid});
+    table.add_row({stats::Cell::str(e->name), stats::Cell::str(e->id),
+                   stats::Cell::str(e->paper_ref),
+                   stats::Cell::str(std::to_string(e->default_seeds)),
+                   stats::Cell::str(e->grid)});
   }
-  std::cout << table.to_string();
+  std::cout << table.to_text();
   return 0;
 }
 

@@ -31,7 +31,7 @@ System::System(sim::Simulation& sim, net::Network& net, SystemConfig config,
 void System::bootstrap() {
   for (std::size_t i = 0; i < config_.initial_size; ++i) add_member(/*initial=*/true);
   if (churn_ && (churn_->rate() > 0.0 || churn_->scripted())) {
-    sim_.schedule_after(config_.churn_tick, [this] { churn_step(); });
+    sim_.schedule_after(1, [this] { churn_step(); });
   }
 }
 
@@ -103,8 +103,7 @@ void System::churn_step() {
   } else {
     // The paper's model: c * n processes join and c * n leave per time unit,
     // with n constant. Fractional amounts accumulate across ticks.
-    churn_credit_ += churn_->rate() * static_cast<double>(config_.initial_size) *
-                     static_cast<double>(config_.churn_tick);
+    churn_credit_ += churn_->rate() * static_cast<double>(config_.initial_size);
     while (churn_credit_ >= 1.0) {
       churn_credit_ -= 1.0;
       if (observer_ != nullptr) observer_->on_churn_join(sim_.now());
@@ -116,7 +115,7 @@ void System::churn_step() {
       }
     }
   }
-  sim_.schedule_after(config_.churn_tick, [this] { churn_step(); });
+  sim_.schedule_after(1, [this] { churn_step(); });
 }
 
 void System::scripted_churn_step() {

@@ -37,8 +37,6 @@ struct SystemConfig {
   /// Processes never selected for departure (e.g. the paper's writer, which
   /// stays in the system).
   std::vector<sim::ProcessId> exempt;
-  /// Granularity of churn arithmetic, in ticks.
-  sim::Duration churn_tick = 1;
   /// Inert: selects nothing and nothing in dynreg reads it; ROADMAP item 6
   /// deletes it together with perfbench's copied world, which assigns it.
   ChronicleOptions chronicle;

@@ -13,7 +13,7 @@ AbdRegisterNode::AbdRegisterNode(sim::ProcessId id, node::Context& ctx,
                 "on_message's hot fields must end within the receiver's first 64 bytes");
   hot_.replica = initial;
   if (hot_.replica) {
-    hot_.value = config_.initial_value;
+    hot_.value = kInitialValue;
     hot_.ts = Timestamp{0, 0};
   }
   // ABD has no join protocol: every member is immediately operational.
@@ -37,7 +37,7 @@ void AbdRegisterNode::read(const OpContext&, ReadCompletion done) {
     r.best_value = hot_.value;
     r.has_best = true;
   }
-  broadcast(make_payload<msg::AbdReadQuery>(rid));
+  broadcast(make_payload<msg::Request>(msg::kAbdReadQuery, rid));
   if (r.repliers.size() >= majority()) start_writeback(rid);  // n == 1 corner
 }
 
@@ -54,7 +54,7 @@ void AbdRegisterNode::write(const OpContext&, Value v, WriteCompletion done) {
     apply(ts, v);
     w.ackers.insert(id());
   }
-  broadcast(make_payload<msg::AbdUpdate>(wid, ts, v));
+  broadcast(make_payload<msg::Stamped>(msg::kAbdUpdate, wid, ts, v, true));
   maybe_finish_write(wid);  // n == 1 corner
 }
 
@@ -66,7 +66,7 @@ void AbdRegisterNode::start_writeback(std::uint64_t rid) {
     apply(r.best_ts, r.best_value);
     r.wb_ackers.insert(id());
   }
-  broadcast(make_payload<msg::AbdWriteback>(rid, r.best_ts, r.best_value));
+  broadcast(make_payload<msg::Stamped>(msg::kAbdWriteback, rid, r.best_ts, r.best_value, true));
   maybe_finish_read(rid);
 }
 
@@ -106,13 +106,13 @@ void AbdRegisterNode::on_departure() {
 void AbdRegisterNode::on_message(sim::ProcessId from, const net::Payload& payload) {
   const net::PayloadTypeId type = payload.type_id();
 
-  if (type == msg::AbdReadQuery::kTypeId) {
+  if (type == msg::kAbdReadQuery) {
     if (!hot_.replica) return;
-    const auto& m = static_cast<const msg::AbdReadQuery&>(payload);
-    send(from, make_payload<msg::AbdReadReply>(m.rid, hot_.ts, hot_.value));
-  } else if (type == msg::AbdReadReply::kTypeId) {
-    const auto& m = static_cast<const msg::AbdReadReply&>(payload);
-    const auto it = reads_.find(m.rid);
+    const auto& m = static_cast<const msg::Request&>(payload);
+    send(from, make_payload<msg::Stamped>(msg::kAbdReadReply, m.id, hot_.ts, hot_.value, true));
+  } else if (type == msg::kAbdReadReply) {
+    const auto& m = static_cast<const msg::Stamped&>(payload);
+    const auto it = reads_.find(m.id);
     if (it == reads_.end() || it->second.in_writeback) return;
     PendingRead& r = it->second;
     r.repliers.insert(from);
@@ -121,29 +121,29 @@ void AbdRegisterNode::on_message(sim::ProcessId from, const net::Payload& payloa
       r.best_value = m.value;
       r.has_best = true;
     }
-    if (r.repliers.size() >= majority()) start_writeback(m.rid);
-  } else if (type == msg::AbdWriteback::kTypeId) {
+    if (r.repliers.size() >= majority()) start_writeback(m.id);
+  } else if (type == msg::kAbdWriteback) {
     if (!hot_.replica) return;
-    const auto& m = static_cast<const msg::AbdWriteback&>(payload);
+    const auto& m = static_cast<const msg::Stamped&>(payload);
     apply(m.ts, m.value);
-    send(from, make_payload<msg::AbdWritebackAck>(m.rid));
-  } else if (type == msg::AbdWritebackAck::kTypeId) {
-    const auto& m = static_cast<const msg::AbdWritebackAck&>(payload);
-    const auto it = reads_.find(m.rid);
+    send(from, make_payload<msg::Request>(msg::kAbdWritebackAck, m.id));
+  } else if (type == msg::kAbdWritebackAck) {
+    const auto& m = static_cast<const msg::Request&>(payload);
+    const auto it = reads_.find(m.id);
     if (it == reads_.end() || !it->second.in_writeback) return;
     it->second.wb_ackers.insert(from);
-    maybe_finish_read(m.rid);
-  } else if (type == msg::AbdUpdate::kTypeId) {
+    maybe_finish_read(m.id);
+  } else if (type == msg::kAbdUpdate) {
     if (!hot_.replica) return;
-    const auto& m = static_cast<const msg::AbdUpdate&>(payload);
+    const auto& m = static_cast<const msg::Stamped&>(payload);
     apply(m.ts, m.value);
-    send(from, make_payload<msg::AbdUpdateAck>(m.wid));
-  } else if (type == msg::AbdUpdateAck::kTypeId) {
-    const auto& m = static_cast<const msg::AbdUpdateAck&>(payload);
-    const auto it = writes_.find(m.wid);
+    send(from, make_payload<msg::Request>(msg::kAbdUpdateAck, m.id));
+  } else if (type == msg::kAbdUpdateAck) {
+    const auto& m = static_cast<const msg::Request&>(payload);
+    const auto it = writes_.find(m.id);
     if (it == writes_.end()) return;
     it->second.ackers.insert(from);
-    maybe_finish_write(m.wid);
+    maybe_finish_write(m.id);
   }
 }
 

@@ -20,8 +20,6 @@ namespace dynreg {
 struct AbdConfig {
   /// Size of the fixed replica set (the initial membership).
   std::size_t n = 10;
-  /// Value held by the replicas at the start.
-  Value initial_value = 0;
 };
 
 class AbdRegisterNode final : public RegisterNode {

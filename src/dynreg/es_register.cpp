@@ -19,7 +19,7 @@ EsRegisterNode::EsRegisterNode(sim::ProcessId id, node::Context& ctx, EsConfig c
   static_assert(sizeof(node::Node) + sizeof(Hot) <= 64,
                 "on_message's hot fields must end within the receiver's first 64 bytes");
   if (initial) {
-    hot_.value = config_.initial_value;
+    hot_.value = kInitialValue;
     hot_.ts = Timestamp{0, 0};
     hot_.has_value = true;
     hot_.active = true;
@@ -43,13 +43,13 @@ void EsRegisterNode::apply(const Timestamp& ts, Value v) {
 void EsRegisterNode::start_join() {
   join_pending_ = true;
   join_id_ = static_cast<std::uint64_t>(id()) << 32;
-  broadcast(make_payload<msg::EsJoin>(join_id_));
+  broadcast(make_payload<msg::Request>(msg::kEsJoin, join_id_));
   ctx_.schedule_after(retransmit_after(join_resends_), [this] { retransmit_join(); });
 }
 
 void EsRegisterNode::retransmit_join() {
   if (!join_pending_) return;
-  broadcast(make_payload<msg::EsJoin>(join_id_));
+  broadcast(make_payload<msg::Request>(msg::kEsJoin, join_id_));
   ctx_.schedule_after(retransmit_after(++join_resends_), [this] { retransmit_join(); });
 }
 
@@ -66,7 +66,7 @@ void EsRegisterNode::read(const OpContext&, ReadCompletion done) {
     r.best_value = hot_.value;
     r.has_value = true;
   }
-  broadcast(make_payload<msg::EsRead>(rid));
+  broadcast(make_payload<msg::Request>(msg::kEsRead, rid));
   ctx_.schedule_after(retransmit_after(0), [this, rid] { retransmit_read(rid); });
   if (r.repliers.size() >= majority()) finish_read(rid);  // n == 1 corner
 }
@@ -74,7 +74,7 @@ void EsRegisterNode::read(const OpContext&, ReadCompletion done) {
 void EsRegisterNode::retransmit_read(std::uint64_t rid) {
   const auto it = reads_.find(rid);
   if (it == reads_.end() || it->second.in_writeback) return;
-  broadcast(make_payload<msg::EsRead>(rid));
+  broadcast(make_payload<msg::Request>(msg::kEsRead, rid));
   ctx_.schedule_after(retransmit_after(++it->second.resends),
                       [this, rid] { retransmit_read(rid); });
 }
@@ -103,7 +103,7 @@ void EsRegisterNode::start_writeback(std::uint64_t rid) {
   w.is_read_writeback = true;
   w.rid = rid;
   w.ackers.insert(id());
-  broadcast(make_payload<msg::EsWrite>(wid, w.ts, w.value));
+  broadcast(make_payload<msg::Stamped>(msg::kEsWrite, wid, w.ts, w.value, true));
   ctx_.schedule_after(retransmit_after(0), [this, wid] { retransmit_write(wid); });
   maybe_finish_write(wid);  // n == 1 corner: the self-vote is the quorum
 }
@@ -122,7 +122,7 @@ void EsRegisterNode::write(const OpContext&, Value v, WriteCompletion done) {
   w.ts = ts;
   w.value = v;
   w.ackers.insert(id());
-  broadcast(make_payload<msg::EsWrite>(wid, ts, v));
+  broadcast(make_payload<msg::Stamped>(msg::kEsWrite, wid, ts, v, true));
   ctx_.schedule_after(retransmit_after(0), [this, wid] { retransmit_write(wid); });
   maybe_finish_write(wid);  // n == 1 corner: the self-vote is the quorum
 }
@@ -159,7 +159,8 @@ void EsRegisterNode::on_departure() {
 void EsRegisterNode::retransmit_write(std::uint64_t wid) {
   const auto it = writes_.find(wid);
   if (it == writes_.end()) return;
-  broadcast(make_payload<msg::EsWrite>(wid, it->second.ts, it->second.value));
+  broadcast(
+      make_payload<msg::Stamped>(msg::kEsWrite, wid, it->second.ts, it->second.value, true));
   ctx_.schedule_after(retransmit_after(++it->second.resends),
                       [this, wid] { retransmit_write(wid); });
 }
@@ -169,27 +170,28 @@ void EsRegisterNode::retransmit_write(std::uint64_t wid) {
 void EsRegisterNode::on_message(sim::ProcessId from, const net::Payload& payload) {
   const net::PayloadTypeId type = payload.type_id();
 
-  if (type == msg::EsWrite::kTypeId) {
+  if (type == msg::kEsWrite) {
     // Every process — active or joining — stores newer values and acks.
-    const auto& m = static_cast<const msg::EsWrite&>(payload);
+    const auto& m = static_cast<const msg::Stamped&>(payload);
     if (rejects_envelope(m.ts, true)) return;  // forged-timestamp guard: no store, no ack
     apply(m.ts, m.value);
-    send(from, make_payload<msg::EsAck>(m.wid));
-  } else if (type == msg::EsAck::kTypeId) {
-    const auto& m = static_cast<const msg::EsAck&>(payload);
-    const auto it = writes_.find(m.wid);
+    send(from, make_payload<msg::Request>(msg::kEsAck, m.id));
+  } else if (type == msg::kEsAck) {
+    const auto& m = static_cast<const msg::Request&>(payload);
+    const auto it = writes_.find(m.id);
     if (it == writes_.end()) return;
     it->second.ackers.insert(from);
-    maybe_finish_write(m.wid);
-  } else if (type == msg::EsRead::kTypeId) {
-    const auto& m = static_cast<const msg::EsRead&>(payload);
+    maybe_finish_write(m.id);
+  } else if (type == msg::kEsRead) {
+    const auto& m = static_cast<const msg::Request&>(payload);
     if (hot_.active) {
-      send(from, make_payload<msg::EsReply>(m.rid, hot_.ts, hot_.value, hot_.has_value));
+      send(from, make_payload<msg::Stamped>(msg::kEsReply, m.id, hot_.ts, hot_.value,
+                                            hot_.has_value));
     }
-  } else if (type == msg::EsReply::kTypeId) {
-    const auto& m = static_cast<const msg::EsReply&>(payload);
+  } else if (type == msg::kEsReply) {
+    const auto& m = static_cast<const msg::Stamped&>(payload);
     if (rejects_envelope(m.ts, m.has_value)) return;  // malformed/out-of-envelope reply
-    const auto it = reads_.find(m.rid);
+    const auto it = reads_.find(m.id);
     if (it == reads_.end() || it->second.in_writeback) return;
     PendingRead& r = it->second;
     r.repliers.insert(from);
@@ -198,17 +200,17 @@ void EsRegisterNode::on_message(sim::ProcessId from, const net::Payload& payload
       r.best_value = m.value;
       r.has_value = true;
     }
-    if (r.repliers.size() >= majority()) finish_read(m.rid);
-  } else if (type == msg::EsJoin::kTypeId) {
-    const auto& m = static_cast<const msg::EsJoin&>(payload);
+    if (r.repliers.size() >= majority()) finish_read(m.id);
+  } else if (type == msg::kEsJoin) {
+    const auto& m = static_cast<const msg::Request&>(payload);
     if (hot_.active) {
-      send(from,
-           make_payload<msg::EsJoinReply>(m.jid, hot_.ts, hot_.value, hot_.has_value));
+      send(from, make_payload<msg::Stamped>(msg::kEsJoinReply, m.id, hot_.ts, hot_.value,
+                                            hot_.has_value));
     }
-  } else if (type == msg::EsJoinReply::kTypeId) {
-    const auto& m = static_cast<const msg::EsJoinReply&>(payload);
+  } else if (type == msg::kEsJoinReply) {
+    const auto& m = static_cast<const msg::Stamped&>(payload);
     if (rejects_envelope(m.ts, m.has_value)) return;  // malformed/out-of-envelope reply
-    if (!join_pending_ || m.jid != join_id_) return;
+    if (!join_pending_ || m.id != join_id_) return;
     join_repliers_.insert(from);
     if (m.has_value && (!join_has_value_ || join_best_ts_ < m.ts)) {
       join_best_ts_ = m.ts;

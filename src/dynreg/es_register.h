@@ -29,8 +29,6 @@ struct EsConfig {
   /// Atomicity ablation: completed reads write back the value they return
   /// (an extra quorum round trip), upgrading regular to atomic.
   bool atomic_reads = false;
-  /// Value held by the bootstrap members.
-  Value initial_value = 0;
   /// Defensive hardening (docs/FAULTS.md): bounded exponential retransmit
   /// backoff — every rebroadcast of the same unfinished operation doubles
   /// the interval, capped at 8x the base. Off (the default) keeps the
@@ -40,15 +38,17 @@ struct EsConfig {
   /// Defensive hardening: reply-validation guard — drop inbound
   /// value-carrying messages (WRITE / REPLY / JOIN_REPLY) that are
   /// structurally inconsistent (no value claimed but a nonzero timestamp)
-  /// or whose sequence number lies more than ts_envelope beyond everything
+  /// or whose sequence number lies more than kTsEnvelope beyond everything
   /// this process has seen (a forged far-future timestamp would otherwise
   /// poison the monotone merge permanently). Off by default.
   bool validate_replies = false;
-  /// Plausibility envelope for validate_replies, in sequence numbers. Benign
-  /// lag (a reader behind a healed partition) stays far inside it; a forged
-  /// timestamp fabricated to dominate all future writes lands outside.
-  std::uint64_t ts_envelope = 64;
 };
+
+/// Plausibility envelope for EsConfig::validate_replies, in sequence
+/// numbers. Benign lag (a reader behind a healed partition) stays far inside
+/// it; a forged timestamp fabricated to dominate all future writes lands
+/// outside.
+inline constexpr std::uint64_t kTsEnvelope = 64;
 
 class EsRegisterNode final : public RegisterNode {
  public:
@@ -128,7 +128,7 @@ class EsRegisterNode final : public RegisterNode {
   [[nodiscard]] bool rejects_envelope(const Timestamp& ts, bool msg_has_value) const {
     if (!config_.validate_replies) return false;
     if (!msg_has_value) return ts.sn > 0;  // no value claimed, yet a timestamp
-    return ts.sn > hot_.max_seen_sn + config_.ts_envelope;
+    return ts.sn > hot_.max_seen_sn + kTsEnvelope;
   }
   void apply(const Timestamp& ts, Value v);
   void start_join();

@@ -1,11 +1,10 @@
 // Wire messages of the three protocols. Type tags are part of the contract:
 // adversarial delay models and the per-type traffic metrics match on them.
 //
-// Every message type carries a cached interned PayloadTypeId (kTypeId) so
-// per-delivery code — receiver dispatch, delay-model scripts, metrics —
-// compares small integers instead of strings. The ids are interned in one
-// fixed declaration order by src/dynreg/messages.cpp, so within a process
-// each tag always maps to the same id.
+// Every protocol message has one of two shapes. A Request names an
+// operation (a read, a join, an ack); a Stamped record carries a
+// (timestamp, value) pair, the paper's WRITE(v, sn) and REPLY(v, sn). The
+// payload's tag says which message it is.
 #pragma once
 
 #include <cstdint>
@@ -15,158 +14,39 @@
 
 namespace dynreg::msg {
 
-// --- synchronous protocol (Section 3) --------------------------------------
+// The protocol tags' interned ids. messages.cpp interns its table of tags
+// before any other tag, so each id is the tag's index in that table, in
+// every process; the trace format persists them.
 
-struct SyncWrite final : net::Payload {
-  SyncWrite(Timestamp t, Value v) : ts(t), value(v) {}
-  std::string_view type_name() const override { return "sync.write"; }
-  net::PayloadTypeId type_id() const override { return kTypeId; }
-  static const net::PayloadTypeId kTypeId;
+// Synchronous protocol (Section 3). sync.refresh is the anti-entropy
+// rebroadcast: semantically a sync.write, tagged apart so traffic
+// accounting does not mix it into write cost.
+extern const net::PayloadTypeId kSyncWrite, kSyncInquiry, kSyncReply, kSyncRefresh;
+// Eventually synchronous protocol (Section 5).
+extern const net::PayloadTypeId kEsRead, kEsReply, kEsWrite, kEsAck, kEsJoin, kEsJoinReply;
+// Static ABD baseline.
+extern const net::PayloadTypeId kAbdReadQuery, kAbdReadReply, kAbdWriteback,
+    kAbdWritebackAck, kAbdUpdate, kAbdUpdateAck;
+
+/// A request or ack naming operation `id` (the sync protocol's inquiry
+/// names none and sends 0).
+struct Request final : net::Payload {
+  Request(net::PayloadTypeId tag, std::uint64_t i) : net::Payload(tag), id(i) {}
+  std::uint64_t id;
+};
+
+/// A (timestamp, value) record for operation `id` (0 in the sync protocol).
+/// has_value is false only in a reply from a process that holds no value.
+struct Stamped final : net::Payload {
+  Stamped(net::PayloadTypeId tag, std::uint64_t i, Timestamp t, Value v, bool hv)
+      : net::Payload(tag), has_value(hv), id(i), ts(t), value(v) {}
+  bool has_value;  // first, so it fills the padding after the base's tag: 40 bytes
+  std::uint64_t id;
   Timestamp ts;
   Value value;
 };
 
-struct SyncInquiry final : net::Payload {
-  std::string_view type_name() const override { return "sync.inquiry"; }
-  net::PayloadTypeId type_id() const override { return kTypeId; }
-  static const net::PayloadTypeId kTypeId;
-};
-
-struct SyncReply final : net::Payload {
-  SyncReply(Timestamp t, Value v, bool hv) : ts(t), value(v), has_value(hv) {}
-  std::string_view type_name() const override { return "sync.reply"; }
-  net::PayloadTypeId type_id() const override { return kTypeId; }
-  static const net::PayloadTypeId kTypeId;
-  Timestamp ts;
-  Value value;
-  bool has_value;
-};
-
-/// Anti-entropy rebroadcast; semantically a SyncWrite but tagged separately
-/// so traffic accounting does not mix it into write cost.
-struct SyncRefresh final : net::Payload {
-  SyncRefresh(Timestamp t, Value v) : ts(t), value(v) {}
-  std::string_view type_name() const override { return "sync.refresh"; }
-  net::PayloadTypeId type_id() const override { return kTypeId; }
-  static const net::PayloadTypeId kTypeId;
-  Timestamp ts;
-  Value value;
-};
-
-// --- eventually synchronous protocol (Section 5) ---------------------------
-
-struct EsRead final : net::Payload {
-  explicit EsRead(std::uint64_t r) : rid(r) {}
-  std::string_view type_name() const override { return "es.read"; }
-  net::PayloadTypeId type_id() const override { return kTypeId; }
-  static const net::PayloadTypeId kTypeId;
-  std::uint64_t rid;
-};
-
-struct EsReply final : net::Payload {
-  EsReply(std::uint64_t r, Timestamp t, Value v, bool hv)
-      : rid(r), ts(t), value(v), has_value(hv) {}
-  std::string_view type_name() const override { return "es.reply"; }
-  net::PayloadTypeId type_id() const override { return kTypeId; }
-  static const net::PayloadTypeId kTypeId;
-  std::uint64_t rid;
-  Timestamp ts;
-  Value value;
-  bool has_value;
-};
-
-struct EsWrite final : net::Payload {
-  EsWrite(std::uint64_t w, Timestamp t, Value v) : wid(w), ts(t), value(v) {}
-  std::string_view type_name() const override { return "es.write"; }
-  net::PayloadTypeId type_id() const override { return kTypeId; }
-  static const net::PayloadTypeId kTypeId;
-  std::uint64_t wid;
-  Timestamp ts;
-  Value value;
-};
-
-struct EsAck final : net::Payload {
-  explicit EsAck(std::uint64_t w) : wid(w) {}
-  std::string_view type_name() const override { return "es.ack"; }
-  net::PayloadTypeId type_id() const override { return kTypeId; }
-  static const net::PayloadTypeId kTypeId;
-  std::uint64_t wid;
-};
-
-struct EsJoin final : net::Payload {
-  explicit EsJoin(std::uint64_t j) : jid(j) {}
-  std::string_view type_name() const override { return "es.join"; }
-  net::PayloadTypeId type_id() const override { return kTypeId; }
-  static const net::PayloadTypeId kTypeId;
-  std::uint64_t jid;
-};
-
-struct EsJoinReply final : net::Payload {
-  EsJoinReply(std::uint64_t j, Timestamp t, Value v, bool hv)
-      : jid(j), ts(t), value(v), has_value(hv) {}
-  std::string_view type_name() const override { return "es.join_reply"; }
-  net::PayloadTypeId type_id() const override { return kTypeId; }
-  static const net::PayloadTypeId kTypeId;
-  std::uint64_t jid;
-  Timestamp ts;
-  Value value;
-  bool has_value;
-};
-
-// --- static ABD baseline ----------------------------------------------------
-
-struct AbdReadQuery final : net::Payload {
-  explicit AbdReadQuery(std::uint64_t r) : rid(r) {}
-  std::string_view type_name() const override { return "abd.read_query"; }
-  net::PayloadTypeId type_id() const override { return kTypeId; }
-  static const net::PayloadTypeId kTypeId;
-  std::uint64_t rid;
-};
-
-struct AbdReadReply final : net::Payload {
-  AbdReadReply(std::uint64_t r, Timestamp t, Value v) : rid(r), ts(t), value(v) {}
-  std::string_view type_name() const override { return "abd.read_reply"; }
-  net::PayloadTypeId type_id() const override { return kTypeId; }
-  static const net::PayloadTypeId kTypeId;
-  std::uint64_t rid;
-  Timestamp ts;
-  Value value;
-};
-
-struct AbdWriteback final : net::Payload {
-  AbdWriteback(std::uint64_t r, Timestamp t, Value v) : rid(r), ts(t), value(v) {}
-  std::string_view type_name() const override { return "abd.writeback"; }
-  net::PayloadTypeId type_id() const override { return kTypeId; }
-  static const net::PayloadTypeId kTypeId;
-  std::uint64_t rid;
-  Timestamp ts;
-  Value value;
-};
-
-struct AbdWritebackAck final : net::Payload {
-  explicit AbdWritebackAck(std::uint64_t r) : rid(r) {}
-  std::string_view type_name() const override { return "abd.writeback_ack"; }
-  net::PayloadTypeId type_id() const override { return kTypeId; }
-  static const net::PayloadTypeId kTypeId;
-  std::uint64_t rid;
-};
-
-struct AbdUpdate final : net::Payload {
-  AbdUpdate(std::uint64_t w, Timestamp t, Value v) : wid(w), ts(t), value(v) {}
-  std::string_view type_name() const override { return "abd.update"; }
-  net::PayloadTypeId type_id() const override { return kTypeId; }
-  static const net::PayloadTypeId kTypeId;
-  std::uint64_t wid;
-  Timestamp ts;
-  Value value;
-};
-
-struct AbdUpdateAck final : net::Payload {
-  explicit AbdUpdateAck(std::uint64_t w) : wid(w) {}
-  std::string_view type_name() const override { return "abd.update_ack"; }
-  net::PayloadTypeId type_id() const override { return kTypeId; }
-  static const net::PayloadTypeId kTypeId;
-  std::uint64_t wid;
-};
+/// The Stamped view of `p`, or nullptr when p's tag is not a Stamped shape.
+const Stamped* stamped(const net::Payload& p);
 
 }  // namespace dynreg::msg

@@ -12,7 +12,7 @@ SyncRegisterNode::SyncRegisterNode(sim::ProcessId id, node::Context& ctx,
   static_assert(sizeof(node::Node) + sizeof(Hot) <= 64,
                 "on_message's hot fields must end within the receiver's first 64 bytes");
   if (initial) {
-    hot_.value = config_.initial_value;
+    hot_.value = kInitialValue;
     hot_.ts = Timestamp{0, 0};
     hot_.has_value = true;
     hot_.active = true;
@@ -32,7 +32,7 @@ SyncRegisterNode::SyncRegisterNode(sim::ProcessId id, node::Context& ctx,
 }
 
 void SyncRegisterNode::start_inquiry() {
-  broadcast(make_payload<msg::SyncInquiry>());
+  broadcast(make_payload<msg::Request>(msg::kSyncInquiry, 0));
   // A reply takes at most delta (inquiry) + delta (reply) to round-trip;
   // footnote 4 tightens the return leg to a known delta'.
   const sim::Duration window =
@@ -46,7 +46,7 @@ void SyncRegisterNode::finish_join() {
   ctx_.notify_active();
   // Answer inquiries that arrived while we were still joining.
   for (const sim::ProcessId j : pending_inquiries_) {
-    send(j, make_payload<msg::SyncReply>(hot_.ts, hot_.value, hot_.has_value));
+    send(j, make_payload<msg::Stamped>(msg::kSyncReply, 0, hot_.ts, hot_.value, hot_.has_value));
   }
   pending_inquiries_.clear();
   schedule_refresh();
@@ -64,7 +64,7 @@ void SyncRegisterNode::schedule_refresh() {
   if (!config_.refresh_interval) return;
   ctx_.schedule_after(*config_.refresh_interval, [this] {
     if (hot_.active && hot_.has_value) {
-      broadcast(make_payload<msg::SyncRefresh>(hot_.ts, hot_.value));
+      broadcast(make_payload<msg::Stamped>(msg::kSyncRefresh, 0, hot_.ts, hot_.value, true));
     }
     schedule_refresh();
   });
@@ -72,21 +72,19 @@ void SyncRegisterNode::schedule_refresh() {
 
 void SyncRegisterNode::on_message(sim::ProcessId from, const net::Payload& payload) {
   const net::PayloadTypeId type = payload.type_id();
-  if (type == msg::SyncWrite::kTypeId) {
-    const auto& m = static_cast<const msg::SyncWrite&>(payload);
+  if (type == msg::kSyncWrite || type == msg::kSyncRefresh) {
+    const auto& m = static_cast<const msg::Stamped&>(payload);
     apply(m.ts, m.value);
-  } else if (type == msg::SyncRefresh::kTypeId) {
-    const auto& m = static_cast<const msg::SyncRefresh&>(payload);
-    apply(m.ts, m.value);
-  } else if (type == msg::SyncReply::kTypeId) {
+  } else if (type == msg::kSyncReply) {
     // Replies feed the join phase only; one arriving after the collection
     // window closed is discarded (this is exactly what makes the no-wait
     // variant of Figure 3a unsafe).
-    const auto& m = static_cast<const msg::SyncReply&>(payload);
+    const auto& m = static_cast<const msg::Stamped&>(payload);
     if (hot_.joining && m.has_value) apply(m.ts, m.value);
-  } else if (type == msg::SyncInquiry::kTypeId) {
+  } else if (type == msg::kSyncInquiry) {
     if (hot_.active) {
-      send(from, make_payload<msg::SyncReply>(hot_.ts, hot_.value, hot_.has_value));
+      send(from, make_payload<msg::Stamped>(msg::kSyncReply, 0, hot_.ts, hot_.value,
+                                            hot_.has_value));
     } else {
       pending_inquiries_.push_back(from);
     }
@@ -103,7 +101,7 @@ void SyncRegisterNode::read(const OpContext&, ReadCompletion done) {
 void SyncRegisterNode::write(const OpContext&, Value v, WriteCompletion done) {
   Timestamp ts{hot_.ts.sn + 1, id()};
   apply(ts, v);
-  broadcast(make_payload<msg::SyncWrite>(ts, v));
+  broadcast(make_payload<msg::Stamped>(msg::kSyncWrite, 0, ts, v, true));
   // In the synchronous model every copy lands within delta; the write
   // returns exactly then (Section 3.3). The completion waits in
   // pending_writes_ (not inside the timer) so a departure can resolve it.

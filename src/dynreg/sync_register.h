@@ -35,8 +35,6 @@ struct SyncConfig {
   /// Anti-entropy extension (not in the paper): active processes rebroadcast
   /// their copy every interval, healing replicas behind lossy channels.
   std::optional<sim::Duration> refresh_interval;
-  /// Value held by the bootstrap members.
-  Value initial_value = 0;
 };
 
 class SyncRegisterNode final : public RegisterNode {

@@ -10,6 +10,10 @@ namespace dynreg {
 using Value = std::int64_t;
 inline constexpr Value kBottom = -1;
 
+/// Every register starts holding 0 (the paper's well-defined initial value):
+/// the bootstrap members hold it, and the history checks reads against it.
+inline constexpr Value kInitialValue = 0;
+
 /// Write timestamps: lexicographic (sequence number, writer id). The paper's
 /// single-writer protocol only needs the sequence number; the multi-writer
 /// extension (Section 7) breaks ties on the writer id.

@@ -8,102 +8,6 @@
 #include "sim/rng.h"
 
 namespace dynreg::fault {
-namespace {
-
-/// The (ts, value) view of a value-carrying payload. `carries` is false for
-/// types the adversary leaves alone (acks, queries, inquiries) and for
-/// replies that do not claim a value — transforming those is either a no-op
-/// or would require fabricating protocol ids, which the delivery-time seam
-/// deliberately does not do.
-struct ValueView {
-  Timestamp ts;
-  Value value = kBottom;
-  bool carries = false;
-};
-
-ValueView view_of(const net::Payload& p) {
-  const net::PayloadTypeId type = p.type_id();
-  if (type == msg::SyncWrite::kTypeId) {
-    const auto& m = static_cast<const msg::SyncWrite&>(p);
-    return {m.ts, m.value, true};
-  }
-  if (type == msg::SyncReply::kTypeId) {
-    const auto& m = static_cast<const msg::SyncReply&>(p);
-    return {m.ts, m.value, m.has_value};
-  }
-  if (type == msg::SyncRefresh::kTypeId) {
-    const auto& m = static_cast<const msg::SyncRefresh&>(p);
-    return {m.ts, m.value, true};
-  }
-  if (type == msg::EsWrite::kTypeId) {
-    const auto& m = static_cast<const msg::EsWrite&>(p);
-    return {m.ts, m.value, true};
-  }
-  if (type == msg::EsReply::kTypeId) {
-    const auto& m = static_cast<const msg::EsReply&>(p);
-    return {m.ts, m.value, m.has_value};
-  }
-  if (type == msg::EsJoinReply::kTypeId) {
-    const auto& m = static_cast<const msg::EsJoinReply&>(p);
-    return {m.ts, m.value, m.has_value};
-  }
-  if (type == msg::AbdReadReply::kTypeId) {
-    const auto& m = static_cast<const msg::AbdReadReply&>(p);
-    return {m.ts, m.value, true};
-  }
-  if (type == msg::AbdWriteback::kTypeId) {
-    const auto& m = static_cast<const msg::AbdWriteback&>(p);
-    return {m.ts, m.value, true};
-  }
-  if (type == msg::AbdUpdate::kTypeId) {
-    const auto& m = static_cast<const msg::AbdUpdate&>(p);
-    return {m.ts, m.value, true};
-  }
-  return {};
-}
-
-/// Rebuilds a payload of the same type and protocol ids with (ts, value)
-/// replaced — the only fields the adversary rewrites.
-net::PayloadPtr rebuild(sim::Arena& arena, const net::Payload& p,
-                        const Timestamp& ts, Value value) {
-  const net::PayloadTypeId type = p.type_id();
-  if (type == msg::SyncWrite::kTypeId) {
-    return net::make_payload_in<msg::SyncWrite>(arena, ts, value);
-  }
-  if (type == msg::SyncReply::kTypeId) {
-    return net::make_payload_in<msg::SyncReply>(arena, ts, value, true);
-  }
-  if (type == msg::SyncRefresh::kTypeId) {
-    return net::make_payload_in<msg::SyncRefresh>(arena, ts, value);
-  }
-  if (type == msg::EsWrite::kTypeId) {
-    const auto& m = static_cast<const msg::EsWrite&>(p);
-    return net::make_payload_in<msg::EsWrite>(arena, m.wid, ts, value);
-  }
-  if (type == msg::EsReply::kTypeId) {
-    const auto& m = static_cast<const msg::EsReply&>(p);
-    return net::make_payload_in<msg::EsReply>(arena, m.rid, ts, value, true);
-  }
-  if (type == msg::EsJoinReply::kTypeId) {
-    const auto& m = static_cast<const msg::EsJoinReply&>(p);
-    return net::make_payload_in<msg::EsJoinReply>(arena, m.jid, ts, value, true);
-  }
-  if (type == msg::AbdReadReply::kTypeId) {
-    const auto& m = static_cast<const msg::AbdReadReply&>(p);
-    return net::make_payload_in<msg::AbdReadReply>(arena, m.rid, ts, value);
-  }
-  if (type == msg::AbdWriteback::kTypeId) {
-    const auto& m = static_cast<const msg::AbdWriteback&>(p);
-    return net::make_payload_in<msg::AbdWriteback>(arena, m.rid, ts, value);
-  }
-  if (type == msg::AbdUpdate::kTypeId) {
-    const auto& m = static_cast<const msg::AbdUpdate&>(p);
-    return net::make_payload_in<msg::AbdUpdate>(arena, m.wid, ts, value);
-  }
-  return nullptr;  // unreachable: caller checked view_of().carries
-}
-
-}  // namespace
 
 Injector::Injector(sim::Simulation& sim, churn::System& system,
                    net::Network& net, Plan plan, DecisionSource& decisions,
@@ -235,26 +139,30 @@ net::PayloadPtr Injector::transform(sim::Time now, sim::ProcessId from,
                                     sim::ProcessId to,
                                     const net::PayloadPtr& payload) {
   if (!plan_.byzantine_enabled()) return nullptr;
-  const ValueView v = view_of(*payload);
-  if (!v.carries) return nullptr;
+  // The adversary rewrites only (ts, value) records that claim a value:
+  // transforming a request, or a reply holding no value, would mean
+  // fabricating protocol ids, which the delivery-time seam deliberately
+  // does not do.
+  const msg::Stamped* m = msg::stamped(*payload);
+  if (m == nullptr || !m->has_value) return nullptr;
   // Stash the earliest (ts, value) the wire carried — fuel for the
   // stale-replay transform. A pure observation: no decision draw.
   if (!have_stale_) {
-    stale_ts_ = v.ts;
-    stale_value_ = v.value;
+    stale_ts_ = m->ts;
+    stale_value_ = m->value;
     have_stale_ = true;
   }
   if (!is_byzantine(from)) return nullptr;
   if (!decisions_.bernoulli(now, plan_.byzantine.transform_rate)) {
     return nullptr;
   }
-  return transform_copy(decisions_.draw(now), from, to, *payload);
+  return transform_copy(decisions_.draw(now), from, to, *m);
 }
 
 net::PayloadPtr Injector::transform_copy(std::uint64_t word,
                                          sim::ProcessId from,
                                          sim::ProcessId to,
-                                         const net::Payload& payload) {
+                                         const msg::Stamped& m) {
   enum Kind : std::uint8_t { kEquivocate, kStale, kForge, kCorrupt };
   Kind kinds[4];
   std::size_t count = 0;
@@ -268,14 +176,13 @@ net::PayloadPtr Injector::transform_copy(std::uint64_t word,
   const std::uint64_t d = word >> 3;
   if (kind == kStale && !have_stale_) kind = kCorrupt;  // no stash yet
 
-  const ValueView v = view_of(payload);
-  Timestamp ts = v.ts;
-  Value value = v.value;
+  Timestamp ts = m.ts;
+  Value value = m.value;
   switch (kind) {
     case kEquivocate:
       // Same timestamp, recipient-dependent value: different recipients of
       // one broadcast observe different "copies" of the same write.
-      value = v.value + 1 + static_cast<Value>(to % 7);
+      value = m.value + 1 + static_cast<Value>(to % 7);
       break;
     case kStale:
       // Re-send the oldest observation the wire carried, as if the sender
@@ -285,17 +192,18 @@ net::PayloadPtr Injector::transform_copy(std::uint64_t word,
       break;
     case kForge:
       // Fabricated far-future timestamp claiming authorship: sn jumps far
-      // enough (>= +100) that the ES ts_envelope guard (default 64) can
+      // enough (>= +100) that the ES envelope guard (kTsEnvelope, 64) can
       // tell it from benign lag, which stays close to the frontier.
-      ts = Timestamp{v.ts.sn + 100 + (d % 924), from};
-      value = v.value ^ 0x5a5a5a5;
+      ts = Timestamp{m.ts.sn + 100 + (d % 924), from};
+      value = m.value ^ 0x5a5a5a5;
       break;
     case kCorrupt:
       // Bit corruption of the value alone; the timestamp stays plausible.
-      value = v.value ^ static_cast<Value>(1 + (d % 255));
+      value = m.value ^ static_cast<Value>(1 + (d % 255));
       break;
   }
-  return rebuild(sim_.arena(), payload, ts, value);
+  // Same tag and operation id; only (ts, value) is the adversary's.
+  return net::make_payload_in<msg::Stamped>(sim_.arena(), m.type_id(), m.id, ts, value, true);
 }
 
 }  // namespace dynreg::fault

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "churn/system.h"
+#include "dynreg/messages.h"
 #include "dynreg/types.h"
 #include "fault/decision.h"
 #include "fault/plan.h"
@@ -66,11 +67,10 @@ class Injector final : public net::FaultHook {
   void crash_one(sim::Time now);
   [[nodiscard]] bool on_minority_side(sim::ProcessId id) const;
   [[nodiscard]] bool is_byzantine(sim::ProcessId id) const;
-  /// The Byzantine rewrite for one delivered copy; nullptr = leave it alone
-  /// (unsupported payload type, or the stale stash is still empty).
+  /// The Byzantine rewrite of one delivered (ts, value) record, of the
+  /// kind `word` picks.
   net::PayloadPtr transform_copy(std::uint64_t word, sim::ProcessId from,
-                                 sim::ProcessId to,
-                                 const net::Payload& payload);
+                                 sim::ProcessId to, const msg::Stamped& m);
 
   sim::Simulation& sim_;
   churn::System& system_;

@@ -13,8 +13,9 @@
 
 namespace dynreg::harness {
 
-/// Every register starts holding 0 (the paper's well-defined initial value).
-inline constexpr Value kInitialValue = 0;
+/// dynreg::kInitialValue, also named here because perfbench's world uses
+/// this name.
+using dynreg::kInitialValue;
 
 /// The network delay model `cfg.timing` names.
 std::unique_ptr<net::DelayModel> build_delays(const ExperimentConfig& cfg);

@@ -1,5 +1,6 @@
 #include "harness/experiment.h"
 
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -91,6 +92,13 @@ void ExperimentConfig::validate() const {
     }
   }
   probability("read fraction", workload.read_frac);
+  // Only the keyed engine of sharded runs draws zipfian keys. A NaN exponent
+  // makes every CDF entry but the last NaN, which would run as "always the
+  // coldest key".
+  if (shard_count > 0 && !std::isfinite(workload.zipf_s)) {
+    throw std::invalid_argument("zipf exponent " + std::to_string(workload.zipf_s) +
+                                " is not finite; it defines no key distribution");
+  }
 }
 
 MetricsReport run_experiment(const ExperimentConfig& cfg, const replay::RunHooks& hooks) {

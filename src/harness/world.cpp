@@ -32,7 +32,6 @@ churn::System::NodeFactory build_node_factory(const ExperimentConfig& cfg,
       sc.wait_before_inquiry = cfg.protocol != Protocol::kSyncNoWait;
       sc.delta_pp = cfg.sync_delta_pp;
       sc.refresh_interval = cfg.sync_refresh_interval;
-      sc.initial_value = kInitialValue;
       return [sc](sim::ProcessId id, node::Context& ctx, bool initial) {
         return std::make_unique<SyncRegisterNode>(id, ctx, sc, initial);
       };
@@ -63,7 +62,6 @@ churn::System::NodeFactory build_node_factory(const ExperimentConfig& cfg,
       ec.atomic_reads = cfg.es_atomic_reads;
       ec.retransmit_backoff = cfg.es_retransmit_backoff;
       ec.validate_replies = cfg.es_validate_replies;
-      ec.initial_value = kInitialValue;
       return [ec](sim::ProcessId id, node::Context& ctx, bool initial) {
         return std::make_unique<EsRegisterNode>(id, ctx, ec, initial);
       };
@@ -71,7 +69,6 @@ churn::System::NodeFactory build_node_factory(const ExperimentConfig& cfg,
     case Protocol::kAbd: {
       AbdConfig ac;
       ac.n = n;
-      ac.initial_value = kInitialValue;
       return [ac](sim::ProcessId id, node::Context& ctx, bool initial) {
         return std::make_unique<AbdRegisterNode>(id, ctx, ac, initial);
       };

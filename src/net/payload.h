@@ -1,5 +1,5 @@
 // Message payloads. Payloads are immutable and shared between the deliveries
-// of one broadcast; receivers downcast after checking type_id()/type_name().
+// of one broadcast; receivers downcast after checking type_id().
 #pragma once
 
 #include <memory>
@@ -11,21 +11,28 @@
 
 namespace dynreg::net {
 
+/// The base of every payload: its interned wire-type tag, stored once.
+/// Nothing here is virtual. Payloads are only made through make_payload /
+/// make_payload_in, whose control blocks destroy the concrete type.
 class Payload {
  public:
-  virtual ~Payload() = default;
+  /// `type` is the interned tag, e.g. the id of "sync.write"
+  /// (src/dynreg/messages.h). Tags are part of the protocol contract (see
+  /// payload_type.h).
+  explicit Payload(PayloadTypeId type) : type_(type) {}
 
-  /// Stable wire-type tag, e.g. "sync.write". Tags are part of the protocol
-  /// contract (see payload_type.h); reports and persisted output use the
-  /// string form.
-  virtual std::string_view type_name() const = 0;
+  /// What every per-message path (receiver dispatch, delay-model scripts,
+  /// delivery metrics) keys on.
+  [[nodiscard]] PayloadTypeId type_id() const { return type_; }
 
-  /// Interned id of type_name() — what every per-message path (receiver
-  /// dispatch, delay-model scripts, delivery metrics) keys on. The default
-  /// re-interns on each call, which is correct for ad-hoc payloads in
-  /// tests; real message types override it with a cached id
-  /// (src/dynreg/messages.h) so the hot path never touches the registry.
-  [[nodiscard]] virtual PayloadTypeId type_id() const { return PayloadTypeRegistry::intern(type_name()); }
+  /// The tag string; reports and persisted output use this form.
+  [[nodiscard]] std::string_view type_name() const { return PayloadTypeRegistry::name(type_); }
+
+ protected:
+  ~Payload() = default;
+
+ private:
+  const PayloadTypeId type_;
 };
 
 using PayloadPtr = std::shared_ptr<const Payload>;

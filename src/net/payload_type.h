@@ -15,17 +15,20 @@
 
 namespace dynreg::net {
 
-/// Dense interned tag index. Ids are assigned in interning order; the
-/// protocol messages register theirs in a fixed sequence at startup
-/// (src/dynreg/messages.cpp), so within a process an id always means the
-/// same tag. Persist the string, never the id.
+/// Dense interned tag index. Ids are assigned in interning order. The
+/// protocol tags come first, in the fixed order of the table in
+/// src/dynreg/messages.cpp, so their ids are the same in every process and
+/// the trace format persists them. Any other tag is interned lazily (on
+/// first use, never by a namespace-scope initializer), after them; its id
+/// depends on the process's history, so persist its string.
 using PayloadTypeId = std::uint16_t;
 
 class PayloadTypeRegistry {
  public:
   /// Returns the id for `name`, interning it on first sight. Thread-safe;
   /// interning the same tag again returns the same id. Intended to run once
-  /// per payload type (cache the result in a static), not per message.
+  /// per payload type (cache the result in a function-local static), not
+  /// per message.
   static PayloadTypeId intern(std::string_view name);
 
   /// The tag string for an interned id. The view is backed by the registry

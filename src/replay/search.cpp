@@ -17,6 +17,9 @@ bool violates(const harness::MetricsReport& report) {
 
 namespace {
 
+/// A variant applies between 1 and this many perturbation operators.
+constexpr std::uint64_t kMaxMutations = 4;
+
 /// Makes net record `i` arrive strictly after record `j` (same destination,
 /// j later in send order) by stretching i's delay — the targeted reordering
 /// operator. Best-effort: the new delay is clamped to the envelope, so a
@@ -41,8 +44,7 @@ Trace perturb(const Trace& base, std::uint64_t variant_seed, const SearchOptions
   t.recorded_hash = 0;  // a perturbed schedule has no recorded hash to match
   sim::Rng rng(variant_seed);
   const sim::Duration envelope = base.max_delay() + opt.delay_slack;
-  const std::uint32_t max_ops = opt.mutations < 1 ? 1 : opt.mutations;
-  const std::uint64_t ops = rng.uniform_int(1, max_ops);
+  const std::uint64_t ops = rng.uniform_int(1, kMaxMutations);
 
   bool churn_shifted = false;
   // The fault-word operator only exists when the base run recorded fault

@@ -24,8 +24,6 @@ struct SearchOptions {
   std::uint64_t seed = 1;    ///< root of the per-variant perturbation rngs
   std::size_t budget = 1000; ///< perturbed schedules to execute
   std::size_t jobs = 1;      ///< worker threads (0 = one per hardware thread)
-  /// Perturbation operators applied per variant (uniform in [1, mutations]).
-  std::uint32_t mutations = 4;
   /// Extra delay headroom beyond the recorded envelope (trace.max_delay()).
   /// 0 keeps every perturbed delay within the bound the recorded timing
   /// model obeyed — perturbations then stay "legal" schedules.
@@ -55,7 +53,7 @@ struct SearchResult {
 /// The search's violation predicate: a regularity (stale-read) violation.
 bool violates(const harness::MetricsReport& report);
 
-/// Deterministic perturbation of `base`: 1..opt.mutations operators (delay
+/// Deterministic perturbation of `base`: 1 to 4 operators (delay
 /// jitter, targeted same-destination message reordering, loss toggling,
 /// churn-time shifts), drawn from an rng seeded with `variant_seed`. Pure
 /// function of its arguments. The variant's Trace::seed is set to

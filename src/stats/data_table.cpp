@@ -1,9 +1,17 @@
 #include "stats/data_table.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdio>
 #include <utility>
 
 namespace dynreg::stats {
+
+std::string fmt(double v, int precision) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
+  return buf;
+}
 
 Cell Cell::str(std::string s) {
   Cell c;
@@ -27,26 +35,49 @@ Cell Cell::num(double v, int precision) {
 
 std::string Cell::display() const {
   if (kind == Kind::kText) return text;
-  if (precision >= 0) return Table::fmt(number, precision);
+  if (precision >= 0) return fmt(number, precision);
   return JsonWriter::format_double(number);
 }
 
 DataTable::DataTable(std::vector<std::string> columns) : columns_(std::move(columns)) {}
 
 void DataTable::add_row(std::vector<Cell> row) {
-  assert(row.size() == columns_.size());
+  assert(row.size() <= columns_.size());
+  row.resize(columns_.size());
   rows_.push_back(std::move(row));
 }
 
 std::string DataTable::to_text() const {
-  Table table(columns_);
+  std::vector<std::vector<std::string>> cells;
+  cells.reserve(rows_.size());
+  std::vector<std::size_t> widths(columns_.size());
+  for (std::size_t c = 0; c < columns_.size(); ++c) widths[c] = columns_[c].size();
   for (const auto& row : rows_) {
-    std::vector<std::string> cells;
-    cells.reserve(row.size());
-    for (const auto& c : row) cells.push_back(c.display());
-    table.add_row(std::move(cells));
+    std::vector<std::string>& line = cells.emplace_back();
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      line.push_back(row[c].display());
+      widths[c] = std::max(widths[c], line.back().size());
+    }
   }
-  return table.to_string();
+
+  auto emit_row = [&widths](std::string& out, const std::vector<std::string>& row) {
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      out += row[c];
+      if (c + 1 < row.size()) out.append(widths[c] - row[c].size() + 2, ' ');
+    }
+    out += '\n';
+  };
+
+  std::string out;
+  emit_row(out, columns_);
+  std::size_t rule = 0;
+  for (std::size_t c = 0; c < widths.size(); ++c) {
+    rule += widths[c] + (c + 1 < widths.size() ? 2 : 0);
+  }
+  out.append(rule, '-');
+  out += '\n';
+  for (const auto& line : cells) emit_row(out, line);
+  return out;
 }
 
 namespace {

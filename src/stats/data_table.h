@@ -1,9 +1,10 @@
-// Typed tabular results: the machine-readable sibling of stats::Table.
+// Typed tabular results, and the one text-table renderer.
 //
-// Experiments build DataTables (cells keep their numeric identity instead
-// of being pre-formatted strings), and one table renders three ways:
-//   - to_text(): the classic fixed-width console table (via stats::Table),
-//     using each cell's display precision;
+// Experiments and the CLI build DataTables (cells keep their numeric
+// identity instead of being pre-formatted strings), and one table renders
+// three ways:
+//   - to_text(): the fixed-width console table, using each cell's display
+//     precision;
 //   - to_csv(): RFC-4180-style CSV with full-fidelity numbers;
 //   - append_json(): rows as arrays of typed values on a JsonWriter.
 #pragma once
@@ -12,9 +13,11 @@
 #include <vector>
 
 #include "stats/json_writer.h"
-#include "stats/table.h"
 
 namespace dynreg::stats {
+
+/// Formats v with fixed `precision` decimals (precision 0: no point).
+std::string fmt(double v, int precision);
 
 /// One table cell: either text or a number. Numbers carry an optional
 /// display precision used only for the fixed-width text rendering; CSV and
@@ -41,13 +44,15 @@ class DataTable {
  public:
   explicit DataTable(std::vector<std::string> columns);
 
-  /// Appends a row; its size must match the column count.
+  /// Appends a row. A row shorter than the columns is padded with empty
+  /// text cells; a longer one is a bug.
   void add_row(std::vector<Cell> row);
 
   [[nodiscard]] const std::vector<std::string>& columns() const { return columns_; }
   [[nodiscard]] const std::vector<std::vector<Cell>>& rows() const { return rows_; }
 
-  /// Fixed-width console rendering (header, rule, padded rows).
+  /// Fixed-width console rendering: the header, a dashed rule, then the
+  /// rows, columns padded to the widest cell and separated by two spaces.
   std::string to_text() const;
 
   /// CSV rendering: a header row then data rows; fields containing commas,

@@ -272,6 +272,22 @@ TEST(ConfigValidate, RejectsWriteIntervalZeroWithWritesEnabled) {
   EXPECT_NO_THROW(run_experiment(sharded));
 }
 
+TEST(ConfigValidate, RejectsNonFiniteZipfExponentOnShardedRuns) {
+  // The keyed engine's CDF would be NaN (every pick the coldest key) or
+  // degenerate; the nearest finite exponents are distributions.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  expect_rejects(
+      [](ExperimentConfig& c, double v) {
+        c.shard_count = 2;
+        c.workload.zipf_s = v;
+      },
+      {kNaN, kInf, -kInf}, {0.0, 0.99, kMax});
+  // Unsharded runs draw no keys: the exponent is unused.
+  expect_rejects([](ExperimentConfig& c, double v) { c.workload.zipf_s = v; }, {},
+                 {kNaN, kInf, -kInf});
+}
+
 TEST(ConfigValidate, RejectsReadFracOutsideUnitInterval) {
   expect_rejects([](ExperimentConfig& c, double v) { c.workload.read_frac = v; },
                  {-0.1, 1.5, kNaN}, {0.0, 1.0});

@@ -30,7 +30,7 @@ namespace dynreg::net {
 namespace {
 
 struct Ping final : Payload {
-  std::string_view type_name() const override { return "test.ping"; }
+  Ping() : Payload(PayloadTypeRegistry::intern("test.ping")) {}
 };
 
 struct Delivery {
@@ -158,7 +158,7 @@ TEST(Disseminator, TreeLossDropsOnlyThatRecipientsCopy) {
 // --- grouped delivery -------------------------------------------------------
 
 struct Pong final : Payload {
-  std::string_view type_name() const override { return "test.pong"; }
+  Pong() : Payload(PayloadTypeRegistry::intern("test.pong")) {}
 };
 
 /// One DelayModel::verdict call as the network made it.

@@ -343,81 +343,6 @@ class ScriptedDecisions final : public DecisionSource {
   std::deque<std::uint64_t> words_;
 };
 
-/// The fields of a protocol message the adversary may rewrite or must keep.
-struct Fields {
-  std::uint64_t id = 0;
-  Timestamp ts;
-  Value value = kBottom;
-  bool has_value = false;
-};
-
-/// One copy of the protocol message tagged `tag` (today's interning order),
-/// carrying `f`.
-net::PayloadPtr make_message(std::size_t tag, const Fields& f) {
-  using net::make_payload;
-  switch (tag) {
-    case 0: return make_payload<msg::SyncWrite>(f.ts, f.value);
-    case 1: return make_payload<msg::SyncInquiry>();
-    case 2: return make_payload<msg::SyncReply>(f.ts, f.value, f.has_value);
-    case 3: return make_payload<msg::SyncRefresh>(f.ts, f.value);
-    case 4: return make_payload<msg::EsRead>(f.id);
-    case 5: return make_payload<msg::EsReply>(f.id, f.ts, f.value, f.has_value);
-    case 6: return make_payload<msg::EsWrite>(f.id, f.ts, f.value);
-    case 7: return make_payload<msg::EsAck>(f.id);
-    case 8: return make_payload<msg::EsJoin>(f.id);
-    case 9: return make_payload<msg::EsJoinReply>(f.id, f.ts, f.value, f.has_value);
-    case 10: return make_payload<msg::AbdReadQuery>(f.id);
-    case 11: return make_payload<msg::AbdReadReply>(f.id, f.ts, f.value);
-    case 12: return make_payload<msg::AbdWriteback>(f.id, f.ts, f.value);
-    case 13: return make_payload<msg::AbdWritebackAck>(f.id);
-    case 14: return make_payload<msg::AbdUpdate>(f.id, f.ts, f.value);
-    default: return make_payload<msg::AbdUpdateAck>(f.id);
-  }
-}
-
-/// The (id, ts, value, has_value) a value-carrying message carries.
-Fields fields_of(const net::Payload& p) {
-  const net::PayloadTypeId t = p.type_id();
-  if (t == msg::SyncWrite::kTypeId) {
-    const auto& m = static_cast<const msg::SyncWrite&>(p);
-    return {0, m.ts, m.value, true};
-  }
-  if (t == msg::SyncReply::kTypeId) {
-    const auto& m = static_cast<const msg::SyncReply&>(p);
-    return {0, m.ts, m.value, m.has_value};
-  }
-  if (t == msg::SyncRefresh::kTypeId) {
-    const auto& m = static_cast<const msg::SyncRefresh&>(p);
-    return {0, m.ts, m.value, true};
-  }
-  if (t == msg::EsReply::kTypeId) {
-    const auto& m = static_cast<const msg::EsReply&>(p);
-    return {m.rid, m.ts, m.value, m.has_value};
-  }
-  if (t == msg::EsWrite::kTypeId) {
-    const auto& m = static_cast<const msg::EsWrite&>(p);
-    return {m.wid, m.ts, m.value, true};
-  }
-  if (t == msg::EsJoinReply::kTypeId) {
-    const auto& m = static_cast<const msg::EsJoinReply&>(p);
-    return {m.jid, m.ts, m.value, m.has_value};
-  }
-  if (t == msg::AbdReadReply::kTypeId) {
-    const auto& m = static_cast<const msg::AbdReadReply&>(p);
-    return {m.rid, m.ts, m.value, true};
-  }
-  if (t == msg::AbdWriteback::kTypeId) {
-    const auto& m = static_cast<const msg::AbdWriteback&>(p);
-    return {m.rid, m.ts, m.value, true};
-  }
-  if (t == msg::AbdUpdate::kTypeId) {
-    const auto& m = static_cast<const msg::AbdUpdate&>(p);
-    return {m.wid, m.ts, m.value, true};
-  }
-  ADD_FAILURE() << "not a value-carrying tag: " << p.type_name();
-  return {};
-}
-
 TEST(InjectorTransform, RewritesEveryValueCarryingTagAndNothingElse) {
   sim::Simulation sim(1);
   net::Network net(sim, std::make_unique<net::FixedDelay>(1));
@@ -429,12 +354,14 @@ TEST(InjectorTransform, RewritesEveryValueCarryingTagAndNothingElse) {
   ScriptedDecisions decisions;
   Injector injector(sim, system, net, plan, decisions, {});
 
-  // Tag t goes out as id 1000+t (the sync protocol's messages carry id 0),
-  // ts (10+t, writer 2) and value 100+t, from process 3 to process 5. The
-  // k-th value-carrying copy draws the coin word 0 (always transform) and
-  // the kind word k%4 + 8*7: kind k%4 of {equivocate, stale, forge,
-  // corrupt}, parameter d = 7. The stale stash is the first copy seen.
+  // Tag t goes out in its protocol's shape, as id 1000+t (the sync
+  // protocol's messages carry id 0), ts (10+t, writer 2) and value 100+t,
+  // from process 3 to process 5. The k-th value-carrying copy draws the coin
+  // word 0 (always transform) and the kind word k%4 + 8*7: kind k%4 of
+  // {equivocate, stale, forge, corrupt}, parameter d = 7. The stale stash is
+  // the first copy seen.
   struct Want {
+    net::PayloadTypeId type;
     std::string_view tag;
     bool rewritten;
     std::uint64_t id;
@@ -443,30 +370,36 @@ TEST(InjectorTransform, RewritesEveryValueCarryingTagAndNothingElse) {
     Value value;
   };
   const Want want[] = {
-      {"sync.write", true, 0, 10, 2, 106},                     // equivocate: +1 + 5%7
-      {"sync.inquiry", false, 0, 0, 0, 0},
-      {"sync.reply", true, 0, 10, 2, 100},                     // stale: sync.write's
-      {"sync.refresh", true, 0, 120, 3, 103 ^ 0x5a5a5a5},      // forge: sn+107, from
-      {"es.read", false, 0, 0, 0, 0},
-      {"es.reply", true, 1005, 15, 2, 105 ^ 8},                // corrupt: ^ (1+7)
-      {"es.write", true, 1006, 16, 2, 112},                    // equivocate
-      {"es.ack", false, 0, 0, 0, 0},
-      {"es.join", false, 0, 0, 0, 0},
-      {"es.join_reply", true, 1009, 10, 2, 100},               // stale
-      {"abd.read_query", false, 0, 0, 0, 0},
-      {"abd.read_reply", true, 1011, 128, 3, 111 ^ 0x5a5a5a5}, // forge
-      {"abd.writeback", true, 1012, 22, 2, 112 ^ 8},           // corrupt
-      {"abd.writeback_ack", false, 0, 0, 0, 0},
-      {"abd.update", true, 1014, 24, 2, 120},                  // equivocate
-      {"abd.update_ack", false, 0, 0, 0, 0},
+      // equivocate: value + 1 + 5%7
+      {msg::kSyncWrite, "sync.write", true, 0, 10, 2, 106},
+      {msg::kSyncInquiry, "sync.inquiry", false, 0, 0, 0, 0},
+      // stale: sync.write's (ts, value)
+      {msg::kSyncReply, "sync.reply", true, 0, 10, 2, 100},
+      // forge: sn + 100 + 7, authored by the sender
+      {msg::kSyncRefresh, "sync.refresh", true, 0, 120, 3, 103 ^ 0x5a5a5a5},
+      {msg::kEsRead, "es.read", false, 0, 0, 0, 0},
+      // corrupt: value ^ (1 + 7)
+      {msg::kEsReply, "es.reply", true, 1005, 15, 2, 105 ^ 8},
+      {msg::kEsWrite, "es.write", true, 1006, 16, 2, 112},
+      {msg::kEsAck, "es.ack", false, 0, 0, 0, 0},
+      {msg::kEsJoin, "es.join", false, 0, 0, 0, 0},
+      {msg::kEsJoinReply, "es.join_reply", true, 1009, 10, 2, 100},
+      {msg::kAbdReadQuery, "abd.read_query", false, 0, 0, 0, 0},
+      {msg::kAbdReadReply, "abd.read_reply", true, 1011, 128, 3, 111 ^ 0x5a5a5a5},
+      {msg::kAbdWriteback, "abd.writeback", true, 1012, 22, 2, 112 ^ 8},
+      {msg::kAbdWritebackAck, "abd.writeback_ack", false, 0, 0, 0, 0},
+      {msg::kAbdUpdate, "abd.update", true, 1014, 24, 2, 120},
+      {msg::kAbdUpdateAck, "abd.update_ack", false, 0, 0, 0, 0},
   };
   std::uint64_t kind = 0;
   for (std::size_t t = 0; t < std::size(want); ++t) {
     SCOPED_TRACE(want[t].tag);
-    const bool sync = t < 4;
-    const Fields in{sync ? 0 : 1000 + t, Timestamp{10 + t, 2}, static_cast<Value>(100 + t),
-                    true};
-    const net::PayloadPtr copy = make_message(t, in);
+    const std::uint64_t id = t < 4 ? 0 : 1000 + t;  // the sync protocol names no operation
+    const net::PayloadPtr copy =
+        want[t].rewritten
+            ? net::make_payload<msg::Stamped>(want[t].type, id, Timestamp{10 + t, 2},
+                                              static_cast<Value>(100 + t), true)
+            : net::make_payload<msg::Request>(want[t].type, id);
     ASSERT_EQ(copy->type_name(), want[t].tag);
     if (want[t].rewritten) {
       decisions.push(0);
@@ -480,12 +413,13 @@ TEST(InjectorTransform, RewritesEveryValueCarryingTagAndNothingElse) {
     }
     ASSERT_TRUE(out);
     EXPECT_EQ(out->type_id(), copy->type_id());
-    const Fields f = fields_of(*out);
-    EXPECT_EQ(f.id, want[t].id);
-    EXPECT_EQ(f.ts.sn, want[t].sn);
-    EXPECT_EQ(f.ts.writer, want[t].writer);
-    EXPECT_EQ(f.value, want[t].value);
-    EXPECT_TRUE(f.has_value);
+    const msg::Stamped* f = msg::stamped(*out);
+    ASSERT_NE(f, nullptr);
+    EXPECT_EQ(f->id, want[t].id);
+    EXPECT_EQ(f->ts.sn, want[t].sn);
+    EXPECT_EQ(f->ts.writer, want[t].writer);
+    EXPECT_EQ(f->value, want[t].value);
+    EXPECT_TRUE(f->has_value);
   }
 }
 

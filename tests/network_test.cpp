@@ -17,7 +17,7 @@ namespace dynreg::net {
 namespace {
 
 struct Ping final : Payload {
-  std::string_view type_name() const override { return "test.ping"; }
+  Ping() : Payload(PayloadTypeRegistry::intern("test.ping")) {}
 };
 
 TEST(Network, DeliversWithModelDelayAndRecordsType) {
@@ -190,7 +190,7 @@ class EdgeDelay final : public DelayModel {
 };
 
 struct Reply final : Payload {
-  std::string_view type_name() const override { return "test.reply"; }
+  Reply() : Payload(PayloadTypeRegistry::intern("test.reply")) {}
 };
 
 // One delivered copy as a receiver saw it.
@@ -371,11 +371,13 @@ TEST(Coalescing, SendsOutsideABatchQueueOneEventEach) {
 
 // Counts live instances, so a test can see every spilled payload released.
 struct Tracked final : Payload {
-  explicit Tracked(int* live) : live_(live) { ++*live_; }
-  ~Tracked() override { --*live_; }
+  explicit Tracked(int* live)
+      : Payload(PayloadTypeRegistry::intern("test.tracked")), live_(live) {
+    ++*live_;
+  }
+  ~Tracked() { --*live_; }
   Tracked(const Tracked&) = delete;
   Tracked& operator=(const Tracked&) = delete;
-  std::string_view type_name() const override { return "test.tracked"; }
   int* live_;
 };
 

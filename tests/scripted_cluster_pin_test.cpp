@@ -28,9 +28,9 @@ TEST(ScriptedClusterPin, JoinDuringWriteLikeE1) {
       kDelta, [](sim::Time, sim::ProcessId from, sim::ProcessId to,
                  const net::Payload& p) -> std::optional<sim::Duration> {
         const net::PayloadTypeId type = p.type_id();
-        if (type == msg::SyncWrite::kTypeId) return kDelta;
-        if (type == msg::SyncInquiry::kTypeId && to == 0) return kDelta;
-        if (type == msg::SyncReply::kTypeId && from == 0) return kDelta;
+        if (type == msg::kSyncWrite) return kDelta;
+        if (type == msg::kSyncInquiry && to == 0) return kDelta;
+        if (type == msg::kSyncReply && from == 0) return kDelta;
         return 1;
       });
   auto cluster = ScriptedCluster::sync(7, 4, 0.0, cfg, std::move(delays));
