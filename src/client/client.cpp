@@ -28,6 +28,7 @@ RegisterNode* Client::node(sim::ProcessId id) {
 OpRecord& Client::new_record(OpType type, sim::ProcessId target, OpOptions options,
                              OpHook done) {
   const OpId id = next_id_++;
+  flights_peak_ = std::max(flights_peak_, ++flights_live_);
   if (id % kChunk == 0) chunks_.push_back(std::make_unique<OpRecord[]>(kChunk));
   OpRecord& rec = record(id);
   rec.id = id;
@@ -242,6 +243,7 @@ void Client::resolve(OpRecord& rec, OpOutcome outcome) {
     rec.station = OpRecord::kNoStation;
     release_station(st);
   }
+  --flights_live_;
 }
 
 void Client::release_station(sim::ProcessId target) {

@@ -223,6 +223,13 @@ class Client {
 
   OpStats& stats() { return stats_; }
 
+  /// Operation records created: one per issued operation, kept for the
+  /// Client's lifetime.
+  [[nodiscard]] std::uint64_t op_records() const { return next_id_; }
+  /// High-water mark of unresolved operations. An operation counts from its
+  /// issue until resolve() has run its hook and released its station.
+  [[nodiscard]] std::uint32_t flights_peak() const { return flights_peak_; }
+
  private:
   /// One process's session FIFO, threaded through OpRecord::next_in_station.
   /// The head is the op in service (or about to be pumped); empty when idle.
@@ -256,6 +263,8 @@ class Client {
 
   std::vector<std::unique_ptr<OpRecord[]>> chunks_;
   OpId next_id_ = 0;
+  std::uint32_t flights_live_ = 0;
+  std::uint32_t flights_peak_ = 0;
   std::vector<Station> stations_;  // indexed by process id (dense, never reused)
   Value next_value_ = 1;
   TargetChooser* chooser_ = nullptr;          // non-owning

@@ -117,6 +117,11 @@ struct [[nodiscard]] MetricsReport {
   std::uint64_t sim_events = 0;
   std::uint64_t net_copies_sent = 0;
   std::uint64_t net_copies_delivered = 0;
+  /// The client's bookkeeping, summed over every shard's client in the
+  /// same way: operation records created (one per issued operation), and
+  /// each client's high-water mark of unresolved operations.
+  std::uint64_t client_op_records = 0;
+  std::uint64_t client_flights_peak = 0;
 
   double read_completion_rate() const {
     return reads_issued == 0 ? 1.0

@@ -289,6 +289,8 @@ MetricsReport harvest(const ExperimentConfig& cfg, const shard::ShardMap& groups
 
     report.net_copies_sent += ref.net->stats().sent;
     report.net_copies_delivered += ref.net->stats().delivered;
+    report.client_op_records += ref.client->op_records();
+    report.client_flights_peak += ref.client->flights_peak();
     for (const auto& [type, count] : ref.net->delivered_by_type()) {
       report.msgs_by_type[type] += count;
     }

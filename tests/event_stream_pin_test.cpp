@@ -6,10 +6,11 @@
 // queued event per message copy); the grouped delivery path (one queued
 // event per broadcast arrival tick) must reproduce them exactly.
 //
-// The counts (queued events dispatched, message copies sent and delivered)
-// hold in every build mode. They are the machine-independent gate for
-// performance work: a change that only makes the same run faster leaves
-// them alone, and one that queues fewer events must say so here.
+// The counts (queued events dispatched, message copies sent and delivered,
+// client operation records created and the clients' peak of unresolved
+// operations) hold in every build mode. They are the machine-independent
+// gate for performance work: a change that only makes the same run faster
+// leaves them alone, and one that queues fewer events must say so here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -234,6 +235,8 @@ struct Counts {
   std::uint64_t sim_events;
   std::uint64_t net_copies_sent;
   std::uint64_t net_copies_delivered;
+  std::uint64_t client_op_records;
+  std::uint64_t client_flights_peak;
 };
 
 /// What a Byzantine run also pins: copies rewritten, reads flagged.
@@ -250,6 +253,8 @@ void expect_pinned(const ExperimentConfig& cfg, std::uint64_t hash, const Counts
   EXPECT_EQ(report.sim_events, counts.sim_events);
   EXPECT_EQ(report.net_copies_sent, counts.net_copies_sent);
   EXPECT_EQ(report.net_copies_delivered, counts.net_copies_delivered);
+  EXPECT_EQ(report.client_op_records, counts.client_op_records);
+  EXPECT_EQ(report.client_flights_peak, counts.client_flights_peak);
   if (sim::Simulation::audit_enabled()) {
     EXPECT_EQ(report.trace_hash, hash) << "actual 0x" << std::hex << report.trace_hash;
   }
@@ -260,37 +265,39 @@ void expect_pinned(const ExperimentConfig& cfg, std::uint64_t hash, const Counts
 }
 
 TEST(EventStreamPin, EsFlat) {
-  expect_pinned(es_flat(), 0xbaf107f8d730c33aULL, {9649, 12973, 12076});
+  expect_pinned(es_flat(), 0xbaf107f8d730c33aULL, {9649, 12973, 12076, 121, 7});
 }
 TEST(EventStreamPin, EsTree) {
-  expect_pinned(es_tree(), 0x7c97c6ee02db0983ULL, {13462, 18012, 16482});
+  expect_pinned(es_tree(), 0x7c97c6ee02db0983ULL, {13462, 18012, 16482, 120, 13});
 }
 TEST(EventStreamPin, SyncUnderChurn) {
-  expect_pinned(sync_churn(), 0x245ae4a0b2220e1bULL, {51035, 92838, 78671});
+  expect_pinned(sync_churn(), 0x245ae4a0b2220e1bULL, {51035, 92838, 78671, 218, 2});
 }
 TEST(EventStreamPin, EsCrashAndPartition) {
-  expect_pinned(es_faults(), 0x707f13a1b35377e7ULL, {5994, 5963, 5923});
+  expect_pinned(es_faults(), 0x707f13a1b35377e7ULL, {5994, 5963, 5923, 236, 13});
 }
 TEST(EventStreamPin, AbdUnderChurn) {
-  expect_pinned(abd_churn(), 0x76fb3c6b5955e378ULL, {5404, 9026, 8759});
+  expect_pinned(abd_churn(), 0x76fb3c6b5955e378ULL, {5404, 9026, 8759, 161, 50});
 }
 
 // The Byzantine pins also fix how many copies were rewritten and how many
 // reads the checker flags.
 TEST(EventStreamPin, ByzantineEs) {
-  expect_pinned(byzantine_es(), 0x8603b64b6106e617ULL, {5182, 5848, 5709}, Byzantine{266, 2});
+  expect_pinned(byzantine_es(), 0x8603b64b6106e617ULL, {5182, 5848, 5709, 180, 3},
+                Byzantine{266, 2});
 }
 TEST(EventStreamPin, ByzantineSync) {
-  expect_pinned(byzantine_sync(), 0x754db26f7972368fULL, {9062, 11408, 9891},
+  expect_pinned(byzantine_sync(), 0x754db26f7972368fULL, {9062, 11408, 9891, 180, 2},
                 Byzantine{762, 130});
 }
 TEST(EventStreamPin, ByzantineAbd) {
-  expect_pinned(byzantine_abd(), 0xc9e7ea1df2fdfc91ULL, {3945, 5073, 5008}, Byzantine{232, 33});
+  expect_pinned(byzantine_abd(), 0xc9e7ea1df2fdfc91ULL, {3945, 5073, 5008, 179, 75},
+                Byzantine{232, 33});
 }
 
 // The sharded pin also fixes the integer report fields.
 TEST(EventStreamPin, SyncShardedZipfian) {
-  expect_pinned(sync_sharded(), 0xe69832f62ba6786bULL, {22095, 24629, 20880});
+  expect_pinned(sync_sharded(), 0xe69832f62ba6786bULL, {22095, 24629, 20880, 2127, 46});
   const MetricsReport report = run_experiment(sync_sharded());
   EXPECT_EQ(report.reads_completed, 1705u);
   EXPECT_EQ(report.writes_completed, 410u);
@@ -305,13 +312,13 @@ TEST(EventStreamPin, SyncShardedZipfian) {
 // (destination, arrival tick): 26342 queued events with one per reply, 4182
 // with coalescing. The digest and the copy counts are the per-copy design's.
 TEST(EventStreamPin, QuorumScaleShape) {
-  expect_pinned(quorum_scale(), 0xd9c82e1682a2caa3ULL, {4182, 51974, 51974});
+  expect_pinned(quorum_scale(), 0xd9c82e1682a2caa3ULL, {4182, 51974, 51974, 13, 2});
 }
 TEST(EventStreamPin, ChurnSessionsShape) {
-  expect_pinned(churn_sessions(), 0xf6881075e6bc8c0fULL, {64538, 121067, 117425});
+  expect_pinned(churn_sessions(), 0xf6881075e6bc8c0fULL, {64538, 121067, 117425, 14429, 1130});
 }
 TEST(EventStreamPin, FaultSearchShape) {
-  expect_pinned(fault_search_base(), 0xb5d105cc25c86e8dULL, {8917, 8624, 8564});
+  expect_pinned(fault_search_base(), 0xb5d105cc25c86e8dULL, {8917, 8624, 8564, 290, 3});
 }
 
 }  // namespace
