@@ -9,8 +9,7 @@ Client::Client(sim::Simulation& sim, churn::System& system,
                consistency::History& history, sim::Time horizon)
     : sim_(sim), system_(system), history_(history), horizon_(horizon) {}
 
-sim::Duration Client::retry_delay(const OpRecord& rec) const {
-  const RetryPolicy& retry = rec.options.retry;
+sim::Duration Client::retry_delay(const OpRecord& rec, const RetryPolicy& retry) const {
   if (!retry.exponential || retry.backoff == 0) return retry.backoff;
   const std::uint32_t exp = std::min<std::uint32_t>(rec.attempts - 1, 5);
   const sim::Duration base = retry.backoff << exp;
@@ -25,46 +24,58 @@ RegisterNode* Client::node(sim::ProcessId id) {
   return dynamic_cast<RegisterNode*>(system_.find(id));
 }
 
-OpRecord& Client::new_record(OpType type, sim::ProcessId target, OpOptions options,
-                             OpHook done) {
+OpRecord& Client::new_record(OpType type, sim::ProcessId target, bool session,
+                             OpOptions options, OpHook done) {
   const OpId id = next_id_++;
-  flights_peak_ = std::max(flights_peak_, ++flights_live_);
   if (id % kChunk == 0) chunks_.push_back(std::make_unique<OpRecord[]>(kChunk));
   OpRecord& rec = record(id);
   rec.id = id;
   rec.type = type;
-  rec.target = target;
-  rec.options = std::move(options);
   rec.invoked_at = sim_.now();
-  rec.on_resolved = std::move(done);
+  if (free_flights_.empty()) {
+    if (flight_slots_ % kChunk == 0) {
+      flight_chunks_.push_back(std::make_unique<Flight[]>(kChunk));
+    }
+    rec.flight = flight_slots_++;
+  } else {
+    rec.flight = free_flights_.back();
+    free_flights_.pop_back();
+  }
+  Flight& f = flight(rec);
+  f.target = target;
+  f.session = session;
+  f.options = std::move(options);
+  f.on_resolved = std::move(done);
   return rec;
 }
 
 OpHandle Client::read(sim::ProcessId target, OpOptions options, OpHook done) {
-  OpRecord& rec = new_record(OpType::kRead, target, std::move(options), std::move(done));
+  OpRecord& rec =
+      new_record(OpType::kRead, target, false, std::move(options), std::move(done));
   start_attempt(rec);
   return OpHandle(&rec);
 }
 
 OpHandle Client::write(sim::ProcessId target, Value v, OpOptions options, OpHook done) {
-  OpRecord& rec = new_record(OpType::kWrite, target, std::move(options), std::move(done));
+  OpRecord& rec =
+      new_record(OpType::kWrite, target, false, std::move(options), std::move(done));
   rec.value = v;
   start_attempt(rec);
   return OpHandle(&rec);
 }
 
 OpHandle Client::session_read(sim::ProcessId target, OpOptions options, OpHook done) {
-  OpRecord& rec = new_record(OpType::kRead, target, std::move(options), std::move(done));
-  rec.session = true;
+  OpRecord& rec =
+      new_record(OpType::kRead, target, true, std::move(options), std::move(done));
   enqueue_session(rec);
   return OpHandle(&rec);
 }
 
 OpHandle Client::session_write(sim::ProcessId target, Value v, OpOptions options,
                                OpHook done) {
-  OpRecord& rec = new_record(OpType::kWrite, target, std::move(options), std::move(done));
+  OpRecord& rec =
+      new_record(OpType::kWrite, target, true, std::move(options), std::move(done));
   rec.value = v;
-  rec.session = true;
   enqueue_session(rec);
   return OpHandle(&rec);
 }
@@ -82,25 +93,27 @@ std::optional<sim::ProcessId> Client::random_active() {
 }
 
 void Client::enqueue_session(OpRecord& rec) {
-  rec.station = rec.target;
-  rec.next_in_station = OpRecord::kNoOp;
-  if (rec.target >= stations_.size()) stations_.resize(rec.target + std::size_t{1});
-  Station& st = stations_[rec.target];
-  const auto slot = static_cast<std::uint32_t>(rec.id);
-  if (st.head == OpRecord::kNoOp) {
-    st.head = st.tail = slot;
+  Flight& f = flight(rec);
+  f.station = f.target;
+  f.next_in_station = Flight::kNoOp;
+  if (f.target >= stations_.size()) stations_.resize(f.target + std::size_t{1});
+  Station& st = stations_[f.target];
+  const auto op = static_cast<std::uint32_t>(rec.id);
+  if (st.head == Flight::kNoOp) {
+    st.head = st.tail = op;
     start_attempt(rec);
   } else {
-    record(st.tail).next_in_station = slot;
-    st.tail = slot;
+    flight(record(st.tail)).next_in_station = op;
+    st.tail = op;
   }
 }
 
 void Client::start_attempt(OpRecord& rec) {
+  Flight& f = flight(rec);
   ++rec.attempts;
   if (rec.attempts > 1) ++stats_.retries;  // a re-dispatch, not the first issue
-  rec.attempt_open = true;
-  RegisterNode* reg = node(rec.target);
+  f.attempt_open = true;
+  RegisterNode* reg = node(f.target);
   if (reg == nullptr) {
     // Nothing went on the wire (not counted as issued): the target departed
     // before this attempt could start — e.g. a queued session op whose
@@ -114,26 +127,29 @@ void Client::start_attempt(OpRecord& rec) {
     // Issued counts operations, not dispatches: a retry re-enters here but
     // is accounted under stats_.retries, so completion rates stay per-op.
     if (rec.attempts == 1) ++stats_.reads_issued;
-    rec.history_op = history_.begin_read(rec.target, now);
+    f.history_op = history_.begin_read(f.target, now);
     reg->read(ctx, [this, id = rec.id, attempt = rec.attempts](OpOutcome o, Value v) {
       on_node_completion(id, attempt, o, v);
     });
   } else {
     if (rec.attempts == 1) ++stats_.writes_issued;
-    rec.history_op = history_.begin_write(rec.target, now, rec.value);
+    f.history_op = history_.begin_write(f.target, now, rec.value);
     reg->write(ctx, rec.value, [this, id = rec.id, attempt = rec.attempts](OpOutcome o) {
       on_node_completion(id, attempt, o, kBottom);
     });
   }
   // The attempt may already have resolved (sync reads complete inside the
-  // invocation); only a still-open attempt needs its deadline armed.
-  if (rec.attempt_open && rec.options.deadline) {
-    sim_.schedule_after(*rec.options.deadline,
-                        [this, id = rec.id, attempt = rec.attempts] {
-                          on_deadline(id, attempt);
-                        });
+  // invocation) and returned its flight; only a still-open attempt needs
+  // its deadline armed.
+  if (!rec.resolved && f.attempt_open && f.options.deadline) {
+    sim_.schedule_after(*f.options.deadline, [this, id = rec.id, attempt = rec.attempts] {
+      on_deadline(id, attempt);
+    });
   }
 }
+
+// The callbacks below test rec.resolved before they touch the flight: a
+// resolved op's slot may already belong to a later op.
 
 void Client::on_node_completion(OpId id, std::uint32_t attempt, OpOutcome outcome,
                                 Value v) {
@@ -141,28 +157,29 @@ void Client::on_node_completion(OpId id, std::uint32_t attempt, OpOutcome outcom
   // Late (post-timeout) or stale (previous attempt's) completions are
   // discarded: the record resolves exactly once, and each attempt is
   // accounted exactly once.
-  if (rec.resolved || !rec.attempt_open || rec.attempts != attempt) return;
+  if (rec.resolved || !flight(rec).attempt_open || rec.attempts != attempt) return;
   finish_attempt(rec, outcome, v);
 }
 
 void Client::on_deadline(OpId id, std::uint32_t attempt) {
   OpRecord& rec = record(id);
-  if (rec.resolved || !rec.attempt_open || rec.attempts != attempt) return;
+  if (rec.resolved || !flight(rec).attempt_open || rec.attempts != attempt) return;
   finish_attempt(rec, OpOutcome::kTimedOut, kBottom);
 }
 
 void Client::finish_attempt(OpRecord& rec, OpOutcome outcome, Value v) {
-  rec.attempt_open = false;
+  Flight& f = flight(rec);
+  f.attempt_open = false;
   const sim::Time now = sim_.now();
   if (outcome == OpOutcome::kOk) {
     if (rec.type == OpType::kRead) {
-      history_.complete_read(rec.history_op, now, v);
+      history_.complete_read(f.history_op, now, v);
       ++stats_.reads_completed;
       if (v == kBottom) ++stats_.reads_of_bottom;
       stats_.read_latencies.push_back(static_cast<double>(now - rec.invoked_at));
       rec.value = v;
     } else {
-      history_.complete_write(rec.history_op, now);
+      history_.complete_write(f.history_op, now);
       ++stats_.writes_completed;
       stats_.write_latencies.push_back(static_cast<double>(now - rec.invoked_at));
     }
@@ -187,16 +204,16 @@ void Client::finish_attempt(OpRecord& rec, OpOutcome outcome, Value v) {
     }
   }
 
-  if (rec.attempts < rec.options.retry.max_attempts && now < horizon_) {
-    // The failed service attempt is over: free its station slot now so the
-    // FIFO keeps draining during the backoff (the retry re-enters a
-    // station); the retry itself is counted when it actually re-issues.
-    if (rec.station != OpRecord::kNoStation) {
-      const sim::ProcessId st = rec.station;
-      rec.station = OpRecord::kNoStation;
+  if (rec.attempts < f.options.retry.max_attempts && now < horizon_) {
+    // The failed service attempt is over: free its station now so the FIFO
+    // keeps draining during the backoff (the retry re-enters a station);
+    // the retry itself is counted when it actually re-issues.
+    if (f.station != Flight::kNoStation) {
+      const sim::ProcessId st = f.station;
+      f.station = Flight::kNoStation;
       release_station(st);
     }
-    sim_.schedule_after(retry_delay(rec),
+    sim_.schedule_after(retry_delay(rec, f.options.retry),
                         [this, id = rec.id, attempt = rec.attempts + 1] {
                           retry_attempt(id, attempt);
                         });
@@ -207,8 +224,10 @@ void Client::finish_attempt(OpRecord& rec, OpOutcome outcome, Value v) {
 
 void Client::retry_attempt(OpId id, std::uint32_t attempt) {
   OpRecord& rec = record(id);
-  if (rec.resolved || rec.attempt_open || rec.attempts + 1 != attempt) return;
-  if (node(rec.target) == nullptr) {
+  if (rec.resolved) return;
+  Flight& f = flight(rec);
+  if (f.attempt_open || rec.attempts + 1 != attempt) return;
+  if (node(f.target) == nullptr) {
     if (rec.type == OpType::kWrite) {
       // Writes stay pinned to their writer; with the writer gone the
       // operation cannot be re-issued.
@@ -221,9 +240,9 @@ void Client::retry_attempt(OpId id, std::uint32_t attempt) {
       resolve(rec, OpOutcome::kDroppedOnDeparture);
       return;
     }
-    rec.target = *target;
+    f.target = *target;
   }
-  if (rec.session) {
+  if (f.session) {
     enqueue_session(rec);  // re-enter the new target's FIFO, never bypass it
   } else {
     start_attempt(rec);
@@ -234,27 +253,28 @@ void Client::resolve(OpRecord& rec, OpOutcome outcome) {
   rec.resolved = true;
   rec.outcome = outcome;
   rec.responded_at = sim_.now();
-  if (rec.on_resolved) {
-    OpHook hook = std::move(rec.on_resolved);
+  Flight& f = flight(rec);
+  if (f.on_resolved) {
+    OpHook hook = std::move(f.on_resolved);
     hook(OpHandle(&rec));
   }
-  if (rec.station != OpRecord::kNoStation) {
-    const sim::ProcessId st = rec.station;
-    rec.station = OpRecord::kNoStation;
+  if (f.station != Flight::kNoStation) {
+    const sim::ProcessId st = f.station;
+    f.station = Flight::kNoStation;
     release_station(st);
   }
-  --flights_live_;
+  free_flights_.push_back(rec.flight);
 }
 
 void Client::release_station(sim::ProcessId target) {
   // Only the op in service releases, and it is the head: pop it.
   Station& st = stations_[target];
-  st.head = record(st.head).next_in_station;
-  if (st.head == OpRecord::kNoOp) return;
-  // Hand the slot to the next queued op at a fresh event: resolution may be
-  // running inside System::leave's drop cascade, where the departing target
-  // is still half-attached — dispatching now would issue into a node that
-  // is being torn down.
+  st.head = flight(record(st.head)).next_in_station;
+  if (st.head == Flight::kNoOp) return;
+  // Hand the station to the next queued op at a fresh event: resolution may
+  // be running inside System::leave's drop cascade, where the departing
+  // target is still half-attached — dispatching now would issue into a node
+  // that is being torn down.
   sim_.schedule_after(0, [this, target] {
     start_attempt(record(stations_[target].head));
   });

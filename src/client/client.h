@@ -17,10 +17,20 @@
 //
 // Determinism contract (see docs/ARCHITECTURE.md): a Client draws randomness
 // only from the run's one sim::Rng (retry re-targeting, session targeting),
-// so a (config, seed) pair fully determines every record. OpRecords live in
-// fixed-size chunks owned by the Client — OpHandles are non-owning views
-// that stay valid for the Client's lifetime and are never invalidated by
-// later operations.
+// so a (config, seed) pair fully determines every record.
+//
+// Memory scales with the operations in flight, not with those issued. Each
+// operation keeps a 48-byte result row (OpRecord: id, value, times,
+// attempts, outcome) for the Client's lifetime, in fixed-size chunks that
+// never move, so an OpHandle — a non-owning view of its row — stays valid
+// for the Client's lifetime and is never invalidated by later operations.
+// Everything else an operation needs until it resolves (target, session
+// station link, open attempt, history record, options, resolution hook)
+// lives in a Flight: a slot of an address-stable slab taken at issue and
+// returned to a LIFO free list at the end of resolution, after the hook has
+// run and the session station has been released. Callbacks that can fire
+// after resolution (late completions, deadlines, retries) test the row's
+// `resolved` flag before they touch the flight.
 #pragma once
 
 #include <cstddef>
@@ -73,35 +83,25 @@ class OpHandle;
 /// are recorded. InlineTask-style move-only callable.
 using OpHook = sim::InlineFunction<void(const OpHandle&)>;
 
-/// One operation's full client-side record.
+/// One operation's result row: all an OpHandle reads. Every issued
+/// operation keeps its row for the Client's lifetime; what only an
+/// unresolved operation needs lives in the Client's recycled flight slab.
 struct OpRecord {
-  /// Marker for `station`: the op does not occupy a session FIFO.
-  static constexpr sim::ProcessId kNoStation = ~sim::ProcessId{0};
-  /// Marker for `next_in_station` (and the Client's station ends): no op.
-  static constexpr std::uint32_t kNoOp = ~std::uint32_t{0};
-
   OpId id = 0;
-  OpType type = OpType::kRead;
-  sim::ProcessId target = 0;
   /// Written value (writes, from issue) / read value (reads, once kOk).
   Value value = kBottom;
   /// Client-perceived invocation time — session queue wait included.
   sim::Time invoked_at = 0;
   sim::Time responded_at = 0;  ///< set when resolved
-  OpOutcome outcome = OpOutcome::kOk;
   std::uint32_t attempts = 0;  ///< attempts dispatched so far
+  /// The op's flight slot. Once `resolved` the slot may belong to a later
+  /// op: nothing reads it after resolution.
+  std::uint32_t flight = 0;
+  OpType type = OpType::kRead;
+  OpOutcome outcome = OpOutcome::kOk;
   bool resolved = false;
-  bool attempt_open = false;  ///< current attempt still awaiting the node
-  bool session = false;  ///< issued via session_read: dispatch through stations
-  sim::ProcessId station = kNoStation;  ///< station FIFO this attempt occupies
-  OpOptions options;
-  consistency::OpId history_op = 0;  ///< current attempt's history record
-  std::uint32_t next_in_station = kNoOp;  ///< the op queued behind this one
-  OpHook on_resolved;
 };
-// Every issued operation keeps its record for the Client's lifetime; the
-// station link fits in padding, so the FIFO costs no record space.
-static_assert(sizeof(OpRecord) <= 176, "OpRecord grew");
+static_assert(sizeof(OpRecord) <= 48, "OpRecord grew");
 
 /// Non-owning view of an OpRecord; valid for the issuing Client's lifetime.
 /// [[nodiscard]]: a dropped handle is a leaked operation result (issue sites
@@ -227,26 +227,55 @@ class Client {
   /// Client's lifetime.
   [[nodiscard]] std::uint64_t op_records() const { return next_id_; }
   /// High-water mark of unresolved operations. An operation counts from its
-  /// issue until resolve() has run its hook and released its station.
-  [[nodiscard]] std::uint32_t flights_peak() const { return flights_peak_; }
+  /// issue until resolve() has run its hook and released its station. A
+  /// flight slot is created only when every existing one is taken, so this
+  /// is the slab's slot count.
+  [[nodiscard]] std::uint32_t flights_peak() const { return flight_slots_; }
 
  private:
-  /// One process's session FIFO, threaded through OpRecord::next_in_station.
-  /// The head is the op in service (or about to be pumped); empty when idle.
+  /// An unresolved operation's state, in a slot of the flight slab. The
+  /// slot is taken at issue and returned at the end of resolve(), with
+  /// `station` cleared and no attempt open; new_record sets the rest.
+  struct Flight {
+    /// Marker for `station`: the op does not occupy a session FIFO.
+    static constexpr sim::ProcessId kNoStation = ~sim::ProcessId{0};
+    /// Marker for `next_in_station` (and the Client's station ends): no op.
+    static constexpr std::uint32_t kNoOp = ~std::uint32_t{0};
+
+    sim::ProcessId target = 0;
+    sim::ProcessId station = kNoStation;  ///< station FIFO this attempt occupies
+    std::uint32_t next_in_station = kNoOp;  ///< id of the op queued behind this one
+    bool attempt_open = false;  ///< current attempt still awaiting the node
+    bool session = false;  ///< issued via session_read: dispatch through stations
+    consistency::OpId history_op = 0;  ///< current attempt's history record
+    OpOptions options;
+    OpHook on_resolved;
+  };
+  static_assert(sizeof(Flight) <= 128, "Flight grew");
+
+  /// One process's session FIFO of op ids, threaded through
+  /// Flight::next_in_station. The head is the op in service (or about to be
+  /// pumped); empty when idle.
   struct Station {
-    std::uint32_t head = OpRecord::kNoOp;
-    std::uint32_t tail = OpRecord::kNoOp;
+    std::uint32_t head = Flight::kNoOp;
+    std::uint32_t tail = Flight::kNoOp;
   };
 
-  /// Records per chunk: ids index chunks directly and a record never moves.
+  /// Records and flights per chunk. Op ids index record chunks directly,
+  /// slot numbers index flight chunks; neither kind of entry ever moves.
   static constexpr std::size_t kChunk = 32;
   OpRecord& record(OpId id) { return chunks_[id / kChunk][id % kChunk]; }
+  /// The flight of an unresolved `rec`.
+  Flight& flight(const OpRecord& rec) {
+    return flight_chunks_[rec.flight / kChunk][rec.flight % kChunk];
+  }
 
-  /// Delay before the next retry of `rec` (its attempts count has already
-  /// been charged for the failed attempt).
-  [[nodiscard]] sim::Duration retry_delay(const OpRecord& rec) const;
-  OpRecord& new_record(OpType type, sim::ProcessId target, OpOptions options,
-                       OpHook done);
+  /// Delay before the next retry of `rec` under `retry` (its attempts count
+  /// has already been charged for the failed attempt).
+  [[nodiscard]] sim::Duration retry_delay(const OpRecord& rec,
+                                          const RetryPolicy& retry) const;
+  OpRecord& new_record(OpType type, sim::ProcessId target, bool session,
+                       OpOptions options, OpHook done);
   void enqueue_session(OpRecord& rec);
   void start_attempt(OpRecord& rec);
   void on_node_completion(OpId id, std::uint32_t attempt, OpOutcome outcome, Value v);
@@ -263,8 +292,9 @@ class Client {
 
   std::vector<std::unique_ptr<OpRecord[]>> chunks_;
   OpId next_id_ = 0;
-  std::uint32_t flights_live_ = 0;
-  std::uint32_t flights_peak_ = 0;
+  std::vector<std::unique_ptr<Flight[]>> flight_chunks_;
+  std::uint32_t flight_slots_ = 0;  // slots created
+  std::vector<std::uint32_t> free_flights_;  // LIFO: the last slot returned is reused first
   std::vector<Station> stations_;  // indexed by process id (dense, never reused)
   Value next_value_ = 1;
   TargetChooser* chooser_ = nullptr;          // non-owning

@@ -1,9 +1,11 @@
 // The client/operation API: typed outcomes for departures mid-operation on
 // every protocol, exactly-once deadline expiry, retry re-issue with correct
-// history intervals, and late-completion discard.
+// history intervals, late-completion discard, and flight slots recycled at
+// resolution without touching handles or later operations.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "churn/system.h"
@@ -12,6 +14,7 @@
 #include "dynreg/abd_register.h"
 #include "dynreg/es_register.h"
 #include "dynreg/sync_register.h"
+#include "harness/experiment.h"
 #include "net/delay_model.h"
 #include "net/network.h"
 
@@ -364,6 +367,84 @@ TEST(ClientApi, HandleCarriesIdentityAndTimes) {
   ASSERT_EQ(d.client->stats().read_latencies.size(), 1u);
   EXPECT_EQ(d.client->stats().read_latencies[0],
             static_cast<double>(r.responded_at() - r.invoked_at()));
+}
+
+// --- flight slots --------------------------------------------------------------
+
+TEST(ClientFlightSlots, LateCompletionIsDiscardedAfterItsSlotIsReused) {
+  // Replies crawl (fixed delay 40), so a's deadline expires at 5 and its
+  // flight slot returns to the free list; b, issued at 10, takes that slot.
+  // a's protocol read then completes while b's attempt is still open: it
+  // must be discarded without touching b, which resolves on its own reply.
+  Deployment d(es_factory(3), 3, std::make_unique<net::FixedDelay>(40));
+  OpOptions opts;
+  opts.deadline = 5;
+  const OpHandle a = d.client->read(1, opts);
+  OpHandle b;
+  std::vector<OpId> hooked;
+  d.sim.schedule_at(10, [&] {
+    b = d.client->read(2, {}, [&hooked](const OpHandle& h) { hooked.push_back(h.id()); });
+  });
+  d.sim.run_until(500);
+
+  EXPECT_EQ(d.client->flights_peak(), 1u);  // b reused a's slot
+  ASSERT_TRUE(a.resolved());
+  EXPECT_EQ(a.outcome(), OpOutcome::kTimedOut);
+  EXPECT_EQ(a.responded_at(), 5u);
+  ASSERT_TRUE(b.resolved());
+  EXPECT_EQ(b.outcome(), OpOutcome::kOk);
+  EXPECT_EQ(hooked, std::vector<OpId>{1});
+  EXPECT_EQ(d.client->stats().reads_completed, 1u);
+  EXPECT_EQ(d.client->stats().reads_timed_out, 1u);
+  ASSERT_EQ(d.history.reads().size(), 2u);
+  EXPECT_FALSE(d.history.reads()[0].end.has_value());
+  EXPECT_EQ(d.history.reads()[1].end, std::optional<sim::Time>{b.responded_at()});
+}
+
+TEST(ClientFlightSlots, HandleOfLongResolvedOpKeepsItsFields) {
+  Deployment d(sync_factory(5), 3, std::make_unique<net::SynchronousDelay>(5));
+  OpOptions opts;
+  opts.deadline = 2;  // shorter than the write's delta wait
+  const OpHandle w = d.client->write(0, 42, opts);
+  d.sim.run_until(20);
+  ASSERT_TRUE(w.resolved());
+  ASSERT_EQ(w.outcome(), OpOutcome::kTimedOut);
+  // Thousands of later ops, each resolving inside its invocation, reuse the
+  // one flight slot and fill many record chunks.
+  OpHandle last;
+  for (int i = 0; i < 5000; ++i) last = d.client->read(1 + i % 2);
+  ASSERT_TRUE(last.resolved());
+  EXPECT_EQ(last.id(), 5000u);
+  EXPECT_EQ(last.value(), 42);
+
+  EXPECT_EQ(w.id(), 0u);
+  EXPECT_EQ(w.type(), OpType::kWrite);
+  EXPECT_EQ(w.value(), 42);
+  EXPECT_EQ(w.outcome(), OpOutcome::kTimedOut);
+  EXPECT_EQ(w.invoked_at(), 0u);
+  EXPECT_EQ(w.responded_at(), 2u);
+  EXPECT_EQ(w.attempts(), 1u);
+  EXPECT_EQ(d.client->op_records(), 5001u);
+  EXPECT_EQ(d.client->flights_peak(), 1u);
+}
+
+TEST(ClientFlightSlots, StrictlySequentialClientNeedsOneFlight) {
+  // One closed-loop session and no writer: never more than one op in flight.
+  harness::ExperimentConfig cfg;
+  cfg.protocol = harness::Protocol::kEventuallySync;
+  cfg.timing = harness::Timing::kSynchronous;
+  cfg.n = 7;
+  cfg.delta = 5;
+  cfg.duration = 600;
+  cfg.churn_kind = harness::ChurnKind::kNone;
+  cfg.workload.kind = workload::Kind::kClosedLoop;
+  cfg.workload.clients = 1;
+  cfg.workload.think_time = 3;
+  cfg.workload.writes_enabled = false;
+  const harness::MetricsReport r = harness::run_experiment(cfg);
+  EXPECT_GT(r.client_op_records, 20u);
+  EXPECT_EQ(r.client_op_records, r.reads_issued);
+  EXPECT_EQ(r.client_flights_peak, 1u);
 }
 
 }  // namespace
