@@ -31,7 +31,11 @@ class ZipfianPicker {
     cdf_.reserve(k);
     double total = 0.0;
     for (std::size_t r = 0; r < k; ++r) {
-      total += 1.0 / std::pow(static_cast<double>(r + 1), s);
+      // A negative exponent makes the coldest rank the heaviest, and
+      // 1/(r+1)^s overflows to inf for large |s|: divide every weight by
+      // the largest one, k^(-s), so each stays in (0, 1].
+      total += s < 0 ? std::pow(static_cast<double>(r + 1) / static_cast<double>(k), -s)
+                     : 1.0 / std::pow(static_cast<double>(r + 1), s);
       cdf_.push_back(total);
     }
     for (double& c : cdf_) c /= total;

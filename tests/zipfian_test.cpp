@@ -1,10 +1,12 @@
 // workload::ZipfianPicker: the keyed workload's private-stream sampler.
 // Distributional correctness (chi-square against the analytic pmf at
 // s = 0.99), determinism across instances (the cross-jobs property: two
-// pickers with the same seed produce the same sequence), and the rank-0
-// head carrying the expected traffic share.
+// pickers with the same seed produce the same sequence), the rank-0
+// head carrying the expected traffic share, and negative exponents (the
+// coldest rank heaviest) staying finite however large |s| is.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -86,6 +88,28 @@ TEST(Zipfian, ZeroExponentIsUniform) {
   for (std::size_t r = 0; r < p.keys(); ++r) {
     EXPECT_NEAR(p.probability(r), 1.0 / 16.0, 1e-12) << r;
   }
+}
+
+TEST(Zipfian, NegativeExponentWeightsRankByItsPower) {
+  const ZipfianPicker p(4, -1.0, 1);  // P(r) proportional to r + 1
+  for (std::size_t r = 0; r < p.keys(); ++r) {
+    EXPECT_NEAR(p.probability(r), static_cast<double>(r + 1) / 10.0, 1e-12) << r;
+  }
+}
+
+TEST(Zipfian, LargeNegativeExponentStaysFinite) {
+  // 1000^400 overflows a double; P(999) = 1 / sum_r ((r+1)/1000)^400,
+  // about 0.3304.
+  ZipfianPicker p(1000, -400.0, 1);
+  for (std::size_t r = 0; r < p.keys(); ++r) {
+    ASSERT_TRUE(std::isfinite(p.probability(r))) << r;
+  }
+  EXPECT_NEAR(p.probability(999), 0.3304, 1e-3);
+  std::size_t coldest = 0;
+  constexpr int kDraws = 10000;
+  for (int i = 0; i < kDraws; ++i) coldest += p.next() == 999 ? 1 : 0;
+  EXPECT_GT(coldest, kDraws * 3 / 10);
+  EXPECT_LT(coldest, kDraws * 4 / 10);
 }
 
 TEST(Zipfian, DegenerateSingleKeySpace) {
