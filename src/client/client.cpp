@@ -51,14 +51,14 @@ OpRecord& Client::new_record(OpType type, sim::ProcessId target, bool session,
 
 OpHandle Client::read(sim::ProcessId target, OpOptions options, OpHook done) {
   OpRecord& rec =
-      new_record(OpType::kRead, target, false, std::move(options), std::move(done));
+      new_record(OpType::kRead, target, /*session=*/false, std::move(options), std::move(done));
   start_attempt(rec);
   return OpHandle(&rec);
 }
 
 OpHandle Client::write(sim::ProcessId target, Value v, OpOptions options, OpHook done) {
   OpRecord& rec =
-      new_record(OpType::kWrite, target, false, std::move(options), std::move(done));
+      new_record(OpType::kWrite, target, /*session=*/false, std::move(options), std::move(done));
   rec.value = v;
   start_attempt(rec);
   return OpHandle(&rec);
@@ -66,7 +66,7 @@ OpHandle Client::write(sim::ProcessId target, Value v, OpOptions options, OpHook
 
 OpHandle Client::session_read(sim::ProcessId target, OpOptions options, OpHook done) {
   OpRecord& rec =
-      new_record(OpType::kRead, target, true, std::move(options), std::move(done));
+      new_record(OpType::kRead, target, /*session=*/true, std::move(options), std::move(done));
   enqueue_session(rec);
   return OpHandle(&rec);
 }
@@ -74,7 +74,7 @@ OpHandle Client::session_read(sim::ProcessId target, OpOptions options, OpHook d
 OpHandle Client::session_write(sim::ProcessId target, Value v, OpOptions options,
                                OpHook done) {
   OpRecord& rec =
-      new_record(OpType::kWrite, target, true, std::move(options), std::move(done));
+      new_record(OpType::kWrite, target, /*session=*/true, std::move(options), std::move(done));
   rec.value = v;
   enqueue_session(rec);
   return OpHandle(&rec);
@@ -142,9 +142,10 @@ void Client::start_attempt(OpRecord& rec) {
   // invocation) and returned its flight; only a still-open attempt needs
   // its deadline armed.
   if (!rec.resolved && f.attempt_open && f.options.deadline) {
-    sim_.schedule_after(*f.options.deadline, [this, id = rec.id, attempt = rec.attempts] {
-      on_deadline(id, attempt);
-    });
+    sim_.schedule_after(*f.options.deadline,
+                        [this, id = rec.id, attempt = rec.attempts] {
+                          on_deadline(id, attempt);
+                        });
   }
 }
 

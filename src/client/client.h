@@ -246,7 +246,7 @@ class Client {
     sim::ProcessId station = kNoStation;  ///< station FIFO this attempt occupies
     std::uint32_t next_in_station = kNoOp;  ///< id of the op queued behind this one
     bool attempt_open = false;  ///< current attempt still awaiting the node
-    bool session = false;  ///< issued via session_read: dispatch through stations
+    bool session = false;  ///< issued via session_read/write: dispatch through stations
     consistency::OpId history_op = 0;  ///< current attempt's history record
     OpOptions options;
     OpHook on_resolved;
