@@ -1,6 +1,7 @@
 // M1 — substrate microbenchmarks (google-benchmark): event-queue
-// throughput, network dispatch, consistency checking, and a full
-// experiment run as an end-to-end figure of merit.
+// throughput, network dispatch, consistency checking, a full experiment
+// run as an end-to-end figure of merit, and the build of a 1e5-process
+// group.
 //
 // This binary measures wall-clock performance, not paper claims, so it
 // lives outside the ExperimentRegistry / dynreg_exp CLI (its driver is
@@ -14,7 +15,10 @@
 #include <utility>
 #include <vector>
 
+#include "churn/churn_model.h"
+#include "churn/system.h"
 #include "consistency/regularity_checker.h"
+#include "harness/builders.h"
 #include "harness/experiment.h"
 #include "net/network.h"
 #include "net/receiver.h"
@@ -246,6 +250,31 @@ void BM_FullEsExperiment(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullEsExperiment)->Unit(benchmark::kMillisecond);
+
+// Builds, bootstraps and destroys one ES membership group of n processes,
+// the group of E15's largest scale cell (--max-n=100000): the set-up every
+// 1e5-process world pays before its first event. Items are processes.
+void BM_BuildEsWorld(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  harness::ExperimentConfig cfg;
+  cfg.protocol = harness::Protocol::kEventuallySync;
+  cfg.timing = harness::Timing::kEventuallySynchronous;
+  cfg.n = n;
+  cfg.dissemination = harness::Dissemination::kTree;
+  cfg.tree_fanout = 4;
+  for (auto _ : state) {
+    sim::Simulation sim(1);
+    net::Network net(sim, harness::build_delays(cfg));
+    churn::SystemConfig sys;
+    sys.initial_size = n;
+    churn::System system(sim, net, sys, std::make_unique<churn::NoChurn>(),
+                         harness::build_node_factory(cfg, n));
+    system.bootstrap();
+    benchmark::DoNotOptimize(system.active_count());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_BuildEsWorld)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -26,7 +26,8 @@ System::System(sim::Simulation& sim, net::Network& net, SystemConfig config,
       net_(net),
       config_(std::move(config)),
       churn_(std::move(churn)),
-      factory_(std::move(factory)) {}
+      factory_(std::move(factory)),
+      ctx_(sim, net, [this](sim::ProcessId id) { on_activated(id); }) {}
 
 void System::bootstrap() {
   for (std::size_t i = 0; i < config_.initial_size; ++i) add_member(/*initial=*/true);
@@ -42,9 +43,20 @@ sim::ProcessId System::spawn() {
 
 void System::ensure_slot(sim::ProcessId id) {
   if (id < node_.size()) return;
-  const std::size_t n = id + 1;
-  ctx_.resize(n);
-  node_.resize(n);
+  node_.resize(id + 1);
+}
+
+void System::on_activated(sim::ProcessId id) {
+  // Runs when the node's join protocol completes (or immediately, for
+  // bootstrap members). The node_ column entry may not be set yet when a
+  // constructor notifies, so only chronicle/active bookkeeping lives here.
+  const Chronicle::Record& rec = chronicle_.records()[id];
+  chronicle_.note_activated(id, sim_.now());
+  insert_sorted(active_ids_, id);
+  if (!rec.initial) {
+    ++joins_completed_;
+    join_latency_total_ += sim_.now() - rec.entered;
+  }
 }
 
 sim::ProcessId System::add_member(bool initial) {
@@ -52,22 +64,9 @@ sim::ProcessId System::add_member(bool initial) {
   chronicle_.note_enter(id, sim_.now(), initial);
   ensure_slot(id);
 
-  auto ctx = std::make_unique<node::Context>(sim_, net_, id, [this, id] {
-    // Runs when the node's join protocol completes (or immediately, for
-    // bootstrap members). The node_ column entry may not be set yet when a
-    // constructor notifies, so only chronicle/active bookkeeping lives here.
-    const Chronicle::Record& rec = chronicle_.records()[id];
-    chronicle_.note_activated(id, sim_.now());
-    insert_sorted(active_ids_, id);
-    if (!rec.initial) {
-      ++joins_completed_;
-      join_latency_total_ += sim_.now() - rec.entered;
-    }
-  });
-  std::unique_ptr<node::Node> node = factory_(id, *ctx, initial);
-
-  ctx_[id] = std::move(ctx);
-  node_[id] = std::move(node);
+  // Live before the node exists: its constructor may set timers and notify.
+  ctx_.admit(id);
+  node_[id] = factory_(id, ctx_, initial);
   member_ids_.push_back(id);  // ids are monotone: append keeps the order
   net_.attach(id, node_[id].get());
   return id;
@@ -78,7 +77,7 @@ void System::leave(sim::ProcessId id) {
   if (!chronicle_.records()[id].activated) ++joins_abandoned_;
   chronicle_.note_left(id, sim_.now());
   net_.detach(id);
-  ctx_[id]->invalidate();
+  ctx_.retire(id);
   // Clear every membership column *before* resolving the node's in-flight
   // operations: a resolution hook that synchronously issues a new operation
   // must observe the departure (find() returning nullptr, the id absent
@@ -86,7 +85,6 @@ void System::leave(sim::ProcessId id) {
   // would leak. Timers are already dead and the network slot gone, so the
   // resolutions can schedule follow-up events (e.g. client retries) but can
   // no longer reach this node.
-  std::unique_ptr<node::Context> ctx = std::move(ctx_[id]);
   std::unique_ptr<node::Node> node = std::move(node_[id]);
   erase_sorted(active_ids_, id);
   erase_sorted(member_ids_, id);

@@ -1,5 +1,11 @@
 // The dynamic system: hosts protocol nodes, orchestrates joins and leaves
 // according to a churn model, and keeps the ground-truth chronicle.
+//
+// A System is one membership group. It owns the group's one node::Context
+// and hands it to every node its factory builds, so a member costs the heap
+// exactly its node: the context's timers and activation hook are shared,
+// and its liveness is one bit the System sets before the node is built and
+// clears in leave() before the node's on_departure() runs.
 #pragma once
 
 #include <cstddef>
@@ -58,7 +64,8 @@ class System {
  public:
   /// Builds the protocol node for a process. `initial` distinguishes the
   /// bootstrap members (already active, holding the initial value) from
-  /// joiners (which must run the join protocol). Invoked once per process
+  /// joiners (which must run the join protocol). `ctx` is the group's
+  /// context, the same object for every call. Invoked once per process
   /// join — which already heap-allocates the node itself — so std::function
   /// type-erasure here is noise, not an event-path allocation.
   // dynreg-lint: allow(std-function): invoked once per join (which allocates a whole node), never per message
@@ -109,6 +116,8 @@ class System {
 
  private:
   sim::ProcessId add_member(bool initial);
+  /// The group's activation hook (node::Context::notify_active).
+  void on_activated(sim::ProcessId id);
   void churn_step();
   void scripted_churn_step();
   sim::ProcessId pick_victim();
@@ -123,6 +132,9 @@ class System {
   SystemConfig config_;
   std::unique_ptr<ChurnModel> churn_;
   NodeFactory factory_;
+  // The group's one node context: every member's timers, activation hook
+  // and liveness bit. Queued timers point at it, so System never moves.
+  node::Context ctx_;
 
   // Member state as id-indexed struct-of-arrays columns (ids are dense and
   // never reused, so index == ProcessId; a null node_ entry means "not a
@@ -134,8 +146,7 @@ class System {
   // only in chronicle_, the one per-id membership timeline: the
   // oldest-active victim choice, the abandoned-join count and the join
   // latency all read it there.
-  std::vector<std::unique_ptr<node::Context>> ctx_;   // column: per-id context
-  std::vector<std::unique_ptr<node::Node>> node_;     // column: per-id node
+  std::vector<std::unique_ptr<node::Node>> node_;  // column: per-id node
   std::vector<sim::ProcessId> member_ids_;  // sorted ascending, live members
   std::vector<sim::ProcessId> active_ids_;  // sorted ascending, active members
   Chronicle chronicle_;

@@ -8,7 +8,7 @@ namespace dynreg {
 
 AbdRegisterNode::AbdRegisterNode(sim::ProcessId id, node::Context& ctx,
                                  AbdConfig config, bool initial)
-    : RegisterNode(id, ctx), ctx_(ctx), config_(std::move(config)) {
+    : RegisterNode(id, ctx), config_(std::move(config)) {
   static_assert(sizeof(node::Node) + sizeof(Hot) <= 64,
                 "on_message's hot fields must end within the receiver's first 64 bytes");
   hot_.replica = initial;
@@ -17,7 +17,16 @@ AbdRegisterNode::AbdRegisterNode(sim::ProcessId id, node::Context& ctx,
     hot_.ts = Timestamp{0, 0};
   }
   // ABD has no join protocol: every member is immediately operational.
-  ctx_.notify_active();
+  notify_active();
+}
+
+AbdRegisterNode::Flight& AbdRegisterNode::flight() {
+  if (!flight_) flight_ = std::make_unique<Flight>();
+  return *flight_;
+}
+
+void AbdRegisterNode::release_if_idle() {
+  if (flight_ && flight_->reads.empty() && flight_->writes.empty()) flight_.reset();
 }
 
 void AbdRegisterNode::apply(const Timestamp& ts, Value v) {
@@ -29,7 +38,7 @@ void AbdRegisterNode::apply(const Timestamp& ts, Value v) {
 
 void AbdRegisterNode::read(const OpContext&, ReadCompletion done) {
   const std::uint64_t rid = next_rid_++;
-  PendingRead& r = reads_[rid];
+  PendingRead& r = flight().reads[rid];
   r.done = std::move(done);
   if (hot_.replica) {
     r.repliers.insert(id());
@@ -48,7 +57,7 @@ void AbdRegisterNode::write(const OpContext&, Value v, WriteCompletion done) {
   sn_ = std::max(sn_, hot_.ts.sn) + 1;
   const Timestamp ts{sn_, id()};
   const std::uint64_t wid = next_wid_++;
-  PendingWrite& w = writes_[wid];
+  PendingWrite& w = flight().writes[wid];
   w.done = std::move(done);
   if (hot_.replica) {
     apply(ts, v);
@@ -60,7 +69,7 @@ void AbdRegisterNode::write(const OpContext&, Value v, WriteCompletion done) {
 
 void AbdRegisterNode::start_writeback(std::uint64_t rid) {
   // Phase 2: write the chosen value back to a majority before returning.
-  PendingRead& r = reads_[rid];
+  PendingRead& r = flight_->reads.find(rid)->second;  // caller verified presence
   r.in_writeback = true;
   if (hot_.replica) {
     apply(r.best_ts, r.best_value);
@@ -71,34 +80,36 @@ void AbdRegisterNode::start_writeback(std::uint64_t rid) {
 }
 
 void AbdRegisterNode::maybe_finish_read(std::uint64_t rid) {
-  const auto it = reads_.find(rid);
-  if (it == reads_.end() || !it->second.in_writeback ||
+  if (!flight_) return;
+  const auto it = flight_->reads.find(rid);
+  if (it == flight_->reads.end() || !it->second.in_writeback ||
       it->second.wb_ackers.size() < majority()) {
     return;
   }
   PendingRead finished = std::move(it->second);
-  reads_.erase(it);
+  flight_->reads.erase(it);
+  release_if_idle();
   finished.done(OpOutcome::kOk, finished.best_value);
 }
 
 void AbdRegisterNode::maybe_finish_write(std::uint64_t wid) {
-  const auto it = writes_.find(wid);
-  if (it == writes_.end() || it->second.ackers.size() < majority()) return;
+  if (!flight_) return;
+  const auto it = flight_->writes.find(wid);
+  if (it == flight_->writes.end() || it->second.ackers.size() < majority()) return;
   PendingWrite finished = std::move(it->second);
-  writes_.erase(it);
+  flight_->writes.erase(it);
+  release_if_idle();
   finished.done(OpOutcome::kOk);
 }
 
 void AbdRegisterNode::on_departure() {
   // Resolve every in-flight quorum operation as dropped, in id order.
-  auto reads = std::move(reads_);
-  reads_.clear();
-  auto writes = std::move(writes_);
-  writes_.clear();
-  for (auto& [rid, r] : reads) {
+  const std::unique_ptr<Flight> f = std::move(flight_);
+  if (!f) return;
+  for (auto& [rid, r] : f->reads) {
     if (r.done) r.done(OpOutcome::kDroppedOnDeparture, kBottom);
   }
-  for (auto& [wid, w] : writes) {
+  for (auto& [wid, w] : f->writes) {
     if (w.done) w.done(OpOutcome::kDroppedOnDeparture);
   }
 }
@@ -112,8 +123,9 @@ void AbdRegisterNode::on_message(sim::ProcessId from, const net::Payload& payloa
     send(from, make_payload<msg::Stamped>(msg::kAbdReadReply, m.id, hot_.ts, hot_.value, true));
   } else if (type == msg::kAbdReadReply) {
     const auto& m = static_cast<const msg::Stamped&>(payload);
-    const auto it = reads_.find(m.id);
-    if (it == reads_.end() || it->second.in_writeback) return;
+    if (!flight_) return;
+    const auto it = flight_->reads.find(m.id);
+    if (it == flight_->reads.end() || it->second.in_writeback) return;
     PendingRead& r = it->second;
     r.repliers.insert(from);
     if (!r.has_best || r.best_ts < m.ts) {
@@ -129,8 +141,9 @@ void AbdRegisterNode::on_message(sim::ProcessId from, const net::Payload& payloa
     send(from, make_payload<msg::Request>(msg::kAbdWritebackAck, m.id));
   } else if (type == msg::kAbdWritebackAck) {
     const auto& m = static_cast<const msg::Request&>(payload);
-    const auto it = reads_.find(m.id);
-    if (it == reads_.end() || !it->second.in_writeback) return;
+    if (!flight_) return;
+    const auto it = flight_->reads.find(m.id);
+    if (it == flight_->reads.end() || !it->second.in_writeback) return;
     it->second.wb_ackers.insert(from);
     maybe_finish_read(m.id);
   } else if (type == msg::kAbdUpdate) {
@@ -140,8 +153,9 @@ void AbdRegisterNode::on_message(sim::ProcessId from, const net::Payload& payloa
     send(from, make_payload<msg::Request>(msg::kAbdUpdateAck, m.id));
   } else if (type == msg::kAbdUpdateAck) {
     const auto& m = static_cast<const msg::Request&>(payload);
-    const auto it = writes_.find(m.id);
-    if (it == writes_.end()) return;
+    if (!flight_) return;
+    const auto it = flight_->writes.find(m.id);
+    if (it == flight_->writes.end()) return;
     it->second.ackers.insert(from);
     maybe_finish_write(m.id);
   }

@@ -9,11 +9,11 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 
 #include "dynreg/quorum_tally.h"
 #include "dynreg/register_node.h"
 #include "dynreg/types.h"
-#include "node/context.h"
 
 namespace dynreg {
 
@@ -67,22 +67,31 @@ class AbdRegisterNode final : public RegisterNode {
     WriteCompletion done;
     QuorumTally ackers;
   };
+  // The pending reads and writes: one heap block, created by the first
+  // operation and freed as soon as none is left (release_if_idle). A
+  // replica that serves but never issues is its node alone.
+  struct Flight {
+    std::map<std::uint64_t, PendingRead> reads;
+    std::map<std::uint64_t, PendingWrite> writes;
+  };
 
   [[nodiscard]] std::size_t majority() const { return config_.n / 2 + 1; }
+  /// The in-flight block, created on first use.
+  Flight& flight();
+  /// Frees the in-flight block once no read or write is pending.
+  void release_if_idle();
   void apply(const Timestamp& ts, Value v);
   void start_writeback(std::uint64_t rid);
   void maybe_finish_read(std::uint64_t rid);
   void maybe_finish_write(std::uint64_t wid);
 
-  node::Context& ctx_;
   AbdConfig config_;
 
   std::uint64_t next_rid_ = 0;
   std::uint64_t next_wid_ = 0;
   std::uint64_t sn_ = 0;
 
-  std::map<std::uint64_t, PendingRead> reads_;
-  std::map<std::uint64_t, PendingWrite> writes_;
+  std::unique_ptr<Flight> flight_;  // null while nothing is in flight
 };
 
 }  // namespace dynreg

@@ -9,13 +9,7 @@ namespace dynreg {
 
 EsRegisterNode::EsRegisterNode(sim::ProcessId id, node::Context& ctx, EsConfig config,
                                bool initial)
-    : RegisterNode(id, ctx),
-      ctx_(ctx),
-      config_(std::move(config)),
-      // The pending maps draw their nodes from the simulation's epoch arena
-      // (ArenaAllocator<char> converts to each map's allocator).
-      reads_(sim::ArenaAllocator<char>(ctx.arena())),
-      writes_(sim::ArenaAllocator<char>(ctx.arena())) {
+    : RegisterNode(id, ctx), config_(std::move(config)) {
   static_assert(sizeof(node::Node) + sizeof(Hot) <= 64,
                 "on_message's hot fields must end within the receiver's first 64 bytes");
   if (initial) {
@@ -23,7 +17,7 @@ EsRegisterNode::EsRegisterNode(sim::ProcessId id, node::Context& ctx, EsConfig c
     hot_.ts = Timestamp{0, 0};
     hot_.has_value = true;
     hot_.active = true;
-    ctx_.notify_active();
+    notify_active();
   } else {
     start_join();
   }
@@ -38,26 +32,39 @@ void EsRegisterNode::apply(const Timestamp& ts, Value v) {
   }
 }
 
+EsRegisterNode::Flight& EsRegisterNode::flight() {
+  // The pending maps draw their nodes from the simulation's epoch arena
+  // (ArenaAllocator<char> converts to each map's allocator).
+  if (!flight_) flight_ = std::make_unique<Flight>(context().arena());
+  return *flight_;
+}
+
+void EsRegisterNode::release_if_idle() {
+  if (flight_ && !flight_->join_pending && flight_->reads.empty() && flight_->writes.empty()) {
+    flight_.reset();
+  }
+}
+
 // --- join -------------------------------------------------------------------
 
 void EsRegisterNode::start_join() {
-  join_pending_ = true;
-  join_id_ = static_cast<std::uint64_t>(id()) << 32;
-  broadcast(make_payload<msg::Request>(msg::kEsJoin, join_id_));
-  ctx_.schedule_after(retransmit_after(join_resends_), [this] { retransmit_join(); });
+  Flight& f = flight();
+  f.join_pending = true;
+  broadcast(make_payload<msg::Request>(msg::kEsJoin, join_id()));
+  schedule_after(retransmit_after(f.join_resends), [this] { retransmit_join(); });
 }
 
 void EsRegisterNode::retransmit_join() {
-  if (!join_pending_) return;
-  broadcast(make_payload<msg::Request>(msg::kEsJoin, join_id_));
-  ctx_.schedule_after(retransmit_after(++join_resends_), [this] { retransmit_join(); });
+  if (!flight_ || !flight_->join_pending) return;
+  broadcast(make_payload<msg::Request>(msg::kEsJoin, join_id()));
+  schedule_after(retransmit_after(++flight_->join_resends), [this] { retransmit_join(); });
 }
 
 // --- read -------------------------------------------------------------------
 
 void EsRegisterNode::read(const OpContext&, ReadCompletion done) {
   const std::uint64_t rid = next_rid_++;
-  PendingRead& r = reads_.try_emplace(rid).first->second;
+  PendingRead& r = flight().reads.try_emplace(rid).first->second;
   r.done = std::move(done);
   // The reader's own copy counts towards the quorum without a message.
   r.repliers.insert(id());
@@ -67,44 +74,48 @@ void EsRegisterNode::read(const OpContext&, ReadCompletion done) {
     r.has_value = true;
   }
   broadcast(make_payload<msg::Request>(msg::kEsRead, rid));
-  ctx_.schedule_after(retransmit_after(0), [this, rid] { retransmit_read(rid); });
+  schedule_after(retransmit_after(0), [this, rid] { retransmit_read(rid); });
   if (r.repliers.size() >= majority()) finish_read(rid);  // n == 1 corner
 }
 
 void EsRegisterNode::retransmit_read(std::uint64_t rid) {
-  const auto it = reads_.find(rid);
-  if (it == reads_.end() || it->second.in_writeback) return;
+  if (!flight_) return;
+  const auto it = flight_->reads.find(rid);
+  if (it == flight_->reads.end() || it->second.in_writeback) return;
   broadcast(make_payload<msg::Request>(msg::kEsRead, rid));
-  ctx_.schedule_after(retransmit_after(++it->second.resends),
+  schedule_after(retransmit_after(++it->second.resends),
                       [this, rid] { retransmit_read(rid); });
 }
 
 void EsRegisterNode::finish_read(std::uint64_t rid) {
-  const auto it = reads_.find(rid);
-  if (it == reads_.end()) return;
+  if (!flight_) return;
+  const auto it = flight_->reads.find(rid);
+  if (it == flight_->reads.end()) return;
   if (config_.atomic_reads && !it->second.in_writeback) {
     start_writeback(rid);
     return;
   }
   PendingRead r = std::move(it->second);
-  reads_.erase(it);
+  flight_->reads.erase(it);
+  release_if_idle();
   r.done(OpOutcome::kOk, r.has_value ? r.best_value : kBottom);
 }
 
 void EsRegisterNode::start_writeback(std::uint64_t rid) {
   // ABD-style second phase: make the value about to be returned reach a
   // majority before returning it, so no later read can see an older one.
-  PendingRead& r = reads_.find(rid)->second;  // caller verified presence
+  Flight& f = *flight_;  // caller verified presence
+  PendingRead& r = f.reads.find(rid)->second;
   r.in_writeback = true;
   const std::uint64_t wid = (next_wid_++ << 1) | 1;
-  PendingWrite& w = writes_.try_emplace(wid).first->second;
+  PendingWrite& w = f.writes.try_emplace(wid).first->second;
   w.ts = r.best_ts;
   w.value = r.best_value;
   w.is_read_writeback = true;
   w.rid = rid;
   w.ackers.insert(id());
   broadcast(make_payload<msg::Stamped>(msg::kEsWrite, wid, w.ts, w.value, true));
-  ctx_.schedule_after(retransmit_after(0), [this, wid] { retransmit_write(wid); });
+  schedule_after(retransmit_after(0), [this, wid] { retransmit_write(wid); });
   maybe_finish_write(wid);  // n == 1 corner: the self-vote is the quorum
 }
 
@@ -117,51 +128,52 @@ void EsRegisterNode::write(const OpContext&, Value v, WriteCompletion done) {
   const Timestamp ts{std::max(hot_.ts.sn, hot_.max_seen_sn) + 1, id()};
   apply(ts, v);
   const std::uint64_t wid = next_wid_++ << 1;
-  PendingWrite& w = writes_.try_emplace(wid).first->second;
+  PendingWrite& w = flight().writes.try_emplace(wid).first->second;
   w.done = std::move(done);
   w.ts = ts;
   w.value = v;
   w.ackers.insert(id());
   broadcast(make_payload<msg::Stamped>(msg::kEsWrite, wid, ts, v, true));
-  ctx_.schedule_after(retransmit_after(0), [this, wid] { retransmit_write(wid); });
+  schedule_after(retransmit_after(0), [this, wid] { retransmit_write(wid); });
   maybe_finish_write(wid);  // n == 1 corner: the self-vote is the quorum
 }
 
 void EsRegisterNode::maybe_finish_write(std::uint64_t wid) {
-  const auto it = writes_.find(wid);
-  if (it == writes_.end() || it->second.ackers.size() < majority()) return;
+  if (!flight_) return;
+  const auto it = flight_->writes.find(wid);
+  if (it == flight_->writes.end() || it->second.ackers.size() < majority()) return;
   PendingWrite w = std::move(it->second);
-  writes_.erase(it);
+  flight_->writes.erase(it);
   if (w.is_read_writeback) {
     finish_read(w.rid);
-  } else if (w.done) {
-    w.done(OpOutcome::kOk);
+    return;
   }
+  release_if_idle();
+  if (w.done) w.done(OpOutcome::kOk);
 }
 
 void EsRegisterNode::on_departure() {
   // Resolve every in-flight operation as dropped, in id order (deterministic
   // for the client's records). A read in its write-back phase owns its
-  // completion through reads_; the paired write-back entry in writes_ has no
-  // completion of its own, so nothing resolves twice.
-  auto reads = std::move(reads_);
-  reads_.clear();
-  auto writes = std::move(writes_);
-  writes_.clear();
-  for (auto& [rid, r] : reads) {
+  // completion through the reads map; the paired write-back entry in the
+  // writes map has no completion of its own, so nothing resolves twice.
+  const std::unique_ptr<Flight> f = std::move(flight_);
+  if (!f) return;
+  for (auto& [rid, r] : f->reads) {
     if (r.done) r.done(OpOutcome::kDroppedOnDeparture, kBottom);
   }
-  for (auto& [wid, w] : writes) {
+  for (auto& [wid, w] : f->writes) {
     if (w.done) w.done(OpOutcome::kDroppedOnDeparture);
   }
 }
 
 void EsRegisterNode::retransmit_write(std::uint64_t wid) {
-  const auto it = writes_.find(wid);
-  if (it == writes_.end()) return;
+  if (!flight_) return;
+  const auto it = flight_->writes.find(wid);
+  if (it == flight_->writes.end()) return;
   broadcast(
       make_payload<msg::Stamped>(msg::kEsWrite, wid, it->second.ts, it->second.value, true));
-  ctx_.schedule_after(retransmit_after(++it->second.resends),
+  schedule_after(retransmit_after(++it->second.resends),
                       [this, wid] { retransmit_write(wid); });
 }
 
@@ -178,8 +190,9 @@ void EsRegisterNode::on_message(sim::ProcessId from, const net::Payload& payload
     send(from, make_payload<msg::Request>(msg::kEsAck, m.id));
   } else if (type == msg::kEsAck) {
     const auto& m = static_cast<const msg::Request&>(payload);
-    const auto it = writes_.find(m.id);
-    if (it == writes_.end()) return;
+    if (!flight_) return;
+    const auto it = flight_->writes.find(m.id);
+    if (it == flight_->writes.end()) return;
     it->second.ackers.insert(from);
     maybe_finish_write(m.id);
   } else if (type == msg::kEsRead) {
@@ -191,8 +204,9 @@ void EsRegisterNode::on_message(sim::ProcessId from, const net::Payload& payload
   } else if (type == msg::kEsReply) {
     const auto& m = static_cast<const msg::Stamped&>(payload);
     if (rejects_envelope(m.ts, m.has_value)) return;  // malformed/out-of-envelope reply
-    const auto it = reads_.find(m.id);
-    if (it == reads_.end() || it->second.in_writeback) return;
+    if (!flight_) return;
+    const auto it = flight_->reads.find(m.id);
+    if (it == flight_->reads.end() || it->second.in_writeback) return;
     PendingRead& r = it->second;
     r.repliers.insert(from);
     if (m.has_value && (!r.has_value || r.best_ts < m.ts)) {
@@ -210,18 +224,20 @@ void EsRegisterNode::on_message(sim::ProcessId from, const net::Payload& payload
   } else if (type == msg::kEsJoinReply) {
     const auto& m = static_cast<const msg::Stamped&>(payload);
     if (rejects_envelope(m.ts, m.has_value)) return;  // malformed/out-of-envelope reply
-    if (!join_pending_ || m.id != join_id_) return;
-    join_repliers_.insert(from);
-    if (m.has_value && (!join_has_value_ || join_best_ts_ < m.ts)) {
-      join_best_ts_ = m.ts;
-      join_best_value_ = m.value;
-      join_has_value_ = true;
+    if (!flight_ || !flight_->join_pending || m.id != join_id()) return;
+    Flight& f = *flight_;
+    f.join_repliers.insert(from);
+    if (m.has_value && (!f.join_has_value || f.join_best_ts < m.ts)) {
+      f.join_best_ts = m.ts;
+      f.join_best_value = m.value;
+      f.join_has_value = true;
     }
-    if (join_repliers_.size() >= majority()) {
-      join_pending_ = false;
-      if (join_has_value_) apply(join_best_ts_, join_best_value_);
+    if (f.join_repliers.size() >= majority()) {
+      f.join_pending = false;
+      if (f.join_has_value) apply(f.join_best_ts, f.join_best_value);
+      release_if_idle();
       hot_.active = true;
-      ctx_.notify_active();
+      notify_active();
     }
   }
 }

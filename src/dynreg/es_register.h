@@ -10,12 +10,12 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <utility>
 
 #include "dynreg/quorum_tally.h"
 #include "dynreg/register_node.h"
 #include "dynreg/types.h"
-#include "node/context.h"
 #include "sim/arena.h"
 
 namespace dynreg {
@@ -117,6 +117,22 @@ class EsRegisterNode final : public RegisterNode {
     std::uint32_t resends = 0;  // drives the bounded retransmit backoff
   };
 
+  // Everything a process needs only while a read, a write or its join is in
+  // flight: one heap block, created by the first of them and freed as soon
+  // as none is left (release_if_idle). An idle member is its node alone.
+  struct Flight {
+    explicit Flight(sim::Arena& arena)
+        : reads(sim::ArenaAllocator<char>(arena)), writes(sim::ArenaAllocator<char>(arena)) {}
+    ArenaOpMap<PendingRead> reads;
+    ArenaOpMap<PendingWrite> writes;
+    QuorumTally join_repliers;
+    Timestamp join_best_ts;
+    Value join_best_value = kBottom;
+    std::uint32_t join_resends = 0;
+    bool join_pending = false;
+    bool join_has_value = false;
+  };
+
   [[nodiscard]] std::size_t majority() const { return config_.n / 2 + 1; }
   /// Interval before the (resends+1)-th rebroadcast: the fixed cadence, or
   /// base << min(resends, 3) under the hardened exponential backoff.
@@ -130,6 +146,13 @@ class EsRegisterNode final : public RegisterNode {
     if (!msg_has_value) return ts.sn > 0;  // no value claimed, yet a timestamp
     return ts.sn > hot_.max_seen_sn + kTsEnvelope;
   }
+  /// The join's request id: the process id in the high word, so it never
+  /// collides with a read id.
+  [[nodiscard]] std::uint64_t join_id() const { return static_cast<std::uint64_t>(id()) << 32; }
+  /// The in-flight block, created on first use.
+  Flight& flight();
+  /// Frees the in-flight block once no read, write or join is pending.
+  void release_if_idle();
   void apply(const Timestamp& ts, Value v);
   void start_join();
   void retransmit_join();
@@ -139,21 +162,10 @@ class EsRegisterNode final : public RegisterNode {
   void start_writeback(std::uint64_t rid);
   void maybe_finish_write(std::uint64_t wid);
 
-  node::Context& ctx_;
   EsConfig config_;
-
   std::uint64_t next_rid_ = 0;
   std::uint64_t next_wid_ = 0;
-  std::uint64_t join_id_ = 0;
-
-  ArenaOpMap<PendingRead> reads_;
-  ArenaOpMap<PendingWrite> writes_;
-  QuorumTally join_repliers_;
-  std::uint32_t join_resends_ = 0;
-  bool join_pending_ = false;
-  Timestamp join_best_ts_;
-  Value join_best_value_ = kBottom;
-  bool join_has_value_ = false;
+  std::unique_ptr<Flight> flight_;  // null while nothing is in flight
 };
 
 }  // namespace dynreg

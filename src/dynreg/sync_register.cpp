@@ -8,7 +8,7 @@ namespace dynreg {
 
 SyncRegisterNode::SyncRegisterNode(sim::ProcessId id, node::Context& ctx,
                                    SyncConfig config, bool initial)
-    : RegisterNode(id, ctx), ctx_(ctx), config_(std::move(config)) {
+    : RegisterNode(id, ctx), config_(std::move(config)) {
   static_assert(sizeof(node::Node) + sizeof(Hot) <= 64,
                 "on_message's hot fields must end within the receiver's first 64 bytes");
   if (initial) {
@@ -16,7 +16,7 @@ SyncRegisterNode::SyncRegisterNode(sim::ProcessId id, node::Context& ctx,
     hot_.ts = Timestamp{0, 0};
     hot_.has_value = true;
     hot_.active = true;
-    ctx_.notify_active();
+    notify_active();
     schedule_refresh();
   } else {
     hot_.joining = true;
@@ -24,7 +24,7 @@ SyncRegisterNode::SyncRegisterNode(sim::ProcessId id, node::Context& ctx,
       // The initial delta wait guarantees any WRITE broadcast concurrent
       // with the join has landed at every active process before their
       // replies are generated (Figure 3b).
-      ctx_.schedule_after(config_.delta, [this] { start_inquiry(); });
+      schedule_after(config_.delta, [this] { start_inquiry(); });
     } else {
       start_inquiry();
     }
@@ -37,13 +37,13 @@ void SyncRegisterNode::start_inquiry() {
   // footnote 4 tightens the return leg to a known delta'.
   const sim::Duration window =
       config_.delta + (config_.delta_pp ? *config_.delta_pp : config_.delta);
-  ctx_.schedule_after(window, [this] { finish_join(); });
+  schedule_after(window, [this] { finish_join(); });
 }
 
 void SyncRegisterNode::finish_join() {
   hot_.joining = false;
   hot_.active = true;
-  ctx_.notify_active();
+  notify_active();
   // Answer inquiries that arrived while we were still joining.
   for (const sim::ProcessId j : pending_inquiries_) {
     send(j, make_payload<msg::Stamped>(msg::kSyncReply, 0, hot_.ts, hot_.value, hot_.has_value));
@@ -62,7 +62,7 @@ void SyncRegisterNode::apply(const Timestamp& ts, Value v) {
 
 void SyncRegisterNode::schedule_refresh() {
   if (!config_.refresh_interval) return;
-  ctx_.schedule_after(*config_.refresh_interval, [this] {
+  schedule_after(*config_.refresh_interval, [this] {
     if (hot_.active && hot_.has_value) {
       broadcast(make_payload<msg::Stamped>(msg::kSyncRefresh, 0, hot_.ts, hot_.value, true));
     }
@@ -107,7 +107,7 @@ void SyncRegisterNode::write(const OpContext&, Value v, WriteCompletion done) {
   // pending_writes_ (not inside the timer) so a departure can resolve it.
   const std::uint64_t wid = next_wid_++;
   pending_writes_.emplace_back(wid, std::move(done));
-  ctx_.schedule_after(config_.delta, [this, wid] { finish_write(wid); });
+  schedule_after(config_.delta, [this, wid] { finish_write(wid); });
 }
 
 void SyncRegisterNode::finish_write(std::uint64_t wid) {
@@ -117,7 +117,7 @@ void SyncRegisterNode::finish_write(std::uint64_t wid) {
   // cancels the timers.)
   if (pending_writes_.empty() || pending_writes_.front().first != wid) return;
   WriteCompletion done = std::move(pending_writes_.front().second);
-  pending_writes_.pop_front();
+  pending_writes_.erase(pending_writes_.begin());
   done(OpOutcome::kOk);
 }
 

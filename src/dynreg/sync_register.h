@@ -13,14 +13,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "dynreg/register_node.h"
 #include "dynreg/types.h"
-#include "node/context.h"
 
 namespace dynreg {
 
@@ -79,16 +77,18 @@ class SyncRegisterNode final : public RegisterNode {
   void apply(const Timestamp& ts, Value v);
   void schedule_refresh();
 
-  node::Context& ctx_;
   SyncConfig config_;
 
+  /// Inquiries that arrived while this process was still joining.
   std::vector<sim::ProcessId> pending_inquiries_;
   /// Writes waiting out their delta propagation window, tagged with a local
   /// sequence number. Held here (not captured in the timer) so a departure
   /// can resolve them with kDroppedOnDeparture. Every write waits exactly
-  /// delta, so completions are strict FIFO — a deque (amortized
-  /// allocation-free) instead of a per-write map node.
-  std::deque<std::pair<std::uint64_t, WriteCompletion>> pending_writes_;
+  /// delta, so completions are strict FIFO: the front finishes first. A
+  /// vector, because it allocates nothing until this process first writes
+  /// (in most runs only the designated writer does); it holds only the
+  /// writes of the last delta ticks, so erasing its front moves few.
+  std::vector<std::pair<std::uint64_t, WriteCompletion>> pending_writes_;
   std::uint64_t next_wid_ = 0;
 };
 

@@ -17,7 +17,12 @@ Injector::Injector(sim::Simulation& sim, churn::System& system,
       net_(net),
       plan_(plan),
       decisions_(decisions),
-      exempt_(std::move(exempt)) {}
+      exempt_(std::move(exempt)) {
+  // The network asks link_cut only while a partition is active, and
+  // transform only when the plan arms Byzantine faults at all.
+  arm_cuts(false);
+  arm_transforms(plan_.byzantine_enabled());
+}
 
 void Injector::start() {
   net_.set_fault_hook(this);
@@ -37,14 +42,14 @@ void Injector::tick() {
   // Decision-draw order within a tick is fixed (partition, then crash):
   // whether each draw happens depends only on the Plan and on deterministic
   // run state, so recording and replay stay positionally aligned.
-  if (plan_.partition_enabled() && !partition_active_) {
+  if (plan_.partition_enabled() && !cuts_armed()) {
     const double p = plan_.partition.rate * static_cast<double>(plan_.tick);
     if (decisions_.bernoulli(now, p)) {
       partition_salt_ = decisions_.draw(now);
-      partition_active_ = true;
+      arm_cuts(true);
       ++stats_.partitions;
       sim_.schedule_after(plan_.partition.duration, [this] {
-        partition_active_ = false;
+        arm_cuts(false);
         ++stats_.heals;
       });
     }
@@ -125,7 +130,7 @@ bool Injector::is_byzantine(sim::ProcessId id) const {
 
 bool Injector::link_cut(sim::Time /*now*/, sim::ProcessId from,
                         sim::ProcessId to) {
-  if (!partition_active_) return false;
+  if (!cuts_armed()) return false;
   const bool a = on_minority_side(from);
   const bool b = on_minority_side(to);
   // Asymmetric = lossy uplink: only minority->majority traffic is cut, so

@@ -13,11 +13,13 @@
 //  - partitions: the Injector is the Network's FaultHook; link_cut() consults
 //    a pure hash of (per-event salt, process id) so side assignment is
 //    deterministic — including for processes that join mid-partition — and
-//    costs no draw per message.
+//    costs no draw per message. The hook's cut flag is armed only while a
+//    partition is active, so outside one the network never calls link_cut.
 //  - Byzantine transforms: FaultHook::transform() rewrites delivered copies
 //    from a salted-hash-chosen faulty sender set (equivocation, stale replay,
 //    forged timestamps, value corruption), with per-copy decisions drawn
-//    through the DecisionSource at delivery time.
+//    through the DecisionSource at delivery time. The transform flag is
+//    armed only when the plan enables Byzantine faults.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +83,7 @@ class Injector final : public net::FaultHook {
   std::vector<sim::ProcessId> candidates_;  // crash-victim scratch
 
   double crash_credit_ = 0.0;
-  bool partition_active_ = false;
+  // A partition is active exactly while cuts_armed() (net::FaultHook).
   std::uint64_t partition_salt_ = 0;
   std::uint64_t byz_salt_ = 0;
 

@@ -74,7 +74,8 @@ Network::Hop Network::hop_verdict(sim::ProcessId hop_from, sim::ProcessId to,
   // Partition cuts act on the physical edge and are checked BEFORE the delay
   // model: a cut copy consumes no Rng draw, so the recorded net stream stays
   // positionally aligned between faulted record and replay runs.
-  if (fault_hook_ != nullptr && fault_hook_->link_cut(sim_.now(), hop_from, to)) {
+  if (fault_hook_ != nullptr && fault_hook_->cuts_armed() &&
+      fault_hook_->link_cut(sim_.now(), hop_from, to)) {
     ++stats_.dropped_partition;
     return {true, 0};
   }
@@ -271,7 +272,7 @@ void Network::deliver(sim::ProcessId from, sim::ProcessId to, const PayloadPtr& 
   // Byzantine transforms rewrite the copy at delivery time.
   const Payload* observed = payload.get();
   PayloadPtr replacement;
-  if (fault_hook_ != nullptr) {
+  if (fault_hook_ != nullptr && fault_hook_->transforms_armed()) {
     replacement = fault_hook_->transform(sim_.now(), from, to, payload);
     if (replacement != nullptr) {
       observed = replacement.get();

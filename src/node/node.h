@@ -2,12 +2,15 @@
 // own network receiver: the system attaches it under its id, and the network
 // calls on_message (declared by net::Receiver) for every delivered copy.
 //
-// A node also sends through its own network handle, taken from its Context
-// at construction. A handler that answers a delivered copy therefore reads
-// only the node itself (and the shared network), never the separately
-// allocated Context: with the protocol's hot fields declared first, one
-// delivered copy touches bytes [0, 64) of its receiver, which is the span
-// net::Network prefetches ahead of batched delivery.
+// A node holds its id and a pointer to its group's one node::Context, and
+// nothing else: the protected send, broadcast, make_payload, schedule_after
+// and notify_active below are its whole reach into the world, each passing
+// the id for it. The Context is shared by every process of the group, so a
+// handler that answers a delivered copy reads the node's first cache line
+// and a Context line that every other delivery keeps hot. With the
+// protocol's hot fields declared first, one delivered copy touches bytes
+// [0, 64) of its receiver, which is the span net::Network prefetches ahead
+// of batched delivery.
 #pragma once
 
 #include <utility>
@@ -22,7 +25,7 @@ namespace dynreg::node {
 
 class Node : public net::Receiver {
  public:
-  Node(sim::ProcessId id, Context& ctx) : net_(&ctx.network()), id_(id) {}
+  Node(sim::ProcessId id, Context& ctx) : ctx_(&ctx), id_(id) {}
   virtual ~Node() = default;
 
   /// Called by churn::System when this node departs, after its timers are
@@ -34,27 +37,40 @@ class Node : public net::Receiver {
   [[nodiscard]] sim::ProcessId id() const { return id_; }
 
  protected:
+  [[nodiscard]] Context& context() const { return *ctx_; }
+
   void send(sim::ProcessId to, net::PayloadPtr payload) {
-    net_->send(id_, to, std::move(payload));
+    ctx_->network().send(id_, to, std::move(payload));
   }
 
   /// Sends one copy to every other attached process.
-  void broadcast(net::PayloadPtr payload) { net_->broadcast(id_, std::move(payload)); }
+  void broadcast(net::PayloadPtr payload) {
+    ctx_->network().broadcast(id_, std::move(payload));
+  }
 
   /// Builds a payload in the simulation's epoch arena (the hot-path
   /// replacement for net::make_payload's per-message heap allocation).
   template <typename T, typename... Args>
   net::PayloadPtr make_payload(Args&&... args) {
-    return net::make_payload_in<T>(net_->arena(), std::forward<Args>(args)...);
+    return net::make_payload_in<T>(ctx_->arena(), std::forward<Args>(args)...);
   }
 
+  /// Runs fn after d ticks unless this process has left by then.
+  template <typename F>
+  void schedule_after(sim::Duration d, F fn) {
+    ctx_->schedule_after(id_, d, std::move(fn));
+  }
+
+  /// Reports that this process's join completed (see Context::notify_active).
+  void notify_active() { ctx_->notify_active(id_); }
+
  private:
-  net::Network* net_;
+  Context* ctx_;
   sim::ProcessId id_;
 };
 
-// The vtable pointer, the network handle and the id: a protocol's hot fields
-// start at byte 24 and must end by byte 64 (checked in each protocol's .cpp).
-static_assert(sizeof(Node) <= 24, "node::Node is a vtable pointer, a network and an id");
+// The vtable pointer, the context and the id: a protocol's hot fields start
+// at byte 24 and must end by byte 64 (checked in each protocol's .cpp).
+static_assert(sizeof(Node) == 24, "node::Node is a vtable pointer, a context and an id");
 
 }  // namespace dynreg::node

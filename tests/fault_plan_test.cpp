@@ -13,7 +13,9 @@
 //   - on a sharded config the plan runs in every shard, deterministically
 //     and through record/replay;
 //   - transform() itself, one copy of every protocol tag: the value-carrying
-//     ones come back rewritten by the drawn kind, the others untouched.
+//     ones come back rewritten by the drawn kind, the others untouched;
+//   - the hook's armed flags: cuts only while a partition is active,
+//     transforms only when the plan enables Byzantine faults.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -421,6 +423,46 @@ TEST(InjectorTransform, RewritesEveryValueCarryingTagAndNothingElse) {
     EXPECT_EQ(f->value, want[t].value);
     EXPECT_TRUE(f->has_value);
   }
+}
+
+TEST(InjectorArming, CutsArmOnlyWhilePartitionedAndTransformsOnlyForByzantinePlans) {
+  sim::Simulation sim(1);
+  net::Network net(sim, std::make_unique<net::FixedDelay>(1));
+  churn::System system(sim, net, churn::SystemConfig{}, std::make_unique<churn::NoChurn>(),
+                       [](sim::ProcessId, node::Context&, bool) { return nullptr; });
+  Plan plan;
+  plan.tick = 10;
+  plan.partition.rate = 1.0;  // a certain start at every tick with none active
+  plan.partition.duration = 5;
+  ScriptedDecisions decisions;
+  Injector injector(sim, system, net, plan, decisions, {});
+  // The network skips link_cut while no partition is active, and transform
+  // for a plan without Byzantine faults.
+  EXPECT_FALSE(injector.cuts_armed());
+  EXPECT_FALSE(injector.transforms_armed());
+
+  injector.start();
+  sim.run_until(9);
+  EXPECT_FALSE(injector.cuts_armed());
+  decisions.push(0);  // the tick-10 coin: start
+  decisions.push(7);  // the partition's salt
+  sim.run_until(10);
+  EXPECT_EQ(injector.stats().partitions, 1u);
+  EXPECT_TRUE(injector.cuts_armed());
+  sim.run_until(14);
+  EXPECT_TRUE(injector.cuts_armed());
+  sim.run_until(15);  // healed
+  EXPECT_EQ(injector.stats().heals, 1u);
+  EXPECT_FALSE(injector.cuts_armed());
+  EXPECT_EQ(decisions.queued(), 0u);
+
+  Plan byz;
+  byz.byzantine.fraction = 0.5;
+  byz.byzantine.transform_rate = 0.5;
+  ScriptedDecisions none;
+  const Injector armed(sim, system, net, byz, none, {});
+  EXPECT_TRUE(armed.transforms_armed());
+  EXPECT_FALSE(armed.cuts_armed());
 }
 
 }  // namespace

@@ -35,15 +35,15 @@ namespace {
 sim::Duration join_delay(sim::ProcessId id) { return 1 + id % 7; }
 
 /// Minimal protocol stand-in: initial members are active at birth; joiners
-/// activate join_delay(id) ticks later (unless churned out first — Context
-/// invalidation must suppress the pending notify_active).
+/// activate join_delay(id) ticks later (unless churned out first — the
+/// group context's liveness bit must suppress the pending notify_active).
 class StubNode final : public node::Node {
  public:
   StubNode(sim::ProcessId id, node::Context& ctx, bool initial) : Node(id, ctx) {
     if (initial) {
-      ctx.notify_active();
+      ctx.notify_active(id);
     } else {
-      ctx.schedule_after(join_delay(id), [&ctx] { ctx.notify_active(); });
+      ctx.schedule_after(id, join_delay(id), [&ctx, id] { ctx.notify_active(id); });
     }
   }
   void on_message(sim::ProcessId, const net::Payload&) override {}

@@ -143,6 +143,61 @@ TEST(Network, LossRateDropsMessages) {
   EXPECT_EQ(net.stats().dropped_loss, 10u);
 }
 
+/// Cuts and rewrites nothing, but counts how often the network asks; the
+/// test arms and disarms it from outside.
+class CountingHook final : public FaultHook {
+ public:
+  bool link_cut(sim::Time, sim::ProcessId, sim::ProcessId) override {
+    ++cut_calls;
+    return false;
+  }
+  PayloadPtr transform(sim::Time, sim::ProcessId, sim::ProcessId, const PayloadPtr&) override {
+    ++transform_calls;
+    return nullptr;
+  }
+  using FaultHook::arm_cuts;
+  using FaultHook::arm_transforms;
+  int cut_calls = 0;
+  int transform_calls = 0;
+};
+
+TEST(Network, FaultHookIsAskedOnlyWhileArmed) {
+  sim::Simulation sim(1);
+  Network net(sim, std::make_unique<FixedDelay>(1));
+  test::FnReceivers rx(net);
+  int got = 0;
+  rx.attach(1, [&got](sim::ProcessId, const Payload&) { ++got; });
+  CountingHook hook;
+  net.set_fault_hook(&hook);
+  auto send_one = [&] {
+    net.send(0, 1, make_payload<Ping>());
+    sim.run();
+  };
+
+  send_one();  // a hook that never touches its flags sees every copy
+  EXPECT_EQ(hook.cut_calls, 1);
+  EXPECT_EQ(hook.transform_calls, 1);
+
+  hook.arm_cuts(false);
+  hook.arm_transforms(false);
+  send_one();
+  EXPECT_EQ(hook.cut_calls, 1);
+  EXPECT_EQ(hook.transform_calls, 1);
+
+  hook.arm_cuts(true);
+  send_one();
+  EXPECT_EQ(hook.cut_calls, 2);
+  EXPECT_EQ(hook.transform_calls, 1);
+
+  hook.arm_cuts(false);
+  hook.arm_transforms(true);
+  send_one();
+  EXPECT_EQ(hook.cut_calls, 2);
+  EXPECT_EQ(hook.transform_calls, 2);
+  EXPECT_EQ(got, 4);
+  EXPECT_EQ(net.stats().delivered, 4u);
+}
+
 TEST(Network, BroadcastLandingAtOneTickIsOneQueuedEvent) {
   // Every copy of a broadcast under a fixed delay arrives at the same tick,
   // so the whole fan-out is one batch: a single step() delivers all 999
