@@ -5,7 +5,6 @@
 // majority remain, every subsequent operation blocks forever. The dynamic
 // protocols keep serving because joiners become first-class replicas.
 #include "harness/sweep.h"
-#include "harness/thread_pool.h"
 #include "registry.h"
 
 namespace dynreg::bench {
@@ -39,29 +38,25 @@ ExperimentResult run(const RunOptions& opts) {
                                                  harness::Protocol::kEventuallySync,
                                                  harness::Protocol::kSync};
 
-  // One flattened (protocol, rate, seed) grid — no barrier between
-  // protocols, so no worker idles while the slowest protocol finishes.
-  const std::size_t per_protocol = churn_rates.size() * seeds;
-  std::vector<harness::MetricsReport> reports(protocols.size() * per_protocol);
-  harness::parallel_for(opts.jobs, reports.size(), [&](std::size_t task) {
-    ExperimentConfig cfg = base_config(protocols[task / per_protocol]);
-    apply_workload(opts, cfg);
-    cfg.churn_rate = churn_rates[(task / seeds) % churn_rates.size()];
-    if (cfg.churn_rate == 0.0) cfg.churn_kind = harness::ChurnKind::kNone;
-    cfg.seed = harness::replica_seed(cfg.seed, task % seeds);
-    reports[task] = harness::run_in_session(cfg, opts.session);
-  });
-
-  const auto mean = [&](std::size_t protocol, std::size_t rate,
-                        double (harness::MetricsReport::*fn)() const) {
-    double total = 0;
-    for (std::size_t s = 0; s < seeds; ++s) {
-      total += (reports[protocol * per_protocol + rate * seeds + s].*fn)();
+  // One (protocol, rate, seed) grid — no barrier between protocols, so no
+  // worker idles while the slowest protocol finishes.
+  std::vector<ExperimentConfig> cells;
+  for (const harness::Protocol protocol : protocols) {
+    for (const double rate : churn_rates) {
+      ExperimentConfig cfg = base_config(protocol);
+      apply_workload(opts, cfg);
+      cfg.churn_rate = rate;
+      if (cfg.churn_rate == 0.0) cfg.churn_kind = harness::ChurnKind::kNone;
+      cells.push_back(cfg);
     }
-    return total / static_cast<double>(seeds);
-  };
+  }
+  const auto grid = harness::run_grid(cells, seeds, opts.jobs, opts.session);
 
   using MR = harness::MetricsReport;
+  const auto mean = [&](std::size_t protocol, std::size_t rate, double (MR::*fn)() const) {
+    return harness::mean_of(grid[protocol * churn_rates.size() + rate], fn);
+  };
+
   stats::DataTable table({"churn c", "abd read compl", "abd write compl", "es read compl",
                           "es write compl", "sync read compl", "sync join compl"});
   for (std::size_t i = 0; i < churn_rates.size(); ++i) {

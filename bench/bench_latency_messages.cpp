@@ -9,7 +9,6 @@
 #include <algorithm>
 
 #include "harness/sweep.h"
-#include "harness/thread_pool.h"
 #include "registry.h"
 
 namespace dynreg::bench {
@@ -29,8 +28,7 @@ struct Row {
 ExperimentConfig make_config(harness::Protocol protocol, std::size_t n) {
   ExperimentConfig cfg;
   cfg.protocol = protocol;
-  cfg.seed = 4;  // replica seed 0: 4 + 1009... first replica differs from the
-                 // original fixed seed 5 only via replica_seed's offset
+  cfg.seed = 4;  // replicas run at seeds 1013, 2022, ...
   cfg.n = n;
   cfg.delta = 5;
   cfg.duration = 3000;
@@ -101,38 +99,31 @@ ExperimentResult run(const RunOptions& opts) {
       harness::Protocol::kAbd};
   const std::vector<std::size_t> sizes{10, 20, 40, 80};
 
-  // Flatten the (protocol, n, seed) grid; every replica has its own slot.
-  const std::size_t cells = protocols.size() * sizes.size();
-  std::vector<MetricsReport> reports(cells * seeds);
-  harness::parallel_for(opts.jobs, reports.size(), [&](std::size_t task) {
-    const std::size_t cell = task / seeds;
-    const std::size_t s = task % seeds;
-    ExperimentConfig cfg =
-        make_config(protocols[cell / sizes.size()], sizes[cell % sizes.size()]);
-    apply_workload(opts, cfg);
-    cfg.seed = harness::replica_seed(cfg.seed, s);
-    reports[task] = harness::run_in_session(cfg, opts.session);
-  });
+  // One (protocol, n, seed) grid; every replica has its own slot.
+  std::vector<ExperimentConfig> cells;
+  for (const harness::Protocol protocol : protocols) {
+    for (const std::size_t n : sizes) {
+      ExperimentConfig cfg = make_config(protocol, n);
+      apply_workload(opts, cfg);
+      cells.push_back(cfg);
+    }
+  }
+  const auto grid = harness::run_grid(cells, seeds, opts.jobs, opts.session);
 
   stats::DataTable table({"protocol", "n", "read latency", "write latency",
                           "join latency", "msgs/read", "msgs/write"});
-  for (std::size_t cell = 0; cell < cells; ++cell) {
+  for (std::size_t cell = 0; cell < cells.size(); ++cell) {
     const harness::Protocol protocol = protocols[cell / sizes.size()];
-    Row mean;
-    for (std::size_t s = 0; s < seeds; ++s) {
-      const Row row = attribute(protocol, reports[cell * seeds + s]);
-      mean.read_lat += row.read_lat;
-      mean.write_lat += row.write_lat;
-      mean.join_lat += row.join_lat;
-      mean.msgs_per_read += row.msgs_per_read;
-      mean.msgs_per_write += row.msgs_per_write;
-    }
-    const double n = static_cast<double>(seeds);
+    const auto mean = [&](double Row::*field) {
+      return harness::mean_of(grid[cell], [&](const MetricsReport& r) {
+        return attribute(protocol, r).*field;
+      });
+    };
     table.add_row({Cell::str(protocol_name(protocol)),
                    Cell::num(static_cast<double>(sizes[cell % sizes.size()]), 0),
-                   Cell::num(mean.read_lat / n, 2), Cell::num(mean.write_lat / n, 2),
-                   Cell::num(mean.join_lat / n, 2), Cell::num(mean.msgs_per_read / n, 1),
-                   Cell::num(mean.msgs_per_write / n, 1)});
+                   Cell::num(mean(&Row::read_lat), 2), Cell::num(mean(&Row::write_lat), 2),
+                   Cell::num(mean(&Row::join_lat), 2), Cell::num(mean(&Row::msgs_per_read), 1),
+                   Cell::num(mean(&Row::msgs_per_write), 1)});
   }
 
   ExperimentResult result;

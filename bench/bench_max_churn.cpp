@@ -16,6 +16,7 @@ namespace dynreg::bench {
 namespace {
 
 using harness::ExperimentConfig;
+using harness::MetricsReport;
 using stats::Cell;
 
 constexpr std::size_t kDefaultSeeds = 4;
@@ -32,12 +33,10 @@ ExperimentConfig survival_config(sim::Duration delta) {
 }
 
 /// Fraction of runs in which the value survived (no read of bottom).
-double survival_fraction(const std::vector<harness::MetricsReport>& runs) {
-  double ok = 0;
-  for (const auto& r : runs) {
-    if (r.reads_of_bottom == 0 && r.regularity.ok()) ok += 1.0;
-  }
-  return ok / static_cast<double>(runs.size());
+double survival_fraction(const std::vector<MetricsReport>& runs) {
+  return harness::mean_of(runs, [](const MetricsReport& r) {
+    return r.reads_of_bottom == 0 && r.regularity.ok() ? 1.0 : 0.0;
+  });
 }
 
 const char* policy_tag(churn::LeavePolicy policy) {
@@ -73,8 +72,8 @@ ExperimentResult run(const RunOptions& opts) {
         const double surv = survival_fraction(p.runs);
         if (surv == 1.0) max_clean_fraction = p.x;
         detail.add_row({Cell::num(p.x, 2), Cell::num(surv, 2),
-                        Cell::num(p.mean_violation_rate(), 4),
-                        Cell::num(p.mean_min_active_3delta(), 1)});
+                        Cell::num(harness::mean_of(p.runs, &MetricsReport::violation_rate), 4),
+                        Cell::num(harness::mean_of(p.runs, &MetricsReport::min_active_3delta), 1)});
       }
       result.sections.push_back(
           {std::string(policy_tag(policy)) + "_delta" + std::to_string(delta),

@@ -6,7 +6,6 @@
 // delta-long write propagation — and contrasts the ABD baseline, whose
 // read write-back makes it atomic (zero inversions, by construction).
 #include "harness/sweep.h"
-#include "harness/thread_pool.h"
 #include "registry.h"
 
 namespace dynreg::bench {
@@ -49,34 +48,28 @@ ExperimentResult run(const RunOptions& opts) {
     cases.push_back({harness::Protocol::kAbd, "abd (atomic)", gap});
   }
 
-  // One flattened (case, seed) grid — the abd cells run alongside the sync
-  // cells instead of behind a barrier.
-  std::vector<harness::MetricsReport> reports(cases.size() * seeds);
-  harness::parallel_for(opts.jobs, reports.size(), [&](std::size_t task) {
-    ExperimentConfig cfg = base_config(cases[task / seeds].protocol);
+  // One (case, seed) grid — the abd cells run alongside the sync cells
+  // instead of behind a barrier.
+  std::vector<ExperimentConfig> cells;
+  for (const Case& c : cases) {
+    ExperimentConfig cfg = base_config(c.protocol);
     apply_workload(opts, cfg);
-    cfg.workload.read_interval = cases[task / seeds].gap;
-    cfg.seed = harness::replica_seed(cfg.seed, task % seeds);
-    reports[task] = harness::run_in_session(cfg, opts.session);
-  });
+    cfg.workload.read_interval = c.gap;
+    cells.push_back(cfg);
+  }
+  const auto grid = harness::run_grid(cells, seeds, opts.jobs, opts.session);
 
   stats::DataTable table({"protocol", "read gap (ticks)", "reads checked",
                           "inversions / 1k reads", "inversions max/seed",
                           "regularity violations"});
   for (std::size_t c = 0; c < cases.size(); ++c) {
-    const std::vector<harness::MetricsReport> runs(
-        reports.begin() + static_cast<std::ptrdiff_t>(c * seeds),
-        reports.begin() + static_cast<std::ptrdiff_t>((c + 1) * seeds));
-    const auto agg = harness::aggregate_metrics(runs);
-    double inversions = 0, reads = 0;
-    for (const auto& r : runs) {
-      inversions += static_cast<double>(r.atomicity.inversion_count);
-      reads += static_cast<double>(r.atomicity.reads_checked);
-    }
-    const double n = static_cast<double>(seeds);
+    const auto agg = harness::aggregate_metrics(grid[c]);
+    double reads = 0;  // a rate over the pooled reads, not a mean of rates
+    for (const auto& r : grid[c]) reads += static_cast<double>(r.atomicity.reads_checked);
+    const auto inversions = static_cast<double>(agg.inversions_total);
     table.add_row({Cell::str(cases[c].label),
                    Cell::num(static_cast<double>(cases[c].gap), 0),
-                   Cell::num(reads / n, 0),
+                   Cell::num(reads / static_cast<double>(seeds), 0),
                    Cell::num(reads > 0 ? 1000.0 * inversions / reads : 0.0, 3),
                    Cell::num(static_cast<double>(agg.inversions_max_seed), 0),
                    Cell::num(static_cast<double>(agg.violations_total), 0)});

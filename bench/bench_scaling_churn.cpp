@@ -45,8 +45,10 @@ ExperimentConfig base_config() {
   cfg.protocol = harness::Protocol::kSync;
   cfg.seed = 23;
   cfg.delta = 3;
-  // Fixed total-join budget: the horizon shrinks as n grows so a cell costs
-  // O(joins * n) messages regardless of n, keeping the big points affordable.
+  // The horizon shrinks as n grows (scaled_duration): up to n = 120 a cell
+  // sees about c * n * duration = c * 18000 joins. Above that the 150-tick
+  // floor binds, so the join count grows with n and, each join costing O(n)
+  // messages, a cell costs O(c * n^2) messages.
   cfg.duration = 600;
   cfg.churn_kind = harness::ChurnKind::kConstant;
   cfg.workload.read_interval = 20;
@@ -85,17 +87,14 @@ ExperimentResult run(const RunOptions& opts) {
                             "join lat mean", "violation rate"});
     double lat_low = 0.0, completion_high = 0.0, max_clean = 0.0;
     for (const auto& p : points) {
-      double joins = 0;
-      for (const MetricsReport& r : p.runs) {
-        joins += static_cast<double>(r.joins_started);
-      }
-      joins /= static_cast<double>(p.runs.size());
-      const double viol = p.mean_violation_rate();
-      table.add_row({Cell::num(p.x, 2), Cell::num(joins, 1),
-                     Cell::num(p.mean_join_completion(), 2),
-                     Cell::num(p.mean_join_latency(), 1), Cell::num(viol, 4)});
-      if (p.x == fractions.front()) lat_low = p.mean_join_latency();
-      if (p.x == 0.9) completion_high = p.mean_join_completion();
+      const double viol = harness::mean_of(p.runs, &MetricsReport::violation_rate);
+      const double completion = harness::mean_of(p.runs, &MetricsReport::join_completion_rate);
+      const double latency = harness::mean_of(p.runs, &MetricsReport::join_latency_mean);
+      const double joins = harness::mean_of(p.runs, &MetricsReport::joins_started);
+      table.add_row({Cell::num(p.x, 2), Cell::num(joins, 1), Cell::num(completion, 2),
+                     Cell::num(latency, 1), Cell::num(viol, 4)});
+      if (p.x == fractions.front()) lat_low = latency;
+      if (p.x == 0.9) completion_high = completion;
       if (viol == 0.0) max_clean = std::max(max_clean, p.x);
     }
     result.sections.push_back(

@@ -94,8 +94,8 @@ ExperimentResult run(const RunOptions& opts) {
   storm.workload.zipf_s = 0.99;
   storm.workload.storm_every = 200;
   storm.workload.storm_len = 50;
-  const auto storm_runs = harness::run_replicas(storm, seeds, opts.jobs, opts.session);
-  add_point_row(table, "zipf 0.99 + storm", storm_runs);
+  add_point_row(table, "zipf 0.99 + storm",
+                harness::run_grid({storm}, seeds, opts.jobs, opts.session)[0]);
 
   ExperimentResult result;
   result.sections.push_back(

@@ -113,9 +113,9 @@ ExperimentResult run(const RunOptions& opts) {
     scale.workload.key_count = 4096;
     apply_workload(opts, scale);
 
-    const auto runs = harness::run_replicas(scale, 1, opts.jobs, opts.session);
     stats::DataTable scale_table(columns);
-    add_point_row(scale_table, static_cast<double>(scale.shard_count), runs);
+    add_point_row(scale_table, static_cast<double>(scale.shard_count),
+                  harness::run_grid({scale}, 1, opts.jobs, opts.session)[0]);
     result.sections.push_back(
         {"scale_1e5",
          "scale cell: n = " + std::to_string(opts.max_n) + ", " +

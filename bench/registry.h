@@ -66,7 +66,8 @@ struct RunOptions {
   std::vector<ConfigOverride> overrides;
   /// The record/replay session of a `dynreg_exp record|replay` invocation;
   /// null for a plain run. Run functions hand it to every run they want in
-  /// the recording (sweeps, harness::run_in_session, ScriptedCluster).
+  /// the recording: harness::run_grid, the one replica engine (parallel_sweep
+  /// is built on it), or a ScriptedCluster.
   replay::Session* session = nullptr;
 };
 

@@ -29,8 +29,9 @@ enum class LeavePolicy {
   kOldestActiveFirst,  // adversarial: kill the longest-active (most informed)
 };
 
-/// Inert: selects nothing; ROADMAP item 6 deletes it together with
-/// perfbench's copied world, which still brace-initialises it.
+/// Inert: selects nothing; ROADMAP item 8 ("perfbench composes
+/// harness::World") deletes it together with perfbench's copied world,
+/// which still brace-initialises it.
 struct ChronicleOptions {
   bool aggregate_only = false;
   sim::Duration window = 0;
@@ -43,8 +44,9 @@ struct SystemConfig {
   /// Processes never selected for departure (e.g. the paper's writer, which
   /// stays in the system).
   std::vector<sim::ProcessId> exempt;
-  /// Inert: selects nothing and nothing in dynreg reads it; ROADMAP item 6
-  /// deletes it together with perfbench's copied world, which assigns it.
+  /// Inert: selects nothing and nothing in dynreg reads it; ROADMAP item 8
+  /// ("perfbench composes harness::World") deletes it together with
+  /// perfbench's copied world, which assigns it.
   ChronicleOptions chronicle;
 };
 

@@ -75,8 +75,7 @@ AggregatedMetrics aggregate_metrics(const std::vector<MetricsReport>& runs) {
   });
   m.op_retries =
       over_runs(runs, [](const auto& r) { return static_cast<double>(r.op_retries); });
-  m.violation_rate =
-      over_runs(runs, [](const auto& r) { return r.regularity.violation_rate(); });
+  m.violation_rate = over_runs(runs, [](const auto& r) { return r.violation_rate(); });
   m.reads_of_bottom =
       over_runs(runs, [](const auto& r) { return static_cast<double>(r.reads_of_bottom); });
   m.min_active_3delta = over_runs(runs, [](const auto& r) { return r.min_active_3delta; });

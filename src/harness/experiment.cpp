@@ -20,6 +20,9 @@
 namespace dynreg::harness {
 
 void ExperimentConfig::validate() const {
+  if (n == 0) {
+    throw std::invalid_argument("n 0: a system without processes issues no operations");
+  }
   if (shard_count > n) {
     throw std::invalid_argument("shard count " + std::to_string(shard_count) +
                                 " exceeds the system size n=" + std::to_string(n) +
@@ -89,6 +92,13 @@ void ExperimentConfig::validate() const {
     if (workload.writes_enabled && workload.write_interval == 0) {
       throw std::invalid_argument(
           "write interval 0 would reschedule the write tick at the same instant forever");
+    }
+    if (workload.writes_enabled && workload.writer_mode == workload::WriterMode::kConcurrent &&
+        (workload.concurrent_writers == 0 || workload.concurrent_writers > n)) {
+      throw std::invalid_argument("concurrent writers " +
+                                  std::to_string(workload.concurrent_writers) +
+                                  " is outside [1, n=" + std::to_string(n) +
+                                  "]; the writers are processes 0..k-1");
     }
   }
   probability("read fraction", workload.read_frac);

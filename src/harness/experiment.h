@@ -86,7 +86,8 @@ struct ExperimentConfig {
   std::size_t shard_count = 0;
 
   /// Inert: selects nothing, is not encoded, and nothing in dynreg reads it;
-  /// ROADMAP item 6 deletes it together with perfbench's copied world.
+  /// it goes with perfbench's copied world (ROADMAP item 8, "perfbench
+  /// composes harness::World").
   bool chronicle_aggregate = false;
 
   /// Deterministic fault campaign (crash/recovery, partitions, Byzantine
@@ -96,6 +97,7 @@ struct ExperimentConfig {
 
   /// Throws std::invalid_argument naming the first setting this config
   /// cannot honour, instead of running it as something else:
+  ///  - n 0 runs to the horizon without a single operation;
   ///  - more shards than processes would leave shards empty;
   ///  - a tree dissemination with tree_fanout 0, or above UINT32_MAX, would
   ///    run as fanout 1 or with a narrowed fanout;
@@ -117,6 +119,8 @@ struct ExperimentConfig {
   ///  - an unsharded run's read_interval 0 (open-loop or bursty) or
   ///    write_interval 0 (writes enabled) would reschedule its tick at the
   ///    same instant forever;
+  ///  - an unsharded run with concurrent writers enabled and
+  ///    concurrent_writers 0 or above n would run as 1 or as n writers;
   ///  - a read_frac that is NaN or outside [0, 1] is not a fraction.
   void validate() const;
 

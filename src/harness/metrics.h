@@ -123,6 +123,7 @@ struct [[nodiscard]] MetricsReport {
   std::uint64_t client_op_records = 0;
   std::uint64_t client_flights_peak = 0;
 
+  double violation_rate() const { return regularity.violation_rate(); }
   double read_completion_rate() const {
     return reads_issued == 0 ? 1.0
                              : static_cast<double>(reads_completed) /

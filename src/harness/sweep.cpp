@@ -18,36 +18,32 @@ MetricsReport run_in_session(const ExperimentConfig& cfg, replay::Session* sessi
   return report;
 }
 
-std::vector<MetricsReport> run_replicas(const ExperimentConfig& base, std::size_t seeds,
-                                        std::size_t jobs, replay::Session* session) {
-  std::vector<MetricsReport> runs(seeds);
-  parallel_for(jobs, seeds, [&](std::size_t s) {
-    ExperimentConfig cfg = base;
-    cfg.seed = replica_seed(base.seed, s);
-    runs[s] = run_in_session(cfg, session);
+std::vector<std::vector<MetricsReport>> run_grid(const std::vector<ExperimentConfig>& cells,
+                                                 std::size_t seeds, std::size_t jobs,
+                                                 replay::Session* session) {
+  std::vector<std::vector<MetricsReport>> grid(cells.size(),
+                                               std::vector<MetricsReport>(seeds));
+  // Flatten the (cell, seed) grid: every replica gets a pre-assigned slot, so
+  // the assembled result is independent of scheduling.
+  parallel_for(jobs, cells.size() * seeds, [&](std::size_t task) {
+    const std::size_t c = task / seeds;
+    const std::size_t s = task % seeds;
+    ExperimentConfig cfg = cells[c];
+    cfg.seed = replica_seed(cells[c].seed, s);
+    grid[c][s] = run_in_session(cfg, session);
   });
-  return runs;
+  return grid;
 }
 
 std::vector<SweepPoint> parallel_sweep(const ExperimentConfig& base,
                                        const std::vector<double>& xs,
                                        const ConfigureFn& configure, std::size_t seeds,
                                        std::size_t jobs, replay::Session* session) {
+  std::vector<ExperimentConfig> cells(xs.size(), base);
+  for (std::size_t i = 0; i < xs.size(); ++i) configure(cells[i], xs[i]);
+  auto grid = run_grid(cells, seeds, jobs, session);
   std::vector<SweepPoint> points(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    points[i].x = xs[i];
-    points[i].runs.resize(seeds);
-  }
-  // Flatten the (x, seed) grid: every replica gets a pre-assigned slot, so
-  // the assembled result is independent of scheduling.
-  parallel_for(jobs, xs.size() * seeds, [&](std::size_t task) {
-    const std::size_t xi = task / seeds;
-    const std::size_t s = task % seeds;
-    ExperimentConfig cfg = base;
-    configure(cfg, xs[xi]);
-    cfg.seed = replica_seed(base.seed, s);
-    points[xi].runs[s] = run_in_session(cfg, session);
-  });
+  for (std::size_t i = 0; i < xs.size(); ++i) points[i] = {xs[i], std::move(grid[i])};
   return points;
 }
 

@@ -80,10 +80,11 @@ churn::System::NodeFactory build_node_factory(const ExperimentConfig& cfg,
 std::vector<sim::ProcessId> designated_writers(const ExperimentConfig& cfg) {
   std::vector<sim::ProcessId> writers;
   if (!cfg.workload.writes_enabled) return writers;
+  // validate() keeps concurrent_writers within [1, n].
   const std::size_t k = cfg.workload.writer_mode == workload::WriterMode::kConcurrent
-                            ? std::max<std::size_t>(1, cfg.workload.concurrent_writers)
+                            ? cfg.workload.concurrent_writers
                             : 1;
-  for (std::size_t w = 0; w < k && w < cfg.n; ++w) {
+  for (std::size_t w = 0; w < k; ++w) {
     writers.push_back(static_cast<sim::ProcessId>(w));
   }
   return writers;

@@ -1,10 +1,10 @@
 // A record/replay session: the set of runs one `dynreg_exp record|replay`
 // invocation captures or re-feeds. The invocation owns the session and
-// hands it to the runs it enrols (harness::run_replicas, parallel_sweep and
-// run_in_session, or a scripted cluster's SessionRun). A run that is not
-// handed a session is a plain live run, so nested replay machinery
-// (schedule search, the minimizer) and any experiment that should stay out
-// of a recording simply never see it.
+// hands it to the runs it enrols (harness::run_grid, which runs every
+// replica through run_in_session, or a scripted cluster's SessionRun). A
+// run that is not handed a session is a plain live run, so nested replay
+// machinery (schedule search, the minimizer) and any experiment that should
+// stay out of a recording simply never see it.
 //
 // A recording session files each enrolled run's trace; a replay session
 // drives each enrolled run from the trace filed under its (config

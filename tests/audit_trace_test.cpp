@@ -66,8 +66,8 @@ TEST(AuditTrace, DifferentSeedsDiverge) {
 TEST(AuditTrace, HashIndependentOfWorkerCount) {
   const auto cfg = es_churn_config();
   constexpr std::size_t kSeeds = 6;
-  const auto serial = run_replicas(cfg, kSeeds, 1, nullptr);
-  const auto parallel = run_replicas(cfg, kSeeds, 8, nullptr);
+  const auto serial = run_grid({cfg}, kSeeds, 1, nullptr)[0];
+  const auto parallel = run_grid({cfg}, kSeeds, 8, nullptr)[0];
   ASSERT_EQ(serial.size(), kSeeds);
   ASSERT_EQ(parallel.size(), kSeeds);
   for (std::size_t i = 0; i < kSeeds; ++i) {

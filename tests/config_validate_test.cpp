@@ -272,6 +272,40 @@ TEST(ConfigValidate, RejectsWriteIntervalZeroWithWritesEnabled) {
   EXPECT_NO_THROW(run_experiment(sharded));
 }
 
+TEST(ConfigValidate, RejectsNZero) {
+  // The run would reach its horizon having issued no read and no write.
+  ExperimentConfig cfg = small_config();
+  cfg.n = 0;
+  EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+  cfg.n = 1;
+  EXPECT_NO_THROW(run_experiment(cfg));
+}
+
+TEST(ConfigValidate, RejectsConcurrentWritersOutsideOneToN) {
+  // designated_writers() would run 0 writers as 1 and more than n as n.
+  ExperimentConfig cfg = small_config();
+  cfg.workload.writer_mode = workload::WriterMode::kConcurrent;
+  for (const std::size_t k : {std::size_t{0}, cfg.n + 1, cfg.n + 4}) {
+    cfg.workload.concurrent_writers = k;
+    EXPECT_THROW(run_experiment(cfg), std::invalid_argument) << k;
+  }
+  for (const std::size_t k : {std::size_t{1}, cfg.n}) {
+    cfg.workload.concurrent_writers = k;
+    EXPECT_NO_THROW(run_experiment(cfg)) << k;
+  }
+  // Unused without writes, in single-writer mode, and on sharded runs
+  // (every shard pins its own process 0).
+  cfg.workload.concurrent_writers = 0;
+  cfg.workload.writes_enabled = false;
+  EXPECT_NO_THROW(run_experiment(cfg));
+  cfg.workload.writes_enabled = true;
+  cfg.workload.writer_mode = workload::WriterMode::kSingle;
+  EXPECT_NO_THROW(run_experiment(cfg));
+  cfg.workload.writer_mode = workload::WriterMode::kConcurrent;
+  cfg.shard_count = 2;
+  EXPECT_NO_THROW(run_experiment(cfg));
+}
+
 TEST(ConfigValidate, RejectsNonFiniteZipfExponentOnShardedRuns) {
   // The keyed engine's CDF would be NaN (every pick the coldest key) or
   // degenerate; the nearest finite exponents are distributions.

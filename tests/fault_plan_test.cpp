@@ -1,7 +1,7 @@
 // fault::Injector determinism and envelope regressions:
 //
 //   - each fault class alone is (config, seed)-deterministic;
-//   - a faulted run is jobs-independent (run_replicas at 1 vs 8 workers);
+//   - a faulted run is jobs-independent (run_grid at 1 vs 8 workers);
 //   - the crash-recovery matrix behaves (recover_fraction 0/1, durable and
 //     volatile restarts both stay inside the safety envelope);
 //   - a run with all three classes armed records into a trace, replays
@@ -138,8 +138,8 @@ TEST(FaultPlan, ByzantineClassIsDeterministic) {
 
 TEST(FaultPlan, FaultedRunsAreJobsIndependent) {
   const auto cfg = everything_config();
-  const auto serial = harness::run_replicas(cfg, 4, 1, nullptr);
-  const auto pooled = harness::run_replicas(cfg, 4, 8, nullptr);
+  const auto serial = harness::run_grid({cfg}, 4, 1, nullptr)[0];
+  const auto pooled = harness::run_grid({cfg}, 4, 8, nullptr)[0];
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE(i);

@@ -1,6 +1,7 @@
-// The seed-parallel sweep engine: worker-count independence (the
-// determinism contract), the cross-seed aggregates, and the rule that
-// violation counts are never silently averaged away.
+// The replica engine (run_grid) and the sweep built on it: worker-count
+// independence (the determinism contract), the replica seeds, record/replay
+// through a session, the cross-seed aggregates, and the rule that violation
+// counts are never silently averaged away.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +11,7 @@
 #include "harness/aggregate.h"
 #include "harness/sweep.h"
 #include "harness/thread_pool.h"
+#include "replay/session.h"
 #include "stats/json_writer.h"
 
 namespace dynreg::harness {
@@ -157,14 +159,87 @@ TEST(ParallelSweep, ReplicaSeedsMatchHistoricalDerivation) {
 
 TEST(RunReplicas, SeedOrderIsStable) {
   const ExperimentConfig base = cheap_config();
-  const auto serial = run_replicas(base, 4, /*jobs=*/1, nullptr);
-  const auto pooled = run_replicas(base, 4, /*jobs=*/4, nullptr);
+  const auto serial = run_grid({base}, 4, /*jobs=*/1, nullptr)[0];
+  const auto pooled = run_grid({base}, 4, /*jobs=*/4, nullptr)[0];
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].reads_completed, pooled[i].reads_completed) << i;
     EXPECT_EQ(serial[i].writes_completed, pooled[i].writes_completed) << i;
     EXPECT_DOUBLE_EQ(serial[i].read_latency_mean, pooled[i].read_latency_mean) << i;
   }
+}
+
+/// Three cells that differ in config and in base seed (one of them 0).
+std::vector<ExperimentConfig> grid_cells() {
+  ExperimentConfig plain = cheap_config();
+  plain.seed = 0;
+  ExperimentConfig churned = cheap_config();
+  churned.seed = 7;
+  churned.churn_rate = 0.02;
+  ExperimentConfig es = cheap_config();
+  es.seed = 123;
+  es.protocol = Protocol::kEventuallySync;
+  es.timing = Timing::kEventuallySynchronous;
+  es.gst = 0;
+  return {plain, churned, es};
+}
+
+/// Every replica's audit hash and headline results, cell by cell.
+std::string serialize_grid(const std::vector<std::vector<MetricsReport>>& grid) {
+  stats::JsonWriter w;
+  w.begin_array();
+  for (const auto& runs : grid) {
+    w.begin_array();
+    for (const auto& r : runs) {
+      w.begin_array();
+      w.value(r.trace_hash);
+      w.value(r.reads_completed);
+      w.value(r.writes_completed);
+      w.value(r.joins_completed);
+      w.value(r.read_latency_mean);
+      w.value(r.violation_rate());
+      w.end_array();
+    }
+    w.end_array();
+  }
+  w.end_array();
+  return w.str();
+}
+
+TEST(RunGrid, OutputIndependentOfWorkerCount) {
+  const auto cells = grid_cells();
+  const auto serial = run_grid(cells, /*seeds=*/3, /*jobs=*/1, nullptr);
+  const auto pooled = run_grid(cells, /*seeds=*/3, /*jobs=*/8, nullptr);
+  ASSERT_EQ(serial.size(), cells.size());
+  for (const auto& runs : serial) EXPECT_EQ(runs.size(), 3u);
+  EXPECT_EQ(serialize_grid(serial), serialize_grid(pooled));
+}
+
+TEST(RunGrid, ReplicaIsTheCellWithItsReplicaSeed) {
+  const auto cells = grid_cells();
+  const auto grid = run_grid(cells, /*seeds=*/2, /*jobs=*/4, nullptr);
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    for (std::size_t s = 0; s < 2; ++s) {
+      ExperimentConfig cfg = cells[c];
+      cfg.seed = replica_seed(cells[c].seed, s);
+      EXPECT_EQ(serialize_grid({{run_experiment(cfg)}}), serialize_grid({{grid[c][s]}}))
+          << "cell " << c << " replica " << s;
+    }
+  }
+}
+
+TEST(RunGrid, RecordedGridReplaysThroughASession) {
+  const auto cells = grid_cells();
+  replay::Session recording;
+  const auto recorded = run_grid(cells, /*seeds=*/3, /*jobs=*/4, &recording);
+  auto traces = recording.collected();
+  EXPECT_EQ(traces.size(), cells.size() * 3);
+
+  replay::Session replaying(std::move(traces));
+  const auto replayed = run_grid(cells, /*seeds=*/3, /*jobs=*/8, &replaying);
+  EXPECT_EQ(serialize_grid(recorded), serialize_grid(replayed));
+  EXPECT_EQ(replaying.replays(), cells.size() * 3);
+  EXPECT_EQ(replaying.hash_mismatches(), 0u);
 }
 
 }  // namespace
