@@ -7,8 +7,10 @@
 // event per broadcast arrival tick) must reproduce them exactly.
 //
 // The counts (queued events dispatched, message copies sent and delivered,
-// client operation records created and the clients' peak of unresolved
-// operations) hold in every build mode. They are the machine-independent
+// client operation records created, the clients' peak of unresolved
+// operations, and what the membership chronicle reports: abandoned joins,
+// the mean join latency, whether a majority stayed active throughout and
+// the least |A(t, t + 3δ)|) hold in every build mode. They are the machine-independent
 // gate for performance work: a change that only makes the same run faster
 // leaves them alone, and one that queues fewer events must say so here.
 #include <gtest/gtest.h>
@@ -237,6 +239,11 @@ struct Counts {
   std::uint64_t net_copies_delivered;
   std::uint64_t client_op_records;
   std::uint64_t client_flights_peak;
+  // Read straight off churn::Chronicle and the join bookkeeping.
+  std::uint64_t joins_abandoned;
+  double join_latency_mean;
+  bool majority_active_always;
+  double min_active_3delta;
 };
 
 /// What a Byzantine run also pins: copies rewritten, reads flagged.
@@ -255,6 +262,10 @@ void expect_pinned(const ExperimentConfig& cfg, std::uint64_t hash, const Counts
   EXPECT_EQ(report.net_copies_delivered, counts.net_copies_delivered);
   EXPECT_EQ(report.client_op_records, counts.client_op_records);
   EXPECT_EQ(report.client_flights_peak, counts.client_flights_peak);
+  EXPECT_EQ(report.joins_abandoned, counts.joins_abandoned);
+  EXPECT_EQ(report.join_latency_mean, counts.join_latency_mean);
+  EXPECT_EQ(report.majority_active_always, counts.majority_active_always);
+  EXPECT_EQ(report.min_active_3delta, counts.min_active_3delta);
   if (sim::Simulation::audit_enabled()) {
     EXPECT_EQ(report.trace_hash, hash) << "actual 0x" << std::hex << report.trace_hash;
   }
@@ -265,39 +276,46 @@ void expect_pinned(const ExperimentConfig& cfg, std::uint64_t hash, const Counts
 }
 
 TEST(EventStreamPin, EsFlat) {
-  expect_pinned(es_flat(), 0xbaf107f8d730c33aULL, {9649, 12973, 12076, 121, 7});
+  expect_pinned(es_flat(), 0xbaf107f8d730c33aULL,
+                {9649, 12973, 12076, 121, 7, 0, 262.0 / 23, true, 29});
 }
 TEST(EventStreamPin, EsTree) {
-  expect_pinned(es_tree(), 0x7c97c6ee02db0983ULL, {13462, 18012, 16482, 120, 13});
+  expect_pinned(es_tree(), 0x7c97c6ee02db0983ULL,
+                {13462, 18012, 16482, 120, 13, 2, 727.0 / 31, true, 40});
 }
 TEST(EventStreamPin, SyncUnderChurn) {
-  expect_pinned(sync_churn(), 0x245ae4a0b2220e1bULL, {51035, 92838, 78671, 218, 2});
+  expect_pinned(sync_churn(), 0x245ae4a0b2220e1bULL,
+                {51035, 92838, 78671, 218, 2, 583, 12, false, 10});
 }
 TEST(EventStreamPin, EsCrashAndPartition) {
-  expect_pinned(es_faults(), 0x707f13a1b35377e7ULL, {5994, 5963, 5923, 236, 13});
+  expect_pinned(es_faults(), 0x707f13a1b35377e7ULL,
+                {5994, 5963, 5923, 236, 13, 0, 37.0 / 6, true, 9});
 }
 TEST(EventStreamPin, AbdUnderChurn) {
-  expect_pinned(abd_churn(), 0x76fb3c6b5955e378ULL, {5404, 9026, 8759, 161, 50});
+  expect_pinned(abd_churn(), 0x76fb3c6b5955e378ULL, {5404, 9026, 8759, 161, 50, 0, 0, true, 24});
 }
 
 // The Byzantine pins also fix how many copies were rewritten and how many
 // reads the checker flags.
 TEST(EventStreamPin, ByzantineEs) {
-  expect_pinned(byzantine_es(), 0x8603b64b6106e617ULL, {5182, 5848, 5709, 180, 3},
+  expect_pinned(byzantine_es(), 0x8603b64b6106e617ULL,
+                {5182, 5848, 5709, 180, 3, 4, 157.0 / 25, true, 14},
                 Byzantine{266, 2});
 }
 TEST(EventStreamPin, ByzantineSync) {
-  expect_pinned(byzantine_sync(), 0x754db26f7972368fULL, {9062, 11408, 9891, 180, 2},
+  expect_pinned(byzantine_sync(), 0x754db26f7972368fULL,
+                {9062, 11408, 9891, 180, 2, 188, 15, false, 3},
                 Byzantine{762, 130});
 }
 TEST(EventStreamPin, ByzantineAbd) {
-  expect_pinned(byzantine_abd(), 0xc9e7ea1df2fdfc91ULL, {3945, 5073, 5008, 179, 75},
+  expect_pinned(byzantine_abd(), 0xc9e7ea1df2fdfc91ULL, {3945, 5073, 5008, 179, 75, 0, 0, true, 14},
                 Byzantine{232, 33});
 }
 
 // The sharded pin also fixes the integer report fields.
 TEST(EventStreamPin, SyncShardedZipfian) {
-  expect_pinned(sync_sharded(), 0xe69832f62ba6786bULL, {22095, 24629, 20880, 2127, 46});
+  expect_pinned(sync_sharded(), 0xe69832f62ba6786bULL,
+                {22095, 24629, 20880, 2127, 46, 492, 12, false, 2});
   const MetricsReport report = run_experiment(sync_sharded());
   EXPECT_EQ(report.reads_completed, 1705u);
   EXPECT_EQ(report.writes_completed, 410u);
@@ -312,13 +330,16 @@ TEST(EventStreamPin, SyncShardedZipfian) {
 // (destination, arrival tick): 26342 queued events with one per reply, 4182
 // with coalescing. The digest and the copy counts are the per-copy design's.
 TEST(EventStreamPin, QuorumScaleShape) {
-  expect_pinned(quorum_scale(), 0xd9c82e1682a2caa3ULL, {4182, 51974, 51974, 13, 2});
+  expect_pinned(quorum_scale(), 0xd9c82e1682a2caa3ULL,
+                {4182, 51974, 51974, 13, 2, 0, 0, true, 2000});
 }
 TEST(EventStreamPin, ChurnSessionsShape) {
-  expect_pinned(churn_sessions(), 0xf6881075e6bc8c0fULL, {64538, 121067, 117425, 14429, 1130});
+  expect_pinned(churn_sessions(), 0xf6881075e6bc8c0fULL,
+                {64538, 121067, 117425, 14429, 1130, 28, 15, true, 57});
 }
 TEST(EventStreamPin, FaultSearchShape) {
-  expect_pinned(fault_search_base(), 0xb5d105cc25c86e8dULL, {8917, 8624, 8564, 290, 3});
+  expect_pinned(fault_search_base(), 0xb5d105cc25c86e8dULL,
+                {8917, 8624, 8564, 290, 3, 0, 83.0 / 8, true, 13});
 }
 
 }  // namespace
