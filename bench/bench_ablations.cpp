@@ -44,9 +44,7 @@ bool scripted_inversion_occurs(bool atomic_reads, std::uint64_t seed) {
   cfg.atomic_reads = atomic_reads;
   ScriptedCluster cluster(
       seed, 5, 0.0, churn::LeavePolicy::kUniform, inversion_adversary(),
-      [cfg](sim::ProcessId id, node::Context& ctx, bool initial) {
-        return std::make_unique<EsRegisterNode>(id, ctx, cfg, initial);
-      });
+      group_factory<EsRegisterNode>(cfg));
   cluster.node(0)->write(OpContext{}, 1, [](OpOutcome) {});
   pump_until(cluster.sim, [&] { return cluster.node(1)->local_value() == 1; }, 50);
   const auto r1 = cluster.read_blocking(1, 400);

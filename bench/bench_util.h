@@ -69,9 +69,7 @@ class ScriptedCluster {
                                                std::uint64_t replay_key = 0) {
     return std::make_unique<ScriptedCluster>(
         seed, n, churn_rate, policy, std::move(delays),
-        [cfg](sim::ProcessId id, node::Context& ctx, bool initial) {
-          return std::make_unique<SyncRegisterNode>(id, ctx, cfg, initial);
-        },
+        group_factory<SyncRegisterNode>(cfg),
         session, replay_key);
   }
 
@@ -86,9 +84,7 @@ class ScriptedCluster {
     cfg.n = n;
     return std::make_unique<ScriptedCluster>(
         seed, n, churn_rate, policy, std::move(delays),
-        [cfg](sim::ProcessId id, node::Context& ctx, bool initial) {
-          return std::make_unique<EsRegisterNode>(id, ctx, cfg, initial);
-        },
+        group_factory<EsRegisterNode>(cfg),
         session, replay_key);
   }
 

@@ -36,15 +36,18 @@ void Chronicle::note_enter(sim::ProcessId id, sim::Time at, bool initial) {
 }
 
 void Chronicle::note_activated(sim::ProcessId id, sim::Time at) {
-  records_[id].activated = at;
+  records_[id].activated_at = at;
 }
 
-void Chronicle::note_left(sim::ProcessId id, sim::Time at) { records_[id].left = at; }
+void Chronicle::note_left(sim::ProcessId id, sim::Time at) { records_[id].left_at = at; }
 
 std::size_t Chronicle::active_at(sim::Time t) const {
   std::size_t n = 0;
   for (const Record& r : records_) {
-    if (r.activated && *r.activated <= t && (!r.left || *r.left > t)) ++n;
+    if (r.activated_at != kNever && r.activated_at <= t &&
+        (r.left_at == kNever || r.left_at > t)) {
+      ++n;
+    }
   }
   return n;
 }
@@ -55,7 +58,10 @@ std::size_t Chronicle::active_through(sim::Time t1, sim::Time t2) const {
   // with t in [t1, t2].
   std::size_t n = 0;
   for (const Record& r : records_) {
-    if (r.activated && *r.activated <= t1 && (!r.left || *r.left > t2)) ++n;
+    if (r.activated_at != kNever && r.activated_at <= t1 &&
+        (r.left_at == kNever || r.left_at > t2)) {
+      ++n;
+    }
   }
   return n;
 }
@@ -68,13 +74,13 @@ std::size_t Chronicle::min_active_through_window(sim::Duration window,
   // window, i.e. for the contiguous range t in [activated, left - window - 1].
   std::vector<std::int64_t> diff(static_cast<std::size_t>(last_start) + 2, 0);
   for (const Record& r : records_) {
-    if (!r.activated) continue;
-    const sim::Time lo = *r.activated;
+    if (r.activated_at == kNever) continue;
+    const sim::Time lo = r.activated_at;
     if (lo > last_start) continue;
     sim::Time hi = last_start;
-    if (r.left) {
-      if (*r.left <= lo + window) continue;  // never covers a full window
-      hi = std::min<sim::Time>(hi, *r.left - window - 1);
+    if (r.left_at != kNever) {
+      if (r.left_at <= lo + window) continue;  // never covers a full window
+      hi = std::min<sim::Time>(hi, r.left_at - window - 1);
     }
     diff[static_cast<std::size_t>(lo)] += 1;
     diff[static_cast<std::size_t>(hi) + 1] -= 1;
@@ -85,9 +91,11 @@ std::size_t Chronicle::min_active_through_window(sim::Duration window,
 std::size_t Chronicle::min_active_at(sim::Time horizon) const {
   std::vector<std::int64_t> diff(static_cast<std::size_t>(horizon) + 2, 0);
   for (const Record& r : records_) {
-    if (!r.activated || *r.activated > horizon) continue;
-    diff[static_cast<std::size_t>(*r.activated)] += 1;
-    if (r.left && *r.left <= horizon) diff[static_cast<std::size_t>(*r.left)] -= 1;
+    if (r.activated_at == kNever || r.activated_at > horizon) continue;
+    diff[static_cast<std::size_t>(r.activated_at)] += 1;
+    if (r.left_at != kNever && r.left_at <= horizon) {
+      diff[static_cast<std::size_t>(r.left_at)] -= 1;
+    }
   }
   return min_prefix(diff, horizon);
 }

@@ -6,14 +6,17 @@
 // churn::System reads activation times from it rather than keeping copies.
 //
 // One representation: a dense Record per id that ever entered, so memory is
-// O(ids ever entered) at 48 B each — 4.8 MB for the 1e5 members of a
-// 1e5-process run. That beats a map of live members (~96 B per node) at
-// every scale dynreg runs: on perfbench's quorum_scale (4-vCPU Xeon VM) it
-// takes set-up from 0.063 to 0.030 s and peak RSS from 81.4 to 77.1 MiB
-// (docs/PERFORMANCE.md, "One membership timeline").
+// O(ids ever entered) at 32 B each — 3.2 MB for the 1e5 members of a
+// 1e5-process run. A time that has not happened is the kNever sentinel,
+// not an empty std::optional, which would take the record to 48 B. That
+// beats a map of live members (~96 B per node) at every scale dynreg runs
+// (docs/PERFORMANCE.md, "One membership timeline" and "Pre-sized columns
+// and per-group constants"). System reserves the records for its initial
+// members before it adds the first.
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -23,11 +26,22 @@ namespace dynreg::churn {
 
 class Chronicle {
  public:
+  /// The time of an event that has not happened (yet).
+  static constexpr sim::Time kNever = std::numeric_limits<sim::Time>::max();
+
   struct Record {
     sim::Time entered = 0;
-    std::optional<sim::Time> activated;  // unset: join never completed
-    std::optional<sim::Time> left;       // unset: still in the system
+    sim::Time activated_at = kNever;  // kNever: join never completed
+    sim::Time left_at = kNever;       // kNever: still in the system
     bool initial = false;
+
+    [[nodiscard]] std::optional<sim::Time> activated() const { return at(activated_at); }
+    [[nodiscard]] std::optional<sim::Time> left() const { return at(left_at); }
+
+   private:
+    static std::optional<sim::Time> at(sim::Time t) {
+      return t == kNever ? std::nullopt : std::optional<sim::Time>(t);
+    }
   };
 
   void note_enter(sim::ProcessId id, sim::Time at, bool initial);
@@ -38,6 +52,9 @@ class Chronicle {
   /// index == ProcessId. At 1e5 processes the analyses below walk the whole
   /// history, and a contiguous sweep beats a pointer chase per process.
   [[nodiscard]] const std::vector<Record>& records() const { return records_; }
+
+  /// Makes room for `n` records without reallocating (System's bootstrap).
+  void reserve(std::size_t n) { records_.reserve(n); }
 
   /// |A(t)|: processes active at instant t (activated <= t, not yet left).
   std::size_t active_at(sim::Time t) const;

@@ -30,7 +30,17 @@ System::System(sim::Simulation& sim, net::Network& net, SystemConfig config,
       ctx_(sim, net, [this](sim::ProcessId id) { on_activated(id); }) {}
 
 void System::bootstrap() {
-  for (std::size_t i = 0; i < config_.initial_size; ++i) add_member(/*initial=*/true);
+  // Each id-indexed column takes the initial members in one allocation
+  // instead of growing one member at a time; churn then grows them
+  // geometrically as usual.
+  const std::size_t n = config_.initial_size;
+  node_.reserve(n);
+  member_ids_.reserve(n);
+  active_ids_.reserve(n);
+  chronicle_.reserve(n);
+  net_.reserve(n);
+  ctx_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) add_member(/*initial=*/true);
   if (churn_ && (churn_->rate() > 0.0 || churn_->scripted())) {
     sim_.schedule_after(1, [this] { churn_step(); });
   }
@@ -74,7 +84,7 @@ sim::ProcessId System::add_member(bool initial) {
 
 void System::leave(sim::ProcessId id) {
   if (!is_member(id)) return;
-  if (!chronicle_.records()[id].activated) ++joins_abandoned_;
+  if (!chronicle_.records()[id].activated()) ++joins_abandoned_;
   chronicle_.note_left(id, sim_.now());
   net_.detach(id);
   ctx_.retire(id);
@@ -152,7 +162,7 @@ sim::ProcessId System::pick_victim() {
     sim::Time best_at = 0;
     for (const sim::ProcessId id : active_ids_) {
       if (exempt(id)) continue;
-      const sim::Time at = *chronicle_.records()[id].activated;
+      const sim::Time at = chronicle_.records()[id].activated_at;
       if (!found || at < best_at) {
         best = id;
         best_at = at;

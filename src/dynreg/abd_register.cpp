@@ -6,9 +6,8 @@
 
 namespace dynreg {
 
-AbdRegisterNode::AbdRegisterNode(sim::ProcessId id, node::Context& ctx,
-                                 AbdConfig config, bool initial)
-    : RegisterNode(id, ctx), config_(std::move(config)) {
+AbdRegisterNode::AbdRegisterNode(sim::ProcessId id, node::Context& ctx, bool initial)
+    : RegisterNode(id, ctx) {
   static_assert(sizeof(node::Node) + sizeof(Hot) <= 64,
                 "on_message's hot fields must end within the receiver's first 64 bytes");
   hot_.replica = initial;

@@ -24,7 +24,10 @@ struct AbdConfig {
 
 class AbdRegisterNode final : public RegisterNode {
  public:
-  AbdRegisterNode(sim::ProcessId id, node::Context& ctx, AbdConfig config, bool initial);
+  using Config = AbdConfig;
+
+  /// `ctx` carries the group's AbdConfig (group_factory binds it).
+  AbdRegisterNode(sim::ProcessId id, node::Context& ctx, bool initial);
 
   void on_message(sim::ProcessId from, const net::Payload& payload) override;
   void on_departure() override;
@@ -75,7 +78,9 @@ class AbdRegisterNode final : public RegisterNode {
     std::map<std::uint64_t, PendingWrite> writes;
   };
 
-  [[nodiscard]] std::size_t majority() const { return config_.n / 2 + 1; }
+  [[nodiscard]] std::size_t majority() const {
+    return context().config<AbdConfig>().n / 2 + 1;
+  }
   /// The in-flight block, created on first use.
   Flight& flight();
   /// Frees the in-flight block once no read or write is pending.
@@ -84,8 +89,6 @@ class AbdRegisterNode final : public RegisterNode {
   void start_writeback(std::uint64_t rid);
   void maybe_finish_read(std::uint64_t rid);
   void maybe_finish_write(std::uint64_t wid);
-
-  AbdConfig config_;
 
   std::uint64_t next_rid_ = 0;
   std::uint64_t next_wid_ = 0;

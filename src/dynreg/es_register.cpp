@@ -7,11 +7,13 @@
 
 namespace dynreg {
 
-EsRegisterNode::EsRegisterNode(sim::ProcessId id, node::Context& ctx, EsConfig config,
-                               bool initial)
-    : RegisterNode(id, ctx), config_(std::move(config)) {
+EsRegisterNode::EsRegisterNode(sim::ProcessId id, node::Context& ctx, bool initial)
+    : RegisterNode(id, ctx) {
+  // An es.write or es.read delivery reads only its receiver's hot fields,
+  // validate_replies among them.
   static_assert(sizeof(node::Node) + sizeof(Hot) <= 64,
                 "on_message's hot fields must end within the receiver's first 64 bytes");
+  hot_.validate_replies = config().validate_replies;
   if (initial) {
     hot_.value = kInitialValue;
     hot_.ts = Timestamp{0, 0};
@@ -91,7 +93,7 @@ void EsRegisterNode::finish_read(std::uint64_t rid) {
   if (!flight_) return;
   const auto it = flight_->reads.find(rid);
   if (it == flight_->reads.end()) return;
-  if (config_.atomic_reads && !it->second.in_writeback) {
+  if (config().atomic_reads && !it->second.in_writeback) {
     start_writeback(rid);
     return;
   }

@@ -52,7 +52,10 @@ inline constexpr std::uint64_t kTsEnvelope = 64;
 
 class EsRegisterNode final : public RegisterNode {
  public:
-  EsRegisterNode(sim::ProcessId id, node::Context& ctx, EsConfig config, bool initial);
+  using Config = EsConfig;
+
+  /// `ctx` carries the group's EsConfig (group_factory binds it).
+  EsRegisterNode(sim::ProcessId id, node::Context& ctx, bool initial);
 
   void on_message(sim::ProcessId from, const net::Payload& payload) override;
   void on_departure() override;
@@ -73,16 +76,19 @@ class EsRegisterNode final : public RegisterNode {
  private:
   // What on_message reads for the bulk message types: an es.read reply reads
   // active, ts, value and has_value; an es.write's apply() also reads and
-  // bumps max_seen_sn. Declared first, so with the node::Node base it lies in
-  // bytes [0, 64), the span net::Network prefetches ahead of batched
-  // delivery (checked in es_register.cpp). An es.write still reads the
-  // validate_replies flag from config_ on the next line.
+  // bumps max_seen_sn, after the validate_replies guard. Declared first, so
+  // with the node::Node base it lies in bytes [0, 64), the span
+  // net::Network prefetches ahead of batched delivery (checked in
+  // es_register.cpp). validate_replies is the one EsConfig field a delivery
+  // reads, so it is copied here from the group's config; the rest stays in
+  // the node::Context.
   struct Hot {
     Timestamp ts;
     Value value = kBottom;
     std::uint64_t max_seen_sn = 0;
     bool has_value = false;
     bool active = false;
+    bool validate_replies = false;
   };
   Hot hot_;
 
@@ -133,16 +139,19 @@ class EsRegisterNode final : public RegisterNode {
     bool join_has_value = false;
   };
 
-  [[nodiscard]] std::size_t majority() const { return config_.n / 2 + 1; }
+  /// The group's constants, held once in its node::Context.
+  [[nodiscard]] const EsConfig& config() const { return context().config<EsConfig>(); }
+  [[nodiscard]] std::size_t majority() const { return config().n / 2 + 1; }
   /// Interval before the (resends+1)-th rebroadcast: the fixed cadence, or
   /// base << min(resends, 3) under the hardened exponential backoff.
   [[nodiscard]] sim::Duration retransmit_after(std::uint32_t resends) const {
-    if (!config_.retransmit_backoff) return config_.retransmit_interval;
-    return config_.retransmit_interval << (resends > 3 ? 3 : resends);
+    const EsConfig& c = config();
+    if (!c.retransmit_backoff) return c.retransmit_interval;
+    return c.retransmit_interval << (resends > 3 ? 3 : resends);
   }
   /// validate_replies guard; true = drop the message unprocessed.
   [[nodiscard]] bool rejects_envelope(const Timestamp& ts, bool msg_has_value) const {
-    if (!config_.validate_replies) return false;
+    if (!hot_.validate_replies) return false;
     if (!msg_has_value) return ts.sn > 0;  // no value claimed, yet a timestamp
     return ts.sn > hot_.max_seen_sn + kTsEnvelope;
   }
@@ -162,7 +171,6 @@ class EsRegisterNode final : public RegisterNode {
   void start_writeback(std::uint64_t rid);
   void maybe_finish_write(std::uint64_t wid);
 
-  EsConfig config_;
   std::uint64_t next_rid_ = 0;
   std::uint64_t next_wid_ = 0;
   std::unique_ptr<Flight> flight_;  // null while nothing is in flight

@@ -1,6 +1,9 @@
 // Common interface of all register protocol implementations.
 #pragma once
 
+#include <memory>
+#include <utility>
+
 #include "dynreg/operation.h"
 #include "dynreg/types.h"
 #include "node/node.h"
@@ -61,5 +64,20 @@ class RegisterNode : public node::Node {
   /// would have found (docs/FAULTS.md). Default: ignored.
   virtual void restore(const DurableImage& image) { (void)image; }
 };
+
+/// The node factory of a group whose members are all `NodeT`: one copy of
+/// the protocol's constants (`NodeT::Config`) is bound to the group's
+/// node::Context before each build, and every member reads it there.
+/// Converts to churn::System::NodeFactory.
+template <typename NodeT>
+auto group_factory(typename NodeT::Config config) {
+  using Config = typename NodeT::Config;
+  return [config = std::make_shared<const Config>(std::move(config))](
+             sim::ProcessId id, node::Context& ctx,
+             bool initial) -> std::unique_ptr<node::Node> {
+    ctx.bind_config(config);
+    return std::make_unique<NodeT>(id, ctx, initial);
+  };
+}
 
 }  // namespace dynreg

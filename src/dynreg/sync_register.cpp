@@ -6,9 +6,8 @@
 
 namespace dynreg {
 
-SyncRegisterNode::SyncRegisterNode(sim::ProcessId id, node::Context& ctx,
-                                   SyncConfig config, bool initial)
-    : RegisterNode(id, ctx), config_(std::move(config)) {
+SyncRegisterNode::SyncRegisterNode(sim::ProcessId id, node::Context& ctx, bool initial)
+    : RegisterNode(id, ctx) {
   static_assert(sizeof(node::Node) + sizeof(Hot) <= 64,
                 "on_message's hot fields must end within the receiver's first 64 bytes");
   if (initial) {
@@ -20,11 +19,11 @@ SyncRegisterNode::SyncRegisterNode(sim::ProcessId id, node::Context& ctx,
     schedule_refresh();
   } else {
     hot_.joining = true;
-    if (config_.wait_before_inquiry) {
+    if (config().wait_before_inquiry) {
       // The initial delta wait guarantees any WRITE broadcast concurrent
       // with the join has landed at every active process before their
       // replies are generated (Figure 3b).
-      schedule_after(config_.delta, [this] { start_inquiry(); });
+      schedule_after(config().delta, [this] { start_inquiry(); });
     } else {
       start_inquiry();
     }
@@ -35,8 +34,8 @@ void SyncRegisterNode::start_inquiry() {
   broadcast(make_payload<msg::Request>(msg::kSyncInquiry, 0));
   // A reply takes at most delta (inquiry) + delta (reply) to round-trip;
   // footnote 4 tightens the return leg to a known delta'.
-  const sim::Duration window =
-      config_.delta + (config_.delta_pp ? *config_.delta_pp : config_.delta);
+  const SyncConfig& c = config();
+  const sim::Duration window = c.delta + (c.delta_pp ? *c.delta_pp : c.delta);
   schedule_after(window, [this] { finish_join(); });
 }
 
@@ -61,8 +60,9 @@ void SyncRegisterNode::apply(const Timestamp& ts, Value v) {
 }
 
 void SyncRegisterNode::schedule_refresh() {
-  if (!config_.refresh_interval) return;
-  schedule_after(*config_.refresh_interval, [this] {
+  const std::optional<sim::Duration>& interval = config().refresh_interval;
+  if (!interval) return;
+  schedule_after(*interval, [this] {
     if (hot_.active && hot_.has_value) {
       broadcast(make_payload<msg::Stamped>(msg::kSyncRefresh, 0, hot_.ts, hot_.value, true));
     }
@@ -107,7 +107,7 @@ void SyncRegisterNode::write(const OpContext&, Value v, WriteCompletion done) {
   // pending_writes_ (not inside the timer) so a departure can resolve it.
   const std::uint64_t wid = next_wid_++;
   pending_writes_.emplace_back(wid, std::move(done));
-  schedule_after(config_.delta, [this, wid] { finish_write(wid); });
+  schedule_after(config().delta, [this, wid] { finish_write(wid); });
 }
 
 void SyncRegisterNode::finish_write(std::uint64_t wid) {

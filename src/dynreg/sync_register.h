@@ -37,8 +37,10 @@ struct SyncConfig {
 
 class SyncRegisterNode final : public RegisterNode {
  public:
-  SyncRegisterNode(sim::ProcessId id, node::Context& ctx, SyncConfig config,
-                   bool initial);
+  using Config = SyncConfig;
+
+  /// `ctx` carries the group's SyncConfig (group_factory binds it).
+  SyncRegisterNode(sim::ProcessId id, node::Context& ctx, bool initial);
 
   void on_message(sim::ProcessId from, const net::Payload& payload) override;
   void on_departure() override;
@@ -71,13 +73,13 @@ class SyncRegisterNode final : public RegisterNode {
   };
   Hot hot_;
 
+  /// The group's constants, held once in its node::Context.
+  [[nodiscard]] const SyncConfig& config() const { return context().config<SyncConfig>(); }
   void start_inquiry();
   void finish_join();
   void finish_write(std::uint64_t wid);
   void apply(const Timestamp& ts, Value v);
   void schedule_refresh();
-
-  SyncConfig config_;
 
   /// Inquiries that arrived while this process was still joining.
   std::vector<sim::ProcessId> pending_inquiries_;

@@ -32,9 +32,7 @@ churn::System::NodeFactory build_node_factory(const ExperimentConfig& cfg,
       sc.wait_before_inquiry = cfg.protocol != Protocol::kSyncNoWait;
       sc.delta_pp = cfg.sync_delta_pp;
       sc.refresh_interval = cfg.sync_refresh_interval;
-      return [sc](sim::ProcessId id, node::Context& ctx, bool initial) {
-        return std::make_unique<SyncRegisterNode>(id, ctx, sc, initial);
-      };
+      return group_factory<SyncRegisterNode>(sc);
     }
     case Protocol::kEventuallySync: {
       EsConfig ec;
@@ -62,16 +60,12 @@ churn::System::NodeFactory build_node_factory(const ExperimentConfig& cfg,
       ec.atomic_reads = cfg.es_atomic_reads;
       ec.retransmit_backoff = cfg.es_retransmit_backoff;
       ec.validate_replies = cfg.es_validate_replies;
-      return [ec](sim::ProcessId id, node::Context& ctx, bool initial) {
-        return std::make_unique<EsRegisterNode>(id, ctx, ec, initial);
-      };
+      return group_factory<EsRegisterNode>(ec);
     }
     case Protocol::kAbd: {
       AbdConfig ac;
       ac.n = n;
-      return [ac](sim::ProcessId id, node::Context& ctx, bool initial) {
-        return std::make_unique<AbdRegisterNode>(id, ctx, ac, initial);
-      };
+      return group_factory<AbdRegisterNode>(ac);
     }
   }
   return nullptr;

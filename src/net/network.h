@@ -95,6 +95,13 @@ class Network {
   /// The caller keeps `receiver` alive while it is attached.
   void attach(sim::ProcessId id, Receiver* receiver);
 
+  /// Makes room for ids [0, n) without reallocating: the churn system's
+  /// bootstrap attaches its initial members in one go.
+  void reserve(std::size_t n) {
+    slots_.reserve(n);
+    attached_ids_.reserve(n);
+  }
+
   /// Deregisters a process; in-flight messages towards it are dropped at
   /// their delivery time.
   void detach(sim::ProcessId id);

@@ -13,6 +13,9 @@
 //    freed memory. Ids are never reused, so a later join cannot revive it.
 //  - notify_active(id) runs the group's one activation hook (the System's
 //    bookkeeping) for a live id.
+//  - config<T>() is the group's protocol constants (an EsConfig, SyncConfig
+//    or AbdConfig), bound once by the factory that builds the group's nodes,
+//    so no node keeps a copy or a pointer of its own.
 //
 // The liveness bits are an id-indexed bitmap, so a process costs the group
 // one bit here and no allocation of its own.
@@ -20,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -60,6 +64,19 @@ class Context {
     if (live(id) && on_active_) on_active_(id);
   }
 
+  /// Binds the group's protocol constants. A node factory binds them before
+  /// each build; binding the object already bound is a pointer compare.
+  template <typename Config>
+  void bind_config(const std::shared_ptr<const Config>& config) {
+    if (config_ != config) config_ = config;
+  }
+
+  /// The bound protocol constants; `Config` is the type that was bound.
+  template <typename Config>
+  [[nodiscard]] const Config& config() const {
+    return *static_cast<const Config*>(config_.get());
+  }
+
   /// System calls this before it builds the node for `id`, so the node's
   /// constructor may already schedule timers and notify activation.
   void admit(sim::ProcessId id) {
@@ -67,6 +84,9 @@ class Context {
     if (word >= live_.size()) live_.resize(word + 1, 0);
     live_[word] |= bit(id);
   }
+
+  /// Makes room for the liveness bits of ids [0, n) without reallocating.
+  void reserve(std::size_t n) { live_.reserve((n + 63) / 64); }
 
   /// System calls this when `id` departs; cancels all its pending timers.
   void retire(sim::ProcessId id) { live_[id / 64] &= ~bit(id); }
@@ -88,6 +108,7 @@ class Context {
   net::Network& net_;
   ActivationHook on_active_;
   std::vector<std::uint64_t> live_;  // liveness bitmap: bit id % 64 of word id / 64
+  std::shared_ptr<const void> config_;  // the group's protocol constants
 };
 
 }  // namespace dynreg::node

@@ -22,9 +22,7 @@ churn::System make_abd_system(sim::Simulation& sim, net::Network& net, std::size
   ac.n = n;
   return churn::System(
       sim, net, sys_cfg, std::make_unique<churn::NoChurn>(),
-      [ac](sim::ProcessId id, node::Context& ctx, bool initial) {
-        return std::make_unique<AbdRegisterNode>(id, ctx, ac, initial);
-      });
+      group_factory<AbdRegisterNode>(ac));
 }
 
 TEST(AbdProtocol, SingleReplicaSystemCompletesViaSelfQuorum) {

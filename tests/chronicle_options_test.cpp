@@ -123,8 +123,8 @@ TEST(Chronicle, RecordsKeepDepartedMembers) {
   for (const Lifetime& l : kScript) {
     const Chronicle::Record& r = chron.records()[l.id];
     EXPECT_EQ(r.entered, l.entered) << l.id;
-    EXPECT_EQ(r.activated, l.activated) << l.id;
-    EXPECT_EQ(r.left, l.left) << l.id;
+    EXPECT_EQ(r.activated(), l.activated) << l.id;
+    EXPECT_EQ(r.left(), l.left) << l.id;
     EXPECT_EQ(r.initial, l.initial) << l.id;
   }
 }

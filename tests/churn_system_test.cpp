@@ -13,18 +13,13 @@
 namespace dynreg::churn {
 namespace {
 
-System::NodeFactory sync_factory(SyncConfig cfg) {
-  return [cfg](sim::ProcessId id, node::Context& ctx, bool initial) {
-    return std::make_unique<SyncRegisterNode>(id, ctx, cfg, initial);
-  };
-}
-
 TEST(ChurnSystem, BootstrapCreatesActiveInitialMembers) {
   sim::Simulation sim(1);
   net::Network net(sim, std::make_unique<net::FixedDelay>(1));
   SystemConfig cfg;
   cfg.initial_size = 5;
-  System system(sim, net, cfg, std::make_unique<NoChurn>(), sync_factory(SyncConfig{}));
+  System system(sim, net, cfg, std::make_unique<NoChurn>(),
+                group_factory<SyncRegisterNode>(SyncConfig{}));
   system.bootstrap();
 
   EXPECT_EQ(system.member_count(), 5u);
@@ -41,7 +36,8 @@ TEST(ChurnSystem, SpawnedJoinerActivatesAfterJoinProtocol) {
   cfg.initial_size = 3;
   SyncConfig sync;
   sync.delta = 5;
-  System system(sim, net, cfg, std::make_unique<NoChurn>(), sync_factory(sync));
+  System system(sim, net, cfg, std::make_unique<NoChurn>(),
+                group_factory<SyncRegisterNode>(sync));
   system.bootstrap();
 
   const sim::ProcessId joiner = system.spawn();
@@ -52,9 +48,9 @@ TEST(ChurnSystem, SpawnedJoinerActivatesAfterJoinProtocol) {
   EXPECT_EQ(system.joins_completed(), 1u);
   EXPECT_EQ(system.active_count(), 4u);
   const auto& rec = system.chronicle().records().at(joiner);
-  ASSERT_TRUE(rec.activated.has_value());
+  ASSERT_TRUE(rec.activated().has_value());
   // wait delta + collect 2*delta.
-  EXPECT_EQ(*rec.activated, 3 * sync.delta);
+  EXPECT_EQ(*rec.activated(), 3 * sync.delta);
 }
 
 TEST(ChurnSystem, LeaveRemovesMemberAndChroniclesIt) {
@@ -62,7 +58,8 @@ TEST(ChurnSystem, LeaveRemovesMemberAndChroniclesIt) {
   net::Network net(sim, std::make_unique<net::FixedDelay>(1));
   SystemConfig cfg;
   cfg.initial_size = 4;
-  System system(sim, net, cfg, std::make_unique<NoChurn>(), sync_factory(SyncConfig{}));
+  System system(sim, net, cfg, std::make_unique<NoChurn>(),
+                group_factory<SyncRegisterNode>(SyncConfig{}));
   system.bootstrap();
 
   sim.run_until(10);
@@ -72,8 +69,8 @@ TEST(ChurnSystem, LeaveRemovesMemberAndChroniclesIt) {
   EXPECT_FALSE(net.attached(2));
 
   const auto& rec = system.chronicle().records().at(2);
-  ASSERT_TRUE(rec.left.has_value());
-  EXPECT_EQ(*rec.left, 10u);
+  ASSERT_TRUE(rec.left().has_value());
+  EXPECT_EQ(*rec.left(), 10u);
   EXPECT_EQ(system.chronicle().active_at(9), 4u);
   EXPECT_EQ(system.chronicle().active_at(10), 3u);
 }
@@ -86,7 +83,8 @@ TEST(ChurnSystem, ConstantChurnKeepsSizeRoughlyConstantWhileComposingOver) {
   SyncConfig sync;
   sync.delta = 3;
   // c = 0.05: one join and one leave per tick on average.
-  System system(sim, net, cfg, std::make_unique<ConstantChurn>(0.05), sync_factory(sync));
+  System system(sim, net, cfg, std::make_unique<ConstantChurn>(0.05),
+                group_factory<SyncRegisterNode>(sync));
   system.bootstrap();
   sim.run_until(200);
 

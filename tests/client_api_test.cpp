@@ -50,25 +50,19 @@ struct Deployment {
 churn::System::NodeFactory sync_factory(sim::Duration delta) {
   SyncConfig sc;
   sc.delta = delta;
-  return [sc](sim::ProcessId id, node::Context& ctx, bool initial) {
-    return std::make_unique<SyncRegisterNode>(id, ctx, sc, initial);
-  };
+  return group_factory<SyncRegisterNode>(sc);
 }
 
 churn::System::NodeFactory es_factory(std::size_t n) {
   EsConfig ec;
   ec.n = n;
-  return [ec](sim::ProcessId id, node::Context& ctx, bool initial) {
-    return std::make_unique<EsRegisterNode>(id, ctx, ec, initial);
-  };
+  return group_factory<EsRegisterNode>(ec);
 }
 
 churn::System::NodeFactory abd_factory(std::size_t n) {
   AbdConfig ac;
   ac.n = n;
-  return [ac](sim::ProcessId id, node::Context& ctx, bool initial) {
-    return std::make_unique<AbdRegisterNode>(id, ctx, ac, initial);
-  };
+  return group_factory<AbdRegisterNode>(ac);
 }
 
 // --- departures mid-operation, per protocol ---------------------------------

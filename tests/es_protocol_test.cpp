@@ -26,9 +26,7 @@ TEST(EsProtocol, ReadBlockedBeforeGstCompletesAfterGst) {
   ec.n = 5;
   churn::System system(
       sim, net, sys_cfg, std::make_unique<churn::NoChurn>(),
-      [ec](sim::ProcessId id, node::Context& ctx, bool initial) {
-        return std::make_unique<EsRegisterNode>(id, ctx, ec, initial);
-      });
+      group_factory<EsRegisterNode>(ec));
   system.bootstrap();
 
   auto* reader = dynamic_cast<RegisterNode*>(system.find(2));
@@ -64,9 +62,7 @@ TEST(EsProtocol, SingleNodeSystemCompletesViaSelfQuorum) {
   ec.atomic_reads = true;
   churn::System system(
       sim, net, sys_cfg, std::make_unique<churn::NoChurn>(),
-      [ec](sim::ProcessId id, node::Context& ctx, bool initial) {
-        return std::make_unique<EsRegisterNode>(id, ctx, ec, initial);
-      });
+      group_factory<EsRegisterNode>(ec));
   system.bootstrap();
 
   auto* reg = dynamic_cast<RegisterNode*>(system.find(0));

@@ -158,8 +158,8 @@ TEST(MembershipProperty, SoaColumnsMatchNaiveMapModel) {
       ASSERT_EQ(records.size(), model.lives.size());
       for (sim::ProcessId id = 0; id < records.size(); ++id) {
         ASSERT_EQ(records[id].entered, model.lives[id].entered) << "id " << id;
-        ASSERT_EQ(records[id].activated, model.lives[id].activated) << "id " << id;
-        ASSERT_EQ(records[id].left, model.lives[id].left) << "id " << id;
+        ASSERT_EQ(records[id].activated(), model.lives[id].activated) << "id " << id;
+        ASSERT_EQ(records[id].left(), model.lives[id].left) << "id " << id;
         ASSERT_EQ(records[id].initial, id < 50) << "id " << id;
       }
     }
@@ -191,8 +191,8 @@ class OldestActiveCheck final : public ChurnObserver {
     std::optional<sim::ProcessId> oldest;
     for (sim::ProcessId id = 0; id < records.size(); ++id) {
       const Chronicle::Record& r = records[id];
-      if (id == exempt_ || !r.activated || r.left) continue;
-      if (!oldest || *r.activated < *records[*oldest].activated) oldest = id;
+      if (id == exempt_ || !r.activated() || r.left()) continue;
+      if (!oldest || *r.activated() < *records[*oldest].activated()) oldest = id;
     }
     ASSERT_TRUE(oldest.has_value());
     EXPECT_EQ(victim, *oldest);
@@ -225,7 +225,7 @@ TEST(MembershipProperty, OldestActiveFirstPicksEarliestChronicleActivation) {
   // lowest id goes first) are gone within ~20 ticks, and the rest are
   // joiners with staggered activations.
   EXPECT_GT(check.checked, 900u);
-  EXPECT_EQ(system.chronicle().records()[0].left, std::nullopt);
+  EXPECT_EQ(system.chronicle().records()[0].left(), std::nullopt);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "churn/churn_model.h"
 #include "churn/system.h"
+#include "dynreg/abd_register.h"
 #include "dynreg/es_register.h"
 #include "dynreg/sync_register.h"
 #include "net/delay_model.h"
@@ -25,8 +26,13 @@ namespace {
 // a vtable pointer, a context pointer and an id, and a protocol's in-flight
 // state lives behind one lazily created block.
 static_assert(sizeof(node::Node) == 24, "node::Node is a vtable pointer, a context and an id");
-static_assert(sizeof(EsRegisterNode) <= 136, "an idle ES member keeps only its hot state");
-static_assert(sizeof(SyncRegisterNode) <= 168, "a sync member keeps no deque");
+// The protocol's constants live once per group, in the node::Context, so
+// no node carries a copy of its config.
+static_assert(sizeof(EsRegisterNode) <= 88, "an idle ES member keeps only its hot state");
+static_assert(sizeof(AbdRegisterNode) <= 88, "an idle ABD member keeps only its hot state");
+static_assert(sizeof(SyncRegisterNode) <= 112, "a sync member keeps no deque and no config");
+// A time that has not happened is a sentinel, not an empty std::optional.
+static_assert(sizeof(Chronicle::Record) <= 32, "a chronicle record is three times and a flag");
 
 /// What the probe nodes report, indexed by process id. Lives outside the
 /// nodes so a callback that outlives its node would still be counted
@@ -129,7 +135,7 @@ TEST(NodeContext, DepartedProcessTimersAndActivationNeverRun) {
   EXPECT_EQ(w.log.timer_fired[gone], 0);
   EXPECT_EQ(w.log.departed_fired[gone], 0);
   EXPECT_FALSE(w.is_active(gone));
-  EXPECT_EQ(w.system.chronicle().records()[gone].activated, std::nullopt);
+  EXPECT_EQ(w.system.chronicle().records()[gone].activated(), std::nullopt);
   EXPECT_EQ(w.system.find(gone), nullptr);
 
   for (const sim::ProcessId id : {early, later, latest}) {
@@ -152,7 +158,7 @@ TEST(NodeContext, ActiveMemberLeavingStaysRetired) {
 
   EXPECT_EQ(w.log.departed_fired[2], 0);
   EXPECT_FALSE(w.is_active(2));
-  ASSERT_TRUE(w.system.chronicle().records()[2].left.has_value());
+  ASSERT_TRUE(w.system.chronicle().records()[2].left().has_value());
   EXPECT_EQ(w.system.active_count(), 6u);
   EXPECT_EQ(w.system.joins_completed(), 3u);
 }

@@ -64,9 +64,7 @@ TEST(SyncProtocol, JoinerAdoptsCurrentValue) {
   sc.delta = 5;
   churn::System system(
       sim, net, sys_cfg, std::make_unique<churn::NoChurn>(),
-      [sc](sim::ProcessId id, node::Context& ctx, bool initial) {
-        return std::make_unique<SyncRegisterNode>(id, ctx, sc, initial);
-      });
+      group_factory<SyncRegisterNode>(sc));
   system.bootstrap();
 
   auto* writer = dynamic_cast<RegisterNode*>(system.find(0));
