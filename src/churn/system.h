@@ -116,6 +116,9 @@ class System {
   /// Sum of (activation - enter) over completed joins.
   [[nodiscard]] std::uint64_t join_latency_total() const { return join_latency_total_; }
 
+  /// Payload objects the members have built (node::Context::payloads_built).
+  [[nodiscard]] std::uint64_t payloads_built() const { return ctx_.payloads_built(); }
+
  private:
   sim::ProcessId add_member(bool initial);
   /// The group's activation hook (node::Context::notify_active).

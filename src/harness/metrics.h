@@ -117,6 +117,10 @@ struct [[nodiscard]] MetricsReport {
   std::uint64_t sim_events = 0;
   std::uint64_t net_copies_sent = 0;
   std::uint64_t net_copies_delivered = 0;
+  /// Payload objects the protocol nodes built, summed over every shard's
+  /// group (node::Context::payloads_built). A broadcast builds one for all
+  /// its copies; a Byzantine rewrite is counted in msgs_transformed instead.
+  std::uint64_t payloads_built = 0;
   /// The client's bookkeeping, summed over every shard's client in the
   /// same way: operation records created (one per issued operation), and
   /// each client's high-water mark of unresolved operations.

@@ -284,6 +284,7 @@ MetricsReport harvest(const ExperimentConfig& cfg, const shard::ShardMap& groups
 
     report.net_copies_sent += ref.net->stats().sent;
     report.net_copies_delivered += ref.net->stats().delivered;
+    report.payloads_built += ref.system->payloads_built();
     report.client_op_records += ref.client->op_records();
     report.client_flights_peak += ref.client->flights_peak();
     for (const auto& [type, count] : ref.net->delivered_by_type()) {

@@ -16,6 +16,8 @@
 //  - config<T>() is the group's protocol constants (an EsConfig, SyncConfig
 //    or AbdConfig), bound once by the factory that builds the group's nodes,
 //    so no node keeps a copy or a pointer of its own.
+//  - payloads_built() counts the payload objects the group's nodes built,
+//    a deterministic work counter (harness::MetricsReport::payloads_built).
 //
 // The liveness bits are an id-indexed bitmap, so a process costs the group
 // one bit here and no allocation of its own.
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "net/network.h"
+#include "net/payload.h"
 #include "sim/inline_function.h"
 #include "sim/simulation.h"
 
@@ -91,10 +94,20 @@ class Context {
   /// System calls this when `id` departs; cancels all its pending timers.
   void retire(sim::ProcessId id) { live_[id / 64] &= ~bit(id); }
 
+  /// Payload objects the group's nodes have built so far.
+  [[nodiscard]] std::uint64_t payloads_built() const { return payloads_built_; }
+
  private:
   // The node's base sends through the group's network.
   friend class Node;
   [[nodiscard]] net::Network& network() { return net_; }
+
+  /// Builds a payload in the simulation's epoch arena, counting it.
+  template <typename T, typename... Args>
+  net::PayloadPtr make_payload(Args&&... args) {
+    ++payloads_built_;
+    return net::make_payload_in<T>(sim_.arena(), std::forward<Args>(args)...);
+  }
 
   static std::uint64_t bit(sim::ProcessId id) { return std::uint64_t{1} << (id % 64); }
 
@@ -109,6 +122,7 @@ class Context {
   ActivationHook on_active_;
   std::vector<std::uint64_t> live_;  // liveness bitmap: bit id % 64 of word id / 64
   std::shared_ptr<const void> config_;  // the group's protocol constants
+  std::uint64_t payloads_built_ = 0;
 };
 
 }  // namespace dynreg::node

@@ -52,7 +52,7 @@ class Node : public net::Receiver {
   /// replacement for net::make_payload's per-message heap allocation).
   template <typename T, typename... Args>
   net::PayloadPtr make_payload(Args&&... args) {
-    return net::make_payload_in<T>(ctx_->arena(), std::forward<Args>(args)...);
+    return ctx_->make_payload<T>(std::forward<Args>(args)...);
   }
 
   /// Runs fn after d ticks unless this process has left by then.
