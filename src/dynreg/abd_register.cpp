@@ -119,7 +119,7 @@ void AbdRegisterNode::on_message(sim::ProcessId from, const net::Payload& payloa
   if (type == msg::kAbdReadQuery) {
     if (!hot_.replica) return;
     const auto& m = static_cast<const msg::Request&>(payload);
-    send(from, make_payload<msg::Stamped>(msg::kAbdReadReply, m.id, hot_.ts, hot_.value, true));
+    reply<msg::Stamped>(from, msg::kAbdReadReply, m.id, hot_.ts, hot_.value, true);
   } else if (type == msg::kAbdReadReply) {
     const auto& m = static_cast<const msg::Stamped&>(payload);
     if (!flight_) return;
@@ -137,7 +137,7 @@ void AbdRegisterNode::on_message(sim::ProcessId from, const net::Payload& payloa
     if (!hot_.replica) return;
     const auto& m = static_cast<const msg::Stamped&>(payload);
     apply(m.ts, m.value);
-    send(from, make_payload<msg::Request>(msg::kAbdWritebackAck, m.id));
+    reply<msg::Request>(from, msg::kAbdWritebackAck, m.id);
   } else if (type == msg::kAbdWritebackAck) {
     const auto& m = static_cast<const msg::Request&>(payload);
     if (!flight_) return;
@@ -149,7 +149,7 @@ void AbdRegisterNode::on_message(sim::ProcessId from, const net::Payload& payloa
     if (!hot_.replica) return;
     const auto& m = static_cast<const msg::Stamped&>(payload);
     apply(m.ts, m.value);
-    send(from, make_payload<msg::Request>(msg::kAbdUpdateAck, m.id));
+    reply<msg::Request>(from, msg::kAbdUpdateAck, m.id);
   } else if (type == msg::kAbdUpdateAck) {
     const auto& m = static_cast<const msg::Request&>(payload);
     if (!flight_) return;

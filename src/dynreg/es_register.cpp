@@ -189,7 +189,7 @@ void EsRegisterNode::on_message(sim::ProcessId from, const net::Payload& payload
     const auto& m = static_cast<const msg::Stamped&>(payload);
     if (rejects_envelope(m.ts, true)) return;  // forged-timestamp guard: no store, no ack
     apply(m.ts, m.value);
-    send(from, make_payload<msg::Request>(msg::kEsAck, m.id));
+    reply<msg::Request>(from, msg::kEsAck, m.id);
   } else if (type == msg::kEsAck) {
     const auto& m = static_cast<const msg::Request&>(payload);
     if (!flight_) return;
@@ -200,8 +200,7 @@ void EsRegisterNode::on_message(sim::ProcessId from, const net::Payload& payload
   } else if (type == msg::kEsRead) {
     const auto& m = static_cast<const msg::Request&>(payload);
     if (hot_.active) {
-      send(from, make_payload<msg::Stamped>(msg::kEsReply, m.id, hot_.ts, hot_.value,
-                                            hot_.has_value));
+      reply<msg::Stamped>(from, msg::kEsReply, m.id, hot_.ts, hot_.value, hot_.has_value);
     }
   } else if (type == msg::kEsReply) {
     const auto& m = static_cast<const msg::Stamped&>(payload);
@@ -220,8 +219,7 @@ void EsRegisterNode::on_message(sim::ProcessId from, const net::Payload& payload
   } else if (type == msg::kEsJoin) {
     const auto& m = static_cast<const msg::Request&>(payload);
     if (hot_.active) {
-      send(from, make_payload<msg::Stamped>(msg::kEsJoinReply, m.id, hot_.ts, hot_.value,
-                                            hot_.has_value));
+      reply<msg::Stamped>(from, msg::kEsJoinReply, m.id, hot_.ts, hot_.value, hot_.has_value);
     }
   } else if (type == msg::kEsJoinReply) {
     const auto& m = static_cast<const msg::Stamped&>(payload);

@@ -33,6 +33,11 @@ extern const net::PayloadTypeId kAbdReadQuery, kAbdReadReply, kAbdWriteback,
 struct Request final : net::Payload {
   Request(net::PayloadTypeId tag, std::uint64_t i) : net::Payload(tag), id(i) {}
   std::uint64_t id;
+
+  /// Field-wise: the key of node::Context's payload memo.
+  friend bool operator==(const Request& a, const Request& b) {
+    return a.type_id() == b.type_id() && a.id == b.id;
+  }
 };
 
 /// A (timestamp, value) record for operation `id` (0 in the sync protocol).
@@ -44,6 +49,12 @@ struct Stamped final : net::Payload {
   std::uint64_t id;
   Timestamp ts;
   Value value;
+
+  /// Field-wise: the key of node::Context's payload memo.
+  friend bool operator==(const Stamped& a, const Stamped& b) {
+    return a.type_id() == b.type_id() && a.id == b.id && a.ts.sn == b.ts.sn &&
+           a.ts.writer == b.ts.writer && a.value == b.value && a.has_value == b.has_value;
+  }
 };
 
 /// The Stamped view of `p`, or nullptr when p's tag is not a Stamped shape.

@@ -45,7 +45,7 @@ void SyncRegisterNode::finish_join() {
   notify_active();
   // Answer inquiries that arrived while we were still joining.
   for (const sim::ProcessId j : pending_inquiries_) {
-    send(j, make_payload<msg::Stamped>(msg::kSyncReply, 0, hot_.ts, hot_.value, hot_.has_value));
+    reply<msg::Stamped>(j, msg::kSyncReply, 0, hot_.ts, hot_.value, hot_.has_value);
   }
   pending_inquiries_.clear();
   schedule_refresh();
@@ -83,8 +83,7 @@ void SyncRegisterNode::on_message(sim::ProcessId from, const net::Payload& paylo
     if (hot_.joining && m.has_value) apply(m.ts, m.value);
   } else if (type == msg::kSyncInquiry) {
     if (hot_.active) {
-      send(from, make_payload<msg::Stamped>(msg::kSyncReply, 0, hot_.ts, hot_.value,
-                                            hot_.has_value));
+      reply<msg::Stamped>(from, msg::kSyncReply, 0, hot_.ts, hot_.value, hot_.has_value);
     } else {
       pending_inquiries_.push_back(from);
     }

@@ -29,11 +29,16 @@ namespace {
 constexpr std::uint32_t kSlotPrefetch = 16;
 constexpr std::uint32_t kReceiverPrefetch = 8;
 
-// Entries in a Unicast's first spill block; each further block doubles, up
-// to kSpillMaxBlock. A reply group is often a handful of copies, so the
-// first block stays small; a 1e5-process quorum fans in thousands per tick.
-constexpr std::uint32_t kSpillFirstBlock = 3;
-constexpr std::uint32_t kSpillMaxBlock = 256;
+// Bytes of runs in a Unicast's first spill block (three single-copy runs);
+// each further block doubles, up to kSpillMaxBlock (256 single-copy runs).
+// A reply group is often a handful of copies, so the first block stays
+// small; a 1e5-process quorum fans in thousands per tick.
+constexpr std::uint32_t kSpillFirstBlock = 72;
+constexpr std::uint32_t kSpillMaxBlock = 6144;
+
+// Where a run may start at or after byte `offset` of a block: runs are
+// 8-byte aligned.
+constexpr std::uint32_t run_start(std::uint32_t offset) { return (offset + 7) & ~7u; }
 
 }  // namespace
 
@@ -89,13 +94,22 @@ Network::Hop Network::hop_verdict(sim::ProcessId hop_from, sim::ProcessId to,
   return {false, verdict.delay < 1 ? 1 : verdict.delay};
 }
 
-void Network::send(sim::ProcessId from, sim::ProcessId to, PayloadPtr payload) {
+void Network::send(sim::ProcessId from, sim::ProcessId to, const PayloadPtr& payload) {
+  send_copy(from, to, payload);
+}
+
+void Network::send(sim::ProcessId from, sim::ProcessId to, PayloadPtr&& payload) {
+  send_copy(from, to, std::move(payload));
+}
+
+template <typename P>
+void Network::send_copy(sim::ProcessId from, sim::ProcessId to, P&& payload) {
   const Hop hop = hop_verdict(from, to, *payload);
   if (hop.lost) return;
   if (coalescing_) {
     Unicast* group = sim_.newest_as<Unicast>(sim_.now() + hop.delay);
     if (group != nullptr && group->network == this && group->to == to) {
-      group->append(from, std::move(payload));
+      group->append(from, std::forward<P>(payload));
       return;
     }
   }
@@ -103,37 +117,55 @@ void Network::send(sim::ProcessId from, sim::ProcessId to, PayloadPtr payload) {
   // capture budget: newest_as() finds only in-place Unicasts.
   static_assert(sizeof(Unicast) <= sim::InlineTask::kInlineCapacity,
                 "delivery closure must stay inline — see sim/inline_task.h");
-  sim_.schedule_after(hop.delay, Unicast(this, from, to, std::move(payload)));
+  sim_.schedule_after(hop.delay, Unicast(this, from, to, std::forward<P>(payload)));
 }
 
-void Network::Unicast::append(sim::ProcessId sender, PayloadPtr p) {
+// The offset of the run after one of `count` copies that starts at `at`.
+std::uint32_t Network::next_run(std::uint32_t at, std::uint32_t count) {
+  return run_start(at + sizeof(Run) + (count - 1) * std::uint32_t{sizeof(sim::ProcessId)});
+}
+
+template <typename P>
+void Network::Unicast::append(sim::ProcessId sender, P&& p) {
+  static_assert(alignof(Run) <= 8 && alignof(Spill) >= 8 && sizeof(Spill) % 8 == 0,
+                "runs sit 8-byte aligned after the block header");
   const auto new_block = [this](std::uint32_t capacity) {
     sim::Arena& arena = network->arena();
-    void* block = arena.allocate(sizeof(Spill) + capacity * sizeof(SpillEntry),
-                                 alignof(Spill));
-    static_assert(alignof(SpillEntry) <= alignof(Spill) &&
-                      sizeof(Spill) % alignof(SpillEntry) == 0,
-                  "entries follow the header aligned");
-    Spill* b = new (block) Spill{&arena, nullptr, nullptr, 0, capacity};
+    void* block = arena.allocate(sizeof(Spill) + capacity, alignof(Spill));
+    Spill* b = new (block) Spill{&arena, nullptr, nullptr, nullptr, 0, capacity};
     b->tail = b;
     return b;
   };
   if (spill == nullptr) spill = new_block(kSpillFirstBlock);
   Spill* tail = spill->tail;
-  if (tail->count == tail->capacity) {
+  Run* run = tail->open;
+  if (run != nullptr && run->payload == p &&
+      tail->used + sizeof(sim::ProcessId) <= tail->capacity) {
+    run->more()[run->count - 1] = sender;
+    ++run->count;
+    tail->used += sizeof(sim::ProcessId);
+    return;
+  }
+  std::uint32_t at = run_start(tail->used);
+  if (at + sizeof(Run) > tail->capacity) {
     Spill* next = new_block(std::min(2 * tail->capacity, kSpillMaxBlock));
     tail->next = next;
     spill->tail = tail = next;
+    at = 0;
   }
-  new (&tail->entries()[tail->count++]) SpillEntry{std::move(p), sender};
+  tail->open = new (tail->runs() + at) Run{PayloadPtr(std::forward<P>(p)), 1, sender};
+  tail->used = at + sizeof(Run);
 }
 
 void Network::free_spill(Spill* head) noexcept {
   sim::Arena& arena = *head->arena;
   for (Spill* b = head; b != nullptr;) {
     Spill* next = b->next;
-    SpillEntry* entries = b->entries();
-    for (std::uint32_t k = 0; k < b->count; ++k) entries[k].~SpillEntry();
+    for (std::uint32_t at = 0; at < b->used;) {
+      Run* run = reinterpret_cast<Run*>(b->runs() + at);
+      at = next_run(at, run->count);
+      run->~Run();
+    }
     arena.deallocate(b);
     b = next;
   }
@@ -141,11 +173,15 @@ void Network::free_spill(Spill* head) noexcept {
 
 void Network::deliver_spill(sim::ProcessId to, Spill& head) {
   for (Spill* b = &head; b != nullptr; b = b->next) {
-    const SpillEntry* entries = b->entries();
-    for (std::uint32_t k = 0; k < b->count; ++k) {
-      // Each coalesced copy was one queued event in the per-copy design.
-      sim_.audit_dispatch();
-      deliver(entries[k].from, to, entries[k].payload);
+    for (std::uint32_t at = 0; at < b->used;) {
+      Run& run = *reinterpret_cast<Run*>(b->runs() + at);
+      const sim::ProcessId* more = run.more();
+      for (std::uint32_t k = 0; k < run.count; ++k) {
+        // Each coalesced copy was one queued event in the per-copy design.
+        sim_.audit_dispatch();
+        deliver(k == 0 ? run.from : more[k - 1], to, run.payload);
+      }
+      at = next_run(at, run.count);
     }
   }
 }

@@ -42,6 +42,15 @@
 // into the audit digest as a batch does. Smaller batches, sends outside a
 // batch and far-tier arrivals queue one event per copy.
 //
+// The spill stores runs: consecutive coalesced copies of one payload object
+// share one 24 B run header (the payload and a count, with the first
+// sender), and each further copy of the run costs its 4 B sender. Protocol
+// replies are built through a per-group memo (node/context.h), so the
+// replies to one broadcast are mostly one payload object and a run holds
+// the lot; a copy whose payload differs from the one before it opens a run
+// of its own at the 24 B a copy cost before runs. A copy that is sent by
+// const reference and joins the open run takes no reference count.
+//
 // A large batch addresses thousands of receivers scattered over the heap,
 // so each copy would otherwise stall on a cache miss at its receiver. While
 // delivering copy k, the batch loop prefetches the slot of recipient
@@ -53,6 +62,7 @@
 // and a slot already detached is not prefetched at all.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -118,7 +128,11 @@ class Network {
     return id < slots_.size() ? slots_[id].generation : 0;
   }
 
-  void send(sim::ProcessId from, sim::ProcessId to, PayloadPtr payload);
+  /// Sends one copy of `payload` from `from` to `to`. The const-reference
+  /// form lets a caller that keeps the payload (the per-group reply memo)
+  /// skip the reference count when the copy joins a coalesced run.
+  void send(sim::ProcessId from, sim::ProcessId to, const PayloadPtr& payload);
+  void send(sim::ProcessId from, sim::ProcessId to, PayloadPtr&& payload);
 
   /// Sends one copy to every currently attached process except `from`.
   void broadcast(sim::ProcessId from, PayloadPtr payload);
@@ -195,22 +209,31 @@ class Network {
   };
   using BatchPtr = std::unique_ptr<Batch, BatchDeleter>;
 
-  // Copies coalesced behind a Unicast's own, in send order: a chain of arena
-  // blocks of 3, 6, 12, ... kSpillMaxBlock entries, each entry constructed
-  // in place as it arrives. The head block keeps the arena (a queue torn
-  // down after its Network must not reach the Network) and the block being
-  // filled.
-  struct SpillEntry {
+  // Consecutive coalesced copies of one payload object: the payload, the
+  // number of copies, the first copy's sender, and then the senders of the
+  // other count - 1 copies, 4 B each, directly after the header.
+  struct Run {
     PayloadPtr payload;
+    std::uint32_t count;
     sim::ProcessId from;
+    sim::ProcessId* more() { return reinterpret_cast<sim::ProcessId*>(this + 1); }
   };
+  static_assert(sizeof(Run) == 24, "a run that opens costs what one copy cost before runs");
+
+  // Copies coalesced behind a Unicast's own, in send order: a chain of arena
+  // blocks of 72, 144, ... kSpillMaxBlock bytes of runs, each run aligned to
+  // 8 B and constructed in place; the last run of the block being filled is
+  // the open one that a further copy of its payload extends. The head block
+  // keeps the arena (a queue torn down after its Network must not reach the
+  // Network) and the block being filled.
   struct Spill {
     sim::Arena* arena;
     Spill* next;
     Spill* tail;  // head block only
-    std::uint32_t count;
-    std::uint32_t capacity;
-    SpillEntry* entries() { return reinterpret_cast<SpillEntry*>(this + 1); }
+    Run* open;    // the block's last run, nullptr while it has none
+    std::uint32_t used;      // bytes of runs written
+    std::uint32_t capacity;  // bytes of runs the block can hold
+    std::byte* runs() { return reinterpret_cast<std::byte*>(this + 1); }
   };
 
   // One queued point-to-point delivery: its own copy, delivered inline, and
@@ -241,9 +264,15 @@ class Network {
       network->deliver(from, to, payload);
       if (spill != nullptr) network->deliver_spill(to, *spill);
     }
-    void append(sim::ProcessId sender, PayloadPtr p);
+    template <typename P>
+    void append(sim::ProcessId sender, P&& p);
   };
 
+  template <typename P>
+  void send_copy(sim::ProcessId from, sim::ProcessId to, P&& payload);
+
+  /// The offset of the run after one of `count` copies starting at `at`.
+  static std::uint32_t next_run(std::uint32_t at, std::uint32_t count);
   static void free_spill(Spill* head) noexcept;
   /// The spilled copies' deliveries, each folded as its own dispatch.
   void deliver_spill(sim::ProcessId to, Spill& head);

@@ -21,6 +21,24 @@
 //
 // The liveness bits are an id-indexed bitmap, so a process costs the group
 // one bit here and no allocation of its own.
+//
+// The payload memo. A protocol's replies and acks carry only the replier's
+// state, so once a group is quiescent every member answers a read, a write
+// or an inquiry with the same bytes. shared_payload<T>(args...) keeps the
+// last point-to-point payload the group built and hands it out again while
+// the next one is equal field by field (T's operator==: the tag, the id,
+// and for a Stamped record ts.sn, ts.writer, value and has_value); any
+// change builds a new one. The recipients of one broadcast batch answer it
+// in sequence, so one entry catches their run of equal replies. Payloads
+// are immutable and a Byzantine transform builds its own replacement, so
+// sharing one object between copies is invisible to every receiver.
+//
+// The memo lives here, one per group, and not in a thread-local: it must
+// not outlive the simulation whose copies still point at it. Its payload is
+// heap-allocated (std::make_shared), not built in the simulation's arena:
+// an arena chunk is recycled only when every object in it is dead
+// (sim/arena.h), so a memoised payload that stays current for a whole run
+// would pin its 64 KiB chunk in every group.
 #pragma once
 
 #include <cstddef>
@@ -97,6 +115,19 @@ class Context {
   /// Payload objects the group's nodes have built so far.
   [[nodiscard]] std::uint64_t payloads_built() const { return payloads_built_; }
 
+  /// The payload T(args...): the memoised one when it is equal to the last
+  /// payload built here, else a new heap payload that becomes the memo.
+  template <typename T, typename... Args>
+  const net::PayloadPtr& shared_payload(Args&&... args) {
+    const T fresh(std::forward<Args>(args)...);
+    if (memo_shape_ != &kShape<T> || !(static_cast<const T&>(*memo_) == fresh)) {
+      memo_ = std::make_shared<const T>(fresh);
+      memo_shape_ = &kShape<T>;
+      ++payloads_built_;
+    }
+    return memo_;
+  }
+
  private:
   // The node's base sends through the group's network.
   friend class Node;
@@ -111,6 +142,10 @@ class Context {
 
   static std::uint64_t bit(sim::ProcessId id) { return std::uint64_t{1} << (id % 64); }
 
+  // One address per payload shape: names the memo's concrete type.
+  template <typename T>
+  static constexpr char kShape = 0;
+
   /// Whether `id` has been admitted and has not left.
   [[nodiscard]] bool live(sim::ProcessId id) const {
     const std::size_t word = id / 64;
@@ -123,6 +158,8 @@ class Context {
   std::vector<std::uint64_t> live_;  // liveness bitmap: bit id % 64 of word id / 64
   std::shared_ptr<const void> config_;  // the group's protocol constants
   std::uint64_t payloads_built_ = 0;
+  net::PayloadPtr memo_;             // the last payload shared_payload built
+  const char* memo_shape_ = nullptr;  // &kShape<T> of memo_'s type T
 };
 
 }  // namespace dynreg::node

@@ -3,9 +3,9 @@
 // calls on_message (declared by net::Receiver) for every delivered copy.
 //
 // A node holds its id and a pointer to its group's one node::Context, and
-// nothing else: the protected send, broadcast, make_payload, schedule_after
-// and notify_active below are its whole reach into the world, each passing
-// the id for it. The Context is shared by every process of the group, so a
+// nothing else: the protected send, reply, broadcast, make_payload,
+// schedule_after and notify_active below are its whole reach into the
+// world, each passing the id for it. The Context is shared by every process of the group, so a
 // handler that answers a delivered copy reads the node's first cache line
 // and a Context line that every other delivery keeps hot. With the
 // protocol's hot fields declared first, one delivered copy touches bytes
@@ -53,6 +53,13 @@ class Node : public net::Receiver {
   template <typename T, typename... Args>
   net::PayloadPtr make_payload(Args&&... args) {
     return ctx_->make_payload<T>(std::forward<Args>(args)...);
+  }
+
+  /// Sends `to` the payload T(args...) through the group's memo
+  /// (Context::shared_payload): equal replies share one payload object.
+  template <typename T, typename... Args>
+  void reply(sim::ProcessId to, Args&&... args) {
+    ctx_->network().send(id_, to, ctx_->shared_payload<T>(std::forward<Args>(args)...));
   }
 
   /// Runs fn after d ticks unless this process has left by then.

@@ -27,10 +27,12 @@
 #include "dynreg/messages.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
+#include "fn_receiver.h"
 #include "harness/experiment.h"
 #include "harness/sweep.h"
 #include "net/delay_model.h"
 #include "net/network.h"
+#include "node/context.h"
 #include "replay/hooks.h"
 #include "replay/trace_io.h"
 
@@ -423,6 +425,72 @@ TEST(InjectorTransform, RewritesEveryValueCarryingTagAndNothingElse) {
     EXPECT_EQ(f->value, want[t].value);
     EXPECT_TRUE(f->has_value);
   }
+}
+
+TEST(InjectorTransform, RewritingOneCopyOfASharedReplyLeavesTheOtherCopiesUnchanged) {
+  // A group's equal replies share one payload object (node::Context's
+  // memo). Process 9 sends that one reply to 1, 2 and 3; the adversary
+  // rewrites only the copy to 2. Each receiver sees what was sent to it.
+  sim::Simulation sim(1);
+  net::Network net(sim, std::make_unique<net::FixedDelay>(1));
+  churn::System system(sim, net, churn::SystemConfig{}, std::make_unique<churn::NoChurn>(),
+                       [](sim::ProcessId, node::Context&, bool) { return nullptr; });
+  Plan plan;
+  plan.byzantine.fraction = 1.0;
+  plan.byzantine.transform_rate = 0.5;
+  ScriptedDecisions decisions;
+  Injector injector(sim, system, net, plan, decisions, {});
+  net.set_fault_hook(&injector);
+
+  struct Observed {
+    const net::Payload* payload;
+    std::uint64_t id;
+    std::uint64_t sn;
+    std::uint32_t writer;
+    Value value;
+    bool has_value;
+  };
+  std::vector<Observed> seen(4);
+  test::FnReceivers rx(net);
+  for (sim::ProcessId to = 1; to <= 3; ++to) {
+    rx.attach(to, [&seen, to](sim::ProcessId, const net::Payload& p) {
+      const msg::Stamped& m = *msg::stamped(p);
+      seen[to] = {&p, m.id, m.ts.sn, m.ts.writer, m.value, m.has_value};
+    });
+  }
+  node::Context group(sim, net, {});
+  const auto reply = [&group] {
+    return group.shared_payload<msg::Stamped>(msg::kEsReply, 5, Timestamp{4, 1}, Value{70},
+                                              true);
+  };
+  const net::PayloadPtr shared = reply();
+  // Copy to 1: the coin fails. Copy to 2: the coin passes and the kind word
+  // picks corrupt (value ^ (1 + 7)). Copy to 3: the coin fails.
+  decisions.push(~std::uint64_t{0});
+  decisions.push(0);
+  decisions.push(3 + 8 * 7);
+  decisions.push(~std::uint64_t{0});
+  for (sim::ProcessId to = 1; to <= 3; ++to) net.send(9, to, reply());
+  sim.run();
+
+  EXPECT_EQ(group.payloads_built(), 1u);
+  EXPECT_EQ(decisions.queued(), 0u);
+  EXPECT_EQ(net.stats().transformed, 1u);
+  for (const sim::ProcessId to : {1u, 3u}) {
+    SCOPED_TRACE(to);
+    EXPECT_EQ(seen[to].payload, shared.get());
+    EXPECT_EQ(seen[to].id, 5u);
+    EXPECT_EQ(seen[to].sn, 4u);
+    EXPECT_EQ(seen[to].writer, 1u);
+    EXPECT_EQ(seen[to].value, 70);
+    EXPECT_TRUE(seen[to].has_value);
+  }
+  EXPECT_NE(seen[2].payload, shared.get());
+  EXPECT_EQ(seen[2].value, 70 ^ 8);
+  EXPECT_EQ(seen[2].sn, 4u);
+  const msg::Stamped& after = *msg::stamped(*shared);
+  EXPECT_EQ(after.value, 70);
+  EXPECT_EQ(after.ts.sn, 4u);
 }
 
 TEST(InjectorArming, CutsArmOnlyWhilePartitionedAndTransformsOnlyForByzantinePlans) {

@@ -285,7 +285,8 @@ std::vector<Seen> per_copy_order(sim::ProcessId n, sim::ProcessId shift) {
 
 TEST(Coalescing, FanInDeliversInThePerCopyOrder) {
   // 1000 replies over three ticks: one queued event per tick, the largest
-  // group spilling over several blocks (3, 6, ... 256 entries). The first
+  // group spilling over several blocks (72, 144, ... 6144 bytes of runs,
+  // one run per reply here since each builds its own payload). The first
   // reply lands on the earliest of the three ticks (see the next test).
   sim::Simulation sim(1);
   Network net(sim, std::make_unique<EdgeDelay>(2));
@@ -300,6 +301,62 @@ TEST(Coalescing, FanInDeliversInThePerCopyOrder) {
   EXPECT_EQ(sim.events(), 1u + 3u);  // the broadcast batch + one group per tick
   EXPECT_EQ(net.stats().delivered, 2 * std::uint64_t{kN});
   EXPECT_EQ(sim.arena().live_allocations(), 0u);  // spill blocks released
+}
+
+// A reply that says which of a few shared payloads it is.
+struct Marked final : Payload {
+  explicit Marked(int m) : Payload(PayloadTypeRegistry::intern("test.marked")), mark(m) {}
+  int mark;
+};
+
+// One delivered copy of a Marked reply: which object arrived, and its mark.
+struct MarkedCopy {
+  sim::Time at;
+  sim::ProcessId from;
+  const Payload* payload;
+  int mark;
+  friend bool operator==(const MarkedCopy& x, const MarkedCopy& y) {
+    return x.at == y.at && x.from == y.from && x.payload == y.payload && x.mark == y.mark;
+  }
+};
+
+TEST(Coalescing, AlternatingPayloadsKeepThePerCopyOrder) {
+  // 400 replies to one batch, all at tick 2, so copies 2..400 go into one
+  // spill. Repliers 1..100 send two shared payloads in the pattern
+  // A,B,A,A,B, so runs open and close within a block; the rest all send A,
+  // one run spilling over several blocks. Each copy must reach process 0 in
+  // send order carrying its own payload object.
+  sim::Simulation sim(1);
+  Network net(sim, std::make_unique<FixedDelay>(1));
+  test::FnReceivers rx(net);
+  constexpr sim::ProcessId kN = 400;
+  const PayloadPtr a = make_payload<Marked>(0);
+  const PayloadPtr b = make_payload<Marked>(1);
+  const auto payload_of = [&](sim::ProcessId id) -> const PayloadPtr& {
+    constexpr bool kIsB[] = {false, true, false, false, true};
+    return id <= 100 && kIsB[(id - 1) % 5] ? b : a;
+  };
+  std::vector<MarkedCopy> seen;
+  rx.attach(0, [&](sim::ProcessId from, const Payload& p) {
+    seen.push_back({sim.now(), from, &p, static_cast<const Marked&>(p).mark});
+  });
+  for (sim::ProcessId id = 1; id <= kN; ++id) {
+    rx.attach(id, [&, id](sim::ProcessId, const Payload&) { net.send(id, 0, payload_of(id)); });
+  }
+  net.broadcast(0, make_payload<Ping>());
+  sim.run();
+
+  std::vector<MarkedCopy> expected;
+  for (sim::ProcessId id = 1; id <= kN; ++id) {
+    const PayloadPtr& p = payload_of(id);
+    expected.push_back({2, id, p.get(), static_cast<const Marked&>(*p).mark});
+  }
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(sim.events(), 1u + 1u);  // the broadcast batch + one group
+  EXPECT_EQ(net.stats().delivered, 2 * std::uint64_t{kN});
+  EXPECT_EQ(sim.arena().live_allocations(), 0u);  // spill blocks released
+  EXPECT_EQ(a.use_count(), 1);  // every run let go of its reference
+  EXPECT_EQ(b.use_count(), 1);
 }
 
 TEST(Coalescing, FarTierArrivalsQueueOneEventEach) {
