@@ -120,7 +120,6 @@ void Network::send_copy(sim::ProcessId from, sim::ProcessId to, P&& payload) {
   sim_.schedule_after(hop.delay, Unicast(this, from, to, std::forward<P>(payload)));
 }
 
-// The offset of the run after one of `count` copies that starts at `at`.
 std::uint32_t Network::next_run(std::uint32_t at, std::uint32_t count) {
   return run_start(at + sizeof(Run) + (count - 1) * std::uint32_t{sizeof(sim::ProcessId)});
 }

@@ -28,10 +28,12 @@
 // last point-to-point payload the group built and hands it out again while
 // the next one is equal field by field (T's operator==: the tag, the id,
 // and for a Stamped record ts.sn, ts.writer, value and has_value); any
-// change builds a new one. The recipients of one broadcast batch answer it
-// in sequence, so one entry catches their run of equal replies. Payloads
-// are immutable and a Byzantine transform builds its own replacement, so
-// sharing one object between copies is invisible to every receiver.
+// change builds a new one. Node::reply asks for it while the network
+// coalesces a large batch, whose recipients answer in sequence, so one
+// entry catches their run of equal replies and the network's spill stores
+// them as one run (net/network.h). Payloads are immutable and a Byzantine
+// transform builds its own replacement, so sharing one object between
+// copies is invisible to every receiver.
 //
 // The memo lives here, one per group, and not in a thread-local: it must
 // not outlive the simulation whose copies still point at it. Its payload is
