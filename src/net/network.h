@@ -45,12 +45,11 @@
 // The spill stores runs: consecutive coalesced copies of one payload object
 // share one 24 B run header (the payload and a count, with the first
 // sender), and each further copy of the run costs its 4 B sender. Protocol
-// replies sent while coalescing() holds are built through a per-group memo
-// (node/node.h, node/context.h), so the replies to one batch are mostly one
-// payload object and a run holds the lot; a copy whose payload differs from
-// the one before it opens a run of its own at the 24 B a copy cost before
-// runs. A copy that is sent by const reference and joins the open run
-// takes no reference count.
+// replies are built through a per-group memo (node/context.h), so the
+// replies to one batch are mostly one payload object and a run holds the
+// lot; a copy whose payload differs from the one before it opens a run of
+// its own at the 24 B a copy cost before runs. A copy that is sent by const
+// reference and joins the open run takes no reference count.
 //
 // A large batch addresses thousands of receivers scattered over the heap,
 // so each copy would otherwise stall on a cache miss at its receiver. While
@@ -137,10 +136,6 @@ class Network {
 
   /// Sends one copy to every currently attached process except `from`.
   void broadcast(sim::ProcessId from, PayloadPtr payload);
-
-  /// Whether a batch of at least kCoalesceMinBatch copies is being
-  /// delivered, so that a send now may join a queued delivery's spill.
-  [[nodiscard]] bool coalescing() const { return coalescing_; }
 
   /// The simulation's epoch arena, where protocol nodes build their payloads.
   [[nodiscard]] sim::Arena& arena() { return sim_.arena(); }

@@ -28,9 +28,9 @@
 // last point-to-point payload the group built and hands it out again while
 // the next one is equal field by field (T's operator==: the tag, the id,
 // and for a Stamped record ts.sn, ts.writer, value and has_value); any
-// change builds a new one. Node::reply asks for it while the network
-// coalesces a large batch, whose recipients answer in sequence, so one
-// entry catches their run of equal replies and the network's spill stores
+// change builds a new one. Node::reply sends every reply and ack through
+// it. The recipients of one broadcast batch answer it in sequence, so one
+// entry catches their run of equal replies, and a coalesced spill stores
 // them as one run (net/network.h). Payloads are immutable and a Byzantine
 // transform builds its own replacement, so sharing one object between
 // copies is invisible to every receiver.

@@ -6,12 +6,13 @@
 // nothing else: the protected reply, broadcast, make_payload,
 // schedule_after and notify_active below are its whole reach into the
 // world, each passing the id for it. A point-to-point message is always a
-// reply or an ack, sent through reply(). The Context is shared by every
-// process of the group, so a handler that answers a delivered copy reads
-// the node's first cache line and a Context line that every other delivery
-// keeps hot. With the protocol's hot fields declared first, one delivered
-// copy touches bytes [0, 64) of its receiver, which is the span
-// net::Network prefetches ahead of batched delivery.
+// reply or an ack, sent through the group's payload memo by reply(). The
+// Context is shared by every process of the group, so a handler that
+// answers a delivered copy reads the node's first cache line and a Context
+// line that every other delivery keeps hot. With the protocol's hot fields
+// declared first, one delivered copy touches bytes [0, 64) of its
+// receiver, which is the span net::Network prefetches ahead of batched
+// delivery.
 #pragma once
 
 #include <utility>
@@ -52,24 +53,11 @@ class Node : public net::Receiver {
     return ctx_->make_payload<T>(std::forward<Args>(args)...);
   }
 
-  /// Sends `to` the payload T(args...). While the network coalesces (a
-  /// large batch is being delivered, and its recipients' replies fan in to
-  /// one spill), it comes from the group's memo (Context::shared_payload),
-  /// so equal replies share one object and a spill stores them as a run.
-  /// Any other reply is its own queued event, and sharing would only trade
-  /// its arena payload for two atomic reference-count updates. Run on
-  /// perfbench fault_search's base configuration (n = 15, where no batch
-  /// coalesces; 4-vCPU VM, in one process, 30 interleaved passes), the memo
-  /// on every reply took 37.7 ms a pass against 36.4 ms, slower in 30/30.
-  /// Those replies get a fresh arena payload.
+  /// Sends `to` the payload T(args...) through the group's memo
+  /// (Context::shared_payload): equal replies share one payload object.
   template <typename T, typename... Args>
   void reply(sim::ProcessId to, Args&&... args) {
-    net::Network& net = ctx_->network();
-    if (net.coalescing()) {
-      net.send(id_, to, ctx_->shared_payload<T>(std::forward<Args>(args)...));
-    } else {
-      net.send(id_, to, ctx_->make_payload<T>(std::forward<Args>(args)...));
-    }
+    ctx_->network().send(id_, to, ctx_->shared_payload<T>(std::forward<Args>(args)...));
   }
 
   /// Runs fn after d ticks unless this process has left by then.
