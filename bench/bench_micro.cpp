@@ -1,7 +1,7 @@
 // M1 — substrate microbenchmarks (google-benchmark): event-queue
-// throughput, network dispatch, consistency checking, a full experiment
-// run as an end-to-end figure of merit, and the build of a 1e5-process
-// group.
+// throughput, network dispatch, consistency checking, full experiment
+// runs (E4's and E16's replicas among them) as end-to-end figures of
+// merit, and the build of a 1e5-process group.
 //
 // This binary measures wall-clock performance, not paper claims, so it
 // lives outside the ExperimentRegistry / dynreg_exp CLI (its driver is
@@ -20,6 +20,7 @@
 #include "consistency/regularity_checker.h"
 #include "harness/builders.h"
 #include "harness/experiment.h"
+#include "harness/sweep.h"
 #include "net/network.h"
 #include "net/receiver.h"
 #include "sim/event_queue.h"
@@ -250,6 +251,28 @@ void BM_FullEsExperiment(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullEsExperiment)->Unit(benchmark::kMillisecond);
+
+// One replica of E16's (scaling_churn) largest default cell: n = 1e3 sync
+// processes under churn at 0.9 of Theorem 1's bound over the 150-tick
+// horizon. Every join's INQUIRY draws a reply from each active member, so
+// the cell is the O(c * n^2) sync.reply fan-in that E16 scales.
+void BM_ScalingChurnReplica(benchmark::State& state) {
+  for (auto _ : state) {
+    harness::ExperimentConfig cfg;
+    cfg.protocol = harness::Protocol::kSync;
+    cfg.seed = harness::replica_seed(23, 0);  // E16's first replica
+    cfg.n = 1000;
+    cfg.delta = 3;
+    cfg.duration = 150;
+    cfg.churn_kind = harness::ChurnKind::kConstant;
+    cfg.churn_rate = 0.9 * cfg.sync_churn_threshold();
+    cfg.workload.read_interval = 20;
+    cfg.workload.write_interval = 60;
+    const auto r = harness::run_experiment(cfg);
+    benchmark::DoNotOptimize(r.joins_completed);
+  }
+}
+BENCHMARK(BM_ScalingChurnReplica)->Unit(benchmark::kMillisecond);
 
 // Builds, bootstraps and destroys one ES membership group of n processes,
 // the group of E15's largest scale cell (--max-n=100000): the set-up every

@@ -25,6 +25,16 @@ labelled with --label:
 
     python3 scripts/record_bench.py --bench parent/build/release/bench_micro \
         --merge-baseline 'BM_NetworkFanIn' --label 'parent commit'
+
+--merge-baseline runs only the matching benchmarks, in a fresh process. A
+benchmark that allocates heavily reads faster there than in the full suite,
+where the earlier benchmarks have already grown the heap, so compare it
+with a current number measured the same way: --filter REGEX measures only
+the matching benchmarks on this tree and merges them into the current
+section, leaving its other entries as they are:
+
+    python3 scripts/record_bench.py --bench build/release/bench_micro \
+        --filter 'BM_NetworkFanIn' --label 'filtered run'
 """
 
 import argparse
@@ -80,16 +90,23 @@ def main():
                     help="repetitions per benchmark; the median is recorded")
     ap.add_argument("--label", default="",
                     help="label for the recorded numbers (of each entry, "
-                         "with --merge-baseline)")
+                         "with --merge-baseline or --filter)")
     ap.add_argument("--rebaseline", action="store_true",
                     help="also record the new numbers as the baseline")
     ap.add_argument("--merge-baseline", metavar="REGEX", default="",
                     help="measure only the benchmarks matching REGEX and "
                          "merge them into the existing baseline section")
+    ap.add_argument("--filter", metavar="REGEX", default="",
+                    help="measure only the benchmarks matching REGEX and "
+                         "merge them into the existing current section, "
+                         "measured as --merge-baseline measures the baseline")
     args = ap.parse_args()
     if args.merge_baseline and args.rebaseline:
         sys.exit("error: --merge-baseline merges into the baseline; "
                  "--rebaseline replaces it")
+    if args.filter and (args.merge_baseline or args.rebaseline):
+        sys.exit("error: --filter merges into the current section; it does "
+                 "not combine with --merge-baseline or --rebaseline")
 
     # Validate the existing trajectory file BEFORE the (slow) benchmark run:
     # refuse to merge into (and silently clobber) a file this script does not
@@ -114,16 +131,22 @@ def main():
 
     if args.merge_baseline and "baseline" not in doc:
         sys.exit(f"error: {args.out} has no baseline section to merge into")
+    if args.filter and "current" not in doc:
+        sys.exit(f"error: {args.out} has no current section to merge into")
 
     measured, context = run_google_benchmark(args.bench, args.min_time,
-                                             args.repetitions, args.merge_baseline)
+                                             args.repetitions,
+                                             args.merge_baseline or args.filter)
+    if (args.merge_baseline or args.filter) and not measured:
+        sys.exit("error: the filter matched no benchmark")
 
     doc["schema"] = "dynreg-bench-v1"
-    if args.merge_baseline:
+    if args.merge_baseline or args.filter:
         for entry in measured.values():
             if args.label:
                 entry["label"] = args.label
-        doc["baseline"]["benchmarks"].update(measured)
+        section = "baseline" if args.merge_baseline else "current"
+        doc[section]["benchmarks"].update(measured)
     else:
         doc["current"] = {
             "label": args.label or "working tree",
