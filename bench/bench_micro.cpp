@@ -23,6 +23,7 @@
 #include "harness/sweep.h"
 #include "net/network.h"
 #include "net/receiver.h"
+#include "node/context.h"
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
 
@@ -127,26 +128,40 @@ void BM_NetworkBroadcast(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkBroadcast)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
 
+// A reply naming its sender: no two repliers send equal payloads.
+struct EchoPayload final : net::Payload {
+  explicit EchoPayload(sim::ProcessId s) : net::Payload(noop_type()), sender(s) {}
+  sim::ProcessId sender;
+  friend bool operator==(const EchoPayload& a, const EchoPayload& b) {
+    return a.sender == b.sender;
+  }
+};
+
 // Sized and touched like NodeSizedReceiver, and answers as a quorum member
 // does: each delivered copy gets one point-to-point reply to its sender,
-// built in the simulation's arena. Process 0, the origin, does not reply.
+// built through the group's payload memo as a protocol node's reply is.
+// Every reply differs from the one before it, so every one misses the memo
+// and opens a spill run of its own: the worst case for both. Process 0, the
+// origin, does not reply.
 class ReplyingReceiver final : public net::Receiver {
  public:
-  void bind(net::Network* network, sim::ProcessId id) {
+  void bind(net::Network* network, node::Context* ctx, sim::ProcessId id) {
     network_ = network;
+    ctx_ = ctx;
     id_ = id;
   }
   void on_message(sim::ProcessId from, const net::Payload& payload) override {
     ++state_[0];
     state_[kWordsPerLine] += from + payload.type_id();
-    if (id_ != 0) network_->send(id_, from, net::make_payload_in<NoopPayload>(network_->arena()));
+    if (id_ != 0) network_->send(id_, from, ctx_->shared_payload<EchoPayload>(id_));
   }
 
  private:
   static constexpr std::size_t kWordsPerLine = 8;
   net::Network* network_ = nullptr;
+  node::Context* ctx_ = nullptr;
   sim::ProcessId id_ = 0;
-  std::array<std::uint64_t, 37> state_{};  // with the vtable pointer: 320 bytes
+  std::array<std::uint64_t, 36> state_{};  // with the vtable pointer: 320 bytes
 };
 
 // The fan-in half of a quorum round: every receiver of a batched broadcast
@@ -158,9 +173,10 @@ void BM_NetworkFanIn(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulation sim(1);
     net::Network network(sim, std::make_unique<net::FixedDelay>(1));
+    node::Context ctx(sim, network, {});
     for (std::size_t i = 0; i < n; ++i) {
       const auto id = static_cast<sim::ProcessId>(i);
-      receivers[i]->bind(&network, id);
+      receivers[i]->bind(&network, &ctx, id);
       network.attach(id, receivers[i].get());
     }
     for (int b = 0; b < 10; ++b) network.broadcast(0, net::make_payload<NoopPayload>());

@@ -95,21 +95,12 @@ Network::Hop Network::hop_verdict(sim::ProcessId hop_from, sim::ProcessId to,
 }
 
 void Network::send(sim::ProcessId from, sim::ProcessId to, const PayloadPtr& payload) {
-  send_copy(from, to, payload);
-}
-
-void Network::send(sim::ProcessId from, sim::ProcessId to, PayloadPtr&& payload) {
-  send_copy(from, to, std::move(payload));
-}
-
-template <typename P>
-void Network::send_copy(sim::ProcessId from, sim::ProcessId to, P&& payload) {
   const Hop hop = hop_verdict(from, to, *payload);
   if (hop.lost) return;
   if (coalescing_) {
     Unicast* group = sim_.newest_as<Unicast>(sim_.now() + hop.delay);
     if (group != nullptr && group->network == this && group->to == to) {
-      group->append(from, std::forward<P>(payload));
+      group->append(from, payload);
       return;
     }
   }
@@ -117,15 +108,14 @@ void Network::send_copy(sim::ProcessId from, sim::ProcessId to, P&& payload) {
   // capture budget: newest_as() finds only in-place Unicasts.
   static_assert(sizeof(Unicast) <= sim::InlineTask::kInlineCapacity,
                 "delivery closure must stay inline — see sim/inline_task.h");
-  sim_.schedule_after(hop.delay, Unicast(this, from, to, std::forward<P>(payload)));
+  sim_.schedule_after(hop.delay, Unicast(this, from, to, payload));
 }
 
 std::uint32_t Network::next_run(std::uint32_t at, std::uint32_t count) {
   return run_start(at + sizeof(Run) + (count - 1) * std::uint32_t{sizeof(sim::ProcessId)});
 }
 
-template <typename P>
-void Network::Unicast::append(sim::ProcessId sender, P&& p) {
+void Network::Unicast::append(sim::ProcessId sender, const PayloadPtr& p) {
   static_assert(alignof(Run) <= 8 && alignof(Spill) >= 8 && sizeof(Spill) % 8 == 0,
                 "runs sit 8-byte aligned after the block header");
   const auto new_block = [this](std::uint32_t capacity) {
@@ -152,7 +142,7 @@ void Network::Unicast::append(sim::ProcessId sender, P&& p) {
     spill->tail = tail = next;
     at = 0;
   }
-  tail->open = new (tail->runs() + at) Run{PayloadPtr(std::forward<P>(p)), 1, sender};
+  tail->open = new (tail->runs() + at) Run{p, 1, sender};
   tail->used = at + sizeof(Run);
 }
 

@@ -48,8 +48,8 @@
 // replies are built through a per-group memo (node/context.h), so the
 // replies to one batch are mostly one payload object and a run holds the
 // lot; a copy whose payload differs from the one before it opens a run of
-// its own at the 24 B a copy cost before runs. A copy that is sent by const
-// reference and joins the open run takes no reference count.
+// its own at the 24 B a copy cost before runs. A copy that joins the open
+// run takes no reference count.
 //
 // A large batch addresses thousands of receivers scattered over the heap,
 // so each copy would otherwise stall on a cache miss at its receiver. While
@@ -128,11 +128,10 @@ class Network {
     return id < slots_.size() ? slots_[id].generation : 0;
   }
 
-  /// Sends one copy of `payload` from `from` to `to`. The const-reference
-  /// form lets a caller that keeps the payload (the per-group reply memo)
-  /// skip the reference count when the copy joins a coalesced run.
+  /// Sends one copy of `payload` from `from` to `to`. The caller keeps its
+  /// reference (a protocol node sends the per-group reply memo), so a copy
+  /// that joins a coalesced run takes no reference count.
   void send(sim::ProcessId from, sim::ProcessId to, const PayloadPtr& payload);
-  void send(sim::ProcessId from, sim::ProcessId to, PayloadPtr&& payload);
 
   /// Sends one copy to every currently attached process except `from`.
   void broadcast(sim::ProcessId from, PayloadPtr payload);
@@ -264,12 +263,8 @@ class Network {
       network->deliver(from, to, payload);
       if (spill != nullptr) network->deliver_spill(to, *spill);
     }
-    template <typename P>
-    void append(sim::ProcessId sender, P&& p);
+    void append(sim::ProcessId sender, const PayloadPtr& p);
   };
-
-  template <typename P>
-  void send_copy(sim::ProcessId from, sim::ProcessId to, P&& payload);
 
   /// The offset of the run after one of `count` copies starting at `at`.
   static std::uint32_t next_run(std::uint32_t at, std::uint32_t count);

@@ -37,10 +37,14 @@
 //
 // The memo lives here, one per group, and not in a thread-local: it must
 // not outlive the simulation whose copies still point at it. Its payload is
-// heap-allocated (std::make_shared), not built in the simulation's arena:
-// an arena chunk is recycled only when every object in it is dead
+// built in the simulation's block pool (Simulation::blocks), not in its
+// arena: an arena chunk is recycled only when every object in it is dead
 // (sim/arena.h), so a memoised payload that stays current for a whole run
-// would pin its 64 KiB chunk in every group.
+// would pin its 64 KiB chunk in every group, while in the pool it holds one
+// 64 B block. Nor is it a plain heap object: every reply that misses the
+// memo builds one, and a pool block costs a pointer pop where a heap
+// payload costs a malloc and a free (BM_NetworkFanIn, where every reply
+// misses).
 #pragma once
 
 #include <cstddef>
@@ -118,12 +122,12 @@ class Context {
   [[nodiscard]] std::uint64_t payloads_built() const { return payloads_built_; }
 
   /// The payload T(args...): the memoised one when it is equal to the last
-  /// payload built here, else a new heap payload that becomes the memo.
+  /// payload built here, else a new pooled payload that becomes the memo.
   template <typename T, typename... Args>
   const net::PayloadPtr& shared_payload(Args&&... args) {
     const T fresh(std::forward<Args>(args)...);
     if (memo_shape_ != &kShape<T> || !(static_cast<const T&>(*memo_) == fresh)) {
-      memo_ = std::make_shared<const T>(fresh);
+      memo_ = std::allocate_shared<T>(sim::BlockAllocator<T>(sim_.blocks()), fresh);
       memo_shape_ = &kShape<T>;
       ++payloads_built_;
     }

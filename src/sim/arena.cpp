@@ -156,6 +156,34 @@ void Arena::advance_epoch() {
   retired_.resize(kept);
 }
 
+BlockPool::~BlockPool() {
+  for (auto& slab : slabs_) unpoison_span(slab.get(), kSlabBlocks * kBlockBytes);
+}
+
+void* BlockPool::allocate() {
+  ++live_;
+  if (free_ != nullptr) {
+    Block* b = free_;
+    unpoison_span(b, kBlockBytes);
+    free_ = b->next;
+    return b;
+  }
+  if (carved_ == kSlabBlocks) {
+    slabs_.emplace_back(new Block[kSlabBlocks]);  // uninitialised: carved on demand
+    poison_span(slabs_.back().get(), kSlabBlocks * kBlockBytes);
+    carved_ = 0;
+  }
+  Block* b = &slabs_.back()[carved_++];
+  unpoison_span(b, kBlockBytes);
+  return b;
+}
+
+void BlockPool::deallocate(void* p) noexcept {
+  --live_;
+  free_ = new (p) Block{free_};  // the freed object's storage becomes a list node
+  poison_span(free_, kBlockBytes);
+}
+
 bool Arena::address_is_poisoned(const void* p) {
 #ifdef DYNREG_ASAN_ACTIVE
   return __asan_address_is_poisoned(p) != 0;

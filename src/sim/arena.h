@@ -18,11 +18,15 @@
 // Determinism: the arena draws no randomness and its behaviour depends only
 // on the sequence of allocate/deallocate/advance_epoch calls, which is itself
 // a pure function of the (config, seed) event stream.
+//
+// BlockPool (below) is the arena's counterpart for objects that may live
+// long: fixed 64 B blocks, each reused as soon as it is freed.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <vector>
 
 namespace dynreg::sim {
@@ -92,6 +96,81 @@ class Arena {
   std::size_t chunks_recycled_ = 0;
   std::size_t bytes_reserved_ = 0;
 };
+
+/// Fixed-size blocks for the few simulation objects that may stay live for
+/// a whole run, such as node::Context's memoised reply payload. In the
+/// arena such an object would pin its 64 KiB chunk, which is recycled only
+/// once every object in it is dead; here it holds one block. A block is
+/// kBlockBytes, one cache line. Blocks are carved from slabs of kSlabBlocks,
+/// and a freed block goes on a LIFO free list, so the next allocation reuses
+/// the block freed last: allocation costs a pointer pop, not a malloc, and
+/// the pool keeps the high-water number of blocks until it is destroyed.
+/// Under ASan a freed block stays poisoned until it is handed out again.
+class BlockPool {
+ public:
+  static constexpr std::size_t kBlockBytes = 64;
+
+  BlockPool() = default;
+  ~BlockPool();
+  BlockPool(const BlockPool&) = delete;
+  BlockPool& operator=(const BlockPool&) = delete;
+
+  /// One kBlockBytes block, aligned to kBlockBytes.
+  [[nodiscard]] void* allocate();
+  /// Returns a block from allocate() to the free list.
+  void deallocate(void* p) noexcept;
+
+  [[nodiscard]] std::size_t live_blocks() const { return live_; }
+  [[nodiscard]] std::size_t slabs_created() const { return slabs_.size(); }
+
+ private:
+  static constexpr std::size_t kSlabBlocks = 64;
+  struct alignas(kBlockBytes) Block {
+    Block* next;  // while on the free list
+  };
+  static_assert(sizeof(Block) == kBlockBytes, "a block is one cache line");
+
+  std::vector<std::unique_ptr<Block[]>> slabs_;
+  std::size_t carved_ = kSlabBlocks;  // blocks handed out of the last slab
+  Block* free_ = nullptr;
+  std::size_t live_ = 0;
+};
+
+/// std-allocator adapter over BlockPool, for std::allocate_shared of one
+/// object of at most BlockPool::kBlockBytes (with its control block).
+template <typename T>
+class BlockAllocator {
+ public:
+  using value_type = T;
+
+  explicit BlockAllocator(BlockPool& pool) noexcept : pool_(&pool) {}
+  template <typename U>
+  BlockAllocator(const BlockAllocator<U>& other) noexcept  // NOLINT(google-explicit-constructor)
+      : pool_(other.pool()) {}
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    static_assert(sizeof(T) <= BlockPool::kBlockBytes &&
+                      alignof(T) <= BlockPool::kBlockBytes,
+                  "one object per block");
+    if (n != 1) throw std::bad_alloc();
+    return static_cast<T*>(pool_->allocate());
+  }
+  void deallocate(T* p, std::size_t) noexcept { pool_->deallocate(p); }
+
+  [[nodiscard]] BlockPool* pool() const noexcept { return pool_; }
+
+ private:
+  BlockPool* pool_;
+};
+
+template <typename T, typename U>
+bool operator==(const BlockAllocator<T>& a, const BlockAllocator<U>& b) noexcept {
+  return a.pool() == b.pool();
+}
+template <typename T, typename U>
+bool operator!=(const BlockAllocator<T>& a, const BlockAllocator<U>& b) noexcept {
+  return a.pool() != b.pool();
+}
 
 /// Minimal std-allocator adapter over Arena. All instances over the same
 /// Arena compare equal, so container moves/swaps are O(1). Used for

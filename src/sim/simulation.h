@@ -41,6 +41,10 @@ class Simulation {
   /// freed at tick T is never recycled before the clock moves past T.
   Arena& arena() { return arena_; }
 
+  /// Fixed-size blocks reused as soon as they are freed, for objects that
+  /// may stay live long enough to pin an arena chunk (sim/arena.h).
+  BlockPool& blocks() { return blocks_; }
+
   /// Whether this build carries the event-stream determinism auditor.
   static constexpr bool audit_enabled() {
 #ifdef DYNREG_AUDIT
@@ -134,9 +138,10 @@ class Simulation {
 
  private:
   Time now_ = 0;
-  // The arena outlives the queue: queued tasks may own arena-backed payloads
-  // whose destruction (at queue teardown) deallocates into the arena.
+  // The arena and the block pool outlive the queue: queued tasks may own
+  // payloads whose destruction (at queue teardown) deallocates into them.
   Arena arena_;
+  BlockPool blocks_;
   EventQueue queue_;
   Rng rng_;
   std::uint64_t seed_ = 0;

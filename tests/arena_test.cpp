@@ -193,7 +193,42 @@ TEST(Arena, DeallocatePoisonsSpanImmediately) {
   arena.deallocate(p);
   EXPECT_TRUE(Arena::address_is_poisoned(p));
 }
+
+TEST(BlockPool, FreedBlockIsPoisonedUntilReused) {
+  BlockPool pool;
+  void* p = pool.allocate();
+  pool.deallocate(p);
+  EXPECT_TRUE(Arena::address_is_poisoned(p));
+  EXPECT_EQ(pool.allocate(), p);
+  EXPECT_FALSE(Arena::address_is_poisoned(p));
+  pool.deallocate(p);
+}
 #endif  // DYNREG_TEST_ASAN
+
+// The pool hands out aligned, disjoint blocks, reuses the block freed last
+// before carving a new one, and holds its high-water mark in slabs.
+TEST(BlockPool, ReusesTheBlockFreedLast) {
+  BlockPool pool;
+  std::vector<void*> blocks;
+  for (int i = 0; i < 100; ++i) {
+    blocks.push_back(pool.allocate());
+    const auto addr = reinterpret_cast<std::uintptr_t>(blocks.back());
+    EXPECT_EQ(addr % BlockPool::kBlockBytes, 0u);
+    std::memset(blocks.back(), i, BlockPool::kBlockBytes);
+  }
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(*static_cast<unsigned char*>(blocks[i]), static_cast<unsigned char>(i));
+  }
+  EXPECT_EQ(pool.live_blocks(), 100u);
+  EXPECT_EQ(pool.slabs_created(), 2u);
+  pool.deallocate(blocks[10]);
+  pool.deallocate(blocks[70]);
+  EXPECT_EQ(pool.allocate(), blocks[70]);
+  EXPECT_EQ(pool.allocate(), blocks[10]);
+  EXPECT_EQ(pool.slabs_created(), 2u);
+  for (void* p : blocks) pool.deallocate(p);
+  EXPECT_EQ(pool.live_blocks(), 0u);
+}
 
 // ArenaAllocator round-trip: a node-based container running entirely on the
 // arena behaves observably identically to one on the heap allocator across

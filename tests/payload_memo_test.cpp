@@ -113,5 +113,34 @@ TEST(PayloadMemo, MemoisedPayloadIsNotInTheArena) {
   EXPECT_EQ(g.sim.arena().live_allocations(), before);
 }
 
+TEST(PayloadMemo, MemoisedPayloadsLiveInTheBlockPool) {
+  // A miss builds in the simulation's block pool, and the block of a
+  // replaced memo whose last copy is gone is the next one reused.
+  Group g;
+  net::PayloadPtr first = base_reply(g.ctx);
+  EXPECT_EQ(g.sim.blocks().live_blocks(), 1u);
+  const void* first_block = first.get();
+  first.reset();  // the memo still holds it
+  const net::PayloadPtr ack = g.ctx.shared_payload<msg::Request>(msg::kEsAck, 7);
+  EXPECT_EQ(g.sim.blocks().live_blocks(), 1u);
+  const net::PayloadPtr reply = base_reply(g.ctx);
+  EXPECT_EQ(static_cast<const void*>(reply.get()), first_block);
+  EXPECT_EQ(g.sim.blocks().live_blocks(), 2u);
+  EXPECT_EQ(g.sim.blocks().slabs_created(), 1u);
+}
+
+TEST(PayloadMemo, AQueuedCopyOfTheMemoOutlivesItsGroup) {
+  // The group's Context dies before the simulation: a copy still queued
+  // then releases its payload into the simulation's pool, which outlives
+  // the queue.
+  sim::Simulation sim(1);
+  net::Network net(sim, std::make_unique<net::FixedDelay>(1));
+  {
+    Context ctx(sim, net, {});
+    net.send(1, 2, base_reply(ctx));
+  }
+  EXPECT_EQ(sim.blocks().live_blocks(), 1u);
+}
+
 }  // namespace
 }  // namespace dynreg::node
