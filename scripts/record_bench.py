@@ -27,19 +27,34 @@ labelled with --label:
         --merge-baseline 'BM_NetworkFanIn' --label 'parent commit'
 
 --merge-baseline runs only the matching benchmarks, in a fresh process. A
-benchmark that allocates heavily reads faster there than in the full suite,
-where the earlier benchmarks have already grown the heap, so compare it
-with a current number measured the same way: --filter REGEX measures only
-the matching benchmarks on this tree and merges them into the current
-section, leaving its other entries as they are:
+benchmark that allocates heavily reads slower there than in the full suite,
+where the earlier benchmarks have already grown the heap
+(BM_BuildEsWorld/100000: about 23 ms alone, 7-10 ms after the fan-in
+benchmarks), so compare it with a current number measured the same way:
+--filter REGEX measures only the matching benchmarks on this tree and
+merges them into the current section, leaving its other entries as they
+are:
 
     python3 scripts/record_bench.py --bench build/release/bench_micro \
         --filter 'BM_NetworkFanIn' --label 'filtered run'
+
+Two filtered runs taken minutes apart still drift apart on a shared host by
+more than a small change moves a benchmark. --interleave PARENT_BENCH runs
+the parent's binary and this tree's alternately, --rounds times each, every
+run a fresh process over the --filter benchmarks, and records each side's
+median over its rounds: the parent's into the baseline section and this
+tree's into the current one, so the recorded ratio compares numbers measured
+alike:
+
+    python3 scripts/record_bench.py --bench build/release/bench_micro \
+        --interleave parent/build/release/bench_micro \
+        --filter 'BM_NetworkFanIn|BM_BuildEsWorld' --rounds 6
 """
 
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 
@@ -79,6 +94,39 @@ def run_google_benchmark(bench, min_time, repetitions, bench_filter):
     return results, raw.get("context", {})
 
 
+def run_interleaved(bench, parent_bench, min_time, repetitions, bench_filter,
+                    rounds):
+    """Each side's per-benchmark median over `rounds` alternating runs."""
+    samples = {"parent": {}, "current": {}}
+    context = {}
+    for r in range(rounds):
+        # Alternate which side goes first, so a drift favours neither.
+        order = [("parent", parent_bench), ("current", bench)]
+        if r % 2:
+            order.reverse()
+        for side, binary in order:
+            measured, ctx = run_google_benchmark(binary, min_time, repetitions,
+                                                 bench_filter)
+            if side == "current":
+                context = ctx
+            for name, entry in measured.items():
+                samples[side].setdefault(name, []).append(entry)
+    medians = {}
+    for side, by_name in samples.items():
+        medians[side] = {}
+        for name, entries in by_name.items():
+            entry = {
+                "real_time": statistics.median(e["real_time"] for e in entries),
+                "cpu_time": statistics.median(e["cpu_time"] for e in entries),
+                "time_unit": entries[0]["time_unit"],
+            }
+            if all("items_per_second" in e for e in entries):
+                entry["items_per_second"] = statistics.median(
+                    e["items_per_second"] for e in entries)
+            medians[side][name] = entry
+    return medians["parent"], medians["current"], context
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -100,7 +148,18 @@ def main():
                     help="measure only the benchmarks matching REGEX and "
                          "merge them into the existing current section, "
                          "measured as --merge-baseline measures the baseline")
+    ap.add_argument("--interleave", metavar="PARENT_BENCH", default="",
+                    help="with --filter: alternate runs of PARENT_BENCH and "
+                         "--bench and record each side's median, the "
+                         "parent's into the baseline section")
+    ap.add_argument("--rounds", type=int, default=6,
+                    help="runs per side with --interleave")
     args = ap.parse_args()
+    if args.interleave and not args.filter:
+        sys.exit("error: --interleave measures the --filter benchmarks; "
+                 "pass --filter REGEX")
+    if args.rounds < 1:
+        sys.exit("error: --rounds must be at least 1")
     if args.merge_baseline and args.rebaseline:
         sys.exit("error: --merge-baseline merges into the baseline; "
                  "--rebaseline replaces it")
@@ -134,13 +193,30 @@ def main():
     if args.filter and "current" not in doc:
         sys.exit(f"error: {args.out} has no current section to merge into")
 
-    measured, context = run_google_benchmark(args.bench, args.min_time,
-                                             args.repetitions,
-                                             args.merge_baseline or args.filter)
+    if args.filter and args.interleave and "baseline" not in doc:
+        sys.exit(f"error: {args.out} has no baseline section to merge into")
+
+    parent_measured = {}
+    if args.interleave:
+        parent_measured, measured, context = run_interleaved(
+            args.bench, args.interleave, args.min_time, args.repetitions,
+            args.filter, args.rounds)
+        if set(parent_measured) != set(measured):
+            sys.exit("error: the two binaries ran different benchmarks: "
+                     f"{sorted(set(parent_measured) ^ set(measured))}")
+    else:
+        measured, context = run_google_benchmark(args.bench, args.min_time,
+                                                 args.repetitions,
+                                                 args.merge_baseline or args.filter)
     if (args.merge_baseline or args.filter) and not measured:
         sys.exit("error: the filter matched no benchmark")
 
     doc["schema"] = "dynreg-bench-v1"
+    if parent_measured:
+        for entry in parent_measured.values():
+            if args.label:
+                entry["label"] = args.label
+        doc["baseline"]["benchmarks"].update(parent_measured)
     if args.merge_baseline or args.filter:
         for entry in measured.values():
             if args.label:
@@ -177,6 +253,8 @@ def main():
         json.dump(doc, f, indent=2, sort_keys=False)
         f.write("\n")
     section = "baseline" if args.merge_baseline else "current"
+    if parent_measured:
+        section = "baseline and current"
     print(f"wrote {args.out} ({len(measured)} benchmarks into {section})")
 
 
