@@ -226,6 +226,10 @@ class Client {
   /// Operation records created: one per issued operation, kept for the
   /// Client's lifetime.
   [[nodiscard]] std::uint64_t op_records() const { return next_id_; }
+  /// Bytes of result-row storage held: every row chunk, unused rows included.
+  [[nodiscard]] std::size_t row_bytes() const {
+    return chunks_.size() * kChunk * sizeof(OpRecord);
+  }
   /// High-water mark of unresolved operations. An operation counts from its
   /// issue until resolve() has run its hook and released its station. A
   /// flight slot is created only when every existing one is taken, so this

@@ -49,6 +49,14 @@ class History {
   [[nodiscard]] const std::vector<ReadOp>& reads() const { return reads_; }
   [[nodiscard]] Value initial_value() const { return writes_[0].value; }
 
+  /// Records held: every write and read attempt, the pseudo-write included.
+  /// Nothing is ever retired, so this is also the log's high-water mark.
+  [[nodiscard]] std::size_t records() const { return writes_.size() + reads_.size(); }
+  /// Bytes of record storage held, allocated but unused capacity included.
+  [[nodiscard]] std::size_t bytes_held() const {
+    return writes_.capacity() * sizeof(WriteOp) + reads_.capacity() * sizeof(ReadOp);
+  }
+
  private:
   std::vector<WriteOp> writes_;
   std::vector<ReadOp> reads_;

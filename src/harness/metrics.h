@@ -126,6 +126,13 @@ struct [[nodiscard]] MetricsReport {
   /// each client's high-water mark of unresolved operations.
   std::uint64_t client_op_records = 0;
   std::uint64_t client_flights_peak = 0;
+  /// The per-operation logs, summed over every shard in the same way:
+  /// history records held (one per write or read attempt, plus each
+  /// group's initial pseudo-write; nothing is retired, so this is also the
+  /// logs' high-water mark), and the bytes the client's result rows and the
+  /// history's records occupy at the horizon, unused capacity included.
+  std::uint64_t history_records = 0;
+  std::uint64_t op_log_bytes = 0;
 
   double violation_rate() const { return regularity.violation_rate(); }
   double read_completion_rate() const {
