@@ -1,6 +1,9 @@
 #include "client/client.h"
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 namespace dynreg::client {
@@ -9,14 +12,15 @@ Client::Client(sim::Simulation& sim, churn::System& system,
                consistency::History& history, sim::Time horizon)
     : sim_(sim), system_(system), history_(history), horizon_(horizon) {}
 
-sim::Duration Client::retry_delay(const OpRecord& rec, const RetryPolicy& retry) const {
+sim::Duration Client::retry_delay(OpId id, const OpRecord& rec,
+                                  const RetryPolicy& retry) const {
   if (!retry.exponential || retry.backoff == 0) return retry.backoff;
   const std::uint32_t exp = std::min<std::uint32_t>(rec.attempts - 1, 5);
   const sim::Duration base = retry.backoff << exp;
   // Jitter from a pure hash of (seed, op, attempt): deterministic per run,
   // different across ops/attempts, zero Rng draws (replay-transparent).
   const std::uint64_t h =
-      sim::mix64(sim::mix64(sim_.seed() ^ (rec.id * sim::kGolden64)) ^ rec.attempts);
+      sim::mix64(sim::mix64(sim_.seed() ^ (id * sim::kGolden64)) ^ rec.attempts);
   return base + static_cast<sim::Duration>(h % retry.backoff);
 }
 
@@ -24,21 +28,29 @@ RegisterNode* Client::node(sim::ProcessId id) {
   return dynamic_cast<RegisterNode*>(system_.find(id));
 }
 
-OpRecord& Client::new_record(OpType type, sim::ProcessId target, bool session,
-                             OpOptions options, OpHook done) {
+OpId Client::new_record(OpType type, sim::ProcessId target, bool session,
+                        OpOptions options, OpHook done) {
   const OpId id = next_id_++;
+  if (id == Flight::kNoOp) {
+    // Session FIFOs link ops by 32-bit id and read kNoOp as "no op".
+    std::fprintf(stderr,
+                 "client: operation id %" PRIu64
+                 " would collide with the session FIFO's end marker; a client "
+                 "issues at most %" PRIu64 " operations\n",
+                 id, OpId{Flight::kNoOp});
+    std::abort();
+  }
   if (id % kChunk == 0) chunks_.push_back(std::make_unique<OpRecord[]>(kChunk));
   OpRecord& rec = record(id);
-  rec.id = id;
   rec.type = type;
   rec.invoked_at = sim_.now();
   if (free_flights_.empty()) {
     if (flight_slots_ % kChunk == 0) {
       flight_chunks_.push_back(std::make_unique<Flight[]>(kChunk));
     }
-    rec.flight = flight_slots_++;
+    rec.flight_or_responded_at = flight_slots_++;
   } else {
-    rec.flight = free_flights_.back();
+    rec.flight_or_responded_at = free_flights_.back();
     free_flights_.pop_back();
   }
   Flight& f = flight(rec);
@@ -46,38 +58,38 @@ OpRecord& Client::new_record(OpType type, sim::ProcessId target, bool session,
   f.session = session;
   f.options = std::move(options);
   f.on_resolved = std::move(done);
-  return rec;
+  return id;
 }
 
 OpHandle Client::read(sim::ProcessId target, OpOptions options, OpHook done) {
-  OpRecord& rec =
+  const OpId id =
       new_record(OpType::kRead, target, /*session=*/false, std::move(options), std::move(done));
-  start_attempt(rec);
-  return OpHandle(&rec);
+  start_attempt(id);
+  return OpHandle(&record(id), id);
 }
 
 OpHandle Client::write(sim::ProcessId target, Value v, OpOptions options, OpHook done) {
-  OpRecord& rec =
+  const OpId id =
       new_record(OpType::kWrite, target, /*session=*/false, std::move(options), std::move(done));
-  rec.value = v;
-  start_attempt(rec);
-  return OpHandle(&rec);
+  record(id).value = v;
+  start_attempt(id);
+  return OpHandle(&record(id), id);
 }
 
 OpHandle Client::session_read(sim::ProcessId target, OpOptions options, OpHook done) {
-  OpRecord& rec =
+  const OpId id =
       new_record(OpType::kRead, target, /*session=*/true, std::move(options), std::move(done));
-  enqueue_session(rec);
-  return OpHandle(&rec);
+  enqueue_session(id);
+  return OpHandle(&record(id), id);
 }
 
 OpHandle Client::session_write(sim::ProcessId target, Value v, OpOptions options,
                                OpHook done) {
-  OpRecord& rec =
+  const OpId id =
       new_record(OpType::kWrite, target, /*session=*/true, std::move(options), std::move(done));
-  rec.value = v;
-  enqueue_session(rec);
-  return OpHandle(&rec);
+  record(id).value = v;
+  enqueue_session(id);
+  return OpHandle(&record(id), id);
 }
 
 std::optional<sim::ProcessId> Client::random_active() {
@@ -92,23 +104,24 @@ std::optional<sim::ProcessId> Client::random_active() {
   return chosen;
 }
 
-void Client::enqueue_session(OpRecord& rec) {
-  Flight& f = flight(rec);
+void Client::enqueue_session(OpId id) {
+  Flight& f = flight(record(id));
   f.station = f.target;
   f.next_in_station = Flight::kNoOp;
   if (f.target >= stations_.size()) stations_.resize(f.target + std::size_t{1});
   Station& st = stations_[f.target];
-  const auto op = static_cast<std::uint32_t>(rec.id);
+  const auto op = static_cast<std::uint32_t>(id);
   if (st.head == Flight::kNoOp) {
     st.head = st.tail = op;
-    start_attempt(rec);
+    start_attempt(id);
   } else {
     flight(record(st.tail)).next_in_station = op;
     st.tail = op;
   }
 }
 
-void Client::start_attempt(OpRecord& rec) {
+void Client::start_attempt(OpId id) {
+  OpRecord& rec = record(id);
   Flight& f = flight(rec);
   ++rec.attempts;
   if (rec.attempts > 1) ++stats_.retries;  // a re-dispatch, not the first issue
@@ -118,23 +131,23 @@ void Client::start_attempt(OpRecord& rec) {
     // Nothing went on the wire (not counted as issued): the target departed
     // before this attempt could start — e.g. a queued session op whose
     // station process left, or a retry against the original target.
-    finish_attempt(rec, OpOutcome::kDroppedOnDeparture, kBottom);
+    finish_attempt(id, OpOutcome::kDroppedOnDeparture, kBottom);
     return;
   }
   const sim::Time now = sim_.now();
-  const OpContext ctx{rec.id, now};
+  const OpContext ctx{id, now};
   if (rec.type == OpType::kRead) {
     // Issued counts operations, not dispatches: a retry re-enters here but
     // is accounted under stats_.retries, so completion rates stay per-op.
     if (rec.attempts == 1) ++stats_.reads_issued;
     f.history_op = history_.begin_read(f.target, now);
-    reg->read(ctx, [this, id = rec.id, attempt = rec.attempts](OpOutcome o, Value v) {
+    reg->read(ctx, [this, id, attempt = rec.attempts](OpOutcome o, Value v) {
       on_node_completion(id, attempt, o, v);
     });
   } else {
     if (rec.attempts == 1) ++stats_.writes_issued;
     f.history_op = history_.begin_write(f.target, now, rec.value);
-    reg->write(ctx, rec.value, [this, id = rec.id, attempt = rec.attempts](OpOutcome o) {
+    reg->write(ctx, rec.value, [this, id, attempt = rec.attempts](OpOutcome o) {
       on_node_completion(id, attempt, o, kBottom);
     });
   }
@@ -143,7 +156,7 @@ void Client::start_attempt(OpRecord& rec) {
   // its deadline armed.
   if (!rec.resolved && f.attempt_open && f.options.deadline) {
     sim_.schedule_after(*f.options.deadline,
-                        [this, id = rec.id, attempt = rec.attempts] {
+                        [this, id, attempt = rec.attempts] {
                           on_deadline(id, attempt);
                         });
   }
@@ -159,16 +172,17 @@ void Client::on_node_completion(OpId id, std::uint32_t attempt, OpOutcome outcom
   // discarded: the record resolves exactly once, and each attempt is
   // accounted exactly once.
   if (rec.resolved || !flight(rec).attempt_open || rec.attempts != attempt) return;
-  finish_attempt(rec, outcome, v);
+  finish_attempt(id, outcome, v);
 }
 
 void Client::on_deadline(OpId id, std::uint32_t attempt) {
   OpRecord& rec = record(id);
   if (rec.resolved || !flight(rec).attempt_open || rec.attempts != attempt) return;
-  finish_attempt(rec, OpOutcome::kTimedOut, kBottom);
+  finish_attempt(id, OpOutcome::kTimedOut, kBottom);
 }
 
-void Client::finish_attempt(OpRecord& rec, OpOutcome outcome, Value v) {
+void Client::finish_attempt(OpId id, OpOutcome outcome, Value v) {
+  OpRecord& rec = record(id);
   Flight& f = flight(rec);
   f.attempt_open = false;
   const sim::Time now = sim_.now();
@@ -184,7 +198,7 @@ void Client::finish_attempt(OpRecord& rec, OpOutcome outcome, Value v) {
       ++stats_.writes_completed;
       stats_.write_latencies.push_back(static_cast<double>(now - rec.invoked_at));
     }
-    resolve(rec, OpOutcome::kOk);
+    resolve(id, OpOutcome::kOk);
     return;
   }
 
@@ -212,15 +226,15 @@ void Client::finish_attempt(OpRecord& rec, OpOutcome outcome, Value v) {
     if (f.station != Flight::kNoStation) {
       const sim::ProcessId st = f.station;
       f.station = Flight::kNoStation;
-      release_station(st);
+      release_station(st, f);
     }
-    sim_.schedule_after(retry_delay(rec, f.options.retry),
-                        [this, id = rec.id, attempt = rec.attempts + 1] {
+    sim_.schedule_after(retry_delay(id, rec, f.options.retry),
+                        [this, id, attempt = rec.attempts + 1] {
                           retry_attempt(id, attempt);
                         });
     return;
   }
-  resolve(rec, outcome);
+  resolve(id, outcome);
 }
 
 void Client::retry_attempt(OpId id, std::uint32_t attempt) {
@@ -232,52 +246,56 @@ void Client::retry_attempt(OpId id, std::uint32_t attempt) {
     if (rec.type == OpType::kWrite) {
       // Writes stay pinned to their writer; with the writer gone the
       // operation cannot be re-issued.
-      resolve(rec, OpOutcome::kDroppedOnDeparture);
+      resolve(id, OpOutcome::kDroppedOnDeparture);
       return;
     }
     // Reads reconnect: re-target a uniformly random active process.
     const auto target = random_active();
     if (!target) {
-      resolve(rec, OpOutcome::kDroppedOnDeparture);
+      resolve(id, OpOutcome::kDroppedOnDeparture);
       return;
     }
     f.target = *target;
   }
   if (f.session) {
-    enqueue_session(rec);  // re-enter the new target's FIFO, never bypass it
+    enqueue_session(id);  // re-enter the new target's FIFO, never bypass it
   } else {
-    start_attempt(rec);
+    start_attempt(id);
   }
 }
 
-void Client::resolve(OpRecord& rec, OpOutcome outcome) {
+void Client::resolve(OpId id, OpOutcome outcome) {
+  OpRecord& rec = record(id);
+  // The row's word turns from the flight slot into the response time here,
+  // before the hook reads it.
+  const auto slot = static_cast<std::uint32_t>(rec.flight_or_responded_at);
+  Flight& f = flight_at(slot);
   rec.resolved = true;
   rec.outcome = outcome;
-  rec.responded_at = sim_.now();
-  Flight& f = flight(rec);
+  rec.flight_or_responded_at = sim_.now();
   if (f.on_resolved) {
     OpHook hook = std::move(f.on_resolved);
-    hook(OpHandle(&rec));
+    hook(OpHandle(&rec, id));
   }
   if (f.station != Flight::kNoStation) {
     const sim::ProcessId st = f.station;
     f.station = Flight::kNoStation;
-    release_station(st);
+    release_station(st, f);
   }
-  free_flights_.push_back(rec.flight);
+  free_flights_.push_back(slot);
 }
 
-void Client::release_station(sim::ProcessId target) {
+void Client::release_station(sim::ProcessId target, const Flight& head) {
   // Only the op in service releases, and it is the head: pop it.
   Station& st = stations_[target];
-  st.head = flight(record(st.head)).next_in_station;
+  st.head = head.next_in_station;
   if (st.head == Flight::kNoOp) return;
   // Hand the station to the next queued op at a fresh event: resolution may
   // be running inside System::leave's drop cascade, where the departing
   // target is still half-attached — dispatching now would issue into a node
   // that is being torn down.
   sim_.schedule_after(0, [this, target] {
-    start_attempt(record(stations_[target].head));
+    start_attempt(stations_[target].head);
   });
 }
 

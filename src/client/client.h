@@ -20,16 +20,19 @@
 // so a (config, seed) pair fully determines every record.
 //
 // Memory scales with the operations in flight, not with those issued. Each
-// operation keeps a 48-byte result row (OpRecord: id, value, times,
-// attempts, outcome) for the Client's lifetime, in fixed-size chunks that
-// never move, so an OpHandle — a non-owning view of its row — stays valid
-// for the Client's lifetime and is never invalidated by later operations.
+// operation keeps a 32-byte result row (OpRecord: value, times, attempts,
+// outcome) for the Client's lifetime, in fixed-size chunks that never move,
+// so an OpHandle — a non-owning view of its row, plus the op id, which
+// every callback already carries and so no row stores — stays valid for the
+// Client's lifetime and is never invalidated by later operations.
 // Everything else an operation needs until it resolves (target, session
 // station link, open attempt, history record, options, resolution hook)
 // lives in a Flight: a slot of an address-stable slab taken at issue and
 // returned to a LIFO free list at the end of resolution, after the hook has
-// run and the session station has been released. Callbacks that can fire
-// after resolution (late completions, deadlines, retries) test the row's
+// run and the session station has been released. A row's flight slot and
+// its response time share one word: the slot is dead once the op resolves,
+// and the response time is unset until then. Callbacks that can fire after
+// resolution (late completions, deadlines, retries) test the row's
 // `resolved` flag before they touch the flight.
 #pragma once
 
@@ -83,25 +86,25 @@ class OpHandle;
 /// are recorded. InlineTask-style move-only callable.
 using OpHook = sim::InlineFunction<void(const OpHandle&)>;
 
-/// One operation's result row: all an OpHandle reads. Every issued
-/// operation keeps its row for the Client's lifetime; what only an
-/// unresolved operation needs lives in the Client's recycled flight slab.
+/// One operation's result row: all an OpHandle reads besides the op id.
+/// Every issued operation keeps its row for the Client's lifetime; what
+/// only an unresolved operation needs lives in the Client's recycled flight
+/// slab.
 struct OpRecord {
-  OpId id = 0;
   /// Written value (writes, from issue) / read value (reads, once kOk).
   Value value = kBottom;
   /// Client-perceived invocation time — session queue wait included.
   sim::Time invoked_at = 0;
-  sim::Time responded_at = 0;  ///< set when resolved
+  /// Until `resolved`, the op's flight slot; from then on, the response
+  /// time. A resolved op's slot may belong to a later op, and nothing reads
+  /// it after resolution, so the two share one word.
+  std::uint64_t flight_or_responded_at = 0;
   std::uint32_t attempts = 0;  ///< attempts dispatched so far
-  /// The op's flight slot. Once `resolved` the slot may belong to a later
-  /// op: nothing reads it after resolution.
-  std::uint32_t flight = 0;
   OpType type = OpType::kRead;
   OpOutcome outcome = OpOutcome::kOk;
   bool resolved = false;
 };
-static_assert(sizeof(OpRecord) <= 48, "OpRecord grew");
+static_assert(sizeof(OpRecord) <= 32, "OpRecord grew");
 
 /// Non-owning view of an OpRecord; valid for the issuing Client's lifetime.
 /// [[nodiscard]]: a dropped handle is a leaked operation result (issue sites
@@ -111,7 +114,7 @@ class [[nodiscard]] OpHandle {
   OpHandle() = default;
 
   [[nodiscard]] bool valid() const { return rec_ != nullptr; }
-  [[nodiscard]] OpId id() const { return rec_->id; }
+  [[nodiscard]] OpId id() const { return id_; }
   [[nodiscard]] OpType type() const { return rec_->type; }
   /// Whether the operation has resolved; outcome()/responded_at() are only
   /// meaningful afterwards. Operations pending at the run horizon never
@@ -119,15 +122,19 @@ class [[nodiscard]] OpHandle {
   [[nodiscard]] bool resolved() const { return rec_->resolved; }
   [[nodiscard]] OpOutcome outcome() const { return rec_->outcome; }
   [[nodiscard]] sim::Time invoked_at() const { return rec_->invoked_at; }
-  [[nodiscard]] sim::Time responded_at() const { return rec_->responded_at; }
+  /// The response time once resolved; 0 before.
+  [[nodiscard]] sim::Time responded_at() const {
+    return rec_->resolved ? rec_->flight_or_responded_at : 0;
+  }
   /// Written value; for reads, the value returned (kOk resolutions only).
   [[nodiscard]] Value value() const { return rec_->value; }
   [[nodiscard]] std::uint32_t attempts() const { return rec_->attempts; }
 
  private:
   friend class Client;
-  explicit OpHandle(const OpRecord* rec) : rec_(rec) {}
+  OpHandle(const OpRecord* rec, OpId id) : rec_(rec), id_(id) {}
   const OpRecord* rec_ = nullptr;
+  OpId id_ = 0;
 };
 
 /// Operation counters and latency samples, harvested by the experiment
@@ -270,24 +277,31 @@ class Client {
   static constexpr std::size_t kChunk = 32;
   OpRecord& record(OpId id) { return chunks_[id / kChunk][id % kChunk]; }
   /// The flight of an unresolved `rec`.
-  Flight& flight(const OpRecord& rec) {
-    return flight_chunks_[rec.flight / kChunk][rec.flight % kChunk];
+  Flight& flight(const OpRecord& rec) { return flight_at(rec.flight_or_responded_at); }
+  Flight& flight_at(std::uint64_t slot) {
+    return flight_chunks_[slot / kChunk][slot % kChunk];
   }
 
-  /// Delay before the next retry of `rec` under `retry` (its attempts count
-  /// has already been charged for the failed attempt).
-  [[nodiscard]] sim::Duration retry_delay(const OpRecord& rec,
+  /// Delay before the next retry of op `id` under `retry` (its attempts
+  /// count has already been charged for the failed attempt).
+  [[nodiscard]] sim::Duration retry_delay(OpId id, const OpRecord& rec,
                                           const RetryPolicy& retry) const;
-  OpRecord& new_record(OpType type, sim::ProcessId target, bool session,
-                       OpOptions options, OpHook done);
-  void enqueue_session(OpRecord& rec);
-  void start_attempt(OpRecord& rec);
+  /// Creates the next op's row and flight; returns its id. Aborts rather
+  /// than hand out Flight::kNoOp, which session FIFOs read as "no op".
+  OpId new_record(OpType type, sim::ProcessId target, bool session, OpOptions options,
+                  OpHook done);
+  void enqueue_session(OpId id);
+  void start_attempt(OpId id);
   void on_node_completion(OpId id, std::uint32_t attempt, OpOutcome outcome, Value v);
   void on_deadline(OpId id, std::uint32_t attempt);
-  void finish_attempt(OpRecord& rec, OpOutcome outcome, Value v);
+  void finish_attempt(OpId id, OpOutcome outcome, Value v);
   void retry_attempt(OpId id, std::uint32_t attempt);
-  void resolve(OpRecord& rec, OpOutcome outcome);
-  void release_station(sim::ProcessId target);
+  void resolve(OpId id, OpOutcome outcome);
+  /// Pops `head`, the flight of the op in service at `target`'s station.
+  void release_station(sim::ProcessId target, const Flight& head);
+
+  /// Lets tests start the op-id counter near its limit.
+  friend struct ClientTestPeer;
 
   sim::Simulation& sim_;
   churn::System& system_;

@@ -13,7 +13,9 @@ RegularityReport RegularityChecker::check(const History& history) const {
 
   // Everything below is sort-once + indexed lookup; the previous
   // implementation rescanned the whole write vector per pair and per read,
-  // which was quadratic in long sweep histories.
+  // which was quadratic in long sweep histories. Ends are compared raw: an
+  // open interval's end is History::kNever, later than every time, so
+  // `ended_at < t` is false for it exactly as the optional test was.
 
   // Completed writes ordered by end time, with a running prefix-max of
   // their begin times. Answers, by binary search on r.begin, both "how many
@@ -26,7 +28,9 @@ RegularityReport RegularityChecker::check(const History& history) const {
   std::vector<CompletedWrite> by_end;
   by_end.reserve(writes.size());
   for (const auto& w : writes) {
-    if (w.end) by_end.push_back(CompletedWrite{*w.end, w.begin});
+    if (w.ended_at != History::kNever) {
+      by_end.push_back(CompletedWrite{w.ended_at, w.begin});
+    }
   }
   std::sort(by_end.begin(), by_end.end(),
             [](const CompletedWrite& a, const CompletedWrite& b) { return a.end < b.end; });
@@ -51,18 +55,22 @@ RegularityReport RegularityChecker::check(const History& history) const {
   //   concurrent = all pairs - sum over writes of |{completed ends < begin}|.
   // Counted over the real writes only, hence the dedicated sorted-ends
   // array rather than by_end (which serves the reads and includes index 0).
+  // The logs are walked in order rather than indexed: a walk reads each
+  // chunk's address once.
   {
+    auto first_real = writes.begin();
+    if (first_real != writes.end()) ++first_real;
     std::vector<sim::Time> real_ends;
     real_ends.reserve(writes.size());
-    for (std::size_t i = 1; i < writes.size(); ++i) {
-      if (writes[i].end) real_ends.push_back(*writes[i].end);
+    for (auto w = first_real; w != writes.end(); ++w) {
+      if (w->ended_at != History::kNever) real_ends.push_back(w->ended_at);
     }
     std::sort(real_ends.begin(), real_ends.end());
     const std::size_t m = writes.empty() ? 0 : writes.size() - 1;
     std::size_t disjoint = 0;
-    for (std::size_t i = 1; i < writes.size(); ++i) {
+    for (auto w = first_real; w != writes.end(); ++w) {
       disjoint += static_cast<std::size_t>(
-          std::lower_bound(real_ends.begin(), real_ends.end(), writes[i].begin) -
+          std::lower_bound(real_ends.begin(), real_ends.end(), w->begin) -
           real_ends.begin());
     }
     report.concurrent_write_pairs = m * (m - 1) / 2 - disjoint;
@@ -77,14 +85,14 @@ RegularityReport RegularityChecker::check(const History& history) const {
   // order deterministically (and drops the per-node allocations).
   std::vector<std::pair<Value, std::size_t>> writes_by_value;
   writes_by_value.reserve(writes.size());
-  for (std::size_t wi = 0; wi < writes.size(); ++wi) {
-    writes_by_value.emplace_back(writes[wi].value, wi);
-  }
+  std::size_t wi = 0;
+  for (const auto& w : writes) writes_by_value.emplace_back(w.value, wi++);
   std::sort(writes_by_value.begin(), writes_by_value.end());
 
-  for (std::size_t ri = 0; ri < reads.size(); ++ri) {
-    const auto& r = reads[ri];
-    if (!r.end) continue;  // the predicate constrains completed reads only
+  std::size_t ri = 0;
+  for (const auto& r : reads) {
+    const std::size_t read_id = ri++;
+    if (r.ended_at == History::kNever) continue;  // only completed reads are constrained
     ++report.reads_checked;
 
     // B* = the latest begin among writes completed strictly before the read
@@ -104,8 +112,8 @@ RegularityReport RegularityChecker::check(const History& history) const {
              [](const std::pair<Value, std::size_t>& p, Value v) { return p.first < v; });
          it != writes_by_value.end() && it->first == r.value; ++it) {
       const auto& w = writes[it->second];
-      const bool w_completed_before = w.end && *w.end < r.begin;
-      if (w_completed_before ? *w.end >= latest_begin : w.begin <= *r.end) {
+      const bool w_completed_before = w.ended_at < r.begin;
+      if (w_completed_before ? w.ended_at >= latest_begin : w.begin <= r.ended_at) {
         legal = true;
         break;
       }
@@ -113,7 +121,7 @@ RegularityReport RegularityChecker::check(const History& history) const {
 
     if (!legal) {
       Violation v;
-      v.read = ri;
+      v.read = read_id;
       v.returned = r.value;
       v.detail = r.value == kBottom ? "read returned bottom" : "stale read";
       report.violations.push_back(v);
@@ -142,10 +150,10 @@ InversionReport AtomicityChecker::check(const History& history) const {
   };
   std::vector<Entry> done;
   for (const auto& r : reads) {
-    if (!r.end) continue;
+    if (r.ended_at == History::kNever) continue;
     const auto it = write_index.find(r.value);
     if (it == write_index.end()) continue;
-    done.push_back(Entry{r.begin, *r.end, it->second});
+    done.push_back(Entry{r.begin, r.ended_at, it->second});
   }
   report.reads_checked = done.size();
 
@@ -179,7 +187,7 @@ InversionReport AtomicityChecker::check(const History& history) const {
     const auto& w = writes[done[i].widx];
     // Inverted iff this read's write completed before an earlier-returned
     // write even began. Incomplete writes precede nothing.
-    if (any_seen && w.end && *w.end < max_prev_write_begin) ++report.inversion_count;
+    if (any_seen && w.ended_at < max_prev_write_begin) ++report.inversion_count;
   }
   return report;
 }

@@ -1,6 +1,7 @@
 #include "harness/aggregate.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace dynreg::harness {
@@ -23,6 +24,43 @@ double percentile(const std::vector<double>& sorted, double p) {
   const std::size_t n = sorted.size();
   const auto idx = std::min(n - 1, static_cast<std::size_t>(p * static_cast<double>(n)));
   return sorted[idx];
+}
+
+void TickHistogram::add(double ticks) {
+  const auto t = static_cast<std::uint64_t>(ticks);
+  assert(static_cast<double>(t) == ticks && "latency samples are whole ticks");
+  if (t < kDenseTicks) {
+    if (t >= dense_.size()) dense_.resize(t + 1);
+    ++dense_[t];
+  } else {
+    ++sparse_[t];
+  }
+  ++count_;
+  total_ += t;
+}
+
+void TickHistogram::clear() {
+  dense_.clear();
+  sparse_.clear();
+  count_ = 0;
+  total_ = 0;
+}
+
+double TickHistogram::percentile(double p) const {
+  // The rank percentile() takes, then the tick holding it.
+  const std::uint64_t rank =
+      std::min(count_ - 1, static_cast<std::uint64_t>(p * static_cast<double>(count_)));
+  std::uint64_t below = 0;
+  for (std::uint64_t t = 0; t < dense_.size(); ++t) {
+    below += dense_[t];
+    if (below > rank) return static_cast<double>(t);
+  }
+  for (const auto& [t, n] : sparse_) {
+    below += n;
+    if (below > rank) return static_cast<double>(t);
+  }
+  assert(false && "percentile of an empty histogram");
+  return 0.0;
 }
 
 Aggregate aggregate(std::vector<double> samples) {

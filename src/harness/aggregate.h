@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "harness/metrics.h"
@@ -36,6 +37,38 @@ Aggregate aggregate(std::vector<double> samples);
 /// sorted[min(n-1, floor(p*n))] — the one convention used everywhere
 /// (per-run latency percentiles and cross-seed Aggregate percentiles).
 double percentile(const std::vector<double>& sorted, double p);
+
+/// Exact histogram of latency samples in whole ticks, as the client records
+/// them: a count per tick, so the samples of a run need neither be copied
+/// nor sorted. Its percentile() equals percentile() over the sorted
+/// samples, and total() their double sum, bit for bit while the integer
+/// total stays below 2^53.
+class TickHistogram {
+ public:
+  /// Adds one sample; it must be a whole, non-negative number of ticks.
+  void add(double ticks);
+  void add(const std::vector<double>& samples) {
+    for (const double s : samples) add(s);
+  }
+  /// Forgets every sample, keeping the storage.
+  void clear();
+
+  [[nodiscard]] std::uint64_t count() const { return count_; }
+  [[nodiscard]] double total() const { return static_cast<double>(total_); }
+  /// Nearest-rank percentile, as percentile(); count() must be nonzero.
+  [[nodiscard]] double percentile(double p) const;
+
+ private:
+  /// Ticks below this are counted in a dense column, grown to the largest
+  /// sample seen; rarer, longer ones in a map, so one outlier near a long
+  /// horizon costs a node rather than a column that long.
+  static constexpr std::uint64_t kDenseTicks = std::uint64_t{1} << 16;
+
+  std::vector<std::uint64_t> dense_;
+  std::map<std::uint64_t, std::uint64_t> sparse_;
+  std::uint64_t count_ = 0;
+  std::uint64_t total_ = 0;
+};
 
 /// Everything dynreg_exp reports per sweep point: one Aggregate per scalar
 /// metric, plus the non-averageable safety counters.

@@ -203,8 +203,12 @@ shard::ShardRef World::ref() {
 MetricsReport harvest(const ExperimentConfig& cfg, const shard::ShardMap& groups,
                       const std::vector<const fault::Injector*>& injectors) {
   MetricsReport report;
-  std::vector<double> all_reads;
-  std::vector<double> all_writes;
+  // Exact whole-tick histograms: the run's reads and writes, and the shard
+  // at hand's reads and writes together. The samples stay where the
+  // clients recorded them.
+  TickHistogram reads;
+  TickHistogram writes;
+  TickHistogram shard_ops;
   std::uint64_t join_latency_total = 0;
   double min_active_3delta = static_cast<double>(cfg.n) + 1.0;
 
@@ -227,25 +231,20 @@ MetricsReport harvest(const ExperimentConfig& cfg, const shard::ShardMap& groups
     report.joins_abandoned += ref.system->joins_abandoned();
     join_latency_total += ref.system->join_latency_total();
 
-    // Global latencies merge the groups' samples in group order (sorted
-    // below), so percentile identity is independent of scheduling.
-    all_reads.insert(all_reads.end(), ops.read_latencies.begin(),
-                     ops.read_latencies.end());
-    all_writes.insert(all_writes.end(), ops.write_latencies.begin(),
-                      ops.write_latencies.end());
+    reads.add(ops.read_latencies);
+    writes.add(ops.write_latencies);
 
     if (cfg.shard_count > 0) {
       ShardMetrics sm;
       sm.reads_completed = ops.reads_completed;
       sm.writes_completed = ops.writes_completed;
       sm.ops_completed = ops.reads_completed + ops.writes_completed;
-      std::vector<double> shard_lat = ops.read_latencies;
-      shard_lat.insert(shard_lat.end(), ops.write_latencies.begin(),
-                       ops.write_latencies.end());
-      if (!shard_lat.empty()) {
-        std::sort(shard_lat.begin(), shard_lat.end());
-        sm.latency_p50 = percentile(shard_lat, 0.50);
-        sm.latency_p99 = percentile(shard_lat, 0.99);
+      shard_ops.clear();
+      shard_ops.add(ops.read_latencies);
+      shard_ops.add(ops.write_latencies);
+      if (shard_ops.count() > 0) {
+        sm.latency_p50 = shard_ops.percentile(0.50);
+        sm.latency_p99 = shard_ops.percentile(0.99);
       }
       report.shards.push_back(sm);
     }
@@ -301,23 +300,17 @@ MetricsReport harvest(const ExperimentConfig& cfg, const shard::ShardMap& groups
           : static_cast<double>(join_latency_total) /
                 static_cast<double>(report.joins_completed);
 
-  if (!all_reads.empty()) {
-    double total = 0.0;
-    for (const double l : all_reads) total += l;
-    report.read_latency_mean = total / static_cast<double>(all_reads.size());
-    std::sort(all_reads.begin(), all_reads.end());
-    report.read_latency_p50 = percentile(all_reads, 0.50);
-    report.read_latency_p99 = percentile(all_reads, 0.99);
+  if (reads.count() > 0) {
+    report.read_latency_mean = reads.total() / static_cast<double>(reads.count());
+    report.read_latency_p50 = reads.percentile(0.50);
+    report.read_latency_p99 = reads.percentile(0.99);
   }
-  if (!all_writes.empty()) {
-    double total = 0.0;
-    for (const double l : all_writes) total += l;
+  if (writes.count() > 0) {
     // The mean divides by writes_completed (== sample count): the formula
     // the pre-client driver used, kept bit-for-bit.
-    report.write_latency_mean = total / static_cast<double>(report.writes_completed);
-    std::sort(all_writes.begin(), all_writes.end());
-    report.write_latency_p50 = percentile(all_writes, 0.50);
-    report.write_latency_p99 = percentile(all_writes, 0.99);
+    report.write_latency_mean = writes.total() / static_cast<double>(report.writes_completed);
+    report.write_latency_p50 = writes.percentile(0.50);
+    report.write_latency_p99 = writes.percentile(0.99);
   }
 
   if (cfg.shard_count == 0) return report;

@@ -19,6 +19,14 @@
 #include "net/network.h"
 
 namespace dynreg {
+namespace client {
+
+/// Starts a client's op-id counter where a test needs it.
+struct ClientTestPeer {
+  static void set_next_id(Client& c, OpId next) { c.next_id_ = next; }
+};
+
+}  // namespace client
 namespace {
 
 using client::Client;
@@ -80,7 +88,7 @@ TEST(ClientApi, SyncWriteDroppedOnDeparture) {
   EXPECT_EQ(d.client->stats().writes_dropped, 1u);
   // The history interval stays open (the write may have taken effect).
   ASSERT_EQ(d.history.writes().size(), 2u);  // initial pseudo-write + ours
-  EXPECT_FALSE(d.history.writes()[1].end.has_value());
+  EXPECT_FALSE(d.history.writes()[1].end().has_value());
 }
 
 TEST(ClientApi, SyncReadIsInstantaneousAndCannotBeDropped) {
@@ -165,7 +173,7 @@ TEST(ClientApi, LateCompletionAfterTimeoutIsDiscarded) {
   EXPECT_EQ(h.outcome(), OpOutcome::kTimedOut);
   EXPECT_EQ(d.client->stats().reads_completed, 0u);
   ASSERT_EQ(d.history.reads().size(), 1u);
-  EXPECT_FALSE(d.history.reads()[0].end.has_value());
+  EXPECT_FALSE(d.history.reads()[0].end().has_value());
 }
 
 // --- retries -----------------------------------------------------------------
@@ -193,9 +201,9 @@ TEST(ClientApi, RetryReissuesDroppedReadAndHistoryRecordsBothIntervals) {
   // Two history intervals: the dropped attempt stays open, the retried one
   // begins at the re-issue time and completes.
   ASSERT_EQ(d.history.reads().size(), 2u);
-  EXPECT_FALSE(d.history.reads()[0].end.has_value());
+  EXPECT_FALSE(d.history.reads()[0].end().has_value());
   EXPECT_GE(d.history.reads()[1].begin, 1u + opts.retry.backoff);
-  ASSERT_TRUE(d.history.reads()[1].end.has_value());
+  ASSERT_TRUE(d.history.reads()[1].end().has_value());
   EXPECT_EQ(d.history.reads()[1].value, 0);
 }
 
@@ -235,14 +243,14 @@ TEST(ClientSessionFifo, OpsAgainstOneTargetRunOneAtATimeInFifoOrder) {
   const auto& reads = d.history.reads();
   ASSERT_EQ(reads.size(), 3u);
   for (std::size_t i = 0; i < reads.size(); ++i) {
-    ASSERT_TRUE(reads[i].end.has_value()) << i;
+    ASSERT_TRUE(reads[i].end().has_value()) << i;
     if (i > 0) {
-      EXPECT_EQ(reads[i - 1].end, reads[i].begin) << i;
+      EXPECT_EQ(reads[i - 1].end(), reads[i].begin) << i;
     }
   }
   // Queue wait counts toward the client-perceived latency.
   EXPECT_EQ(c.invoked_at(), 0u);
-  EXPECT_EQ(reads[2].end, c.responded_at());
+  EXPECT_EQ(reads[2].end(), c.responded_at());
   EXPECT_EQ(d.client->stats().reads_issued, 3u);
 }
 
@@ -268,10 +276,10 @@ TEST(ClientSessionFifo, TimedOutAttemptFreesStationAndRetryQueuesBehindWaiters) 
   // The failed attempt hands the station on at its deadline, not after its
   // backoff and retry: b starts the moment a times out.
   EXPECT_EQ(reads[1].begin, 5u);
-  EXPECT_EQ(reads[1].end, b.responded_at());
+  EXPECT_EQ(reads[1].end(), b.responded_at());
   // a's retry re-entered the FIFO behind c, which was already queued.
-  EXPECT_EQ(reads[2].end, c.responded_at());
-  EXPECT_EQ(reads[3].reader, 1u);
+  EXPECT_EQ(reads[2].end(), c.responded_at());
+  EXPECT_EQ(reads[3].process, 1u);
   EXPECT_EQ(reads[3].begin, c.responded_at());
   EXPECT_EQ(a.responded_at(), reads[3].begin + 5);
 }
@@ -296,8 +304,8 @@ TEST(ClientSessionFifo, RetargetedRetryQueuesBehindWaitersAtItsNewStation) {
   EXPECT_EQ(a.outcome(), OpOutcome::kOk);
   EXPECT_EQ(a.attempts(), 2u);
   const auto& retry = d.history.reads().back();
-  ASSERT_NE(retry.reader, 2u);
-  const std::size_t slot = retry.reader < 2 ? retry.reader : retry.reader - 1;
+  ASSERT_NE(retry.process, 2u);
+  const std::size_t slot = retry.process < 2 ? retry.process : retry.process - 1;
   ASSERT_TRUE(waiting[slot].resolved());
   EXPECT_EQ(retry.begin, waiting[slot].responded_at());
 }
@@ -391,8 +399,8 @@ TEST(ClientFlightSlots, LateCompletionIsDiscardedAfterItsSlotIsReused) {
   EXPECT_EQ(d.client->stats().reads_completed, 1u);
   EXPECT_EQ(d.client->stats().reads_timed_out, 1u);
   ASSERT_EQ(d.history.reads().size(), 2u);
-  EXPECT_FALSE(d.history.reads()[0].end.has_value());
-  EXPECT_EQ(d.history.reads()[1].end, std::optional<sim::Time>{b.responded_at()});
+  EXPECT_FALSE(d.history.reads()[0].end().has_value());
+  EXPECT_EQ(d.history.reads()[1].end(), std::optional<sim::Time>{b.responded_at()});
 }
 
 TEST(ClientFlightSlots, HandleOfLongResolvedOpKeepsItsFields) {
@@ -439,6 +447,15 @@ TEST(ClientFlightSlots, StrictlySequentialClientNeedsOneFlight) {
   EXPECT_GT(r.client_op_records, 20u);
   EXPECT_EQ(r.client_op_records, r.reads_issued);
   EXPECT_EQ(r.client_flights_peak, 1u);
+}
+
+TEST(ClientFlightSlots, OpIdThatWouldReachTheFifoEndMarkerAborts) {
+  // Session FIFOs link ops by 32-bit id and read 2^32 - 1 as "no op", so a
+  // client must stop before it hands that id out, not corrupt its FIFOs.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Deployment d(sync_factory(5), 3, std::make_unique<net::SynchronousDelay>(5));
+  client::ClientTestPeer::set_next_id(*d.client, OpId{0xffffffffu});
+  EXPECT_DEATH((void)d.client->read(1), "would collide with the session FIFO's end marker");
 }
 
 }  // namespace

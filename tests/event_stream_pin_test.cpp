@@ -288,47 +288,47 @@ void expect_pinned(const ExperimentConfig& cfg, std::uint64_t hash, const Counts
 
 TEST(EventStreamPin, EsFlat) {
   expect_pinned(es_flat(), 0xbaf107f8d730c33aULL,
-                {9649, 12973, 12076, 121, 7, 0, 262.0 / 23, true, 29, 2514, 122, 12544});
+                {9649, 12973, 12076, 121, 7, 0, 262.0 / 23, true, 29, 2514, 122, 9216});
 }
 TEST(EventStreamPin, EsTree) {
   expect_pinned(es_tree(), 0x7c97c6ee02db0983ULL,
-                {13462, 18012, 16482, 120, 13, 2, 727.0 / 31, true, 40, 4469, 121, 12544});
+                {13462, 18012, 16482, 120, 13, 2, 727.0 / 31, true, 40, 4469, 121, 9216});
 }
 TEST(EventStreamPin, SyncUnderChurn) {
   expect_pinned(sync_churn(), 0x245ae4a0b2220e1bULL,
-                {51035, 92838, 78671, 218, 2, 583, 12, false, 10, 2859, 219, 23552});
+                {51035, 92838, 78671, 218, 2, 583, 12, false, 10, 2859, 219, 15360});
 }
 TEST(EventStreamPin, EsCrashAndPartition) {
   expect_pinned(es_faults(), 0x707f13a1b35377e7ULL,
-                {5994, 5963, 5923, 236, 13, 0, 37.0 / 6, true, 9, 1046, 237, 25088});
+                {5994, 5963, 5923, 236, 13, 0, 37.0 / 6, true, 9, 1046, 237, 17408});
 }
 TEST(EventStreamPin, AbdUnderChurn) {
   expect_pinned(abd_churn(), 0x76fb3c6b5955e378ULL,
-                {5404, 9026, 8759, 161, 50, 0, 0, true, 24, 1061, 162, 20736});
+                {5404, 9026, 8759, 161, 50, 0, 0, true, 24, 1061, 162, 12288});
 }
 
 // The Byzantine pins also fix how many copies were rewritten and how many
 // reads the checker flags.
 TEST(EventStreamPin, ByzantineEs) {
   expect_pinned(byzantine_es(), 0x8603b64b6106e617ULL,
-                {5182, 5848, 5709, 180, 3, 4, 157.0 / 25, true, 14, 806, 181, 20736},
+                {5182, 5848, 5709, 180, 3, 4, 157.0 / 25, true, 14, 806, 181, 12288},
                 Byzantine{266, 2});
 }
 TEST(EventStreamPin, ByzantineSync) {
   expect_pinned(byzantine_sync(), 0x754db26f7972368fULL,
-                {9062, 11408, 9891, 180, 2, 188, 15, false, 3, 3212, 181, 20736},
+                {9062, 11408, 9891, 180, 2, 188, 15, false, 3, 3212, 181, 12288},
                 Byzantine{762, 130});
 }
 TEST(EventStreamPin, ByzantineAbd) {
   expect_pinned(byzantine_abd(), 0xc9e7ea1df2fdfc91ULL,
-                {3945, 5073, 5008, 179, 75, 0, 0, true, 14, 921, 180, 20736},
+                {3945, 5073, 5008, 179, 75, 0, 0, true, 14, 921, 180, 12288},
                 Byzantine{232, 33});
 }
 
 // The sharded pin also fixes the integer report fields.
 TEST(EventStreamPin, SyncShardedZipfian) {
   expect_pinned(sync_sharded(), 0xe69832f62ba6786bULL,
-                {22095, 24629, 20880, 2127, 46, 492, 12, false, 2, 3398, 2122, 241664});
+                {22095, 24629, 20880, 2127, 46, 492, 12, false, 2, 3398, 2122, 141312});
   const MetricsReport report = run_experiment(sync_sharded());
   EXPECT_EQ(report.reads_completed, 1705u);
   EXPECT_EQ(report.writes_completed, 410u);
@@ -344,15 +344,15 @@ TEST(EventStreamPin, SyncShardedZipfian) {
 // with coalescing. The digest and the copy counts are the per-copy design's.
 TEST(EventStreamPin, QuorumScaleShape) {
   expect_pinned(quorum_scale(), 0xd9c82e1682a2caa3ULL,
-                {4182, 51974, 51974, 13, 2, 0, 0, true, 2000, 1855, 14, 2496});
+                {4182, 51974, 51974, 13, 2, 0, 0, true, 2000, 1855, 14, 1792});
 }
 TEST(EventStreamPin, ChurnSessionsShape) {
   expect_pinned(churn_sessions(), 0xf6881075e6bc8c0fULL,
-                {64538, 121067, 117425, 14429, 1130, 28, 15, true, 57, 11926, 13510, 1483264});
+                {64538, 121067, 117425, 14429, 1130, 28, 15, true, 57, 11926, 13510, 921600});
 }
 TEST(EventStreamPin, FaultSearchShape) {
   expect_pinned(fault_search_base(), 0xb5d105cc25c86e8dULL,
-                {8917, 8624, 8564, 290, 3, 0, 83.0 / 8, true, 13, 1295, 291, 28160});
+                {8917, 8624, 8564, 290, 3, 0, 83.0 / 8, true, 13, 1295, 291, 20480});
 }
 
 }  // namespace

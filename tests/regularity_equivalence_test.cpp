@@ -26,28 +26,29 @@ RegularityReport reference_check(const History& history) {
     for (std::size_t j = i + 1; j < writes.size(); ++j) {
       const auto& a = writes[i];
       const auto& b = writes[j];
-      const bool disjoint = (a.end && *a.end < b.begin) || (b.end && *b.end < a.begin);
+      const bool disjoint =
+          (a.end() && *a.end() < b.begin) || (b.end() && *b.end() < a.begin);
       if (!disjoint) ++report.concurrent_write_pairs;
     }
   }
 
   for (std::size_t ri = 0; ri < reads.size(); ++ri) {
     const auto& r = reads[ri];
-    if (!r.end) continue;
+    if (!r.end()) continue;
     ++report.reads_checked;
 
     sim::Time latest_begin = 0;
     for (const auto& w : writes) {
-      if (w.end && *w.end < r.begin) latest_begin = std::max(latest_begin, w.begin);
+      if (w.end() && *w.end() < r.begin) latest_begin = std::max(latest_begin, w.begin);
     }
 
     std::set<Value> legal;
     for (const auto& w : writes) {
-      const bool completed_before = w.end && *w.end < r.begin;
-      const bool concurrent = !completed_before && w.begin <= *r.end;
+      const bool completed_before = w.end() && *w.end() < r.begin;
+      const bool concurrent = !completed_before && w.begin <= *r.end();
       if (concurrent) {
         legal.insert(w.value);
-      } else if (completed_before && *w.end >= latest_begin) {
+      } else if (completed_before && *w.end() >= latest_begin) {
         legal.insert(w.value);
       }
     }
