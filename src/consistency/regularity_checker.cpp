@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <utility>
 
 namespace dynreg::consistency {
 
@@ -79,15 +78,20 @@ RegularityReport RegularityChecker::check(const History& history) const {
   // Writes indexed by value, so the legality test for a read touches only
   // the writes that could have produced its value (the workload driver
   // issues globally unique values, so typically exactly one). A sorted
-  // (value, write index) array + binary search rather than a hash map: the
-  // candidate scan below iterates the per-value bucket, and hash-map bucket
-  // order is whatever the hasher made of it — this keeps the scan in write
-  // order deterministically (and drops the per-node allocations).
-  std::vector<std::pair<Value, std::size_t>> writes_by_value;
+  // array + binary search rather than a hash map, which would allocate a
+  // node per write. Each entry carries the write's interval, so the scan
+  // below never goes back to the write log; it asks only whether any write
+  // of the value is legal, so the order within a value does not matter.
+  struct ValueWrite {
+    Value value = 0;
+    sim::Time begin = 0;
+    sim::Time end = 0;
+  };
+  std::vector<ValueWrite> writes_by_value;
   writes_by_value.reserve(writes.size());
-  std::size_t wi = 0;
-  for (const auto& w : writes) writes_by_value.emplace_back(w.value, wi++);
-  std::sort(writes_by_value.begin(), writes_by_value.end());
+  for (const auto& w : writes) writes_by_value.push_back(ValueWrite{w.value, w.begin, w.ended_at});
+  std::sort(writes_by_value.begin(), writes_by_value.end(),
+            [](const ValueWrite& a, const ValueWrite& b) { return a.value < b.value; });
 
   std::size_t ri = 0;
   for (const auto& r : reads) {
@@ -107,13 +111,12 @@ RegularityReport RegularityChecker::check(const History& history) const {
     // The returned value is legal iff some write of that value is either
     // concurrent with the read or completed-before but not superseded.
     bool legal = false;
-    for (auto it = std::lower_bound(
+    for (auto w = std::lower_bound(
              writes_by_value.begin(), writes_by_value.end(), r.value,
-             [](const std::pair<Value, std::size_t>& p, Value v) { return p.first < v; });
-         it != writes_by_value.end() && it->first == r.value; ++it) {
-      const auto& w = writes[it->second];
-      const bool w_completed_before = w.ended_at < r.begin;
-      if (w_completed_before ? w.ended_at >= latest_begin : w.begin <= r.ended_at) {
+             [](const ValueWrite& e, Value v) { return e.value < v; });
+         w != writes_by_value.end() && w->value == r.value; ++w) {
+      const bool w_completed_before = w->end < r.begin;
+      if (w_completed_before ? w->end >= latest_begin : w->begin <= r.ended_at) {
         legal = true;
         break;
       }

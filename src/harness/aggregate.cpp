@@ -29,19 +29,14 @@ double percentile(const std::vector<double>& sorted, double p) {
 void TickHistogram::add(double ticks) {
   const auto t = static_cast<std::uint64_t>(ticks);
   assert(static_cast<double>(t) == ticks && "latency samples are whole ticks");
-  if (t < kDenseTicks) {
-    if (t >= dense_.size()) dense_.resize(t + 1);
-    ++dense_[t];
-  } else {
-    ++sparse_[t];
-  }
+  if (t >= counts_.size()) counts_.resize(t + 1);
+  ++counts_[t];
   ++count_;
   total_ += t;
 }
 
 void TickHistogram::clear() {
-  dense_.clear();
-  sparse_.clear();
+  counts_.clear();
   count_ = 0;
   total_ = 0;
 }
@@ -51,12 +46,8 @@ double TickHistogram::percentile(double p) const {
   const std::uint64_t rank =
       std::min(count_ - 1, static_cast<std::uint64_t>(p * static_cast<double>(count_)));
   std::uint64_t below = 0;
-  for (std::uint64_t t = 0; t < dense_.size(); ++t) {
-    below += dense_[t];
-    if (below > rank) return static_cast<double>(t);
-  }
-  for (const auto& [t, n] : sparse_) {
-    below += n;
+  for (std::uint64_t t = 0; t < counts_.size(); ++t) {
+    below += counts_[t];
     if (below > rank) return static_cast<double>(t);
   }
   assert(false && "percentile of an empty histogram");

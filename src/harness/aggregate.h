@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "harness/metrics.h"
@@ -59,13 +58,10 @@ class TickHistogram {
   [[nodiscard]] double percentile(double p) const;
 
  private:
-  /// Ticks below this are counted in a dense column, grown to the largest
-  /// sample seen; rarer, longer ones in a map, so one outlier near a long
-  /// horizon costs a node rather than a column that long.
-  static constexpr std::uint64_t kDenseTicks = std::uint64_t{1} << 16;
-
-  std::vector<std::uint64_t> dense_;
-  std::map<std::uint64_t, std::uint64_t> sparse_;
+  /// counts_[t] samples of t ticks, grown to the largest sample seen. A
+  /// latency cannot outlast the run, so the column is at most one count
+  /// per tick of the run's duration.
+  std::vector<std::uint64_t> counts_;
   std::uint64_t count_ = 0;
   std::uint64_t total_ = 0;
 };

@@ -433,7 +433,7 @@ TEST(OpLog, HistogramMatchesSortedSamplesOnRandomIntegers) {
   std::mt19937 rng(11);
   for (int round = 0; round < 200; ++round) {
     const std::size_t n = rng() % 3000;
-    // Mostly short latencies, a few long ones past the dense column.
+    // Mostly short latencies, some sets with very long ones.
     const std::uint32_t spread = round % 4 == 0 ? 200000 : 1 + rng() % 500;
     std::vector<double> samples;
     for (std::size_t i = 0; i < n; ++i) samples.push_back(static_cast<double>(rng() % spread));
