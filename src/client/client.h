@@ -19,21 +19,18 @@
 // only from the run's one sim::Rng (retry re-targeting, session targeting),
 // so a (config, seed) pair fully determines every record.
 //
-// Memory scales with the operations in flight, not with those issued. Each
-// operation keeps a 32-byte result row (OpRecord: value, times, attempts,
-// outcome) for the Client's lifetime, in fixed-size chunks that never move,
-// so an OpHandle — a non-owning view of its row, plus the op id, which
-// every callback already carries and so no row stores — stays valid for the
-// Client's lifetime and is never invalidated by later operations.
-// Everything else an operation needs until it resolves (target, session
-// station link, open attempt, history record, options, resolution hook)
-// lives in a Flight: a slot of an address-stable slab taken at issue and
-// returned to a LIFO free list at the end of resolution, after the hook has
-// run and the session station has been released. A row's flight slot and
-// its response time share one word: the slot is dead once the op resolves,
-// and the response time is unset until then. Callbacks that can fire after
-// resolution (late completions, deadlines, retries) test the row's
-// `resolved` flag before they touch the flight.
+// Memory scales with the operations in flight, not with those issued. All
+// an operation holds — its value, times, attempts, type, outcome and op id,
+// and what only an unresolved operation needs (target, session station
+// link, open attempt, history record, options, resolution hook) — lives in
+// one Flight: a slot of an address-stable slab taken at issue and returned
+// to a LIFO free list at the end of resolution, after the hook has run and
+// the session station has been released. A freed slot's op id is cleared,
+// and a reused one holds a later op's id, so callbacks that can fire after
+// resolution (late completions, deadlines, retries) carry (slot, op id,
+// attempt) and act only while the slot still holds their op. An OpHandle is
+// a view of the slot plus the op id: it reads the op's fields until its
+// hook returns, and afterwards only valid() and id().
 #pragma once
 
 #include <cstddef>
@@ -86,54 +83,83 @@ class OpHandle;
 /// are recorded. InlineTask-style move-only callable.
 using OpHook = sim::InlineFunction<void(const OpHandle&)>;
 
-/// One operation's result row: all an OpHandle reads besides the op id.
-/// Every issued operation keeps its row for the Client's lifetime; what
-/// only an unresolved operation needs lives in the Client's recycled flight
-/// slab.
-struct OpRecord {
+/// One operation's slot in its Client's flight slab: the op's result
+/// fields, read through OpHandle, and what the Client needs until the op
+/// resolves. Only Client writes it; it is defined here so that OpHandle can
+/// read it.
+struct Flight {
+  /// Marker for slot links (`next_in_station`, the Client's station ends):
+  /// no slot.
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  /// Marker for `station`: the op does not occupy a session FIFO.
+  static constexpr sim::ProcessId kNoStation = ~sim::ProcessId{0};
+  /// `id` of a free slot.
+  static constexpr OpId kNoOp = ~OpId{0};
+
+  OpHook on_resolved;
+  OpOptions options;
+  OpId id = kNoOp;  ///< the op this slot holds; kNoOp while free
   /// Written value (writes, from issue) / read value (reads, once kOk).
   Value value = kBottom;
   /// Client-perceived invocation time — session queue wait included.
   sim::Time invoked_at = 0;
-  /// Until `resolved`, the op's flight slot; from then on, the response
-  /// time. A resolved op's slot may belong to a later op, and nothing reads
-  /// it after resolution, so the two share one word.
-  std::uint64_t flight_or_responded_at = 0;
+  /// Until `resolved`, the current attempt's history record; from then on,
+  /// the response time. Nothing reads the record after resolution, and the
+  /// response time is unset until then, so the two share one word.
+  std::uint64_t history_op_or_responded_at = 0;
+  sim::ProcessId target = 0;
+  sim::ProcessId station = kNoStation;  ///< station FIFO this attempt occupies
+  std::uint32_t next_in_station = kNoSlot;  ///< slot of the op queued behind this one
   std::uint32_t attempts = 0;  ///< attempts dispatched so far
   OpType type = OpType::kRead;
   OpOutcome outcome = OpOutcome::kOk;
   bool resolved = false;
+  bool attempt_open = false;  ///< current attempt still awaiting the node
+  bool session = false;  ///< issued via session_read/write: dispatch through stations
 };
-static_assert(sizeof(OpRecord) <= 32, "OpRecord grew");
+static_assert(sizeof(Flight) == 160, "Flight grew");
 
-/// Non-owning view of an OpRecord; valid for the issuing Client's lifetime.
+/// A view of one operation's flight slot, plus its op id. It reads the op's
+/// fields from issue until the op's resolution hook returns; the slot is
+/// then retired and may hold a later op. valid() and id() stay safe on a
+/// retired handle, and every other accessor aborts with a message, so a
+/// handle never reads another op's fields. An op pending at the run horizon
+/// never resolves, and its handle stays readable for the Client's lifetime.
 /// [[nodiscard]]: a dropped handle is a leaked operation result (issue sites
 /// that intentionally fire-and-forget cast to void and say why).
 class [[nodiscard]] OpHandle {
  public:
   OpHandle() = default;
 
-  [[nodiscard]] bool valid() const { return rec_ != nullptr; }
+  /// Whether an operation was issued (a default handle names none).
+  [[nodiscard]] bool valid() const { return slot_ != nullptr; }
   [[nodiscard]] OpId id() const { return id_; }
-  [[nodiscard]] OpType type() const { return rec_->type; }
+  [[nodiscard]] OpType type() const { return live().type; }
   /// Whether the operation has resolved; outcome()/responded_at() are only
-  /// meaningful afterwards. Operations pending at the run horizon never
-  /// resolve.
-  [[nodiscard]] bool resolved() const { return rec_->resolved; }
-  [[nodiscard]] OpOutcome outcome() const { return rec_->outcome; }
-  [[nodiscard]] sim::Time invoked_at() const { return rec_->invoked_at; }
+  /// meaningful afterwards.
+  [[nodiscard]] bool resolved() const { return live().resolved; }
+  [[nodiscard]] OpOutcome outcome() const { return live().outcome; }
+  [[nodiscard]] sim::Time invoked_at() const { return live().invoked_at; }
   /// The response time once resolved; 0 before.
   [[nodiscard]] sim::Time responded_at() const {
-    return rec_->resolved ? rec_->flight_or_responded_at : 0;
+    const Flight& f = live();
+    return f.resolved ? f.history_op_or_responded_at : 0;
   }
   /// Written value; for reads, the value returned (kOk resolutions only).
-  [[nodiscard]] Value value() const { return rec_->value; }
-  [[nodiscard]] std::uint32_t attempts() const { return rec_->attempts; }
+  [[nodiscard]] Value value() const { return live().value; }
+  [[nodiscard]] std::uint32_t attempts() const { return live().attempts; }
 
  private:
   friend class Client;
-  OpHandle(const OpRecord* rec, OpId id) : rec_(rec), id_(id) {}
-  const OpRecord* rec_ = nullptr;
+  OpHandle(const Flight* slot, OpId id) : slot_(slot), id_(id) {}
+  /// The slot, while it still holds this handle's op; aborts otherwise.
+  [[nodiscard]] const Flight& live() const {
+    if (slot_->id != id_) retired();
+    return *slot_;
+  }
+  [[noreturn]] void retired() const;
+
+  const Flight* slot_ = nullptr;
   OpId id_ = 0;
 };
 
@@ -185,7 +211,8 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  /// The target's register node, or nullptr if it is not in the system.
+  /// The target's register node, or nullptr if it is not in the system or
+  /// is not a register node. Walks no RTTI (node::Node::as_register).
   RegisterNode* node(sim::ProcessId id);
 
   /// Issues one read against `target`. If the target is not in the system
@@ -230,12 +257,12 @@ class Client {
 
   OpStats& stats() { return stats_; }
 
-  /// Operation records created: one per issued operation, kept for the
-  /// Client's lifetime.
+  /// Operations issued, one op id each.
   [[nodiscard]] std::uint64_t op_records() const { return next_id_; }
-  /// Bytes of result-row storage held: every row chunk, unused rows included.
-  [[nodiscard]] std::size_t row_bytes() const {
-    return chunks_.size() * kChunk * sizeof(OpRecord);
+  /// Bytes of flight-slab storage held: every slot chunk, free slots
+  /// included. The Client holds nothing else per operation.
+  [[nodiscard]] std::size_t flight_bytes() const {
+    return flight_chunks_.size() * kChunk * sizeof(Flight);
   }
   /// High-water mark of unresolved operations. An operation counts from its
   /// issue until resolve() has run its hook and released its station. A
@@ -244,63 +271,46 @@ class Client {
   [[nodiscard]] std::uint32_t flights_peak() const { return flight_slots_; }
 
  private:
-  /// An unresolved operation's state, in a slot of the flight slab. The
-  /// slot is taken at issue and returned at the end of resolve(), with
-  /// `station` cleared and no attempt open; new_record sets the rest.
-  struct Flight {
-    /// Marker for `station`: the op does not occupy a session FIFO.
-    static constexpr sim::ProcessId kNoStation = ~sim::ProcessId{0};
-    /// Marker for `next_in_station` (and the Client's station ends): no op.
-    static constexpr std::uint32_t kNoOp = ~std::uint32_t{0};
-
-    sim::ProcessId target = 0;
-    sim::ProcessId station = kNoStation;  ///< station FIFO this attempt occupies
-    std::uint32_t next_in_station = kNoOp;  ///< id of the op queued behind this one
-    bool attempt_open = false;  ///< current attempt still awaiting the node
-    bool session = false;  ///< issued via session_read/write: dispatch through stations
-    consistency::OpId history_op = 0;  ///< current attempt's history record
-    OpOptions options;
-    OpHook on_resolved;
-  };
-  static_assert(sizeof(Flight) <= 128, "Flight grew");
-
-  /// One process's session FIFO of op ids, threaded through
+  /// One process's session FIFO of flight slots, threaded through
   /// Flight::next_in_station. The head is the op in service (or about to be
   /// pumped); empty when idle.
   struct Station {
-    std::uint32_t head = Flight::kNoOp;
-    std::uint32_t tail = Flight::kNoOp;
+    std::uint32_t head = Flight::kNoSlot;
+    std::uint32_t tail = Flight::kNoSlot;
   };
 
-  /// Records and flights per chunk. Op ids index record chunks directly,
-  /// slot numbers index flight chunks; neither kind of entry ever moves.
+  /// Flights per chunk. Slot numbers index the chunks; a slot never moves.
   static constexpr std::size_t kChunk = 32;
-  OpRecord& record(OpId id) { return chunks_[id / kChunk][id % kChunk]; }
-  /// The flight of an unresolved `rec`.
-  Flight& flight(const OpRecord& rec) { return flight_at(rec.flight_or_responded_at); }
-  Flight& flight_at(std::uint64_t slot) {
+  Flight& flight_at(std::uint32_t slot) {
     return flight_chunks_[slot / kChunk][slot % kChunk];
   }
+  /// The flight at `slot` while it holds op `id` unresolved, else nullptr:
+  /// the op has resolved, and its slot may be free or hold a later op.
+  Flight* pending(std::uint32_t slot, OpId id) {
+    Flight& f = flight_at(slot);
+    return f.id == id && !f.resolved ? &f : nullptr;
+  }
 
-  /// Delay before the next retry of op `id` under `retry` (its attempts
-  /// count has already been charged for the failed attempt).
-  [[nodiscard]] sim::Duration retry_delay(OpId id, const OpRecord& rec,
-                                          const RetryPolicy& retry) const;
-  /// Creates the next op's row and flight; returns its id. Aborts rather
-  /// than hand out Flight::kNoOp, which session FIFOs read as "no op".
-  OpId new_record(OpType type, sim::ProcessId target, bool session, OpOptions options,
-                  OpHook done);
-  void enqueue_session(OpId id);
-  void start_attempt(OpId id);
-  void on_node_completion(OpId id, std::uint32_t attempt, OpOutcome outcome, Value v);
-  void on_deadline(OpId id, std::uint32_t attempt);
-  void finish_attempt(OpId id, OpOutcome outcome, Value v);
-  void retry_attempt(OpId id, std::uint32_t attempt);
-  void resolve(OpId id, OpOutcome outcome);
+  /// Delay before the next retry of `f` under its retry policy (its
+  /// attempts count has already been charged for the failed attempt).
+  [[nodiscard]] sim::Duration retry_delay(const Flight& f) const;
+  /// Takes a flight slot for the next op id and fills it; returns the slot.
+  std::uint32_t new_flight(OpType type, Value v, sim::ProcessId target, bool session,
+                           OpOptions options, OpHook done);
+  /// Issues the op in `slot`: directly, or through its target's station.
+  OpHandle issue(std::uint32_t slot);
+  void enqueue_session(std::uint32_t slot);
+  void start_attempt(std::uint32_t slot);
+  void on_node_completion(std::uint32_t slot, OpId id, std::uint32_t attempt,
+                          OpOutcome outcome, Value v);
+  void on_deadline(std::uint32_t slot, OpId id, std::uint32_t attempt);
+  void finish_attempt(std::uint32_t slot, OpOutcome outcome, Value v);
+  void retry_attempt(std::uint32_t slot, OpId id, std::uint32_t attempt);
+  void resolve(std::uint32_t slot, OpOutcome outcome);
   /// Pops `head`, the flight of the op in service at `target`'s station.
   void release_station(sim::ProcessId target, const Flight& head);
 
-  /// Lets tests start the op-id counter near its limit.
+  /// Lets tests start the op-id counter where they need it.
   friend struct ClientTestPeer;
 
   sim::Simulation& sim_;
@@ -308,7 +318,6 @@ class Client {
   consistency::History& history_;
   sim::Time horizon_;
 
-  std::vector<std::unique_ptr<OpRecord[]>> chunks_;
   OpId next_id_ = 0;
   std::vector<std::unique_ptr<Flight[]>> flight_chunks_;
   std::uint32_t flight_slots_ = 0;  // slots created

@@ -38,6 +38,8 @@ class RegisterNode : public node::Node {
  public:
   using node::Node::Node;
 
+  RegisterNode* as_register() final { return this; }
+
   /// Starts a read identified by `op`; `done` fires when the operation
   /// resolves (kOk carries the value read, other outcomes carry kBottom).
   virtual void read(const OpContext& op, ReadCompletion done) = 0;

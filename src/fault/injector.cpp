@@ -85,6 +85,7 @@ void Injector::crash_one(sim::Time now) {
 
   DurableImage image;  // empty = volatile restart
   if (recover && plan_.crash.restart == RestartState::kDurable) {
+    // dynreg-lint: allow(rtti-cast): once per durable crash, not per operation
     if (const auto* node = dynamic_cast<RegisterNode*>(system_.find(victim))) {
       image = node->crash_image();
     }
@@ -101,6 +102,7 @@ void Injector::crash_one(sim::Time now) {
       const sim::ProcessId id = system_.spawn();
       ++stats_.recoveries;
       if (image.has_value) {
+        // dynreg-lint: allow(rtti-cast): once per durable recovery, not per operation
         if (auto* node = dynamic_cast<RegisterNode*>(system_.find(id))) {
           node->restore(image);
         }

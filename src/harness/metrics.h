@@ -122,15 +122,15 @@ struct [[nodiscard]] MetricsReport {
   /// its copies; a Byzantine rewrite is counted in msgs_transformed instead.
   std::uint64_t payloads_built = 0;
   /// The client's bookkeeping, summed over every shard's client in the
-  /// same way: operation records created (one per issued operation), and
-  /// each client's high-water mark of unresolved operations.
+  /// same way: operations issued (one op id each), and each client's
+  /// high-water mark of unresolved operations.
   std::uint64_t client_op_records = 0;
   std::uint64_t client_flights_peak = 0;
   /// The per-operation logs, summed over every shard in the same way:
   /// history records held (one per write or read attempt, plus each
   /// group's initial pseudo-write; nothing is retired, so this is also the
-  /// logs' high-water mark), and the bytes the client's result rows and the
-  /// history's records occupy at the horizon, unused capacity included.
+  /// logs' high-water mark), and the bytes the client's flight slab and
+  /// the history's records occupy at the horizon, unused capacity included.
   std::uint64_t history_records = 0;
   std::uint64_t op_log_bytes = 0;
 

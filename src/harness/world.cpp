@@ -287,7 +287,7 @@ MetricsReport harvest(const ExperimentConfig& cfg, const shard::ShardMap& groups
     report.client_op_records += ref.client->op_records();
     report.client_flights_peak += ref.client->flights_peak();
     report.history_records += ref.history->records();
-    report.op_log_bytes += ref.client->row_bytes() + ref.history->bytes_held();
+    report.op_log_bytes += ref.client->flight_bytes() + ref.history->bytes_held();
     for (const auto& [type, count] : ref.net->delivered_by_type()) {
       report.msgs_by_type[type] += count;
     }

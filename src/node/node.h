@@ -23,7 +23,11 @@
 #include "node/context.h"
 #include "sim/simulation.h"
 
-namespace dynreg::node {
+namespace dynreg {
+
+class RegisterNode;
+
+namespace node {
 
 class Node : public net::Receiver {
  public:
@@ -37,6 +41,10 @@ class Node : public net::Receiver {
   virtual void on_departure() {}
 
   [[nodiscard]] sim::ProcessId id() const { return id_; }
+
+  /// This node as a register protocol node, or nullptr when it is not one:
+  /// the client's lookup on every attempt, which walks no RTTI.
+  virtual RegisterNode* as_register() { return nullptr; }
 
  protected:
   [[nodiscard]] Context& context() const { return *ctx_; }
@@ -78,4 +86,5 @@ class Node : public net::Receiver {
 // at byte 24 and must end by byte 64 (checked in each protocol's .cpp).
 static_assert(sizeof(Node) == 24, "node::Node is a vtable pointer, a context and an id");
 
-}  // namespace dynreg::node
+}  // namespace node
+}  // namespace dynreg

@@ -299,7 +299,6 @@ std::pair<std::size_t, std::size_t> expect_checkers_identical(const History& h) 
 
 TEST(OpLog, RecordsFitInThirtyTwoBytes) {
   EXPECT_LE(sizeof(History::Op), 32u);
-  EXPECT_LE(sizeof(client::OpRecord), 32u);
 }
 
 TEST(OpLog, HistoryRecordsKeepTheirFieldsAcrossChunks) {

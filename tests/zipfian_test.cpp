@@ -2,10 +2,12 @@
 // Distributional correctness (chi-square against the analytic pmf at
 // s = 0.99), determinism across instances (the cross-jobs property: two
 // pickers with the same seed produce the same sequence), the rank-0
-// head carrying the expected traffic share, and negative exponents (the
-// coldest rank heaviest) staying finite however large |s| is.
+// head carrying the expected traffic share, negative exponents (the
+// coldest rank heaviest) staying finite however large |s| is, and the
+// guide-table draw returning exactly what a binary search over the CDF does.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <vector>
@@ -116,6 +118,64 @@ TEST(Zipfian, DegenerateSingleKeySpace) {
   ZipfianPicker p(0, 0.99, 1);  // keys == 0 treated as 1
   EXPECT_EQ(p.keys(), 1u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(p.next(), 0u);
+}
+
+/// What next() returned before the guide table: a binary search of the CDF.
+std::size_t binary_search_rank(const ZipfianPicker& p, double u) {
+  const auto& cdf = p.cdf();
+  const auto r = static_cast<std::size_t>(std::upper_bound(cdf.begin(), cdf.end(), u) -
+                                          cdf.begin());
+  return std::min(r, cdf.size() - 1);
+}
+
+/// rank(u) against the binary search at every CDF entry and every guide
+/// cell edge j / m (any power of two m up to twice the key count), on both
+/// sides of each, and at the ends of [0, 1).
+void expect_exact_at_boundaries(const ZipfianPicker& p) {
+  std::vector<double> us{0.0, std::nextafter(1.0, 0.0)};
+  for (const double c : p.cdf()) {
+    us.push_back(std::nextafter(c, 0.0));
+    if (c < 1.0) {
+      us.push_back(c);
+      us.push_back(std::nextafter(c, 1.0));
+    }
+  }
+  for (std::size_t m = 1; m <= 2 * p.keys(); m *= 2) {
+    for (std::size_t j = 1; j < m; ++j) {
+      const double edge = static_cast<double>(j) / static_cast<double>(m);
+      us.push_back(edge);
+      us.push_back(std::nextafter(edge, 0.0));
+    }
+  }
+  for (const double u : us) {
+    ASSERT_LT(u, 1.0);
+    ASSERT_EQ(p.rank(u), binary_search_rank(p, u)) << "u = " << u;
+  }
+}
+
+TEST(Zipfian, GuidedDrawEqualsBinarySearchAtEveryBoundary) {
+  for (const double s : {0.0, 0.99, -1.5, -400.0}) {
+    for (const std::size_t keys : {1, 2, 3, 1000, 4096}) {
+      SCOPED_TRACE(testing::Message() << "s = " << s << ", keys = " << keys);
+      expect_exact_at_boundaries(ZipfianPicker(keys, s, 1));
+    }
+  }
+}
+
+TEST(Zipfian, GuidedDrawEqualsBinarySearchOverAMillionDraws) {
+  // A twin picker on the same seed replays each draw's u.
+  constexpr int kDraws = 1000000;
+  for (const double s : {0.0, 0.99, -1.5}) {
+    SCOPED_TRACE(testing::Message() << "s = " << s);
+    ZipfianPicker p(4096, s, 99);
+    ZipfianPicker twin(4096, s, 99);
+    for (int i = 0; i < kDraws; ++i) {
+      const std::size_t r = p.next();
+      ASSERT_EQ(r, binary_search_rank(twin, twin.uniform01())) << "draw " << i;
+    }
+  }
+  ZipfianPicker single(1, 0.99, 5);
+  for (int i = 0; i < kDraws; ++i) ASSERT_EQ(single.next(), 0u) << "draw " << i;
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-"""std::function discipline in the library.
+"""Hot-path discipline in the library: no std::function, no RTTI casts.
 
 std::function heap-allocates any capture beyond its (implementation-defined,
 typically 16-byte) small-buffer budget. PR 4/5 measured that cost at one
@@ -13,6 +13,14 @@ layers (harness sweep configuration, node factories) an annotated use is
 tolerated when the callable is created O(runs) rather than O(events):
 
     // dynreg-lint: allow(std-function): <cold-path justification>
+
+The rule rtti-cast bans dynamic_cast across src/. A dynamic_cast walks the
+class hierarchy's type_info at run time; the client ran one per operation
+attempt to find a register node (2.8% of churn_sessions' samples). A node
+names its register side through node::Node::as_register(), a virtual call,
+so a lookup needs no RTTI. A cold site that keeps a dynamic_cast says why:
+
+    // dynreg-lint: allow(rtti-cast): <cold-path justification>
 """
 
 from __future__ import annotations
@@ -34,6 +42,16 @@ RULES = [
             "annotated justification"
         ),
         pattern=re.compile(r"\bstd\s*::\s*function\s*<"),
+        paths=("src/",),
+    ),
+    Rule(
+        name="rtti-cast",
+        description="Ban dynamic_cast in src/ (cold sites may annotate a justified use).",
+        message=(
+            "dynamic_cast walks RTTI on every call; use a virtual accessor such as "
+            "node::Node::as_register() — cold-path uses need an annotated justification"
+        ),
+        pattern=re.compile(r"\bdynamic_cast\s*<"),
         paths=("src/",),
     ),
 ]
