@@ -85,9 +85,8 @@ void Injector::crash_one(sim::Time now) {
 
   DurableImage image;  // empty = volatile restart
   if (recover && plan_.crash.restart == RestartState::kDurable) {
-    // dynreg-lint: allow(rtti-cast): once per durable crash, not per operation
-    if (const auto* node = dynamic_cast<RegisterNode*>(system_.find(victim))) {
-      image = node->crash_image();
+    if (node::Node* n = system_.find(victim)) {
+      if (const RegisterNode* reg = n->as_register()) image = reg->crash_image();
     }
   }
 
@@ -102,9 +101,8 @@ void Injector::crash_one(sim::Time now) {
       const sim::ProcessId id = system_.spawn();
       ++stats_.recoveries;
       if (image.has_value) {
-        // dynreg-lint: allow(rtti-cast): once per durable recovery, not per operation
-        if (auto* node = dynamic_cast<RegisterNode*>(system_.find(id))) {
-          node->restore(image);
+        if (node::Node* n = system_.find(id)) {
+          if (RegisterNode* reg = n->as_register()) reg->restore(image);
         }
       }
     });

@@ -18,7 +18,8 @@ The rule rtti-cast bans dynamic_cast across src/. A dynamic_cast walks the
 class hierarchy's type_info at run time; the client ran one per operation
 attempt to find a register node (2.8% of churn_sessions' samples). A node
 names its register side through node::Node::as_register(), a virtual call,
-so a lookup needs no RTTI. A cold site that keeps a dynamic_cast says why:
+so a lookup needs no RTTI; every site in src/ uses it. A cold site that
+would need a dynamic_cast says why:
 
     // dynreg-lint: allow(rtti-cast): <cold-path justification>
 """
