@@ -166,6 +166,9 @@ MetricsReport run_experiment(const ExperimentConfig& cfg, const replay::RunHooks
   MetricsReport report = harvest(cfg, map, injectors);
   report.trace_hash = sim.trace_hash();
   report.sim_events = sim.events();
+  report.arena_bytes_reserved = sim.arena_bytes_reserved();
+  report.pool_blocks_peak = sim.pool_blocks_peak();
+  report.queue_peak = sim.queue_peak();
   return report;
 }
 

@@ -133,6 +133,12 @@ struct [[nodiscard]] MetricsReport {
   /// the history's records occupy at the horizon, unused capacity included.
   std::uint64_t history_records = 0;
   std::uint64_t op_log_bytes = 0;
+  /// The simulation's own memory, one simulation for all shards: bytes its
+  /// arena reserved, the most block-pool blocks live at once, and the most
+  /// events queued at once (sim::Simulation).
+  std::uint64_t arena_bytes_reserved = 0;
+  std::uint64_t pool_blocks_peak = 0;
+  std::uint64_t queue_peak = 0;
 
   double violation_rate() const { return regularity.violation_rate(); }
   double read_completion_rate() const {

@@ -110,7 +110,8 @@ class World {
 /// group when unsharded, one per shard otherwise. `injectors` holds each
 /// group's fault injector, null (or absent) where none is armed; the fault
 /// counters sum over the armed groups. The per-shard fields are filled only when
-/// cfg.shard_count > 0. trace_hash and sim_events are the caller's.
+/// cfg.shard_count > 0. trace_hash and the simulation's counters (sim_events,
+/// arena_bytes_reserved, pool_blocks_peak, queue_peak) are the caller's.
 MetricsReport harvest(const ExperimentConfig& cfg, const shard::ShardMap& groups,
                       const std::vector<const fault::Injector*>& injectors = {});
 

@@ -122,6 +122,11 @@ class BlockPool {
 
   [[nodiscard]] std::size_t live_blocks() const { return live_; }
   [[nodiscard]] std::size_t slabs_created() const { return slabs_.size(); }
+  /// The most blocks live at once. A block is carved only when the free
+  /// list is empty, so the blocks carved so far are that high-water mark.
+  [[nodiscard]] std::size_t blocks_peak() const {
+    return slabs_.empty() ? 0 : (slabs_.size() - 1) * kSlabBlocks + carved_;
+  }
 
  private:
   static constexpr std::size_t kSlabBlocks = 64;

@@ -132,6 +132,10 @@ class EventQueue {
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
+  /// The most events held at once, the running one included (its slot is
+  /// recycled after it returns): the task slots the pool has carved, since
+  /// a slot is carved only when none is free.
+  [[nodiscard]] std::size_t peak_size() const { return pool_.slots(); }
 
   /// Time of the earliest pending event. Precondition: !empty().
   Time next_time() const;
@@ -215,6 +219,9 @@ class EventQueue {
     [[nodiscard]] const void* task_addr(std::uint32_t slot) const {
       return &slabs_[slot / kSlabSize]->tasks[slot % kSlabSize];
     }
+
+    /// Slots carved so far, free or in use.
+    [[nodiscard]] std::uint32_t slots() const { return size_; }
 
     /// Destroys the callable and recycles the slot.
     void recycle(std::uint32_t slot) {

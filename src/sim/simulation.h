@@ -13,6 +13,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -96,6 +97,14 @@ class Simulation {
   /// batched broadcast is one event here however many copies it carries,
   /// unlike the audit digest, which folds each copy.
   [[nodiscard]] std::uint64_t events() const { return events_; }
+
+  /// What the run's simulation objects have held at most, in every build
+  /// mode: the bytes the arena has reserved (it never returns a chunk), the
+  /// most block-pool blocks live at once, and the most events queued at
+  /// once (the running one included).
+  [[nodiscard]] std::size_t arena_bytes_reserved() const { return arena_.bytes_reserved(); }
+  [[nodiscard]] std::size_t pool_blocks_peak() const { return blocks_.blocks_peak(); }
+  [[nodiscard]] std::size_t queue_peak() const { return queue_.peak_size(); }
 
   /// Schedules fn at absolute time t (clamped to now if in the past).
   /// Accepts any `void()` callable; small captures are stored without
