@@ -35,9 +35,7 @@ void EsRegisterNode::apply(const Timestamp& ts, Value v) {
 }
 
 EsRegisterNode::Flight& EsRegisterNode::flight() {
-  // The pending maps draw their nodes from the simulation's epoch arena
-  // (ArenaAllocator<char> converts to each map's allocator).
-  if (!flight_) flight_ = std::make_unique<Flight>(context().arena());
+  if (!flight_) flight_ = std::make_unique<Flight>();
   return *flight_;
 }
 

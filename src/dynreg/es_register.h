@@ -16,7 +16,6 @@
 #include "dynreg/quorum_tally.h"
 #include "dynreg/register_node.h"
 #include "dynreg/types.h"
-#include "sim/arena.h"
 
 namespace dynreg {
 
@@ -92,18 +91,10 @@ class EsRegisterNode final : public RegisterNode {
   };
   Hot hot_;
 
-  // Pending-operation records live in maps drawn from the simulation's epoch
-  // arena: each map node is a short-lived, uniform-size object churned once
-  // per in-flight operation, exactly the traffic the arena batches. The
-  // arena outlives the node (it belongs to the Simulation), so
-  // erase/destruction order is unconstrained. The quorum tallies inside the
-  // records are id-indexed bitmaps (dynreg/quorum_tally.h): one bit test per
-  // reply, whatever the quorum size.
-  template <typename V>
-  using ArenaOpMap =
-      std::map<std::uint64_t, V, std::less<std::uint64_t>,
-               sim::ArenaAllocator<std::pair<const std::uint64_t, V>>>;
-
+  // Pending-operation records, keyed by request id in the Flight's maps.
+  // The quorum tallies inside them are id-indexed bitmaps
+  // (dynreg/quorum_tally.h): one bit test per reply, whatever the quorum
+  // size.
   struct PendingRead {
     ReadCompletion done;
     QuorumTally repliers;
@@ -127,10 +118,8 @@ class EsRegisterNode final : public RegisterNode {
   // flight: one heap block, created by the first of them and freed as soon
   // as none is left (release_if_idle). An idle member is its node alone.
   struct Flight {
-    explicit Flight(sim::Arena& arena)
-        : reads(sim::ArenaAllocator<char>(arena)), writes(sim::ArenaAllocator<char>(arena)) {}
-    ArenaOpMap<PendingRead> reads;
-    ArenaOpMap<PendingWrite> writes;
+    std::map<std::uint64_t, PendingRead> reads;
+    std::map<std::uint64_t, PendingWrite> writes;
     QuorumTally join_repliers;
     Timestamp join_best_ts;
     Value join_best_value = kBottom;

@@ -208,7 +208,7 @@ net::PayloadPtr Injector::transform_copy(std::uint64_t word,
       break;
   }
   // Same tag and operation id; only (ts, value) is the adversary's.
-  return net::make_payload_in<msg::Stamped>(sim_.arena(), m.type_id(), m.id, ts, value, true);
+  return net::make_payload_in<msg::Stamped>(sim_.blocks(), m.type_id(), m.id, ts, value, true);
 }
 
 }  // namespace dynreg::fault

@@ -70,7 +70,8 @@ class Injector final : public net::FaultHook {
   [[nodiscard]] bool on_minority_side(sim::ProcessId id) const;
   [[nodiscard]] bool is_byzantine(sim::ProcessId id) const;
   /// The Byzantine rewrite of one delivered (ts, value) record, of the
-  /// kind `word` picks.
+  /// kind `word` picks, built in the simulation's block pool like every
+  /// other payload.
   net::PayloadPtr transform_copy(std::uint64_t word, sim::ProcessId from,
                                  sim::ProcessId to, const msg::Stamped& m);
 

@@ -119,7 +119,7 @@ void Network::Unicast::append(sim::ProcessId sender, const PayloadPtr& p) {
   static_assert(alignof(Run) <= 8 && alignof(Spill) >= 8 && sizeof(Spill) % 8 == 0,
                 "runs sit 8-byte aligned after the block header");
   const auto new_block = [this](std::uint32_t capacity) {
-    sim::Arena& arena = network->arena();
+    sim::Arena& arena = network->sim_.arena();
     void* block = arena.allocate(sizeof(Spill) + capacity, alignof(Spill));
     Spill* b = new (block) Spill{&arena, nullptr, nullptr, nullptr, 0, capacity};
     b->tail = b;

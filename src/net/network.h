@@ -136,9 +136,6 @@ class Network {
   /// Sends one copy to every currently attached process except `from`.
   void broadcast(sim::ProcessId from, PayloadPtr payload);
 
-  /// The simulation's epoch arena, where protocol nodes build their payloads.
-  [[nodiscard]] sim::Arena& arena() { return sim_.arena(); }
-
   /// Installs the fan-out planner for broadcast() (FlatDisseminator until
   /// replaced; nullptr restores it).
   void set_disseminator(std::unique_ptr<Disseminator> d);

@@ -37,18 +37,20 @@ class Payload {
 
 using PayloadPtr = std::shared_ptr<const Payload>;
 
+/// A payload on the heap, for tests and micro-benchmarks; a run builds
+/// every payload with make_payload_in below.
 template <typename T, typename... Args>
 PayloadPtr make_payload(Args&&... args) {
   return std::make_shared<T>(std::forward<Args>(args)...);
 }
 
-/// Arena-backed payload: object + shared_ptr control block live in one
-/// bump-allocated span, recycled an epoch after the last reference drops.
-/// Protocol nodes reach this through node::Node::make_payload.
+/// The simulation's payload: object + shared_ptr control block in one
+/// block-pool block, reused as soon as the last reference drops. Every
+/// payload a run sends is built here: node::Context's broadcasts and
+/// memoised replies, and the fault injector's Byzantine replacements.
 template <typename T, typename... Args>
-PayloadPtr make_payload_in(sim::Arena& arena, Args&&... args) {
-  return std::allocate_shared<T>(sim::ArenaAllocator<T>(arena),
-                                 std::forward<Args>(args)...);
+PayloadPtr make_payload_in(sim::BlockPool& pool, Args&&... args) {
+  return std::allocate_shared<T>(sim::BlockAllocator<T>(pool), std::forward<Args>(args)...);
 }
 
 }  // namespace dynreg::net

@@ -1,5 +1,5 @@
 // Per-group capability handle: the network, timers, activation and the
-// simulation's arena, shared by every process of one membership group.
+// payload factory, shared by every process of one membership group.
 //
 // churn::System owns one Context and hands it to each node it builds; a node
 // reaches it through node::Node, which keeps a pointer to it beside its id.
@@ -36,15 +36,9 @@
 // copies is invisible to every receiver.
 //
 // The memo lives here, one per group, and not in a thread-local: it must
-// not outlive the simulation whose copies still point at it. Its payload is
-// built in the simulation's block pool (Simulation::blocks), not in its
-// arena: an arena chunk is recycled only when every object in it is dead
-// (sim/arena.h), so a memoised payload that stays current for a whole run
-// would pin its 64 KiB chunk in every group, while in the pool it holds one
-// 64 B block. Nor is it a plain heap object: every reply that misses the
-// memo builds one, and a pool block costs a pointer pop where a heap
-// payload costs a malloc and a free (BM_NetworkFanIn, where every reply
-// misses).
+// not outlive the simulation whose copies still point at it. Every payload
+// is a block of the simulation's block pool (Simulation::blocks,
+// net::make_payload_in), the memo's included.
 #pragma once
 
 #include <cstddef>
@@ -80,10 +74,6 @@ class Context {
       if (live(id)) fn();
     });
   }
-
-  /// The simulation's epoch arena, for pending-operation node containers
-  /// (see sim/arena.h for the lifetime contract).
-  [[nodiscard]] sim::Arena& arena() { return sim_.arena(); }
 
   /// Called by process `id` when its join protocol completes and it becomes
   /// an active replica (initial nodes call it on construction).
@@ -122,14 +112,13 @@ class Context {
   [[nodiscard]] std::uint64_t payloads_built() const { return payloads_built_; }
 
   /// The payload T(args...): the memoised one when it is equal to the last
-  /// payload built here, else a new pooled payload that becomes the memo.
+  /// payload built here, else a new payload that becomes the memo.
   template <typename T, typename... Args>
   const net::PayloadPtr& shared_payload(Args&&... args) {
     const T fresh(std::forward<Args>(args)...);
     if (memo_shape_ != &kShape<T> || !(static_cast<const T&>(*memo_) == fresh)) {
-      memo_ = std::allocate_shared<T>(sim::BlockAllocator<T>(sim_.blocks()), fresh);
+      memo_ = make_payload<T>(fresh);
       memo_shape_ = &kShape<T>;
-      ++payloads_built_;
     }
     return memo_;
   }
@@ -139,11 +128,11 @@ class Context {
   friend class Node;
   [[nodiscard]] net::Network& network() { return net_; }
 
-  /// Builds a payload in the simulation's epoch arena, counting it.
+  /// Builds a payload in the simulation's block pool, counting it.
   template <typename T, typename... Args>
   net::PayloadPtr make_payload(Args&&... args) {
     ++payloads_built_;
-    return net::make_payload_in<T>(sim_.arena(), std::forward<Args>(args)...);
+    return net::make_payload_in<T>(sim_.blocks(), std::forward<Args>(args)...);
   }
 
   static std::uint64_t bit(sim::ProcessId id) { return std::uint64_t{1} << (id % 64); }

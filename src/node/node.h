@@ -54,8 +54,8 @@ class Node : public net::Receiver {
     ctx_->network().broadcast(id_, std::move(payload));
   }
 
-  /// Builds a payload in the simulation's epoch arena (the hot-path
-  /// replacement for net::make_payload's per-message heap allocation).
+  /// Builds a payload for broadcast() in the simulation's block pool
+  /// (net::make_payload_in).
   template <typename T, typename... Args>
   net::PayloadPtr make_payload(Args&&... args) {
     return ctx_->make_payload<T>(std::forward<Args>(args)...);

@@ -64,15 +64,23 @@ Arena::Chunk* Arena::new_chunk(std::size_t capacity) {
   return c;
 }
 
-void Arena::retire(Chunk* c) {
-  c->retire_epoch = epoch_;
-  retired_.push_back(c);
+void Arena::reclaim(Chunk* c) {
+  // Every allocation lies below the bump cursor, and everything above it is
+  // as the last reclaim (or the chunk's creation) left it.
+#ifdef DYNREG_ASAN_ACTIVE
+  poison_span(c->bytes.get(), c->capacity);
+#else
+  std::memset(c->bytes.get(), kPoisonByte, c->used);
+#endif
+  c->used = 0;
+  free_.push_back(c);
+  ++chunks_recycled_;
 }
 
 void Arena::open_chunk_for(std::size_t size, std::size_t align) {
   if (open_ != nullptr) {
     open_->open = false;
-    if (open_->live == 0) retire(open_);
+    if (open_->live == 0) reclaim(open_);
     open_ = nullptr;
   }
   const std::size_t needed = sizeof(Header) + size + align;
@@ -80,14 +88,13 @@ void Arena::open_chunk_for(std::size_t size, std::size_t align) {
     if (!free_.empty()) {
       open_ = free_.back();
       free_.pop_back();
-      open_->used = 0;
     } else {
       open_ = new_chunk(chunk_bytes_);
     }
     open_->open = true;
     return;
   }
-  // Oversize request: a recycled chunk large enough (a retired oversize
+  // Oversize request: a recycled chunk large enough (a reclaimed oversize
   // chunk, so repeated large requests reuse storage instead of growing the
   // arena without bound), else a dedicated new one. It becomes the bump
   // target like any other; the next allocation that does not fit seals it.
@@ -96,7 +103,6 @@ void Arena::open_chunk_for(std::size_t size, std::size_t align) {
   if (fits != free_.rend()) {
     open_ = *fits;
     free_.erase(std::next(fits).base());
-    open_->used = 0;
   } else {
     open_ = new_chunk(needed);
   }
@@ -126,34 +132,12 @@ void Arena::deallocate(void* p) noexcept {
   auto* h = reinterpret_cast<Header*>(static_cast<unsigned char*>(p) -
                                       sizeof(Header));
   Chunk* c = h->chunk;
-  // Under ASan the span turns inaccessible immediately — the epoch delay
-  // protects reuse, not reads of dead objects. Plain builds keep the bytes
-  // intact until reclaim so same-tick danglers read stale-but-stable data.
+  // Under ASan the span turns inaccessible immediately; plain builds poison
+  // the chunk's bytes when its last allocation dies.
   poison_span(h, sizeof(Header) + h->size);
   --c->live;
   --live_;
-  if (c->live == 0 && !c->open) retire(c);
-}
-
-void Arena::advance_epoch() {
-  ++epoch_;
-  if (retired_.empty()) return;
-  std::size_t kept = 0;
-  for (Chunk* c : retired_) {
-    if (c->retire_epoch < epoch_) {
-#ifdef DYNREG_ASAN_ACTIVE
-      poison_span(c->bytes.get(), c->capacity);
-#else
-      std::memset(c->bytes.get(), kPoisonByte, c->capacity);
-#endif
-      c->used = 0;
-      free_.push_back(c);
-      ++chunks_recycled_;
-    } else {
-      retired_[kept++] = c;
-    }
-  }
-  retired_.resize(kept);
+  if (c->live == 0 && !c->open) reclaim(c);
 }
 
 BlockPool::~BlockPool() {

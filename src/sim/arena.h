@@ -1,26 +1,25 @@
-// Epoch-reclaimed arena for per-tick simulation objects: message payloads
-// and pending-operation records. Replaces per-message heap traffic with
-// chunked bump allocation.
+// The simulation's two allocators, one per kind of object.
+//
+// Arena: chunked bump allocation for the network's broadcast batches and
+// reply spills (net/network.h), each owned by one queued event and freed
+// when that event has run. Replaces per-event heap traffic.
 //
 // Lifetime contract (see docs/ARCHITECTURE.md, "Arena ownership"):
 //   * allocate() returns storage valid until deallocate() is called on it.
-//   * Storage freed by deallocate() is NOT recycled immediately. A chunk
-//     whose allocations are all freed is *retired*; it becomes reusable only
-//     after advance_epoch() moves past the epoch in which it retired.
-//     Simulation advances the epoch once per simulated-clock advance, so any
-//     raw pointer that is dead-but-dangling within the tick that freed it
-//     still points at intact (if logically dead) bytes until the clock moves.
-//   * On reclaim, chunk bytes are poison-filled with kPoisonByte (plain
-//     builds) so a use-after-reclaim read sees 0xDD garbage deterministically.
-//     Under AddressSanitizer the allocation span is poisoned at deallocate()
-//     time instead, so ASan traps the earliest possible misuse.
+//   * A chunk whose allocations are all freed is reclaimed at once: its
+//     used bytes are poison-filled with kPoisonByte (plain builds), so a
+//     use-after-free read sees 0xDD garbage deterministically, and the
+//     chunk is reused before a new one is reserved. Under AddressSanitizer
+//     the allocation span is poisoned at deallocate() time instead, so ASan
+//     traps the earliest possible misuse. Nothing may read an allocation
+//     after freeing it, in any build.
 //
 // Determinism: the arena draws no randomness and its behaviour depends only
-// on the sequence of allocate/deallocate/advance_epoch calls, which is itself
-// a pure function of the (config, seed) event stream.
+// on the sequence of allocate/deallocate calls, which is itself a pure
+// function of the (config, seed) event stream.
 //
-// BlockPool (below) is the arena's counterpart for objects that may live
-// long: fixed 64 B blocks, each reused as soon as it is freed.
+// BlockPool (below): fixed 64 B blocks, each reused as soon as it is freed,
+// for every message payload.
 #pragma once
 
 #include <cstddef>
@@ -45,15 +44,10 @@ class Arena {
   /// (throws std::bad_alloc on OS exhaustion, like operator new).
   [[nodiscard]] void* allocate(std::size_t size, std::size_t align);
 
-  /// Marks an allocation dead. The backing chunk is recycled only after the
-  /// epoch advances past the current one.
+  /// Marks an allocation dead. A chunk left with no live allocation that
+  /// is not the bump target is reclaimed at once.
   void deallocate(void* p) noexcept;
 
-  /// Moves to the next epoch and recycles (poisons + reuses) every chunk
-  /// that fully retired in an earlier epoch. O(1) when nothing retired.
-  void advance_epoch();
-
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   [[nodiscard]] std::size_t live_allocations() const { return live_; }
   [[nodiscard]] std::size_t chunks_created() const { return chunks_created_; }
   [[nodiscard]] std::size_t chunks_recycled() const { return chunks_recycled_; }
@@ -70,7 +64,6 @@ class Arena {
     std::size_t capacity = 0;
     std::size_t used = 0;         // bump cursor
     std::size_t live = 0;         // outstanding allocations
-    std::uint64_t retire_epoch = 0;
     bool open = false;            // currently the bump target
   };
 
@@ -83,24 +76,24 @@ class Arena {
 
   Chunk* new_chunk(std::size_t capacity);
   void open_chunk_for(std::size_t size, std::size_t align);
-  void retire(Chunk* c);
+  /// Poisons a chunk with no live allocation and puts it on the free list.
+  void reclaim(Chunk* c);
 
   std::size_t chunk_bytes_;
   std::vector<std::unique_ptr<Chunk>> chunks_;  // ownership, append-only
   Chunk* open_ = nullptr;
-  std::vector<Chunk*> retired_;  // live==0, waiting out their retire epoch
-  std::vector<Chunk*> free_;     // poisoned, ready to reopen
-  std::uint64_t epoch_ = 0;
+  std::vector<Chunk*> free_;  // poisoned, ready to reopen
   std::size_t live_ = 0;
   std::size_t chunks_created_ = 0;
   std::size_t chunks_recycled_ = 0;
   std::size_t bytes_reserved_ = 0;
 };
 
-/// Fixed-size blocks for the few simulation objects that may stay live for
-/// a whole run, such as node::Context's memoised reply payload. In the
-/// arena such an object would pin its 64 KiB chunk, which is recycled only
-/// once every object in it is dead; here it holds one block. A block is
+/// Fixed-size blocks for message payloads (net::make_payload_in): a
+/// msg::Request or msg::Stamped and its shared_ptr control block fit one
+/// block. A payload may stay live for a whole run (node::Context's memo
+/// does), so it must not share storage with other objects: in the arena it
+/// would pin its 64 KiB chunk, here it holds one block. A block is
 /// kBlockBytes, one cache line. Blocks are carved from slabs of kSlabBlocks,
 /// and a freed block goes on a LIFO free list, so the next allocation reuses
 /// the block freed last: allocation costs a pointer pop, not a malloc, and
@@ -175,39 +168,6 @@ bool operator==(const BlockAllocator<T>& a, const BlockAllocator<U>& b) noexcept
 template <typename T, typename U>
 bool operator!=(const BlockAllocator<T>& a, const BlockAllocator<U>& b) noexcept {
   return a.pool() != b.pool();
-}
-
-/// Minimal std-allocator adapter over Arena. All instances over the same
-/// Arena compare equal, so container moves/swaps are O(1). Used for
-/// std::allocate_shared payloads and the ES pending-op node containers.
-template <typename T>
-class ArenaAllocator {
- public:
-  using value_type = T;
-
-  explicit ArenaAllocator(Arena& arena) noexcept : arena_(&arena) {}
-  template <typename U>
-  ArenaAllocator(const ArenaAllocator<U>& other) noexcept  // NOLINT(google-explicit-constructor)
-      : arena_(other.arena()) {}
-
-  [[nodiscard]] T* allocate(std::size_t n) {
-    return static_cast<T*>(arena_->allocate(n * sizeof(T), alignof(T)));
-  }
-  void deallocate(T* p, std::size_t) noexcept { arena_->deallocate(p); }
-
-  [[nodiscard]] Arena* arena() const noexcept { return arena_; }
-
- private:
-  Arena* arena_;
-};
-
-template <typename T, typename U>
-bool operator==(const ArenaAllocator<T>& a, const ArenaAllocator<U>& b) noexcept {
-  return a.arena() == b.arena();
-}
-template <typename T, typename U>
-bool operator!=(const ArenaAllocator<T>& a, const ArenaAllocator<U>& b) noexcept {
-  return a.arena() != b.arena();
 }
 
 }  // namespace dynreg::sim

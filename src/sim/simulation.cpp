@@ -14,11 +14,7 @@ bool Simulation::step() {
   audit_note(++audit_seq_);
 #endif
   ++events_;
-  const Time before = now_;
   queue_.run_top(&now_);  // advances the clock, then executes in place
-  // One arena epoch per simulated-clock advance: anything freed at `before`
-  // stays byte-stable through the tick that freed it.
-  if (now_ != before) arena_.advance_epoch();
   return true;
 }
 

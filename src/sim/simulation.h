@@ -37,13 +37,12 @@ class Simulation {
   /// an event path.
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
-  /// Epoch-reclaimed arena for payloads and pending-op records. step()
-  /// advances its epoch whenever the simulated clock advances, so storage
-  /// freed at tick T is never recycled before the clock moves past T.
+  /// The network's broadcast batches and reply spills, each owned by a
+  /// queued event (sim/arena.h).
   Arena& arena() { return arena_; }
 
-  /// Fixed-size blocks reused as soon as they are freed, for objects that
-  /// may stay live long enough to pin an arena chunk (sim/arena.h).
+  /// Every message payload: fixed 64 B blocks reused as soon as they are
+  /// freed (sim/arena.h, net::make_payload_in).
   BlockPool& blocks() { return blocks_; }
 
   /// Whether this build carries the event-stream determinism auditor.
@@ -147,8 +146,9 @@ class Simulation {
 
  private:
   Time now_ = 0;
-  // The arena and the block pool outlive the queue: queued tasks may own
-  // payloads whose destruction (at queue teardown) deallocates into them.
+  // The arena and the block pool outlive the queue: queued tasks own
+  // batches, spills and payloads whose destruction (at queue teardown)
+  // deallocates into them.
   Arena arena_;
   BlockPool blocks_;
   EventQueue queue_;

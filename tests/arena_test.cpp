@@ -1,13 +1,13 @@
-// sim::Arena — the epoch-reclaim lifetime contract the payload and
-// pending-op storage stand on: canaries survive until deallocate, retired
-// chunks poison-fill on reclaim (0xDD in plain builds, ASan poison under
-// sanitizers), and recycled chunks are reused instead of re-reserved.
+// sim::Arena — the lifetime contract the network's batch and spill blocks
+// stand on: canaries survive until deallocate, a chunk is poison-filled as
+// soon as its last allocation dies (0xDD in plain builds, ASan poison under
+// sanitizers), and reclaimed chunks are reused instead of re-reserved. And
+// sim::BlockPool, where every payload lives.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <random>
 #include <vector>
 
@@ -64,12 +64,12 @@ TEST(Arena, OversizeRequestGetsDedicatedChunk) {
   arena.deallocate(small);
 }
 
-// The property/fuzz core: a random interleaving of allocate / deallocate /
-// advance_epoch, with every live allocation carrying a distinct fill
-// pattern. The arena may recycle chunks under our feet — the property is
-// that no live canary is ever disturbed and the live-count bookkeeping
-// matches a trivial model. Runs clean under ASan/UBSan too (live spans are
-// unpoisoned by definition).
+// The property/fuzz core: a random interleaving of allocate / deallocate,
+// with every live allocation carrying a distinct fill pattern. The arena
+// reclaims and reuses chunks under our feet — the property is that no live
+// canary is ever disturbed and the live-count bookkeeping matches a trivial
+// model. Runs clean under ASan/UBSan too (live spans are unpoisoned by
+// definition).
 TEST(Arena, FuzzCanariesSurviveArbitraryInterleavings) {
   for (const std::uint32_t seed : {1u, 7u, 2026u}) {
     SCOPED_TRACE(seed);
@@ -93,7 +93,6 @@ TEST(Arena, FuzzCanariesSurviveArbitraryInterleavings) {
         live[idx] = live.back();
         live.pop_back();
       } else {
-        arena.advance_epoch();
         // Reclaim must never touch a chunk with live allocations.
         for (const Canary& c : live) check_canary(c);
       }
@@ -113,15 +112,13 @@ TEST(Arena, FuzzCanariesSurviveArbitraryInterleavings) {
 
 TEST(Arena, RecycledChunksAreReusedNotReReserved) {
   Arena arena(/*chunk_bytes=*/256);
-  // Steady-state churn: each round fills a few chunks, frees them, and lets
-  // the epoch move. After warm-up, reserved bytes must stop growing.
+  // Steady-state churn: each round fills a few chunks and frees them. After
+  // warm-up, reserved bytes must stop growing.
   std::size_t reserved_after_warmup = 0;
   for (int round = 0; round < 50; ++round) {
     std::vector<void*> ptrs;
     for (int i = 0; i < 16; ++i) ptrs.push_back(arena.allocate(48, 8));
     for (void* p : ptrs) arena.deallocate(p);
-    arena.advance_epoch();
-    arena.advance_epoch();
     if (round == 4) reserved_after_warmup = arena.bytes_reserved();
   }
   EXPECT_GT(arena.chunks_recycled(), arena.chunks_created());
@@ -130,7 +127,7 @@ TEST(Arena, RecycledChunksAreReusedNotReReserved) {
 
 TEST(Arena, RetiredOversizeChunksServeLaterOversizeRequests) {
   // Large broadcast batches are oversize requests every tick. Each one must
-  // reuse a retired oversize chunk that fits, not reserve a fresh one, or
+  // reuse a reclaimed oversize chunk that fits, not reserve a fresh one, or
   // the arena would grow with the run's length.
   Arena arena(/*chunk_bytes=*/256);
   std::size_t reserved_after_warmup = 0;
@@ -140,8 +137,6 @@ TEST(Arena, RetiredOversizeChunksServeLaterOversizeRequests) {
     std::memset(big, 0x3C, 900);
     arena.deallocate(big);
     arena.deallocate(small);
-    arena.advance_epoch();
-    arena.advance_epoch();
     if (round == 4) reserved_after_warmup = arena.bytes_reserved();
   }
   EXPECT_EQ(arena.bytes_reserved(), reserved_after_warmup);
@@ -149,12 +144,11 @@ TEST(Arena, RetiredOversizeChunksServeLaterOversizeRequests) {
 }
 
 #ifndef DYNREG_TEST_ASAN
-// Plain-build reclaim semantics: bytes of a dead allocation stay intact
-// until the epoch moves past its chunk's retirement (the "same-tick
-// dangler" guarantee), then the whole chunk is poison-filled with 0xDD so
-// any use-after-reclaim reads deterministic garbage. (Under ASan the reads
-// below would — correctly — trap; the sanitizer variant of this gate is
-// DeallocatePoisonsSpanImmediately.)
+// Plain-build reclaim semantics: the moment a sealed chunk's last allocation
+// dies, the chunk is poison-filled with 0xDD, so a use-after-free read sees
+// deterministic garbage, and it is the next chunk opened rather than a new
+// reservation. (Under ASan the reads below would — correctly — trap; the
+// sanitizer variant of this gate is DeallocatePoisonsSpanImmediately.)
 TEST(Arena, ReclaimPoisonsRetiredChunksWithDdBytes) {
   Arena arena(/*chunk_bytes=*/256);
   // Fill chunk 1 and spill into chunk 2, sealing chunk 1 with live spans.
@@ -164,28 +158,37 @@ TEST(Arena, ReclaimPoisonsRetiredChunksWithDdBytes) {
     std::memset(p, 0xAB, 64);
     first_chunk.push_back(p);
   }
-  (void)arena.allocate(64, 8);  // opens chunk 2
+  void* second_chunk = arena.allocate(64, 8);
+  ASSERT_EQ(arena.chunks_created(), 2u);
 
-  for (unsigned char* p : first_chunk) arena.deallocate(p);
-  // Dead but not yet reclaimed: the dangler still sees its own bytes.
-  for (unsigned char* p : first_chunk) {
-    for (std::size_t i = 0; i < 64; ++i) ASSERT_EQ(p[i], 0xAB);
-  }
+  // While one allocation lives, its chunk is left alone.
+  arena.deallocate(first_chunk[0]);
+  arena.deallocate(first_chunk[1]);
+  EXPECT_EQ(arena.chunks_recycled(), 0u);
+  for (std::size_t i = 0; i < 64; ++i) ASSERT_EQ(first_chunk[2][i], 0xAB);
 
-  const std::size_t recycled_before = arena.chunks_recycled();
-  arena.advance_epoch();
-  ASSERT_GT(arena.chunks_recycled(), recycled_before);
+  // The last one's deallocate reclaims it: no tick or call in between.
+  arena.deallocate(first_chunk[2]);
+  EXPECT_EQ(arena.chunks_recycled(), 1u);
   for (unsigned char* p : first_chunk) {
     for (std::size_t i = 0; i < 64; ++i) ASSERT_EQ(p[i], Arena::kPoisonByte);
   }
+
+  // Chunk 2 cannot fit the next request, so chunk 1 serves it from its start.
+  void* reused = arena.allocate(200, 8);
+  EXPECT_EQ(reused, first_chunk[0]);
+  EXPECT_EQ(arena.chunks_created(), 2u);
+  EXPECT_EQ(arena.bytes_reserved(), 2u * 256u);
+  arena.deallocate(reused);
+  arena.deallocate(second_chunk);
 }
 #endif  // !DYNREG_TEST_ASAN
 
 #ifdef DYNREG_TEST_ASAN
 // Sanitizer reclaim semantics: the span turns inaccessible at deallocate()
-// time — ASan traps the earliest possible misuse instead of waiting for the
-// epoch. This is the use-after-reclaim gate the issue pins: a read through
-// a dead pointer in an ASan build is a hard test failure, not 0xDD garbage.
+// time, while its chunk still holds live allocations — ASan traps the
+// earliest possible misuse. A read through a dead pointer in an ASan build
+// is a hard test failure, not 0xDD garbage.
 TEST(Arena, DeallocatePoisonsSpanImmediately) {
   Arena arena(/*chunk_bytes=*/256);
   auto* p = static_cast<unsigned char*>(arena.allocate(32, 8));
@@ -228,46 +231,7 @@ TEST(BlockPool, ReusesTheBlockFreedLast) {
   EXPECT_EQ(pool.slabs_created(), 2u);
   for (void* p : blocks) pool.deallocate(p);
   EXPECT_EQ(pool.live_blocks(), 0u);
-}
-
-// ArenaAllocator round-trip: a node-based container running entirely on the
-// arena behaves observably identically to one on the heap allocator across
-// a long random insert/erase history (the ES pending-op maps in miniature).
-TEST(ArenaAllocator, MapOverArenaMatchesHeapMap) {
-  Arena arena;
-  using AMap = std::map<int, int, std::less<int>,
-                        ArenaAllocator<std::pair<const int, int>>>;
-  AMap subject{ArenaAllocator<std::pair<const int, int>>(arena)};
-  std::map<int, int> model;
-
-  std::mt19937 rng(99);
-  for (int op = 0; op < 10000; ++op) {
-    const int key = static_cast<int>(rng() % 512);
-    if (rng() % 3 != 0) {
-      subject[key] = op;
-      model[key] = op;
-    } else {
-      subject.erase(key);
-      model.erase(key);
-    }
-    if (op % 64 == 0) arena.advance_epoch();
-  }
-  ASSERT_EQ(subject.size(), model.size());
-  EXPECT_TRUE(std::equal(subject.begin(), subject.end(), model.begin()));
-
-  subject.clear();
-  EXPECT_EQ(arena.live_allocations(), 0u);
-}
-
-TEST(ArenaAllocator, InstancesOverSameArenaCompareEqual) {
-  Arena a;
-  Arena b;
-  ArenaAllocator<int> a1(a);
-  ArenaAllocator<double> a2(a);
-  ArenaAllocator<int> b1(b);
-  EXPECT_TRUE(a1 == a2);   // rebind preserves identity
-  EXPECT_FALSE(a1 == b1);
-  EXPECT_TRUE(a1 != b1);
+  EXPECT_EQ(pool.blocks_peak(), 100u);
 }
 
 }  // namespace

@@ -298,27 +298,27 @@ void expect_pinned(const ExperimentConfig& cfg, std::uint64_t hash, const Counts
 TEST(EventStreamPin, EsFlat) {
   expect_pinned(es_flat(), 0xbaf107f8d730c33aULL,
                 {9649, 12973, 12076, 121, 7, 0, 262.0 / 23, true, 29, 2514, 122, 10240,
-                 131072, 339, 832});
+                 131072, 370, 832});
 }
 TEST(EventStreamPin, EsTree) {
   expect_pinned(es_tree(), 0x7c97c6ee02db0983ULL,
                 {13462, 18012, 16482, 120, 13, 2, 727.0 / 31, true, 40, 4469, 121, 10240,
-                 196608, 403, 1823});
+                 196608, 468, 1823});
 }
 TEST(EventStreamPin, SyncUnderChurn) {
   expect_pinned(sync_churn(), 0x245ae4a0b2220e1bULL,
                 {51035, 92838, 78671, 218, 2, 583, 12, false, 10, 2859, 219, 13312,
-                 131072, 50, 230});
+                 131072, 57, 230});
 }
 TEST(EventStreamPin, EsCrashAndPartition) {
   expect_pinned(es_faults(), 0x707f13a1b35377e7ULL,
                 {5994, 5963, 5923, 236, 13, 0, 37.0 / 6, true, 9, 1046, 237, 14336,
-                 131072, 31, 84});
+                 131072, 39, 84});
 }
 TEST(EventStreamPin, AbdUnderChurn) {
   expect_pinned(abd_churn(), 0x76fb3c6b5955e378ULL,
                 {5404, 9026, 8759, 161, 50, 0, 0, true, 24, 1061, 162, 16384,
-                 131072, 21, 53});
+                 65536, 22, 53});
 }
 
 // The Byzantine pins also fix how many copies were rewritten and how many
@@ -326,19 +326,19 @@ TEST(EventStreamPin, AbdUnderChurn) {
 TEST(EventStreamPin, ByzantineEs) {
   expect_pinned(byzantine_es(), 0x8603b64b6106e617ULL,
                 {5182, 5848, 5709, 180, 3, 4, 157.0 / 25, true, 14, 806, 181, 11264,
-                 131072, 18, 43},
+                 65536, 20, 43},
                 Byzantine{266, 2});
 }
 TEST(EventStreamPin, ByzantineSync) {
   expect_pinned(byzantine_sync(), 0x754db26f7972368fULL,
                 {9062, 11408, 9891, 180, 2, 188, 15, false, 3, 3212, 181, 11264,
-                 131072, 23, 87},
+                 131072, 26, 87},
                 Byzantine{762, 130});
 }
 TEST(EventStreamPin, ByzantineAbd) {
   expect_pinned(byzantine_abd(), 0xc9e7ea1df2fdfc91ULL,
                 {3945, 5073, 5008, 179, 75, 0, 0, true, 14, 921, 180, 21504,
-                 131072, 15, 39},
+                 65536, 17, 39},
                 Byzantine{232, 33});
 }
 
@@ -346,7 +346,7 @@ TEST(EventStreamPin, ByzantineAbd) {
 TEST(EventStreamPin, SyncShardedZipfian) {
   expect_pinned(sync_sharded(), 0xe69832f62ba6786bULL,
                 {22095, 24629, 20880, 2127, 46, 492, 12, false, 2, 3398, 2122, 91136,
-                 131072, 28, 134});
+                 131072, 37, 134});
   const MetricsReport report = run_experiment(sync_sharded());
   EXPECT_EQ(report.reads_completed, 1705u);
   EXPECT_EQ(report.writes_completed, 410u);
@@ -363,17 +363,17 @@ TEST(EventStreamPin, SyncShardedZipfian) {
 TEST(EventStreamPin, QuorumScaleShape) {
   expect_pinned(quorum_scale(), 0xd9c82e1682a2caa3ULL,
                 {4182, 51974, 51974, 13, 2, 0, 0, true, 2000, 1855, 14, 5888,
-                 196608, 253, 336});
+                 196608, 255, 336});
 }
 TEST(EventStreamPin, ChurnSessionsShape) {
   expect_pinned(churn_sessions(), 0xf6881075e6bc8c0fULL,
                 {64538, 121067, 117425, 14429, 1130, 28, 15, true, 57, 11926, 13510, 676864,
-                 131072, 362, 1304});
+                 131072, 394, 1304});
 }
 TEST(EventStreamPin, FaultSearchShape) {
   expect_pinned(fault_search_base(), 0xb5d105cc25c86e8dULL,
                 {8917, 8624, 8564, 290, 3, 0, 83.0 / 8, true, 13, 1295, 291, 15360,
-                 131072, 21, 51});
+                 131072, 24, 51});
 }
 
 }  // namespace

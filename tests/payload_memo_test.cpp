@@ -2,13 +2,26 @@
 // reply content and hands the same object to every equal reply after it.
 // Sharing is only sound if the key is the whole content, so each test here
 // changes exactly one field of the key and expects a new payload carrying
-// the new field.
+// the new field. And where payloads live: every one, memoised or not, in
+// one block of the simulation's block pool, none in its arena.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <utility>
 
+#include "churn/system.h"
+#include "dynreg/abd_register.h"
+#include "dynreg/es_register.h"
 #include "dynreg/messages.h"
+#include "dynreg/sync_register.h"
+#include "fault/decision.h"
+#include "fault/injector.h"
+#include "fault/plan.h"
 #include "net/delay_model.h"
+#include "net/fault_hook.h"
 #include "net/network.h"
 #include "node/context.h"
 #include "sim/simulation.h"
@@ -127,6 +140,128 @@ TEST(PayloadMemo, MemoisedPayloadsLiveInTheBlockPool) {
   EXPECT_EQ(static_cast<const void*>(reply.get()), first_block);
   EXPECT_EQ(g.sim.blocks().live_blocks(), 2u);
   EXPECT_EQ(g.sim.blocks().slabs_created(), 1u);
+}
+
+churn::SystemConfig members(std::size_t n) {
+  churn::SystemConfig config;
+  config.initial_size = n;
+  return config;
+}
+
+// One member of a NodeT group, alone on its network: its broadcasts reach
+// nobody, so the network queues no batch, and what a broadcast stores is
+// its payload alone.
+template <typename NodeT>
+struct LoneMember {
+  sim::Simulation sim{1};
+  net::Network net{sim, std::make_unique<net::FixedDelay>(1)};
+  churn::System system;
+
+  explicit LoneMember(typename NodeT::Config config)
+      : system(sim, net, members(1), std::make_unique<churn::NoChurn>(),
+               group_factory<NodeT>(std::move(config))) {
+    system.bootstrap();
+  }
+  RegisterNode& member() { return *system.find(0)->as_register(); }
+
+  /// The broadcast op() sends took one pool block and nothing in the arena.
+  template <typename Op>
+  void expect_one_pooled_broadcast(Op op) {
+    ASSERT_EQ(system.payloads_built(), 0u);
+    op(member());
+    EXPECT_EQ(system.payloads_built(), 1u);
+    EXPECT_EQ(sim.blocks().blocks_peak(), 1u);
+    EXPECT_EQ(sim.arena().chunks_created(), 0u);
+  }
+};
+
+TEST(PayloadPool, AnEsBroadcastTakesOnePoolBlock) {
+  EsConfig config;
+  config.n = 3;  // no self-quorum: the read stays pending after its es.read
+  LoneMember<EsRegisterNode> m(config);
+  m.expect_one_pooled_broadcast(
+      [](RegisterNode& r) { r.read(OpContext{}, [](OpOutcome, Value) {}); });
+}
+
+TEST(PayloadPool, ASyncBroadcastTakesOnePoolBlock) {
+  LoneMember<SyncRegisterNode> m(SyncConfig{});
+  m.expect_one_pooled_broadcast(
+      [](RegisterNode& r) { r.write(OpContext{}, 5, [](OpOutcome) {}); });
+}
+
+TEST(PayloadPool, AnAbdBroadcastTakesOnePoolBlock) {
+  AbdConfig config;
+  config.n = 3;  // no self-quorum: the read stays pending after its query
+  LoneMember<AbdRegisterNode> m(config);
+  m.expect_one_pooled_broadcast(
+      [](RegisterNode& r) { r.read(OpContext{}, [](OpOutcome, Value) {}); });
+}
+
+// Every decision word 0: the injector's coin always passes.
+class ZeroDecisions final : public fault::DecisionSource {
+ public:
+  std::uint64_t draw(sim::Time) override { return 0; }
+};
+
+TEST(PayloadPool, AByzantineReplacementTakesOnePoolBlock) {
+  sim::Simulation sim(1);
+  net::Network net(sim, std::make_unique<net::FixedDelay>(1));
+  churn::System system(sim, net, churn::SystemConfig{}, std::make_unique<churn::NoChurn>(),
+                       [](sim::ProcessId, Context&, bool) { return nullptr; });
+  fault::Plan plan;
+  plan.byzantine.fraction = 1.0;
+  plan.byzantine.transform_rate = 1.0;
+  ZeroDecisions decisions;
+  fault::Injector injector(sim, system, net, plan, decisions, {});
+  Group g;
+  const net::PayloadPtr reply = base_reply(g.ctx);
+
+  const net::PayloadPtr replacement = injector.transform(sim.now(), 3, 5, reply);
+  ASSERT_TRUE(replacement);
+  EXPECT_NE(as_stamped(replacement).value, as_stamped(reply).value);
+  EXPECT_EQ(sim.blocks().live_blocks(), 1u);
+  EXPECT_EQ(sim.arena().chunks_created(), 0u);
+}
+
+// Cuts every copy until healed.
+class FullPartition final : public net::FaultHook {
+ public:
+  FullPartition() { arm_transforms(false); }
+  bool link_cut(sim::Time, sim::ProcessId, sim::ProcessId) override { return true; }
+  net::PayloadPtr transform(sim::Time, sim::ProcessId, sim::ProcessId,
+                            const net::PayloadPtr&) override {
+    return nullptr;
+  }
+  void heal() { arm_cuts(false); }
+};
+
+TEST(PayloadPool, AnEsReadPendingAcrossAPartitionHoldsNoArenaStorage) {
+  // Every copy of the read and its retransmissions is cut, so the network
+  // queues nothing: what the arena would hold is the pending read's own.
+  sim::Simulation sim(1);
+  net::Network net(sim, std::make_unique<net::FixedDelay>(1));
+  EsConfig config;
+  config.n = 3;
+  churn::System system(sim, net, members(3), std::make_unique<churn::NoChurn>(),
+                       group_factory<EsRegisterNode>(config));
+  system.bootstrap();
+  FullPartition partition;
+  net.set_fault_hook(&partition);
+
+  std::optional<Value> got;
+  system.find(0)->as_register()->read(OpContext{}, [&got](OpOutcome o, Value v) {
+    if (o == OpOutcome::kOk) got = v;
+  });
+  sim.run_until(100);
+  EXPECT_FALSE(got.has_value());
+  EXPECT_GT(net.stats().dropped_partition, 0u);
+  EXPECT_EQ(sim.arena().live_allocations(), 0u);
+  EXPECT_EQ(sim.arena().chunks_created(), 0u);
+
+  // Healed, the next retransmission gathers the quorum.
+  partition.heal();
+  sim.run_until(200);
+  EXPECT_EQ(got, std::optional<Value>(kInitialValue));
 }
 
 TEST(PayloadMemo, AQueuedCopyOfTheMemoOutlivesItsGroup) {

@@ -1,4 +1,5 @@
-"""Hot-path discipline in the library: no std::function, no RTTI casts.
+"""Hot-path discipline in the library: no std::function, no RTTI casts, and
+the simulation's arena only where its blocks are made.
 
 std::function heap-allocates any capture beyond its (implementation-defined,
 typically 16-byte) small-buffer budget. PR 4/5 measured that cost at one
@@ -22,6 +23,15 @@ so a lookup needs no RTTI; every site in src/ uses it. A cold site that
 would need a dynamic_cast says why:
 
     // dynreg-lint: allow(rtti-cast): <cold-path justification>
+
+The rule arena-scope keeps sim::Arena (and .arena() calls) in src/sim/ and
+src/net/. Each kind of simulation object has one home: the arena holds the
+network's broadcast batches and reply spills, each owned by one queued
+event; every payload is a sim::BlockPool block (net::make_payload_in); and
+a protocol's pending operations live in plain containers. A second home
+for payloads or pending ops once needed an allocator adapter, an epoch
+clock and a lifetime contract that no caller relied on; this rule keeps
+another kind of object from moving back into the arena unnoticed.
 """
 
 from __future__ import annotations
@@ -54,5 +64,17 @@ RULES = [
         ),
         pattern=re.compile(r"\bdynamic_cast\s*<"),
         paths=("src/",),
+    ),
+    Rule(
+        name="arena-scope",
+        description="Name sim::Arena and .arena() only in src/sim/ and src/net/.",
+        message=(
+            "the arena holds the network's batch and spill blocks alone; build a payload "
+            "with net::make_payload_in over the block pool and keep other objects in "
+            "plain containers"
+        ),
+        pattern=re.compile(r"\bsim\s*::\s*Arena\b|(?:\.|->)\s*arena\s*\(\s*\)"),
+        paths=("src/",),
+        exclude=("src/sim/", "src/net/"),
     ),
 ]
