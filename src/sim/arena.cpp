@@ -54,7 +54,7 @@ Arena::~Arena() {
 
 Arena::Chunk* Arena::new_chunk(std::size_t capacity) {
   auto owned = std::make_unique<Chunk>();
-  owned->bytes = std::make_unique<unsigned char[]>(capacity);
+  owned->bytes.reset(new unsigned char[capacity]);  // no zero fill: bytes are read only after a write
   owned->capacity = capacity;
   Chunk* c = owned.get();
   chunks_.push_back(std::move(owned));
@@ -73,6 +73,7 @@ void Arena::reclaim(Chunk* c) {
   std::memset(c->bytes.get(), kPoisonByte, c->used);
 #endif
   c->used = 0;
+  if (c->open) return;  // the bump target starts over in place
   free_.push_back(c);
   ++chunks_recycled_;
 }
@@ -137,7 +138,7 @@ void Arena::deallocate(void* p) noexcept {
   poison_span(h, sizeof(Header) + h->size);
   --c->live;
   --live_;
-  if (c->live == 0 && !c->open) reclaim(c);
+  if (c->live == 0) reclaim(c);
 }
 
 BlockPool::~BlockPool() {

@@ -9,7 +9,8 @@
 //   * A chunk whose allocations are all freed is reclaimed at once: its
 //     used bytes are poison-filled with kPoisonByte (plain builds), so a
 //     use-after-free read sees 0xDD garbage deterministically, and the
-//     chunk is reused before a new one is reserved. Under AddressSanitizer
+//     chunk is reused before a new one is reserved (the bump target starts
+//     over in place). Under AddressSanitizer
 //     the allocation span is poisoned at deallocate() time instead, so ASan
 //     traps the earliest possible misuse. Nothing may read an allocation
 //     after freeing it, in any build.
@@ -44,8 +45,8 @@ class Arena {
   /// (throws std::bad_alloc on OS exhaustion, like operator new).
   [[nodiscard]] void* allocate(std::size_t size, std::size_t align);
 
-  /// Marks an allocation dead. A chunk left with no live allocation that
-  /// is not the bump target is reclaimed at once.
+  /// Marks an allocation dead. A chunk left with no live allocation is
+  /// reclaimed at once.
   void deallocate(void* p) noexcept;
 
   [[nodiscard]] std::size_t live_allocations() const { return live_; }
@@ -76,7 +77,8 @@ class Arena {
 
   Chunk* new_chunk(std::size_t capacity);
   void open_chunk_for(std::size_t size, std::size_t align);
-  /// Poisons a chunk with no live allocation and puts it on the free list.
+  /// Poisons a chunk with no live allocation and makes it reusable: on the
+  /// free list, or in place when it is the bump target.
   void reclaim(Chunk* c);
 
   std::size_t chunk_bytes_;

@@ -184,6 +184,24 @@ TEST(Arena, ReclaimPoisonsRetiredChunksWithDdBytes) {
 }
 #endif  // !DYNREG_TEST_ASAN
 
+// The bump target is reclaimed in place: once its last allocation dies, the
+// next allocation starts over at its first byte instead of moving on to a
+// second chunk.
+TEST(Arena, EmptiedOpenChunkStartsOverInPlace) {
+  Arena arena(/*chunk_bytes=*/256);
+  void* first = arena.allocate(100, 8);
+  arena.deallocate(first);
+  for (int round = 0; round < 10; ++round) {
+    void* a = arena.allocate(100, 8);
+    EXPECT_EQ(a, first);
+    void* b = arena.allocate(100, 8);
+    arena.deallocate(a);
+    arena.deallocate(b);
+  }
+  EXPECT_EQ(arena.chunks_created(), 1u);
+  EXPECT_EQ(arena.bytes_reserved(), 256u);
+}
+
 #ifdef DYNREG_TEST_ASAN
 // Sanitizer reclaim semantics: the span turns inaccessible at deallocate()
 // time, while its chunk still holds live allocations — ASan traps the

@@ -50,5 +50,24 @@ TEST(EventQueue, InterleavedPushPopKeepsOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 3}));
 }
 
+// peak_size() is the most events held at once: freed slots are reused
+// before the high-water mark grows, and an event that is running still
+// holds its slot while it pushes.
+TEST(EventQueue, PeakSizeIsTheMostEventsHeldAtOnce) {
+  EventQueue q;
+  EXPECT_EQ(q.peak_size(), 0u);
+  for (int i = 0; i < 3; ++i) q.push(1, [] {});
+  q.pop();
+  q.pop();
+  q.push(2, [] {});
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.peak_size(), 3u);
+
+  q.push(0, [&q] { q.push(3, [] {}); });
+  q.run_top();
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.peak_size(), 4u);
+}
+
 }  // namespace
 }  // namespace dynreg::sim

@@ -313,7 +313,7 @@ TEST(EventStreamPin, SyncUnderChurn) {
 TEST(EventStreamPin, EsCrashAndPartition) {
   expect_pinned(es_faults(), 0x707f13a1b35377e7ULL,
                 {5994, 5963, 5923, 236, 13, 0, 37.0 / 6, true, 9, 1046, 237, 14336,
-                 131072, 39, 84});
+                 65536, 39, 84});
 }
 TEST(EventStreamPin, AbdUnderChurn) {
   expect_pinned(abd_churn(), 0x76fb3c6b5955e378ULL,
@@ -332,7 +332,7 @@ TEST(EventStreamPin, ByzantineEs) {
 TEST(EventStreamPin, ByzantineSync) {
   expect_pinned(byzantine_sync(), 0x754db26f7972368fULL,
                 {9062, 11408, 9891, 180, 2, 188, 15, false, 3, 3212, 181, 11264,
-                 131072, 26, 87},
+                 65536, 26, 87},
                 Byzantine{762, 130});
 }
 TEST(EventStreamPin, ByzantineAbd) {
@@ -363,7 +363,7 @@ TEST(EventStreamPin, SyncShardedZipfian) {
 TEST(EventStreamPin, QuorumScaleShape) {
   expect_pinned(quorum_scale(), 0xd9c82e1682a2caa3ULL,
                 {4182, 51974, 51974, 13, 2, 0, 0, true, 2000, 1855, 14, 5888,
-                 196608, 255, 336});
+                 131072, 255, 336});
 }
 TEST(EventStreamPin, ChurnSessionsShape) {
   expect_pinned(churn_sessions(), 0xf6881075e6bc8c0fULL,
@@ -373,7 +373,7 @@ TEST(EventStreamPin, ChurnSessionsShape) {
 TEST(EventStreamPin, FaultSearchShape) {
   expect_pinned(fault_search_base(), 0xb5d105cc25c86e8dULL,
                 {8917, 8624, 8564, 290, 3, 0, 83.0 / 8, true, 13, 1295, 291, 15360,
-                 131072, 24, 51});
+                 65536, 24, 51});
 }
 
 }  // namespace
