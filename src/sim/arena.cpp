@@ -73,15 +73,14 @@ void Arena::reclaim(Chunk* c) {
   std::memset(c->bytes.get(), kPoisonByte, c->used);
 #endif
   c->used = 0;
-  if (c->open) return;  // the bump target starts over in place
-  free_.push_back(c);
   ++chunks_recycled_;
+  if (!c->open) free_.push_back(c);  // the bump target starts over in place
 }
 
 void Arena::open_chunk_for(std::size_t size, std::size_t align) {
   if (open_ != nullptr) {
     open_->open = false;
-    if (open_->live == 0) reclaim(open_);
+    if (open_->live == 0) free_.push_back(open_);  // reclaimed when it emptied
     open_ = nullptr;
   }
   const std::size_t needed = sizeof(Header) + size + align;

@@ -10,10 +10,10 @@
 //     used bytes are poison-filled with kPoisonByte (plain builds), so a
 //     use-after-free read sees 0xDD garbage deterministically, and the
 //     chunk is reused before a new one is reserved (the bump target starts
-//     over in place). Under AddressSanitizer
-//     the allocation span is poisoned at deallocate() time instead, so ASan
-//     traps the earliest possible misuse. Nothing may read an allocation
-//     after freeing it, in any build.
+//     over in place). Under AddressSanitizer the allocation span is
+//     poisoned at deallocate() time instead, so ASan traps the earliest
+//     possible misuse. Nothing may read an allocation after freeing it, in
+//     any build.
 //
 // Determinism: the arena draws no randomness and its behaviour depends only
 // on the sequence of allocate/deallocate calls, which is itself a pure
@@ -51,6 +51,7 @@ class Arena {
 
   [[nodiscard]] std::size_t live_allocations() const { return live_; }
   [[nodiscard]] std::size_t chunks_created() const { return chunks_created_; }
+  /// Chunks reclaimed for reuse: onto the free list, or in place.
   [[nodiscard]] std::size_t chunks_recycled() const { return chunks_recycled_; }
   [[nodiscard]] std::size_t bytes_reserved() const { return bytes_reserved_; }
 

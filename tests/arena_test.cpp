@@ -184,13 +184,17 @@ TEST(Arena, ReclaimPoisonsRetiredChunksWithDdBytes) {
 }
 #endif  // !DYNREG_TEST_ASAN
 
-// The bump target is reclaimed in place: once its last allocation dies, the
-// next allocation starts over at its first byte instead of moving on to a
-// second chunk.
+// The bump target is reclaimed in place: once its last allocation dies, it
+// is poisoned (0xDD in plain builds) and the next allocation starts over at
+// its first byte instead of moving on to a second chunk.
 TEST(Arena, EmptiedOpenChunkStartsOverInPlace) {
   Arena arena(/*chunk_bytes=*/256);
-  void* first = arena.allocate(100, 8);
+  auto* first = static_cast<unsigned char*>(arena.allocate(100, 8));
+  std::memset(first, 0xAB, 100);
   arena.deallocate(first);
+#ifndef DYNREG_TEST_ASAN
+  for (std::size_t i = 0; i < 100; ++i) ASSERT_EQ(first[i], Arena::kPoisonByte);
+#endif
   for (int round = 0; round < 10; ++round) {
     void* a = arena.allocate(100, 8);
     EXPECT_EQ(a, first);
@@ -199,6 +203,7 @@ TEST(Arena, EmptiedOpenChunkStartsOverInPlace) {
     arena.deallocate(b);
   }
   EXPECT_EQ(arena.chunks_created(), 1u);
+  EXPECT_EQ(arena.chunks_recycled(), 11u);  // one reclaim per emptying
   EXPECT_EQ(arena.bytes_reserved(), 256u);
 }
 
