@@ -54,7 +54,8 @@ Arena::~Arena() {
 
 Arena::Chunk* Arena::new_chunk(std::size_t capacity) {
   auto owned = std::make_unique<Chunk>();
-  owned->bytes.reset(new unsigned char[capacity]);  // no zero fill: bytes are read only after a write
+  // No zero fill: an allocation's bytes are read only after they are written.
+  owned->bytes.reset(new unsigned char[capacity]);
   owned->capacity = capacity;
   Chunk* c = owned.get();
   chunks_.push_back(std::move(owned));
