@@ -169,6 +169,7 @@ MetricsReport run_experiment(const ExperimentConfig& cfg, const replay::RunHooks
   report.arena_bytes_reserved = sim.arena_bytes_reserved();
   report.pool_blocks_peak = sim.pool_blocks_peak();
   report.queue_peak = sim.queue_peak();
+  report.arena_allocations = sim.arena_allocations();
   return report;
 }
 

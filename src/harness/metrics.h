@@ -139,6 +139,9 @@ struct [[nodiscard]] MetricsReport {
   std::uint64_t arena_bytes_reserved = 0;
   std::uint64_t pool_blocks_peak = 0;
   std::uint64_t queue_peak = 0;
+  /// Allocations the simulation's arena served over the run: the network's
+  /// broadcast batches and reply spill blocks.
+  std::uint64_t arena_allocations = 0;
 
   double violation_rate() const { return regularity.violation_rate(); }
   double read_completion_rate() const {

@@ -121,6 +121,7 @@ void* Arena::allocate(std::size_t size, std::size_t align) {
   c->used = p_off + size;
   ++c->live;
   ++live_;
+  ++allocations_;
   unsigned char* p = c->bytes.get() + p_off;
   unpoison_span(p - sizeof(Header), sizeof(Header) + size);
   auto* h = reinterpret_cast<Header*>(p - sizeof(Header));

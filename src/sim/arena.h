@@ -50,6 +50,8 @@ class Arena {
   void deallocate(void* p) noexcept;
 
   [[nodiscard]] std::size_t live_allocations() const { return live_; }
+  /// Calls to allocate() so far.
+  [[nodiscard]] std::size_t allocations() const { return allocations_; }
   [[nodiscard]] std::size_t chunks_created() const { return chunks_created_; }
   /// Chunks reclaimed for reuse: onto the free list, or in place.
   [[nodiscard]] std::size_t chunks_recycled() const { return chunks_recycled_; }
@@ -87,6 +89,7 @@ class Arena {
   Chunk* open_ = nullptr;
   std::vector<Chunk*> free_;  // poisoned, ready to reopen
   std::size_t live_ = 0;
+  std::size_t allocations_ = 0;
   std::size_t chunks_created_ = 0;
   std::size_t chunks_recycled_ = 0;
   std::size_t bytes_reserved_ = 0;

@@ -100,8 +100,10 @@ class Simulation {
   /// What the run's simulation objects have held at most, in every build
   /// mode: the bytes the arena has reserved (it never returns a chunk), the
   /// most block-pool blocks live at once, and the most events queued at
-  /// once (the running one included).
+  /// once (the running one included). Also the allocations the arena has
+  /// served, a count rather than a peak.
   [[nodiscard]] std::size_t arena_bytes_reserved() const { return arena_.bytes_reserved(); }
+  [[nodiscard]] std::size_t arena_allocations() const { return arena_.allocations(); }
   [[nodiscard]] std::size_t pool_blocks_peak() const { return blocks_.blocks_peak(); }
   [[nodiscard]] std::size_t queue_peak() const { return queue_.peak_size(); }
 

@@ -205,6 +205,8 @@ TEST(Arena, EmptiedOpenChunkStartsOverInPlace) {
   EXPECT_EQ(arena.chunks_created(), 1u);
   EXPECT_EQ(arena.chunks_recycled(), 11u);  // one reclaim per emptying
   EXPECT_EQ(arena.bytes_reserved(), 256u);
+  EXPECT_EQ(arena.allocations(), 21u);  // every allocate(), reused or not
+  EXPECT_EQ(arena.live_allocations(), 0u);
 }
 
 #ifdef DYNREG_TEST_ASAN

@@ -258,6 +258,8 @@ struct Counts {
   std::uint64_t arena_bytes_reserved;
   std::uint64_t pool_blocks_peak;
   std::uint64_t queue_peak;
+  // Allocations the arena served: broadcast batches and spill blocks.
+  std::uint64_t arena_allocations;
 };
 
 /// What a Byzantine run also pins: copies rewritten, reads flagged.
@@ -286,6 +288,7 @@ void expect_pinned(const ExperimentConfig& cfg, std::uint64_t hash, const Counts
   EXPECT_EQ(report.arena_bytes_reserved, counts.arena_bytes_reserved);
   EXPECT_EQ(report.pool_blocks_peak, counts.pool_blocks_peak);
   EXPECT_EQ(report.queue_peak, counts.queue_peak);
+  EXPECT_EQ(report.arena_allocations, counts.arena_allocations);
   if (sim::Simulation::audit_enabled()) {
     EXPECT_EQ(report.trace_hash, hash) << "actual 0x" << std::hex << report.trace_hash;
   }
@@ -298,27 +301,27 @@ void expect_pinned(const ExperimentConfig& cfg, std::uint64_t hash, const Counts
 TEST(EventStreamPin, EsFlat) {
   expect_pinned(es_flat(), 0xbaf107f8d730c33aULL,
                 {9649, 12973, 12076, 121, 7, 0, 262.0 / 23, true, 29, 2514, 122, 10240,
-                 131072, 370, 832});
+                 131072, 370, 832, 2713});
 }
 TEST(EventStreamPin, EsTree) {
   expect_pinned(es_tree(), 0x7c97c6ee02db0983ULL,
                 {13462, 18012, 16482, 120, 13, 2, 727.0 / 31, true, 40, 4469, 121, 10240,
-                 196608, 468, 1823});
+                 196608, 468, 1823, 4331});
 }
 TEST(EventStreamPin, SyncUnderChurn) {
   expect_pinned(sync_churn(), 0x245ae4a0b2220e1bULL,
                 {51035, 92838, 78671, 218, 2, 583, 12, false, 10, 2859, 219, 13312,
-                 131072, 57, 230});
+                 131072, 57, 230, 5208});
 }
 TEST(EventStreamPin, EsCrashAndPartition) {
   expect_pinned(es_faults(), 0x707f13a1b35377e7ULL,
                 {5994, 5963, 5923, 236, 13, 0, 37.0 / 6, true, 9, 1046, 237, 14336,
-                 65536, 39, 84});
+                 65536, 39, 84, 1281});
 }
 TEST(EventStreamPin, AbdUnderChurn) {
   expect_pinned(abd_churn(), 0x76fb3c6b5955e378ULL,
                 {5404, 9026, 8759, 161, 50, 0, 0, true, 24, 1061, 162, 16384,
-                 65536, 22, 53});
+                 65536, 22, 53, 1179});
 }
 
 // The Byzantine pins also fix how many copies were rewritten and how many
@@ -326,19 +329,19 @@ TEST(EventStreamPin, AbdUnderChurn) {
 TEST(EventStreamPin, ByzantineEs) {
   expect_pinned(byzantine_es(), 0x8603b64b6106e617ULL,
                 {5182, 5848, 5709, 180, 3, 4, 157.0 / 25, true, 14, 806, 181, 11264,
-                 65536, 20, 43},
+                 65536, 20, 43, 1011},
                 Byzantine{266, 2});
 }
 TEST(EventStreamPin, ByzantineSync) {
   expect_pinned(byzantine_sync(), 0x754db26f7972368fULL,
                 {9062, 11408, 9891, 180, 2, 188, 15, false, 3, 3212, 181, 11264,
-                 65536, 26, 87},
+                 65536, 26, 87, 2368},
                 Byzantine{762, 130});
 }
 TEST(EventStreamPin, ByzantineAbd) {
   expect_pinned(byzantine_abd(), 0xc9e7ea1df2fdfc91ULL,
                 {3945, 5073, 5008, 179, 75, 0, 0, true, 14, 921, 180, 21504,
-                 65536, 17, 39},
+                 65536, 17, 39, 1127},
                 Byzantine{232, 33});
 }
 
@@ -346,7 +349,7 @@ TEST(EventStreamPin, ByzantineAbd) {
 TEST(EventStreamPin, SyncShardedZipfian) {
   expect_pinned(sync_sharded(), 0xe69832f62ba6786bULL,
                 {22095, 24629, 20880, 2127, 46, 492, 12, false, 2, 3398, 2122, 91136,
-                 131072, 37, 134});
+                 131072, 37, 134, 5328});
   const MetricsReport report = run_experiment(sync_sharded());
   EXPECT_EQ(report.reads_completed, 1705u);
   EXPECT_EQ(report.writes_completed, 410u);
@@ -363,17 +366,17 @@ TEST(EventStreamPin, SyncShardedZipfian) {
 TEST(EventStreamPin, QuorumScaleShape) {
   expect_pinned(quorum_scale(), 0xd9c82e1682a2caa3ULL,
                 {4182, 51974, 51974, 13, 2, 0, 0, true, 2000, 1855, 14, 5888,
-                 131072, 255, 336});
+                 131072, 255, 336, 1832});
 }
 TEST(EventStreamPin, ChurnSessionsShape) {
   expect_pinned(churn_sessions(), 0xf6881075e6bc8c0fULL,
                 {64538, 121067, 117425, 14429, 1130, 28, 15, true, 57, 11926, 13510, 676864,
-                 131072, 394, 1304});
+                 131072, 394, 1304, 6470});
 }
 TEST(EventStreamPin, FaultSearchShape) {
   expect_pinned(fault_search_base(), 0xb5d105cc25c86e8dULL,
                 {8917, 8624, 8564, 290, 3, 0, 83.0 / 8, true, 13, 1295, 291, 15360,
-                 65536, 24, 51});
+                 65536, 24, 51, 1541});
 }
 
 }  // namespace
