@@ -42,13 +42,11 @@ inline constexpr std::uint64_t kPickFallbackSalt = 0x7069636b2d66616cULL;   // "
 class ReplayDelayModel final : public net::DelayModel {
  public:
   explicit ReplayDelayModel(std::shared_ptr<const Trace> trace)
-      : trace_(std::move(trace)),
-        max_delay_(trace_->max_delay()),
-        fallback_(fold64(trace_->seed, kNetFallbackSalt)) {}
+      : trace_(std::move(trace)), fallback_(fold64(trace_->seed, kNetFallbackSalt)) {}
 
   sim::Duration delay(sim::Time, sim::ProcessId, sim::ProcessId, const net::Payload&,
                       sim::Rng&) override {
-    return fallback_.uniform_int(1, max_delay_);
+    return fallback_delay();
   }
 
   Verdict verdict(sim::Time, sim::ProcessId, sim::ProcessId, const net::Payload&,
@@ -59,12 +57,20 @@ class ReplayDelayModel final : public net::DelayModel {
       return {false, r.delay < 1 ? sim::Duration{1} : r.delay};
     }
     if (loss_rate > 0.0 && fallback_.bernoulli(loss_rate)) return {true, 0};
-    return {false, fallback_.uniform_int(1, max_delay_)};
+    return {false, fallback_delay()};
   }
 
  private:
+  // The envelope is a pass over the whole net stream, and a replayed world
+  // that never outruns its stream never needs it, so the first fallback
+  // draw finds it.
+  sim::Duration fallback_delay() {
+    if (max_delay_ == 0) max_delay_ = trace_->max_delay();
+    return fallback_.uniform_int(1, max_delay_);
+  }
+
   std::shared_ptr<const Trace> trace_;
-  sim::Duration max_delay_;
+  sim::Duration max_delay_ = 0;  // trace_->max_delay() (>= 1) once a fallback drew
   sim::Rng fallback_;
   std::size_t next_ = 0;
 };
