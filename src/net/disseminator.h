@@ -7,7 +7,7 @@
 // its recipients: it is a pure planner. For each recipient it asks the
 // Network for the verdict of the physical edge that carries the copy
 // (Network::hop_verdict: partition cut, loss, delay) and writes down the
-// copy's arrival offset, or kLost. It never schedules anything; the Network
+// copy's arrival offset, or marks it kLost. It never schedules anything; the Network
 // turns the finished plan into queued deliveries, one event per distinct
 // arrival tick (see net/network.h).
 //
@@ -24,6 +24,10 @@
 // recipients[j-1], the parent of position j is (j-1)/k. Per-edge verdicts
 // are drawn in ascending position order through the one DelayModel override
 // point, so record/replay and the audit hash see a stable draw sequence.
+// The plan is the tree's only per-position state: a position's entry is the
+// time it relays at, so a child reads its parent's entry (written earlier,
+// as parents precede children), and a lost position's entry keeps that time
+// under the kLost mark.
 //
 // Modeling idealizations (documented, deliberate):
 //  - Delivery handlers observe the LOGICAL sender (the original
@@ -36,7 +40,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -49,16 +52,21 @@ class Network;
 
 class Disseminator {
  public:
-  /// Plan entry of a copy that never arrives (cut or lost).
-  static constexpr sim::Duration kLost = std::numeric_limits<sim::Duration>::max();
+  /// Mark on the plan entry of a copy that never arrives (cut or lost). The
+  /// bits below it are the planner's own (the tree keeps the relay time
+  /// there); an offset never reaches it.
+  static constexpr sim::Duration kLost = sim::Duration{1} << 63;
+  [[nodiscard]] static constexpr bool lost(sim::Duration entry) {
+    return (entry & kLost) != 0;
+  }
 
   virtual ~Disseminator() = default;
 
   /// Plans one broadcast of `payload` from `from` to every id in
   /// `recipients` (sorted ascending, never containing `from`): sets
   /// arrivals[i] (pre-sized to recipients.size()) to recipients[i]'s arrival
-  /// offset from now, or kLost. Edge verdicts come from
-  /// Network::hop_verdict, drawn in the planner's fixed edge order.
+  /// offset from now, or an entry with the kLost mark. Edge verdicts come
+  /// from Network::hop_verdict, drawn in the planner's fixed edge order.
   virtual void plan(Network& net, sim::ProcessId from,
                     const std::vector<sim::ProcessId>& recipients,
                     const Payload& payload, std::vector<sim::Duration>& arrivals) = 0;
@@ -90,7 +98,6 @@ class TreeDisseminator final : public Disseminator {
 
  private:
   std::uint32_t fanout_;
-  std::vector<sim::Duration> reach_;  // per-position relay time, reused
 };
 
 }  // namespace dynreg::net

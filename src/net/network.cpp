@@ -57,7 +57,6 @@ void Network::attach(sim::ProcessId id, Receiver* receiver) {
     }
   }
   slot.receiver = receiver;
-  ++slot.generation;
 }
 
 void Network::detach(sim::ProcessId id) {
@@ -65,7 +64,6 @@ void Network::detach(sim::ProcessId id) {
   Slot& slot = slots_[id];
   if (slot.receiver == nullptr) return;
   slot.receiver = nullptr;
-  ++slot.generation;
   attached_ids_.erase(
       std::lower_bound(attached_ids_.begin(), attached_ids_.end(), id));
 }
@@ -191,13 +189,12 @@ void Network::broadcast(sim::ProcessId from, PayloadPtr payload) {
 }
 
 void Network::schedule_batches(sim::ProcessId from, const PayloadPtr& payload) {
-  constexpr sim::Duration kLost = Disseminator::kLost;
   const std::vector<sim::Duration>& arrivals = arrivals_scratch_;
-  sim::Duration lo = kLost;
+  sim::Duration lo = Disseminator::kLost;
   sim::Duration hi = 0;
   std::uint32_t survivors = 0;
   for (const sim::Duration d : arrivals) {
-    if (d == kLost) continue;
+    if (Disseminator::lost(d)) continue;
     lo = std::min(lo, d);
     hi = std::max(hi, d);
     ++survivors;
@@ -213,18 +210,20 @@ void Network::schedule_batches(sim::ProcessId from, const PayloadPtr& payload) {
   if (hi - lo <= 2 * std::uint64_t{survivors} + 64) {
     counts_scratch_.assign(hi - lo + 2, 0);
     for (const sim::Duration d : arrivals) {
-      if (d != kLost) ++counts_scratch_[d - lo + 1];
+      if (!Disseminator::lost(d)) ++counts_scratch_[d - lo + 1];
     }
     for (std::size_t k = 1; k < counts_scratch_.size(); ++k) {
       counts_scratch_[k] += counts_scratch_[k - 1];
     }
     for (std::uint32_t i = 0; i < n; ++i) {
-      if (arrivals[i] != kLost) order_scratch_[counts_scratch_[arrivals[i] - lo]++] = i;
+      if (!Disseminator::lost(arrivals[i])) {
+        order_scratch_[counts_scratch_[arrivals[i] - lo]++] = i;
+      }
     }
   } else {
     std::uint32_t k = 0;
     for (std::uint32_t i = 0; i < n; ++i) {
-      if (arrivals[i] != kLost) order_scratch_[k++] = i;
+      if (!Disseminator::lost(arrivals[i])) order_scratch_[k++] = i;
     }
     std::stable_sort(order_scratch_.begin(), order_scratch_.end(),
                      [&arrivals](std::uint32_t a, std::uint32_t b) {

@@ -9,9 +9,10 @@
 //    for their local state directly).
 //
 // Dispatch is O(1): processes live in a dense vector indexed by ProcessId
-// (ids are assigned densely by the churn system). Each 16-byte slot holds a
-// non-owning Receiver* (net/receiver.h; a protocol node is one) and a
-// generation counter; a null receiver means detached. Broadcast fan-out
+// (ids are assigned densely by the churn system). Each 8-byte slot is a
+// non-owning Receiver* (net/receiver.h; a protocol node is one); a null
+// receiver means detached. A copy goes to whoever holds its id at delivery
+// time, so nothing tells incarnations of a reused id apart. Broadcast fan-out
 // walks the sorted live membership in id order, so the RNG draw sequence is
 // fixed. Per-delivery metrics are keyed on interned PayloadTypeId tags; the
 // string-keyed view is materialized only on demand.
@@ -120,14 +121,6 @@ class Network {
     return id < slots_.size() && slots_[id].receiver != nullptr;
   }
 
-  /// Times the slot has been attached or detached; lets tests and debugging
-  /// distinguish incarnations of a reused id. (Delivery deliberately does
-  /// not check it: a message is delivered to whoever holds the id at
-  /// delivery time, exactly as with the previous map-based dispatch.)
-  std::uint32_t generation(sim::ProcessId id) const {
-    return id < slots_.size() ? slots_[id].generation : 0;
-  }
-
   /// Sends one copy of `payload` from `from` to `to`. The caller keeps its
   /// reference (a protocol node sends the per-group reply memo), so a copy
   /// that joins a coalesced run takes no reference count.
@@ -179,12 +172,13 @@ class Network {
   /// per-id counters. Report-time only; the hot path never builds strings.
   std::map<std::string, std::uint64_t> delivered_by_type() const;
 
- private:
+  /// One id's entry in the dense dispatch column: its receiver, or null
+  /// while detached.
   struct Slot {
-    Receiver* receiver = nullptr;  // null = detached
-    std::uint32_t generation = 0;
+    Receiver* receiver = nullptr;
   };
-  static_assert(sizeof(Slot) <= 16, "a slot is one pointer and a generation");
+
+ private:
 
   // The copies of one broadcast that arrive at the same tick, in dispatch
   // order: header plus `count` trailing recipient ids, one arena block.

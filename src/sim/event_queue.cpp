@@ -1,5 +1,6 @@
 #include "sim/event_queue.h"
 
+#include <array>
 #include <cstdlib>
 #include <new>
 #include <utility>
@@ -39,7 +40,7 @@ inline std::uint32_t ctz64(std::uint64_t x) {
 constexpr std::size_t kSlabBytes = 2 * 1024 * 1024;  // == kSlabSize tasks
 
 #ifdef DYNREG_SLAB_MMAP
-void* map_slab_region() {
+void* map_slab_region(bool huge) {
   // Over-map by one huge page so a 2 MiB-aligned span can be handed back;
   // transparent huge pages only back 2 MiB-aligned virtual ranges.
   const std::size_t over = kSlabBytes + kSlabBytes;
@@ -54,13 +55,13 @@ void* map_slab_region() {
     ::munmap(reinterpret_cast<void*>(tail), addr + over - tail);
   }
   void* p = reinterpret_cast<void*>(aligned);
-  ::madvise(p, kSlabBytes, MADV_HUGEPAGE);  // advisory; harmless if ignored
+  if (huge) ::madvise(p, kSlabBytes, MADV_HUGEPAGE);  // advisory; harmless if ignored
   return p;
 }
 
 void unmap_slab_region(void* p) { ::munmap(p, kSlabBytes); }
 #else
-void* map_slab_region() {
+void* map_slab_region(bool /*huge*/) {
   return ::operator new(kSlabBytes, std::align_val_t{64});
 }
 
@@ -71,15 +72,19 @@ void unmap_slab_region(void* p) {
 
 // Thread-local cache of retired slab regions: a fresh EventQueue (one per
 // Simulation; benchmarks and sweeps build thousands) reuses an
-// already-faulted huge-page region instead of paying fault + zero-fill for
-// 2 MiB per slab. Capped so an occasional huge simulation does not pin its
-// high-water mark forever; owning the vector through a destructor returns
-// the regions when the (pooled job) thread exits.
+// already-faulted region instead of paying fault + zero-fill per slab.
+// Regions are kept by advice, so a first slab never gets a huge page back
+// (regions[1] holds the advised ones). Capped so an occasional huge
+// simulation does not pin its high-water mark forever; owning the vectors
+// through a destructor returns the regions when the (pooled job) thread
+// exits.
 struct SlabCache {
   static constexpr std::size_t kMaxRegions = 32;  // 64 MiB per thread
-  std::vector<void*> regions;
+  std::array<std::vector<void*>, 2> regions;
   ~SlabCache() {
-    for (void* p : regions) unmap_slab_region(p);
+    for (const auto& kind : regions) {
+      for (void* p : kind) unmap_slab_region(p);
+    }
   }
 };
 
@@ -90,16 +95,16 @@ SlabCache& slab_cache() {
 
 }  // namespace
 
-EventQueue::TaskPool::Slab::Slab() {
+EventQueue::TaskPool::Slab::Slab(bool huge_pages) : huge(huge_pages) {
   static_assert(std::size_t{kSlabSize} * sizeof(InlineTask) == kSlabBytes,
                 "slab region holds exactly kSlabSize one-line tasks");
-  auto& cache = slab_cache().regions;
+  auto& cache = slab_cache().regions[huge];
   void* p;
   if (!cache.empty()) {
     p = cache.back();
     cache.pop_back();
   } else {
-    p = map_slab_region();
+    p = map_slab_region(huge);
   }
   tasks = static_cast<InlineTask*>(p);
 }
@@ -108,9 +113,9 @@ EventQueue::TaskPool::Slab::~Slab() {
   // Every constructed task in the region is empty by now (the queue drains
   // itself first), so their no-op destructors are elided and the raw region
   // is recycled wholesale.
-  auto& cache = slab_cache().regions;
-  if (cache.size() < SlabCache::kMaxRegions) {
-    cache.push_back(tasks);
+  auto& regions = slab_cache().regions;
+  if (regions[0].size() + regions[1].size() < SlabCache::kMaxRegions) {
+    regions[huge].push_back(tasks);
   } else {
     unmap_slab_region(tasks);
   }

@@ -137,6 +137,11 @@ class EventQueue {
   /// a slot is carved only when none is free.
   [[nodiscard]] std::size_t peak_size() const { return pool_.slots(); }
 
+  /// Task slabs carved so far, and whether slab `i` was advised onto huge
+  /// pages (every slab but the first).
+  [[nodiscard]] std::size_t slab_count() const { return pool_.slab_count(); }
+  [[nodiscard]] bool slab_huge(std::size_t i) const { return pool_.slab_huge(i); }
+
   /// Time of the earliest pending event. Precondition: !empty().
   Time next_time() const;
 
@@ -175,12 +180,14 @@ class EventQueue {
   // Fixed-capacity slabs of recycled InlineTask slots. Slab granularity
   // keeps slot addresses stable (no mass relocation on growth) and the free
   // list makes steady-state push/pop allocation-free. Each slab is one
-  // 2 MiB-aligned region (64-byte lines for the tasks fall out of that), and
-  // on Linux it is madvise(MADV_HUGEPAGE)d: popping a large bucket reads
-  // tasks roughly one slab stride apart, and with 4 KiB pages every one of
-  // those reads costs a TLB walk on this access pattern — the walks, not the
-  // line fetches, were the 1e6-event throughput cliff. One huge page per
-  // slab makes the software prefetches actually overlap.
+  // 2 MiB-aligned region (64-byte lines for the tasks fall out of that).
+  // Every slab after the first is madvise(MADV_HUGEPAGE)d on Linux: popping
+  // a large bucket reads tasks roughly one slab stride apart, and with 4 KiB
+  // pages every one of those reads costs a TLB walk on this access pattern —
+  // the walks, not the line fetches, were the 1e6-event throughput cliff.
+  // The first slab is left on 4 KiB pages: a queue that never holds more
+  // than kSlabSize tasks (every perfbench workload peaks far below it) then
+  // costs only the pages it touches, not a whole 2 MiB huge page.
   class TaskPool {
    public:
     template <typename F>
@@ -192,7 +199,7 @@ class EventQueue {
         return slot;
       }
       if (size_ == slabs_.size() * kSlabSize) {
-        slabs_.push_back(std::make_unique<Slab>());
+        slabs_.push_back(std::make_unique<Slab>(/*huge_pages=*/!slabs_.empty()));
       }
       const std::uint32_t slot = size_++;
       // First use of this slot: begin the task's lifetime lazily. Slab
@@ -223,6 +230,9 @@ class EventQueue {
     /// Slots carved so far, free or in use.
     [[nodiscard]] std::uint32_t slots() const { return size_; }
 
+    [[nodiscard]] std::size_t slab_count() const { return slabs_.size(); }
+    [[nodiscard]] bool slab_huge(std::size_t i) const { return slabs_[i]->huge; }
+
     /// Destroys the callable and recycles the slot.
     void recycle(std::uint32_t slot) {
       task(slot).reset();
@@ -236,13 +246,15 @@ class EventQueue {
     // acquire() (first use of each slot) and the queue drains itself on
     // destruction, so neither slab construction nor slab destruction ever
     // touches the 2 MiB region; retired regions go to a small thread-local
-    // cache and fresh simulations reuse already-faulted pages.
+    // cache, kept apart by advice, and fresh simulations reuse
+    // already-faulted pages of the same kind.
     struct Slab {
-      Slab();
+      explicit Slab(bool huge_pages);
       ~Slab();
       Slab(const Slab&) = delete;
       Slab& operator=(const Slab&) = delete;
       InlineTask* tasks = nullptr;
+      bool huge;  // madvise(MADV_HUGEPAGE)d
     };
 
     std::vector<std::unique_ptr<Slab>> slabs_;

@@ -6,7 +6,7 @@
 // id-indexed column reserved before the first member is added, the larger
 // group makes exactly one more allocation per added member (its node), and
 // the bytes it requests per added member are the node plus its share of the
-// columns: a node pointer, a 32 B chronicle record, a 16 B network slot,
+// columns: a node pointer, a 32 B chronicle record, an 8 B network slot,
 // three 4 B ids (member, active and attached lists) and one liveness bit.
 // Growing the columns one member at a time instead costs reallocations and
 // the geometric slack they leave behind: about 238 B requested per added
@@ -138,7 +138,7 @@ TEST(BootstrapAlloc, OneAllocationAndTheColumnsPerMember) {
   // Per member, in eighths of a byte so the liveness bit is exact.
   constexpr std::uint64_t kColumnBytes = sizeof(node::Node*)  // System's node column
                                          + 32                 // chronicle record
-                                         + 16                 // network slot
+                                         + 8                  // network slot
                                          + 3 * sizeof(sim::ProcessId);
   const std::uint64_t bound_eighths = 8 * (sizeof(IdleNode) + kColumnBytes) + 1;
   EXPECT_LE(8 * (large.bytes - small.bytes), added * bound_eighths)

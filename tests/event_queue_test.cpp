@@ -3,6 +3,7 @@
 // at a window boundary and relies on insertion order breaking the tie.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -67,6 +68,45 @@ TEST(EventQueue, PeakSizeIsTheMostEventsHeldAtOnce) {
   q.run_top();
   EXPECT_EQ(q.size(), 3u);
   EXPECT_EQ(q.peak_size(), 4u);
+}
+
+constexpr std::size_t kSlabTasks = 32768;  // EventQueue::TaskPool::kSlabSize
+
+TEST(EventQueue, OnlySlabsAfterTheFirstAreAdvisedOntoHugePages) {
+  EventQueue q;
+  EXPECT_EQ(q.slab_count(), 0u);
+  for (std::size_t i = 0; i < kSlabTasks; ++i) q.push(1, [] {});
+  ASSERT_EQ(q.slab_count(), 1u);
+  EXPECT_FALSE(q.slab_huge(0));  // a queue within one slab advises none
+
+  for (std::size_t i = 0; i <= kSlabTasks; ++i) q.push(2, [] {});
+  ASSERT_EQ(q.slab_count(), 3u);
+  EXPECT_FALSE(q.slab_huge(0));
+  EXPECT_TRUE(q.slab_huge(1));
+  EXPECT_TRUE(q.slab_huge(2));
+}
+
+// Retired slab regions are cached per thread by advice: a first slab reuses
+// a retired first slab, never a region advised onto huge pages.
+TEST(EventQueue, AFirstSlabNeverReusesAnAdvisedRegion) {
+  const InlineTask* plain = nullptr;
+  const InlineTask* huge = nullptr;
+  {
+    EventQueue q;
+    q.push(0, [] {});
+    plain = q.newest_at(0);
+    for (std::size_t i = 1; i < kSlabTasks; ++i) q.push(1, [] {});
+    q.push(2, [] {});  // the second slab's first task
+    huge = q.newest_at(2);
+    ASSERT_EQ(q.slab_count(), 2u);
+    ASSERT_TRUE(q.slab_huge(1));
+  }
+  EventQueue q;
+  q.push(0, [] {});
+  EXPECT_EQ(q.newest_at(0), plain);
+  EXPECT_NE(q.newest_at(0), huge);
+  for (std::size_t i = 1; i <= kSlabTasks; ++i) q.push(1, [] {});
+  EXPECT_EQ(q.newest_at(1), huge);  // the second slab gets the advised one back
 }
 
 }  // namespace
