@@ -7,9 +7,9 @@
 // its recipients: it is a pure planner. For each recipient it asks the
 // Network for the verdict of the physical edge that carries the copy
 // (Network::hop_verdict: partition cut, loss, delay) and writes down the
-// copy's arrival offset, or marks it kLost. It never schedules anything; the Network
-// turns the finished plan into queued deliveries, one event per distinct
-// arrival tick (see net/network.h).
+// copy's arrival offset, or marks it kLost. It never schedules anything;
+// the Network turns the finished plan into queued deliveries, one event per
+// distinct arrival tick (see net/network.h).
 //
 //  - FlatDisseminator (the default): direct fan-out — the sender transmits
 //    one copy to every recipient.

@@ -179,7 +179,6 @@ class Network {
   };
 
  private:
-
   // The copies of one broadcast that arrive at the same tick, in dispatch
   // order: header plus `count` trailing recipient ids, one arena block.
   struct Batch {
