@@ -8,8 +8,8 @@
 //      faults, per protocol.
 #include "bench_util.h"
 #include "dynreg/messages.h"
+#include "harness/parallel_for.h"
 #include "harness/sweep.h"
-#include "harness/thread_pool.h"
 #include "registry.h"
 
 namespace dynreg::bench {

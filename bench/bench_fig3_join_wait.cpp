@@ -13,7 +13,7 @@
 // This is a scripted deterministic construction: --seeds has no effect.
 #include "bench_util.h"
 #include "dynreg/messages.h"
-#include "harness/thread_pool.h"
+#include "harness/parallel_for.h"
 #include "registry.h"
 
 namespace dynreg::bench {

@@ -9,7 +9,7 @@
 // the exact boundary between Section 4 (impossible) and Section 5
 // (possible). Scripted deterministic construction: --seeds has no effect.
 #include "bench_util.h"
-#include "harness/thread_pool.h"
+#include "harness/parallel_for.h"
 #include "registry.h"
 
 namespace dynreg::bench {

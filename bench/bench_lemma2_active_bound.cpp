@@ -11,7 +11,7 @@
 #include <cmath>
 
 #include "bench_util.h"
-#include "harness/thread_pool.h"
+#include "harness/parallel_for.h"
 #include "registry.h"
 
 namespace dynreg::bench {

@@ -1,6 +1,6 @@
 #include "harness/sweep.h"
 
-#include "harness/thread_pool.h"
+#include "harness/parallel_for.h"
 #include "replay/session.h"
 #include "replay/trace_io.h"
 

@@ -2,11 +2,11 @@
 // each over several seeds, and every experiment's seed replicas go through
 // it. parallel_sweep is run_grid over one knob's values.
 //
-// run_grid runs the flattened (cell, seed) grid on a ThreadPool. Each replica
-// owns its whole world — Simulation, Rng, Network, nodes — so runs never
-// share mutable state, and every replica writes its MetricsReport into a
-// pre-assigned slot. The collected output is therefore byte-identical for
-// any worker count: parallelism changes wall-clock time only.
+// run_grid runs the flattened (cell, seed) grid through parallel_for. Each
+// replica owns its whole world — Simulation, Rng, Network, nodes — so runs
+// never share mutable state, and every replica writes its MetricsReport into
+// a pre-assigned slot. The collected output is therefore byte-identical for
+// any thread count: parallelism changes wall-clock time only.
 #pragma once
 
 #include <cstddef>

@@ -54,20 +54,6 @@ class FixedDelay final : public DelayModel {
   sim::Duration d_;
 };
 
-/// Uniform random delay in [lo, hi] — the generic random-delay model.
-class UniformDelay final : public DelayModel {
- public:
-  UniformDelay(sim::Duration lo, sim::Duration hi)
-      : lo_(lo < 1 ? 1 : lo), hi_(hi < lo_ ? lo_ : hi) {}
-  sim::Duration delay(sim::Time, sim::ProcessId, sim::ProcessId, const Payload&,
-                      sim::Rng& rng) override {
-    return rng.uniform_int(lo_, hi_);
-  }
-
- private:
-  sim::Duration lo_, hi_;
-};
-
 /// The paper's synchronous model: every delay is in [1, delta].
 class SynchronousDelay final : public DelayModel {
  public:

@@ -4,7 +4,7 @@
 #include <set>
 #include <vector>
 
-#include "harness/thread_pool.h"
+#include "harness/parallel_for.h"
 #include "replay/hooks.h"
 #include "replay/trace_io.h"
 #include "sim/rng.h"

@@ -16,8 +16,6 @@ namespace dynreg::sim {
 
 namespace {
 
-constexpr std::size_t kArity = 4;
-
 // How many slots ahead of the consume cursor to prefetch inside a bucket.
 // Large buckets hold slots ~1 slab stride apart in pop order (tens of KB),
 // so without prefetch every dispatch eats a full demand miss; looking a few
@@ -76,8 +74,9 @@ void unmap_slab_region(void* p) {
 // Regions are kept by advice, so a first slab never gets a huge page back
 // (regions[1] holds the advised ones). Capped so an occasional huge
 // simulation does not pin its high-water mark forever; owning the vectors
-// through a destructor returns the regions when the (pooled job) thread
-// exits.
+// through a destructor returns the regions when the thread exits. A
+// parallel_for helper thread exits, and so empties its cache, at the end of
+// each parallel_for; the calling thread keeps its cache across calls.
 struct SlabCache {
   static constexpr std::size_t kMaxRegions = 32;  // 64 MiB per thread
   std::array<std::vector<void*>, 2> regions;
@@ -166,7 +165,7 @@ void EventQueue::insert(Time time, std::uint32_t slot) {
   } else {
     // Out of window: far future, or in the past of the wheel base (the
     // simulation never does the latter, but the standalone queue allows it).
-    far_push(make_event_key(time, next_seq_++), slot);
+    far_.push(FarEntry{time, next_seq_++, slot});
   }
 }
 
@@ -240,8 +239,9 @@ std::pair<Time, std::uint32_t> EventQueue::take_top() {
       return {ring_time, slot};
     }
   }
-  const FarEntry top = far_take_top();
-  const Time t = event_key_time(top.key);
+  const FarEntry top = far_.top();
+  far_.pop();
+  const Time t = top.time;
   // A far entry can be in the wheel's past (standalone pushes); never move
   // the base backwards, live ring events must stay inside the window.
   if (t > base_time_) base_time_ = t;
@@ -270,50 +270,6 @@ Time EventQueue::next_time() const {
   const Time ring_time = ring_next_time();
   if (!far_.empty() && far_next_time() < ring_time) return far_next_time();
   return ring_time;
-}
-
-void EventQueue::far_push(EventKey key, std::uint32_t slot) {
-  // Hole-based sift-up: move parents down until `key` fits, then write the
-  // new entry once.
-  std::size_t pos = far_.size();
-  far_.push_back(FarEntry{key, slot});
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) / kArity;
-    if (!(key < far_[parent].key)) break;
-    far_[pos] = far_[parent];
-    pos = parent;
-  }
-  far_[pos] = FarEntry{key, slot};
-}
-
-EventQueue::FarEntry EventQueue::far_take_top() {
-  // Standard delete-min: drop the last entry into the root hole and sift it
-  // down past any smaller child.
-  const FarEntry top = far_.front();
-  const FarEntry last = far_.back();
-  far_.pop_back();
-  const std::size_t n = far_.size();
-  if (n != 0) {
-    FarEntry* const h = far_.data();
-    std::size_t pos = 0;
-    for (;;) {
-      const std::size_t first_child = pos * kArity + 1;
-      if (first_child >= n) break;
-      std::size_t min_child = first_child;
-      const std::size_t end = first_child + kArity < n ? first_child + kArity : n;
-      for (std::size_t c = first_child + 1; c < end; ++c) {
-        if (h[c].key < h[min_child].key) min_child = c;
-      }
-      if (!(h[min_child].key < last.key)) break;
-      h[pos] = h[min_child];
-      pos = min_child;
-      // The next iteration compares the children of min_child; start their
-      // lines toward the core while this iteration's stores retire.
-      if (min_child * kArity + 1 < n) prefetch_ro(&h[min_child * kArity + 1]);
-    }
-    h[pos] = last;
-  }
-  return top;
 }
 
 }  // namespace dynreg::sim

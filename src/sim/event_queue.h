@@ -16,10 +16,12 @@
 //    exact append order while letting prefetches run ahead.) Virtually every
 //    event a simulation schedules (delays are small, clocks move forward)
 //    lands here.
-//  - Far tier: an implicit 4-ary min-heap of small POD entries keyed on a
-//    packed (time, seq) 128-bit key, so sift comparisons are single
-//    wide-integer compares. It holds the rare events outside the ring
-//    window (far future, or scheduled into the past of the wheel base).
+//  - Far tier: a std::priority_queue of (time, seq, slot) entries ordered
+//    by (time, seq). It holds the rare events outside the ring window (far
+//    future, or scheduled into the past of the wheel base). The paper's
+//    protocols only wait a few delta, so in every workload but E5's
+//    asynchronous runs almost no push lands here (docs/PERFORMANCE.md,
+//    "The far tier and the thread pool"), and the standard heap is enough.
 //
 // The callables themselves never move through either structure: they live
 // in InlineTask slots (no per-event heap allocation for captures up to
@@ -32,14 +34,15 @@
 // the window, and the window never moves backwards past a live ring time),
 // so on equal times the far tier pops first; within a bucket the slot array
 // is consumed in append order, which is FIFO; within the far tier the seq
-// half of the key is FIFO. This reproduces the old (time, seq)
-// priority-queue order bit for bit.
+// stamp is FIFO. Together they pop in the (time, push order) order of one
+// priority queue over every event.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <queue>
 #include <vector>
 
 #include "sim/inline_task.h"
@@ -49,29 +52,6 @@ namespace dynreg::sim {
 using Time = std::uint64_t;
 using Duration = std::uint64_t;
 using ProcessId = std::uint32_t;
-
-// Packed (time, seq) ordering key for the far tier. With 128-bit integers
-// available the comparison in the sift loops is a single wide-integer
-// compare; the fallback is an equivalent two-field lexicographic compare.
-#if defined(__SIZEOF_INT128__)
-using EventKey = unsigned __int128;
-constexpr EventKey make_event_key(Time time, std::uint64_t seq) {
-  return (static_cast<EventKey>(time) << 64) | seq;
-}
-constexpr Time event_key_time(EventKey key) { return static_cast<Time>(key >> 64); }
-#else
-struct EventKey {
-  Time time = 0;
-  std::uint64_t seq = 0;
-  friend constexpr bool operator<(const EventKey& a, const EventKey& b) {
-    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
-  }
-};
-constexpr EventKey make_event_key(Time time, std::uint64_t seq) {
-  return EventKey{time, seq};
-}
-constexpr Time event_key_time(EventKey key) { return key.time; }
-#endif
 
 struct Event {
   Time time = 0;
@@ -173,8 +153,16 @@ class EventQueue {
   };
 
   struct FarEntry {
-    EventKey key;
+    Time time;
+    std::uint64_t seq;  // FIFO stamp among equal times
     std::uint32_t slot;
+  };
+  // Orders the max-heap of std::priority_queue so its top is the earliest
+  // (time, seq).
+  struct FarLater {
+    bool operator()(const FarEntry& a, const FarEntry& b) const {
+      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+    }
   };
 
   // Fixed-capacity slabs of recycled InlineTask slots. Slab granularity
@@ -286,10 +274,8 @@ class EventQueue {
   std::uint32_t find_next_bucket() const;  // precondition: ring_count_ > 0
   [[nodiscard]] Time ring_next_time() const { return slot_to_time(find_next_bucket()); }
 
-  // --- far tier (4-ary implicit heap; children of i are 4i+1 .. 4i+4) ---
-  void far_push(EventKey key, std::uint32_t slot);
-  FarEntry far_take_top();
-  [[nodiscard]] Time far_next_time() const { return event_key_time(far_.front().key); }
+  // --- far tier ---
+  [[nodiscard]] Time far_next_time() const { return far_.top().time; }
 
   std::array<Bucket, kWindow> ring_{};
   std::vector<SlotBlock> blocks_;        // shared bucket-block pool
@@ -299,7 +285,7 @@ class EventQueue {
   Time base_time_ = 0;       // ring covers [base_time_, base_time_ + kWindow)
   std::size_t ring_count_ = 0;
 
-  std::vector<FarEntry> far_;
+  std::priority_queue<FarEntry, std::vector<FarEntry>, FarLater> far_;
   std::uint64_t next_seq_ = 0;  // FIFO stamp for far-tier entries
 
   TaskPool pool_;

@@ -250,7 +250,7 @@ TEST_P(GroupedDelivery, DeliveryOrderIsTheStableSortOfTheRecordedVerdicts) {
             return std::nullopt;
           });
     } else {
-      inner = std::make_unique<UniformDelay>(1, 4);
+      inner = std::make_unique<SynchronousDelay>(4);
     }
     sim::Simulation sim(41);
     Network net(sim, std::make_unique<LoggingDelay>(std::move(inner), drawn));

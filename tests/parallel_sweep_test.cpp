@@ -5,26 +5,29 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "harness/aggregate.h"
+#include "harness/parallel_for.h"
 #include "harness/sweep.h"
-#include "harness/thread_pool.h"
 #include "replay/session.h"
 #include "stats/json_writer.h"
 
 namespace dynreg::harness {
 namespace {
 
-TEST(ThreadPool, ParallelForRunsEveryIndexExactlyOnce) {
-  constexpr std::size_t kCount = 100;
-  std::vector<std::atomic<int>> hits(kCount);
-  parallel_for(/*jobs=*/4, kCount, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  for (const std::size_t count : {std::size_t{0}, std::size_t{100}}) {
+    std::vector<std::atomic<int>> hits(count);
+    parallel_for(/*jobs=*/4, count, [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < count; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  }
 }
 
-TEST(ThreadPool, ParallelForPropagatesExceptions) {
+TEST(ParallelFor, PropagatesExceptions) {
   EXPECT_THROW(parallel_for(3, 8,
                             [](std::size_t i) {
                               if (i == 5) throw std::runtime_error("boom");
@@ -32,7 +35,7 @@ TEST(ThreadPool, ParallelForPropagatesExceptions) {
                std::runtime_error);
 }
 
-TEST(ThreadPool, ParallelForRunsAllBodiesDespiteExceptionAtAnyJobCount) {
+TEST(ParallelFor, RunsAllBodiesDespiteExceptionAtAnyJobCount) {
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
     std::vector<std::atomic<int>> hits(8);
     EXPECT_THROW(parallel_for(jobs, hits.size(),
@@ -47,9 +50,29 @@ TEST(ThreadPool, ParallelForRunsAllBodiesDespiteExceptionAtAnyJobCount) {
   }
 }
 
-TEST(ThreadPool, ResolveJobsZeroMeansHardware) {
-  EXPECT_GE(ThreadPool::resolve_jobs(0), 1u);
-  EXPECT_EQ(ThreadPool::resolve_jobs(3), 3u);
+TEST(ParallelFor, NeverRunsMoreThanJobsBodiesAtOnce) {
+  // Each body holds its place long enough for the other threads to start
+  // theirs, so the peak reaches jobs whenever the threads overlap; one
+  // helper too many would push it past jobs.
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+    std::atomic<std::size_t> in_flight{0};
+    std::atomic<std::size_t> peak{0};
+    parallel_for(jobs, 24, [&](std::size_t) {
+      const std::size_t now = in_flight.fetch_add(1) + 1;
+      std::size_t seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      in_flight.fetch_sub(1);
+    });
+    EXPECT_GE(peak.load(), 1u) << "jobs=" << jobs;
+    EXPECT_LE(peak.load(), jobs) << "jobs=" << jobs;
+  }
+}
+
+TEST(ParallelFor, ResolveJobsZeroMeansHardware) {
+  EXPECT_GE(resolve_jobs(0), 1u);
+  EXPECT_EQ(resolve_jobs(3), 3u);
 }
 
 TEST(Aggregate, SummarizesKnownSamples) {

@@ -12,6 +12,13 @@ time and the run's one sim::Rng for randomness.
 std::mt19937 with a fixed literal seed is deliberately NOT banned: the
 engine's output sequence is specified by the standard, and the property
 tests use it as a portable scenario generator.
+
+thread-scope keeps the simulation core single-threaded: in src/, only
+harness::parallel_for (src/harness/parallel_for.cpp) starts threads, and
+each of its bodies owns a whole replica. A thread started anywhere else in
+the library could reach a Simulation, its Rng or its EventQueue from two
+threads at once, and the order of their events would then depend on the
+scheduler.
 """
 
 from __future__ import annotations
@@ -51,5 +58,19 @@ RULES = [
             r"|" + _NOT_MEMBER + r"random_device\b"
             r"|" + _NOT_MEMBER + r"(rand|srand|random|srandom|drand48|rand_r)\s*\("
         ),
+    ),
+    Rule(
+        name="thread-scope",
+        description=(
+            "In src/, only src/harness/parallel_for.cpp may start a thread "
+            "(std::thread, std::jthread, std::async)."
+        ),
+        message=(
+            "threads in the library start only in harness::parallel_for, where each "
+            "body owns a whole replica — run the work through parallel_for instead"
+        ),
+        pattern=re.compile(r"\bstd\s*::\s*(?:thread|jthread|async)\b"),
+        paths=("src/",),
+        exclude=("src/harness/parallel_for.cpp",),
     ),
 ]
